@@ -107,7 +107,7 @@ def main(argv=None):
         wanted = spec["end_to_end"]
         values = {
             "setup_s": statistics.median(setups),
-            "run_s": report["run_s"],
+            "run_cost": report["run_cost"],
             "peak_rss_mb": report["peak_rss_mb"],
             "ok_frac": (attempted - failed) / attempted,
             "quality": report["quality"],
@@ -128,7 +128,8 @@ def main(argv=None):
         print(f"FAILED {msg}")
     print(f"{args.workload} seed {args.seed}: {len(report['pass_s_untraced'])} "
           f"untraced / {len(report['pass_s_traced'])} traced passes, "
-          f"run_s {report['run_s']:.3f}, report {os.path.relpath(path, ROOT)}")
+          f"run_s {report['run_s']:.3f}, run_cost {report['run_cost']:.0f}, "
+          f"report {os.path.relpath(path, ROOT)}")
     print(json.dumps({"correct": failed == 0, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
     return 0

@@ -136,9 +136,9 @@ PER_LAYER = [
 ] + [(f"layer.{layer}.self_s", _layer(layer))
      for layer in ("pipeline", "embed", "estimator", "sparse", "classify",
                    "rbim", "qc", "trapping", "zeta")]
-# main() adds trace.overhead_frac, trace.unattributed_frac and
-# warnings.runtime, which come from the pass times and warnings rather than
-# from the spans.
+# main() adds trace.overhead_frac, trace.unattributed_frac,
+# warnings.runtime, run.wall_s and host.probe_<kernel>_us, which come from
+# the pass times, warnings and speed probe rather than from the spans.
 
 
 def _hooks():
@@ -230,43 +230,57 @@ def peak_rss_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def timed_phase(wl, state, seconds, tr):
+def timed_phase(wl, state, seconds, tr, sp):
     """Passes until ``seconds`` have passed; with a tracer, untraced and
     traced passes alternate so both see the same machine conditions.
 
-    Peak memory is read after the first pass: later passes add only the
+    ``sp`` samples the host's speed throughout; each untraced pass's cost
+    is its wall time over the probe kernels' time in it (see probe.py).  Peak
+    memory is read after the first pass: later passes add only the
     allocator's fragmentation, which varies from run to run.
     """
-    passes, untraced, traced = [], [], []
+    passes, untraced, traced, windows = [], [], [], []
     first_peak = None
     warn_traced = 0
     start = time.perf_counter()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        while True:
-            for with_trace in ((False, True) if tr else (False,)):
-                n_warn = len(caught)
-                wl.prepare(state)
-                if with_trace:
-                    tr.install()
-                t = time.perf_counter()
-                try:
-                    ops = wl.run_pass(state)
-                finally:
-                    d = time.perf_counter() - t
+    sp.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            while True:
+                for with_trace in ((False, True) if tr else (False,)):
+                    n_warn = len(caught)
+                    wl.prepare(state)
                     if with_trace:
-                        tr.uninstall()
-                passes.append(ops)
-                (traced if with_trace else untraced).append(d)
-                if first_peak is None:
-                    first_peak = peak_rss_mb()
-                if with_trace:
-                    warn_traced += len(caught) - n_warn
-            need = 1 if tr else 2
-            if len(untraced) >= need and time.perf_counter() - start >= seconds:
-                break
-        warns = [(w.category.__name__, str(w.message)) for w in caught]
-    return passes, untraced, traced, warns, warn_traced, first_peak
+                        tr.install()
+                    mark = sp.mark()
+                    t = time.perf_counter()
+                    try:
+                        ops = wl.run_pass(state)
+                    finally:
+                        d = time.perf_counter() - t
+                        if with_trace:
+                            tr.uninstall()
+                    passes.append(ops)
+                    if with_trace:
+                        traced.append(d)
+                        warn_traced += len(caught) - n_warn
+                    else:
+                        untraced.append(d)
+                        windows.append((mark, sp.mark()))
+                    if first_peak is None:
+                        first_peak = peak_rss_mb()
+                need = 1 if tr else 2
+                if (len(untraced) >= need
+                        and time.perf_counter() - start >= seconds):
+                    break
+            warns = [(w.category.__name__, str(w.message)) for w in caught]
+    finally:
+        sp.stop()
+    costs = [d / sp.factor_s(a, b) for d, (a, b) in zip(untraced, windows)]
+    probe_means = [sp.means_s(a, b) for a, b in windows]
+    return (passes, untraced, traced, costs, probe_means, warns, warn_traced,
+            first_peak)
 
 
 def main(argv=None):
@@ -291,10 +305,12 @@ def main(argv=None):
         print(json.dumps({"setup_s": setup_s}))
         return 0
 
+    import probe
     import tracer
     tr = tracer.Tracer(_hooks()) if args.trace else None
-    passes, untraced, traced, warns, warn_traced, first_peak = timed_phase(
-        wl, state, args.seconds, tr)
+    sp = probe.SpeedProbe()
+    (passes, untraced, traced, costs, probe_means, warns, warn_traced,
+     first_peak) = timed_phase(wl, state, args.seconds, tr, sp)
     last_peak = peak_rss_mb()
     threads = os_threads()
     t_check = time.perf_counter()
@@ -315,7 +331,12 @@ def main(argv=None):
         "seconds": args.seconds,
         "setup_s_main": setup_s,
         "run_s": run_s,
+        "run_cost": statistics.median(costs),
         "pass_s_untraced": untraced,
+        "pass_cost_untraced": costs,
+        "probe_us_median": sp.median_us(),
+        "pass_probe_s_untraced": probe_means,
+        "probe_samples": sp.mark(),
         "pass_s_traced": traced,
         "peak_rss_mb": first_peak,
         "peak_rss_mb_all_passes": last_peak,
@@ -339,6 +360,9 @@ def main(argv=None):
         per_layer["trace.unattributed_frac"] = (1.0 - sum(tr.top.values())
                                                 / sum(traced))
         per_layer["warnings.runtime"] = warn_traced / n
+        per_layer["run.wall_s"] = run_s
+        for kernel, us in report["probe_us_median"].items():
+            per_layer[f"host.probe_{kernel}_us"] = us
         report["per_layer"] = per_layer
         report["spans"] = tr.table()
         report["span_edges"] = {f"{a} > {b}": c / n

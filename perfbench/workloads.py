@@ -162,34 +162,33 @@ class Pipeline:
 # -- code path ---------------------------------------------------------------
 
 class LiftSearch:
-    """Stage: seeded optimize_lift searches on an all-free 3x5
-    pattern.
+    """Stage: one optimize_lift search on an all-free 3x5 pattern.
 
     At L=12 a 3x5 lift has girth at most 6, and every 6-cycle through
     degree-3 variables has ACE 3 < 4, so the target is never met and every
-    search scores restarts x (steps + 1) candidates.  Pass k searches with
-    seed ``1000 * seed + k``: the cost of one search depends on the path it
-    takes, and the median over several searches varies less from seed to
-    seed.
+    search scores restarts x (steps + 1) candidates.  The candidates it
+    draws, and so its cost, depend on the search seed: over twelve search
+    seeds the cost varied by up to 1.5 times.  Every pass of every run
+    therefore searches with the same seed, ``SEARCH_SEED``; the benchmark
+    seed varies the code-analysis stage's inputs only.
     """
 
     M_B, N_B, L = 3, 5, 12
     MIN_GIRTH, MIN_ACE = 6, 4
     RESTARTS, STEPS = 1, 8
+    SEARCH_SEED = 0
 
     def setup(self, seed):
         pattern = qc.METProtograph([[[None]] * self.N_B for _ in range(self.M_B)],
                                    self.L, allow_unset=True)
-        return {"pattern": pattern, "seed": seed, "passes": 0}
+        return {"pattern": pattern}
 
     def prepare(self, state):
         pass
 
     def run_pass(self, state):
-        search_seed = 1000 * state["seed"] + state["passes"]
-        state["passes"] += 1
         return [attempt("optimize_lift", self._search, state["pattern"],
-                        search_seed)]
+                        self.SEARCH_SEED)]
 
     def _search(self, pattern, search_seed):
         return search_seed, qc.optimize_lift(
@@ -207,7 +206,7 @@ class LiftSearch:
 
     def check(self, state, passes):
         res = CheckResult()
-        digests = []
+        digests = {}  # pass index -> digest of the shifts found
         for p, ops in enumerate(passes):
             op = ops[0]
             if op.error is not None:
@@ -221,17 +220,16 @@ class LiftSearch:
             res.expect((p, 0), not r.satisfied,
                        "target met, which a 3x5 lift at L=12 cannot do; the "
                        "candidate count is no longer fixed")
-            digests.append((search_seed, _digest(r.proto.cells), r.girth,
-                            r.min_ace))
-        if digests:
-            # The same search again must find the same shifts.
-            search_seed, first = digests[0][:2]
-            _, repeat = self._search(state["pattern"], search_seed)
-            again = _digest(repeat.proto.cells)
-            res.expect((0, 0), again == first,
-                       f"search seed {search_seed} found different shifts "
-                       "when repeated")
-        res.info["searches"] = digests
+            digests[p] = _digest(r.proto.cells)
+            res.info.setdefault("searches", []).append(
+                (search_seed, digests[p], r.girth, r.min_ace))
+        # Every pass searched with the same seed: each must have found the
+        # same shifts.
+        first = next(iter(digests.values()), None)
+        for p, d in digests.items():
+            res.expect((p, 0), d == first,
+                       f"search seed {self.SEARCH_SEED} found different "
+                       "shifts when repeated")
         return res
 
 
