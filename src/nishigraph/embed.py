@@ -13,12 +13,11 @@ import logging
 import struct
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from .estimator import (EstimatorConfig, WeightedSystem, auto_bracket,
                         bethe_hessian_weighted, estimate_beta_N)
 from .rbim import CouplingGraph
-from .sparse import eig_dense, lambda_min
+from .sparse import _shift_invert_bottom, lambda_min
 
 log = logging.getLogger(__name__)
 
@@ -211,19 +210,10 @@ def similarity_graph(ft, gamma, p):
 
 
 def _bottom_eigvecs(H, r):
-    n = H.n
-    if n <= max(2 * r + 2, 400):
-        M = H.to_dense()
-        vals, vecs = np.linalg.eigh(M)
+    if H.n <= max(2 * r + 2, 400):
+        vals, vecs = np.linalg.eigh(H.to_dense())
         return vals[:r], vecs[:, :r]
-    A = H.to_csr().tocsc()
-    diag = A.diagonal()
-    absrow = np.abs(A).sum(axis=1).A1 - np.abs(diag)
-    sigma = float(np.min(diag - absrow)) - 1.0
-    v0 = np.ones(n) / np.sqrt(n)
-    vals, vecs = spla.eigsh(A, k=r, sigma=sigma, which="LM", v0=v0, tol=1e-9)
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return _shift_invert_bottom(H, r, 1e-9)
 
 
 def _sign_fix(vecs):

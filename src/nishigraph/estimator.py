@@ -56,39 +56,62 @@ class EstimatorTrace:
         }
 
 
+def _bethe_hessian(n, i, j, t, dense=False):
+    """Weighted Bethe-Hessian on n vertices from edge endpoint arrays i, j
+    (i != j; parallel edges repeated) and per-edge t = tanh(beta J):
+
+        H_kk = 1 + sum_{e at k} t_e^2 / (1 - t_e^2)
+        H_ij = -sum_{e = ij} t_e / (1 - t_e^2)
+
+    Returns an ndarray when dense, else a SparseSym (which needs distinct
+    edges).  Raises ValueError when some t_e^2 is within 1e-12 of 1.
+    """
+    t2 = t * t
+    q = 1 - t2
+    sat = np.flatnonzero(np.abs(q) <= 1e-12)
+    if sat.size:
+        e = sat[0]
+        raise ValueError(f"coupling saturated on edge ({i[e]},{j[e]}): "
+                         f"tanh^2 = {t2[e]!r}")
+    c = t2 / q
+    diag = 1 + np.bincount(i, c, n) + np.bincount(j, c, n)
+    off = -t / q
+    if dense:
+        H = np.bincount(i * n + j, off, n * n).reshape(n, n)
+        H += H.T
+        H.flat[::n + 1] = diag
+        return H
+    ar = np.arange(n)
+    return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
+                                         np.concatenate((j, ar)),
+                                         np.concatenate((off, diag)))))
+
+
+def _coupling_arrays(J):
+    """(i, j, J_ij) arrays over the edges of a CouplingGraph."""
+    e = np.array(J.edges, dtype=float).reshape(-1, 3)
+    return e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
+
+
 def bethe_hessian_weighted(J, beta):
     """Coupled Bethe-Hessian: diagonal 1 + sum_k tanh^2(bJ)/(1-tanh^2(bJ)),
     off-diagonal -tanh(bJ)/(1-tanh^2(bJ)) on each edge."""
-    diag = np.ones(J.n)
-    ent = []
-    for i, j, Jij in J.edges:
-        t = math.tanh(beta * Jij)
-        t2 = t * t
-        if t2 >= 1 - 1e-12:
-            raise ValueError(f"coupling saturated on edge ({i},{j}) at beta={beta}")
-        diag[i] += t2 / (1 - t2)
-        diag[j] += t2 / (1 - t2)
-        ent.append((i, j, -t / (1 - t2)))
-    ent.extend((i, i, diag[i]) for i in range(J.n))
-    return SparseSym(J.n, ent)
+    i, j, Jv = _coupling_arrays(J)
+    return _bethe_hessian(J.n, i, j, np.tanh(beta * Jv))
 
 
 def bethe_hessian_unweighted(A, D, beta):
     """(beta^2 - 1) I - beta A + D for a zero-diagonal adjacency A."""
-    if any(i == j and v != 0 for i, j, v in A.entries):
+    on = A.rows == A.cols
+    if np.any(A.vals[on] != 0):
         raise ValueError("adjacency must have zero diagonal")
-    n = A.n
-    acc = {}
-    for i, j, v in A.entries:
-        if v:
-            acc[(i, j)] = acc.get((i, j), 0.0) - beta * v
-    for i, j, v in D.entries:
-        if i != j:
-            raise ValueError("degree matrix must be diagonal")
-        acc[(i, i)] = acc.get((i, i), 0.0) + v
-    for i in range(n):
-        acc[(i, i)] = acc.get((i, i), 0.0) + beta * beta - 1
-    return SparseSym(n, [(i, j, v) for (i, j), v in acc.items() if v != 0 or i == j])
+    if np.any(D.rows != D.cols):
+        raise ValueError("degree matrix must be diagonal")
+    off = ~on & (A.vals != 0)
+    ar = np.arange(A.n)
+    return SparseSym(A.n, np.column_stack((
+        np.concatenate((A.rows[off], ar)), np.concatenate((A.cols[off], ar)),
+        np.concatenate((-beta * A.vals[off], D.diagonal() + beta * beta - 1)))))
 
 
 class UnweightedSystem:
@@ -104,14 +127,17 @@ class UnweightedSystem:
 
 
 class WeightedSystem:
-    """Root-finding target lambda_min of the coupled Bethe-Hessian."""
+    """Root-finding target lambda_min of the coupled Bethe-Hessian; the edge
+    arrays are read from J once, and matrix(beta) recomputes the values."""
 
     def __init__(self, J):
         self.J = J
         self.n = J.n
+        self._edges = _coupling_arrays(J)
 
     def matrix(self, beta):
-        return bethe_hessian_weighted(self.J, beta)
+        i, j, Jv = self._edges
+        return _bethe_hessian(self.n, i, j, np.tanh(beta * Jv))
 
 
 class _CountedEvaluator:

@@ -5,6 +5,8 @@ averages.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
 from .sparse import SparseSym
@@ -51,22 +53,16 @@ class CouplingGraph:
         return d
 
     def components(self):
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j, _ in self.edges:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
+        """Vertex lists of the connected components, each ascending, ordered
+        by their smallest vertex; isolated vertices are singletons."""
+        ij = np.array([e[:2] for e in self.edges], dtype=np.intp).reshape(-1, 2)
+        graph = sp.coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])),
+                              shape=(self.n, self.n))
+        _, labels = connected_components(graph, directed=False)
         groups = {}
-        for x in range(self.n):
-            groups.setdefault(find(x), []).append(x)
-        return sorted(groups.values(), key=lambda g: g[0])
+        for v, c in enumerate(labels.tolist()):
+            groups.setdefault(c, []).append(v)
+        return list(groups.values())
 
 
 class SpinConfig:

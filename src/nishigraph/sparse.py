@@ -14,28 +14,40 @@ _ARPACK_MAXITER = 50000
 
 
 class SparseSym:
-    """Symmetric real matrix stored as upper-triangle COO entries.
+    """Symmetric real matrix stored as upper-triangle COO arrays.
 
-    entries is a list of (i, j, value) with i <= j; duplicates are rejected.
+    entries is an iterable of (i, j, value) triples, or a (k, 3) array of
+    them; each pair is stored as i <= j in the int arrays rows and cols,
+    with its value in vals, in insertion order.  Out-of-range pairs and
+    duplicates ((i, j) twice, or both (i, j) and (j, i)) are rejected.
     """
 
     def __init__(self, n, entries):
         if n < 0:
             raise ValueError("negative dimension")
-        seen = set()
-        clean = []
-        for i, j, v in entries:
-            i, j, v = int(i), int(j), float(v)
-            if i > j:
-                i, j = j, i
-            if not (0 <= i <= j < n):
-                raise ValueError(f"entry ({i},{j}) out of range for n={n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate entry ({i},{j})")
-            seen.add((i, j))
-            clean.append((i, j, v))
+        a = np.asarray(entries if isinstance(entries, np.ndarray)
+                       else list(entries), dtype=float)
+        if a.size == 0:
+            a = a.reshape(0, 3)
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise ValueError("entries must be (i, j, value) triples")
+        ij = np.sort(a[:, :2].astype(np.int64), axis=1)
+        rows, cols = ij[:, 0], ij[:, 1]
+        if len(ij) and (rows.min() < 0 or cols.max() >= n):
+            k = np.flatnonzero((rows < 0) | (cols >= n))[0]
+            raise ValueError(f"entry ({rows[k]},{cols[k]}) out of range for n={n}")
+        key = np.sort(rows * n + cols)
+        dup = key[1:][key[1:] == key[:-1]]
+        if dup.size:
+            raise ValueError(f"duplicate entry ({dup[0] // n},{dup[0] % n})")
         self.n = n
-        self.entries = clean
+        self.rows, self.cols, self.vals = rows, cols, a[:, 2].copy()
+
+    @property
+    def entries(self):
+        """The stored (i, j, value) triples, i <= j, in insertion order."""
+        return list(zip(self.rows.tolist(), self.cols.tolist(),
+                        self.vals.tolist()))
 
     @classmethod
     def from_dense(cls, M, tol=0.0):
@@ -44,14 +56,13 @@ class SparseSym:
             raise ValueError("square matrix required")
         if not np.allclose(M, M.T, atol=1e-12):
             raise ValueError("matrix is not symmetric")
-        n = M.shape[0]
-        ent = [(i, j, M[i, j]) for i in range(n) for j in range(i, n)
-               if abs(M[i, j]) > tol]
-        return cls(n, ent)
+        i, j = np.nonzero(np.triu(np.abs(M) > tol))
+        return cls(M.shape[0], np.column_stack((i, j, M[i, j])))
 
     @classmethod
     def identity(cls, n):
-        return cls(n, [(i, i, 1.0) for i in range(n)])
+        ar = np.arange(n)
+        return cls(n, np.column_stack((ar, ar, np.ones(n))))
 
     @classmethod
     def zeros(cls, n):
@@ -59,27 +70,21 @@ class SparseSym:
 
     def to_dense(self):
         M = np.zeros((self.n, self.n))
-        for i, j, v in self.entries:
-            M[i, j] = v
-            if i != j:
-                M[j, i] = v
+        M[self.rows, self.cols] = self.vals
+        M[self.cols, self.rows] = self.vals
         return M
 
     def to_csr(self):
-        if not self.entries:
-            return sp.csr_matrix((self.n, self.n))
-        rows, cols, vals = [], [], []
-        for i, j, v in self.entries:
-            rows.append(i); cols.append(j); vals.append(v)
-            if i != j:
-                rows.append(j); cols.append(i); vals.append(v)
+        off = self.rows != self.cols
+        rows = np.concatenate((self.rows, self.cols[off]))
+        cols = np.concatenate((self.cols, self.rows[off]))
+        vals = np.concatenate((self.vals, self.vals[off]))
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
 
     def diagonal(self):
         d = np.zeros(self.n)
-        for i, j, v in self.entries:
-            if i == j:
-                d[i] = v
+        on = self.rows == self.cols
+        d[self.rows[on]] = self.vals[on]
         return d
 
     def __eq__(self, other):
@@ -87,7 +92,7 @@ class SparseSym:
                 and sorted(self.entries) == sorted(other.entries))
 
     def __repr__(self):
-        return f"SparseSym(n={self.n}, nnz={len(self.entries)})"
+        return f"SparseSym(n={self.n}, nnz={len(self.vals)})"
 
 
 class Spectrum:
@@ -111,10 +116,8 @@ class Spectrum:
 def lambda_min(M, tol=1e-10):
     """Smallest eigenvalue of a SparseSym, within +-tol.
 
-    Small systems use the dense path directly.  Larger ones use shift-invert
-    Lanczos with the shift placed one unit below the Gershgorin lower bound,
-    so the target eigenvalue is always the one nearest the shift.  The
-    starting vector is fixed (normalized all-ones) for reproducibility.
+    Systems with n <= 8 use the dense path directly, larger ones the
+    shift-invert Lanczos solve of _shift_invert_bottom.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -122,6 +125,17 @@ def lambda_min(M, tol=1e-10):
         raise ValueError("empty matrix has no eigenvalues")
     if M.n <= 8:
         return float(np.linalg.eigvalsh(M.to_dense())[0])
+    return float(_shift_invert_bottom(M, 1, tol)[0][0])
+
+
+def _shift_invert_bottom(M, k, tol):
+    """(eigenvalues, eigenvectors): the k smallest eigenpairs of a SparseSym,
+    eigenvalues ascending.
+
+    Shift-invert Lanczos with the shift placed one unit below the Gershgorin
+    lower bound, so the k targets are the eigenvalues nearest the shift.  The
+    starting vector is fixed (normalized all-ones) for reproducibility.
+    """
     A = M.to_csr().tocsc()
     # Gershgorin: min_i (a_ii - sum_{j != i} |a_ij|) bounds the spectrum below.
     diag = A.diagonal()
@@ -129,14 +143,14 @@ def lambda_min(M, tol=1e-10):
     sigma = float(np.min(diag - absrow)) - 1.0
     v0 = np.ones(M.n) / np.sqrt(M.n)
     try:
-        vals = spla.eigsh(A, k=1, sigma=sigma, which="LM", v0=v0,
-                          tol=tol, maxiter=_ARPACK_MAXITER,
-                          return_eigenvectors=False)
+        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
+                                tol=tol, maxiter=_ARPACK_MAXITER)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(
             f"eigensolver failed to converge within {_ARPACK_MAXITER} iterations"
         ) from exc
-    return float(vals[0])
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def eig_dense(M):
@@ -179,20 +193,33 @@ def write_matrix_market(M, path):
 
 
 def read_matrix_market(path):
-    """Read a symmetric Matrix Market coordinate file into a SparseSym."""
+    """Read a symmetric Matrix Market coordinate file into a SparseSym.
+
+    A size or entry line that is missing, short or non-numeric raises
+    ValueError naming the file and the 1-based line number.
+    """
     with open(path) as fh:
-        header = fh.readline()
-        if "matrixmarket" not in header.lower() or "symmetric" not in header.lower():
-            raise ValueError(f"{path}: not a symmetric MatrixMarket file")
-        line = fh.readline()
-        while line.startswith("%"):
-            line = fh.readline()
-        nrow, ncol, nnz = (int(x) for x in line.split())
-        if nrow != ncol:
-            raise ValueError(f"{path}: non-square matrix")
-        entries = []
-        for _ in range(nnz):
-            parts = fh.readline().split()
-            r, c = int(parts[0]) - 1, int(parts[1]) - 1
-            entries.append((min(r, c), max(r, c), float(parts[2])))
-    return SparseSym(nrow, entries)
+        lines = fh.read().splitlines()
+    header = lines[0].lower() if lines else ""
+    if "matrixmarket" not in header or "symmetric" not in header:
+        raise ValueError(f"{path}: not a symmetric MatrixMarket file")
+    k = 1
+    while k < len(lines) and lines[k].startswith("%"):
+        k += 1
+
+    def fields(k, types):
+        line = lines[k] if k < len(lines) else ""
+        parts = line.split()
+        if len(parts) >= len(types):
+            try:
+                return [t(x) for t, x in zip(types, parts)]
+            except ValueError:
+                pass
+        raise ValueError(f"{path}: line {k + 1}: expected {len(types)} "
+                         f"numbers, found {line or 'end of file'!r}")
+
+    nrow, ncol, nnz = fields(k, (int, int, int))
+    if nrow != ncol:
+        raise ValueError(f"{path}: non-square matrix")
+    entries = [fields(k + 1 + e, (int, int, float)) for e in range(nnz)]
+    return SparseSym(nrow, [(r - 1, c - 1, v) for r, c, v in entries])

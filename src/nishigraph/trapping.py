@@ -8,8 +8,11 @@ counts the checks shared by variables i and j.
 import json
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
-from .sparse import SparseSym, Spectrum, eig_dense, rank_and_kernel
+from .estimator import _bethe_hessian
+from .sparse import SparseSym, eig_dense, rank_and_kernel
 
 _NEG_TOL = -1e-8
 
@@ -79,24 +82,31 @@ class InvariantReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _variable_graph(ts):
+    """Dense A_vn: H^T H with its diagonal zeroed."""
+    A = (ts.H.T @ ts.H).astype(float)
+    np.fill_diagonal(A, 0.0)
+    return A
+
+
+def _laplacian(ts):
+    A = _variable_graph(ts)
+    return np.diag(A.sum(axis=1)) - A
+
+
 def variable_adjacency(ts):
     """(A_vn, D_vn, L): zero-diagonal H^T H, its degree matrix, and D - A."""
-    G = ts.H.T @ ts.H
-    A = G.astype(float).copy()
-    np.fill_diagonal(A, 0.0)
+    A = _variable_graph(ts)
     d = A.sum(axis=1)
-    n = ts.a
-    A_s = SparseSym.from_dense(A)
-    D_s = SparseSym(n, [(i, i, d[i]) for i in range(n) if d[i] != 0])
-    L_s = SparseSym.from_dense(np.diag(d) - A)
-    return A_s, D_s, L_s
+    nz = np.flatnonzero(d)
+    D = SparseSym(ts.a, np.column_stack((nz, nz, d[nz])))
+    return SparseSym.from_dense(A), D, SparseSym.from_dense(np.diag(d) - A)
 
 
 def spectral_radius(ts):
     """(rho, r_crit): largest eigenvalue magnitude of A_vn and its square root."""
-    A, _, _ = variable_adjacency(ts)
-    ev = eig_dense(A).eigenvalues
-    rho = max(abs(ev[0]), abs(ev[-1])) if ev else 0.0
+    ev = np.linalg.eigvalsh(_variable_graph(ts))
+    rho = float(max(abs(ev[0]), abs(ev[-1])))
     return rho, float(np.sqrt(rho))
 
 
@@ -110,52 +120,19 @@ def betti(ts, tol=1e-8):
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    _, _, L = variable_adjacency(ts)
-    rank, kernel = rank_and_kernel(L, tol)
+    rank, kernel = rank_and_kernel(SparseSym.from_dense(_laplacian(ts)), tol)
     betti0 = kernel
     betti1_formula = ts.a - rank - betti0
     # bipartite subgraph: variables plus the checks that actually touch them
-    H = ts.H
-    live_rows = [r for r in range(H.shape[0]) if H[r].any()]
-    n_vertices = ts.a + len(live_rows)
-    n_edges = int(H.sum())
-    parent = list(range(n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for idx, r in enumerate(live_rows):
-        for c in range(ts.a):
-            if H[r, c]:
-                ra, rb = find(ts.a + idx), find(c)
-                if ra != rb:
-                    parent[ra] = rb
-    comps = len({find(x) for x in range(n_vertices)})
+    live = ts.H[ts.H.any(axis=1)]
+    rows, cols = np.nonzero(live)
+    n_vertices = ts.a + live.shape[0]
+    n_edges = len(rows)
+    graph = sp.coo_matrix((np.ones(n_edges), (cols, ts.a + rows)),
+                          shape=(n_vertices, n_vertices))
+    comps, _ = connected_components(graph, directed=False)
     cycle_rank = n_edges - n_vertices + comps
     return betti0, betti1_formula, cycle_rank
-
-
-def _uniform_bethe_hessian(A_support, beta):
-    """Weighted Bethe-Hessian with coupling +1 on every edge of the support."""
-    t = np.tanh(beta)
-    t2 = t * t
-    if t2 >= 1 - 1e-12:
-        raise ValueError("couplings saturated: tanh^2(beta) too close to 1")
-    n = A_support.shape[0]
-    H = np.eye(n)
-    c_diag = t2 / (1 - t2)
-    c_off = t / (1 - t2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if A_support[i, j]:
-                H[i, i] += c_diag
-                H[j, j] += c_diag
-                H[i, j] -= c_off
-                H[j, i] -= c_off
-    return H
 
 
 def negative_modes(ts, r=1.0):
@@ -171,10 +148,9 @@ def negative_modes(ts, r=1.0):
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    A, _, _ = variable_adjacency(ts)
-    support = A.to_dense() != 0
-    H = _uniform_bethe_hessian(support, r)
-    ev = np.linalg.eigvalsh(H)
+    i, j = np.nonzero(np.triu(_variable_graph(ts)))
+    t = np.full(len(i), np.tanh(r))
+    ev = np.linalg.eigvalsh(_bethe_hessian(ts.a, i, j, t, dense=True))
     return int(np.sum(ev < _NEG_TOL))
 
 
@@ -184,8 +160,7 @@ def continuous_genus(ts):
     Computed on the combinatorial Laplacian of the variable-node graph, whose
     spectrum is nonnegative, so the second sum is empty.
     """
-    _, _, L = variable_adjacency(ts)
-    ev = np.array(eig_dense(L).eigenvalues)
+    ev = np.linalg.eigvalsh(_laplacian(ts))
     pos = ev[ev > 1e-12]
     neg = ev[ev < -1e-12]
     return float((np.sqrt(pos).sum() - np.sqrt(-neg).sum()) / (2 * np.sqrt(ts.a)))
@@ -193,8 +168,7 @@ def continuous_genus(ts):
 
 def dirac_spectrum(ts):
     """Spectrum of [[0, A_vn], [A_vn^T, 0]]; symmetric about zero."""
-    A, _, _ = variable_adjacency(ts)
-    Ad = A.to_dense()
+    Ad = _variable_graph(ts)
     n = ts.a
     D = np.zeros((2 * n, 2 * n))
     D[:n, n:] = Ad
@@ -226,8 +200,7 @@ def kasparov_k(S, T):
 
 def spanning_forest_incidence(ts):
     """Vertex-by-edge 0/1 incidence of a BFS spanning forest of the variable graph."""
-    A, _, _ = variable_adjacency(ts)
-    Ad = A.to_dense() != 0
+    Ad = _variable_graph(ts) != 0
     n = ts.a
     visited = [False] * n
     forest_edges = []

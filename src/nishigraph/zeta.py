@@ -8,7 +8,7 @@ routines are correctness oracles, not large-scale tools.
 
 import numpy as np
 
-from .sparse import SparseSym
+from .estimator import _bethe_hessian
 
 _EDGE_CAP = 500
 _DET_CAP = 200
@@ -56,27 +56,6 @@ class SimpleGraph:
             d[j] += m
         return d
 
-    def adjacency_dense(self):
-        A = np.zeros((self.n, self.n))
-        for (i, j), m in self.mult.items():
-            A[i, j] = A[j, i] = m
-        return A
-
-    def components(self):
-        parent = list(range(self.n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for (i, j) in self.mult:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-        return len({find(x) for x in range(self.n)})
-
 
 class DirectedEdgeSpace:
     """Ordered edge copies plus the non-backtracking matrix over them."""
@@ -121,12 +100,21 @@ def zeta_reciprocal(g, u):
     return float(np.linalg.det(np.eye(len(B)) - u * B))
 
 
-def _substituted_bethe_hessian(g, u):
-    """Uniform-coupling Bethe-Hessian after the substitution u = tanh(beta J)."""
-    d = np.array(g.degrees(), dtype=float)
-    A = g.adjacency_dense()
-    H = np.eye(g.n) + np.diag(d) * u * u / (1 - u * u) - A * u / (1 - u * u)
-    return H
+def _edge_arrays(g):
+    """Endpoint index arrays of g's edges, each repeated by its multiplicity."""
+    ij = np.array(list(g.mult), dtype=np.intp).reshape(-1, 2)
+    m = np.array(list(g.mult.values()), dtype=np.intp)
+    return np.repeat(ij[:, 0], m), np.repeat(ij[:, 1], m)
+
+
+def _bass_sides(g, u):
+    """(det(I - uB), H(u), (1-u^2)^(|E|-|V|)), with H(u) the uniform-coupling
+    Bethe-Hessian after the substitution u = tanh(beta J)."""
+    if abs(abs(u) - 1.0) < 1e-12:
+        raise ValueError("u = +-1 is outside the identity's domain")
+    i, j = _edge_arrays(g)
+    H = _bethe_hessian(g.n, i, j, np.full(len(i), float(u)), dense=True)
+    return zeta_reciprocal(g, u), H, (1 - u * u) ** (g.n_edges() - g.n)
 
 
 def bass_identity_residual(g, u):
@@ -136,12 +124,8 @@ def bass_identity_residual(g, u):
     three-term determinant det(I - uA + u^2(D - I)) is the internal reference
     form, and equals det((1-u^2) H(u)) entrywise.
     """
-    if abs(abs(u) - 1.0) < 1e-12:
-        raise ValueError("u = +-1 is outside the identity's domain")
-    lhs = zeta_reciprocal(g, u)
-    H = _substituted_bethe_hessian(g, u)
-    rhs = (1 - u * u) ** (g.n_edges() - g.n) * np.linalg.det((1 - u * u) * H)
-    return abs(lhs - rhs)
+    lhs, H, vol = _bass_sides(g, u)
+    return abs(lhs - vol * np.linalg.det((1 - u * u) * H))
 
 
 def bass_loose_form_residual(g, u):
@@ -149,12 +133,8 @@ def bass_loose_form_residual(g, u):
 
     Reported for diagnostics only; it does not vanish in general.
     """
-    if abs(abs(u) - 1.0) < 1e-12:
-        raise ValueError("u = +-1 is outside the identity's domain")
-    lhs = zeta_reciprocal(g, u)
-    H = _substituted_bethe_hessian(g, u)
-    rhs = (1 - u * u) ** (g.n_edges() - g.n) * np.linalg.det(H)
-    return abs(lhs - rhs)
+    lhs, H, vol = _bass_sides(g, u)
+    return abs(lhs - vol * np.linalg.det(H))
 
 
 def poles(g):
@@ -175,17 +155,6 @@ def poles(g):
     return sorted(out, key=lambda z: (abs(z), z.real, z.imag))
 
 
-def _weighted_bh_det(g, J0, beta):
-    t = np.tanh(beta * J0)
-    t2 = t * t
-    if t2 >= 1 - 1e-12:
-        raise ValueError("saturated coupling in determinant sweep")
-    d = np.array(g.degrees(), dtype=float)
-    A = g.adjacency_dense()
-    H = np.eye(g.n) + np.diag(d) * t2 / (1 - t2) - A * t / (1 - t2)
-    return float(np.linalg.det(H))
-
-
 def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
     """Locate determinant sign changes of the coupled Bethe-Hessian and match
     each crossing's u = tanh(beta J0) against a zeta pole.
@@ -197,7 +166,13 @@ def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
     if beta_grid is None:
         beta_grid = np.linspace(0.05, 6.0, 240)
     beta_grid = np.asarray(beta_grid, dtype=float)
-    dets = [_weighted_bh_det(g, J0, b) for b in beta_grid]
+    i, j = _edge_arrays(g)
+
+    def det(beta):
+        t = np.full(len(i), np.tanh(beta * J0))
+        return float(np.linalg.det(_bethe_hessian(g.n, i, j, t, dense=True)))
+
+    dets = [det(b) for b in beta_grid]
     pole_list = poles(g)
     crossings = []
     for k in range(len(beta_grid) - 1):
@@ -207,7 +182,7 @@ def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
         flo = dets[k]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            fm = _weighted_bh_det(g, J0, mid)
+            fm = det(mid)
             if fm == 0:
                 lo = hi = mid
                 break

@@ -99,6 +99,21 @@ def test_beta_reports_missing_bracket(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_beta_on_truncated_matrix_is_a_clean_error(tmp_path, capsys):
+    A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+    path = tmp_path / "k4.mtx"
+    write_matrix_market(A, str(path))
+    lines = path.read_text().splitlines()
+    # cut the file inside its last entry line (line 8 of 8)
+    path.write_text("\n".join(lines[:-1] + [lines[-1].split()[0]]) + "\n")
+    rc, out, err = run_cli(capsys, "beta", str(path), "--beta-lower", "1.5",
+                           "--beta-upper", "3")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(path) in err and "line 8" in err
+
+
 def test_zeta_square_cycle(tmp_path, capsys):
     A = SparseSym(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     path = tmp_path / "c4.mtx"

@@ -47,6 +47,24 @@ def test_weighted_matrix_formula_single_edge():
     assert np.allclose(H, expected, atol=1e-12)
 
 
+def test_weighted_matrix_matches_edge_loop():
+    # per-edge reference loop: every edge adds t^2/(1-t^2) to both diagonal
+    # entries and -t/(1-t^2) to its off-diagonal pair
+    rng = np.random.default_rng(11)
+    edges = random_regular(12, 3, 3)
+    J = CouplingGraph(12, [(i, j, float(rng.normal())) for i, j in edges])
+    beta = 0.8
+    expected = np.eye(12)
+    for i, j, w in J.edges:
+        t = math.tanh(beta * w)
+        expected[i, i] += t * t / (1 - t * t)
+        expected[j, j] += t * t / (1 - t * t)
+        expected[i, j] = expected[j, i] = -t / (1 - t * t)
+    H = bethe_hessian_weighted(J, beta)
+    assert np.allclose(H.to_dense(), expected, rtol=0, atol=1e-13)
+    assert WeightedSystem(J).matrix(beta) == H
+
+
 def test_weighted_matrix_rejects_saturated_coupling():
     J = CouplingGraph(2, [(0, 1, 1.0)])
     with pytest.raises(ValueError):

@@ -27,6 +27,16 @@ def test_coupling_graph_from_sparse():
     assert sorted((i, j, w) for i, j, w in J.edges) == [(0, 1, 0.5), (1, 2, -2.0)]
 
 
+def test_components_order_and_membership():
+    # union-find on these edges would root the groups at 6, 7 and 3; the
+    # contract orders groups by their smallest vertex, members ascending
+    J = CouplingGraph(8, [(6, 0, 1.0), (5, 1, 1.0), (7, 2, 1.0),
+                          (6, 4, 1.0), (7, 5, 1.0)])
+    assert J.components() == [[0, 4, 6], [1, 2, 5, 7], [3]]
+    assert CouplingGraph(3, []).components() == [[0], [1], [2]]
+    assert CouplingGraph(0, []).components() == []
+
+
 def test_spin_config_validation():
     s = SpinConfig([1, -1, 1])
     assert len(s) == 3

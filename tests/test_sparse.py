@@ -128,6 +128,19 @@ def test_matrix_market_round_trip(tmp_path):
     assert np.allclose(back.to_dense(), A)
 
 
+def test_matrix_market_names_the_bad_line(tmp_path):
+    head = "%%MatrixMarket matrix coordinate real symmetric\n% note\n"
+    cases = [("3 3\n", 3),                       # short size line
+             ("3 3 2\n1 1 1.0\n2 1\n", 5),      # short entry
+             ("3 3 2\n1 1 1.0\n2 x 1.0\n", 5),  # non-numeric entry
+             ("3 3 2\n1 1 1.0\n", 5)]            # missing entry
+    path = tmp_path / "t.mtx"
+    for body, line in cases:
+        path.write_text(head + body)
+        with pytest.raises(ValueError, match=f"t.mtx: line {line}:"):
+            read_matrix_market(str(path))
+
+
 def test_matrix_market_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.mtx"
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")

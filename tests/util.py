@@ -3,6 +3,8 @@
 from collections import Counter
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from nishigraph import CouplingGraph, SparseSym, UnweightedSystem
 
@@ -30,17 +32,10 @@ def random_connected(n, p, rng):
     while True:
         edges = [(i, j) for i in range(n) for j in range(i + 1, n)
                  if rng.random() < p]
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i, j in edges:
-            parent[find(i)] = find(j)
-        if len({find(v) for v in range(n)}) == 1:
+        ij = np.array(edges, dtype=int).reshape(-1, 2)
+        graph = sp.coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])),
+                              shape=(n, n))
+        if connected_components(graph, directed=False)[0] == 1:
             return edges
 
 
