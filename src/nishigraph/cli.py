@@ -257,9 +257,6 @@ def cmd_classify(args):
 
 def cmd_ensemble(args):
     embs = [Embedding.from_csv(p) for p in args.embeddings]
-    if len(embs) != 3:
-        print("error: exactly three embeddings required", file=sys.stderr)
-        return 1
     labels = _read_labels(args.labels)
     from .pipeline import stratified_split
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)

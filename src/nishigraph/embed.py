@@ -15,9 +15,9 @@ import struct
 import numpy as np
 
 from .estimator import (EstimatorConfig, WeightedSystem, auto_bracket,
-                        bethe_hessian_weighted, estimate_beta_N)
+                        estimate_beta_N)
 from .rbim import CouplingGraph
-from .sparse import _shift_invert_bottom, lambda_min
+from .sparse import bottom_eigenpairs, lambda_min
 
 log = logging.getLogger(__name__)
 
@@ -54,20 +54,14 @@ class FeatureTable:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            has_label = header and header[-1].strip().lower() == "label"
-            rows, labels = [], []
-            for rec in reader:
-                if not rec:
-                    continue
-                if has_label:
-                    rows.append([float(x) for x in rec[:-1]])
-                    labels.append(int(rec[-1]))
-                else:
-                    rows.append([float(x) for x in rec])
-        return cls(np.array(rows), np.array(labels) if has_label else None)
+        header, records = _csv_records(path)
+        has_label = header[-1].strip().lower() == "label"
+        types = [float] * (len(header) - has_label) + [int] * has_label
+        rows = [_csv_fields(path, line, rec, types, exact=True)
+                for line, rec in records]
+        if has_label:
+            return cls([r[:-1] for r in rows], [r[-1] for r in rows])
+        return cls(rows)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -135,19 +129,43 @@ class Embedding:
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            r = sum(1 for h in header if h.startswith("e"))
-            rows = []
-            beta = 0.0
-            gid = ""
-            for k, rec in enumerate(reader):
-                rows.append([float(x) for x in rec[:r]])
-                if k == 0 and len(rec) > r and rec[r]:
-                    beta = float(rec[r])
-                    gid = rec[r + 1] if len(rec) > r + 1 else ""
-        return cls(np.array(rows), beta, gid)
+        header, records = _csv_records(path)
+        r = sum(1 for h in header if h.startswith("e"))
+        coords = [_csv_fields(path, line, rec, [float] * r)
+                  for line, rec in records]
+        line, first = records[0]
+        beta, gid = 0.0, ""
+        if len(first) > r and first[r]:
+            beta = _csv_fields(path, line, first[r:], [float])[0]
+            gid = first[r + 1] if len(first) > r + 1 else ""
+        return cls(coords, beta, gid)
+
+
+def _csv_records(path):
+    """A CSV file's header and its non-blank records, each with its 1-based
+    line; ValueError naming the file and the line if either is missing."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        records = [(reader.line_num, rec) for rec in reader if rec]
+    if not header or not records:
+        raise ValueError(f"{path}: line {reader.line_num + 1 if header else 1}:"
+                         f" expected {'a data row' if header else 'a header'},"
+                         " found end of file")
+    return header, records
+
+
+def _csv_fields(path, line, rec, types, exact=False):
+    """rec's first len(types) cells converted by types; ValueError naming the
+    file and the line for a short record (with exact, any other length) or
+    a bad cell."""
+    if len(rec) < len(types) or (exact and len(rec) > len(types)):
+        raise ValueError(f"{path}: line {line}: expected {len(types)} "
+                         f"fields, found {len(rec)}")
+    try:
+        return [t(x) for t, x in zip(types, rec)]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {line}: {exc}") from None
 
 
 def select_indices(ft, s):
@@ -209,13 +227,6 @@ def similarity_graph(ft, gamma, p):
     return CouplingGraph(n, edges)
 
 
-def _bottom_eigvecs(H, r):
-    if H.n <= max(2 * r + 2, 400):
-        vals, vecs = np.linalg.eigh(H.to_dense())
-        return vals[:r], vecs[:, :r]
-    return _shift_invert_bottom(H, r, 1e-9)
-
-
 def _sign_fix(vecs):
     out = vecs.copy()
     for k in range(out.shape[1]):
@@ -245,25 +256,18 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
     pairs = []
     betas = []
     for comp in comps:
-        if len(comp) == 1:
-            vec = np.zeros(J.n)
-            vec[comp[0]] = 1.0
-            pairs.append((1.0, len(pairs), vec))
-            continue
-        idx = {v: k for k, v in enumerate(comp)}
-        if len(comps) == 1:
-            sub = J
+        if len(comp) == 1:  # an isolated vertex: H = [1]
+            vals_c, vecs_c = [1.0], np.ones((1, 1))
         else:
-            sub = CouplingGraph(len(comp),
-                                [(idx[i], idx[j], w) for i, j, w in J.edges
-                                 if i in idx and j in idx])
-        k_c = min(r, len(comp))
-        beta_c, vals_c, vecs_c = _component_eigs(sub, k_c, cfg)
-        betas.append(beta_c)
-        rows = np.array(comp)
-        for t in range(k_c):
+            idx = {v: k for k, v in enumerate(comp)}
+            sub = J if len(comps) == 1 else CouplingGraph(len(comp), [
+                (idx[i], idx[j], w) for i, j, w in J.edges if i in idx])
+            beta_c, vals_c, vecs_c = _component_eigs(sub, min(r, len(comp)),
+                                                     cfg)
+            betas.append(beta_c)
+        for t in range(len(vals_c)):
             vec = np.zeros(J.n)
-            vec[rows] = vecs_c[:, t]
+            vec[comp] = vecs_c[:, t]
             pairs.append((float(vals_c[t]), len(pairs), vec))
     pairs.sort(key=lambda kv: (kv[0], kv[1]))
     coords = np.stack([vec for _, _, vec in pairs[:r]], axis=1)
@@ -275,34 +279,35 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
 def _component_eigs(J, k, cfg):
     """(beta, eigenvalues, eigenvectors) for one connected coupling graph."""
     system = WeightedSystem(J)
-    if cfg is None:
-        try:
-            lo, hi = auto_bracket(system)
-            cfg_c = EstimatorConfig(lo, hi, eps=1e-4)
-            beta = estimate_beta_N(system, cfg_c).beta_N
-        except ValueError:
-            # no sign change on this component: fall back to the grid point
-            # where lambda_min is smallest
-            beta = _argmin_beta(system)
-    else:
-        beta = estimate_beta_N(system, cfg).beta_N
-    H = bethe_hessian_weighted(J, beta)
-    vals, vecs = _bottom_eigvecs(H, k)
+    try:
+        beta = estimate_beta_N(system, cfg or EstimatorConfig(
+            *auto_bracket(system), eps=1e-4)).beta_N
+    except ValueError as exc:
+        if cfg is not None:
+            raise
+        # no sign change on this component: fall back to the grid point
+        # where lambda_min is smallest
+        beta = _argmin_beta(system)
+        log.warning("component of %d vertices: %s; using grid argmin "
+                    "beta=%.6g", J.n, exc, beta)
+    log.debug("component of %d vertices: beta=%.6g", J.n, beta)
+    vals, vecs = bottom_eigenpairs(system.matrix(beta), k, 1e-9)
     return beta, vals, vecs
 
 
-def _argmin_beta(system, grid=None):
-    if grid is None:
-        grid = np.geomspace(0.1, 3.0, 12)
-    best_b, best_v = None, None
-    for b in grid:
+_ARGMIN_GRID = np.geomspace(0.1, 3.0, 12)
+
+
+def _argmin_beta(system):
+    """The grid point where lambda_min is smallest (first on ties), scanning
+    up to the first saturated coupling; 1.0 if the first one saturates."""
+    vals = []
+    for b in _ARGMIN_GRID:
         try:
-            v = lambda_min(system.matrix(b))
+            vals.append(lambda_min(system.matrix(b)))
         except ValueError:
             break
-        if best_v is None or v < best_v:
-            best_b, best_v = float(b), v
-    return best_b if best_b is not None else 1.0
+    return float(_ARGMIN_GRID[np.argmin(vals)]) if vals else 1.0
 
 
 def synthetic_features(n_classes, per_class, dim, separation, seed=0):

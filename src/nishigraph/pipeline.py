@@ -33,7 +33,7 @@ def stratified_split(labels, test_fraction, seed):
     return np.array(sorted(train)), np.array(sorted(test))
 
 
-def _restrict_features(ft, train_idx, s_frac, graph_seed):
+def _restrict_features(ft, train_idx, s_frac):
     """Union of per-class discriminative indices computed on the training rows."""
     if s_frac >= 1.0:
         return ft.X
@@ -45,8 +45,7 @@ def _restrict_features(ft, train_idx, s_frac, graph_seed):
 
 
 def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
-                 mode="majority", margin_threshold=0.0, use_arbiter=False,
-                 estimator_cfg=None):
+                 mode="majority", margin_threshold=0.0, use_arbiter=False):
     """Full embed/classify/ensemble run on a labeled feature table.
 
     Returns a dict with per-graph and ensemble test metrics, the confusion
@@ -62,10 +61,10 @@ def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
     posteriors = []
     beta_list = []
     for g_id, gcfg in enumerate(graphs):
-        Xg = _restrict_features(ft, train_idx, gcfg.get("s_frac", 1.0), seed + g_id)
+        Xg = _restrict_features(ft, train_idx, gcfg.get("s_frac", 1.0))
         sub = FeatureTable(Xg, ft.labels)
         J = similarity_graph(sub, gcfg["gamma"], gcfg["p"])
-        emb = spectral_embed(J, r, cfg=estimator_cfg, graph_id=f"graph{g_id}")
+        emb = spectral_embed(J, r, graph_id=f"graph{g_id}")
         model = train_linear(emb.coords[train_idx], y[train_idx], seed=seed + g_id)
         P = predict(model, emb.coords)
         embeddings.append(emb)

@@ -9,8 +9,6 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
-from .sparse import SparseSym
-
 _ENUM_CAP = 20
 _P_FLOOR = 1e-6
 
@@ -38,19 +36,9 @@ class CouplingGraph:
             clean.append((i, j, J))
         self.edges = sorted(clean)
 
-    def to_sparse(self):
-        return SparseSym(self.n, [(i, j, J) for i, j, J in self.edges])
-
     @classmethod
     def from_sparse(cls, M):
         return cls(M.n, [(i, j, v) for i, j, v in M.entries if i != j and v != 0])
-
-    def degrees(self):
-        d = np.zeros(self.n)
-        for i, j, _ in self.edges:
-            d[i] += 1
-            d[j] += 1
-        return d
 
     def components(self):
         """Vertex lists of the connected components, each ascending, ordered

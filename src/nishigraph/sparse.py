@@ -1,8 +1,9 @@
 """Sparse symmetric matrices and extremal eigenvalue routines.
 
-Only the upper triangle is stored; symmetry is by construction.  A dense
-eigendecomposition path serves as the verification oracle for the iterative
-smallest-eigenvalue solver used everywhere else.
+Only the upper triangle is stored; symmetry is by construction.  Every
+bottom-of-spectrum solve goes through lambda_min or bottom_eigenpairs, which
+share one dense-or-shift-invert rule (_DENSE_SOLVE_N); eig_dense is the
+full-spectrum oracle the shift-invert branch is tested against.
 """
 
 import numpy as np
@@ -11,6 +12,9 @@ import scipy.sparse.linalg as spla
 
 _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
+# Bottom-of-spectrum solves on up to this many rows are dense; SuperLU and
+# ARPACK run only above it (crossover timings in README).
+_DENSE_SOLVE_N = 400
 
 
 class SparseSym:
@@ -116,26 +120,30 @@ class Spectrum:
 def lambda_min(M, tol=1e-10):
     """Smallest eigenvalue of a SparseSym, within +-tol.
 
-    Systems with n <= 8 use the dense path directly, larger ones the
-    shift-invert Lanczos solve of _shift_invert_bottom.
+    The k = 1 case of bottom_eigenpairs' rule: dense eigvalsh (no vectors)
+    for n <= _DENSE_SOLVE_N, the shift-invert solve above it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if M.n == 0:
         raise ValueError("empty matrix has no eigenvalues")
-    if M.n <= 8:
+    if M.n <= _DENSE_SOLVE_N:
         return float(np.linalg.eigvalsh(M.to_dense())[0])
-    return float(_shift_invert_bottom(M, 1, tol)[0][0])
+    return float(bottom_eigenpairs(M, 1, tol)[0][0])
 
 
-def _shift_invert_bottom(M, k, tol):
+def bottom_eigenpairs(M, k, tol):
     """(eigenvalues, eigenvectors): the k smallest eigenpairs of a SparseSym,
     eigenvalues ascending.
 
-    Shift-invert Lanczos with the shift placed one unit below the Gershgorin
-    lower bound, so the k targets are the eigenvalues nearest the shift.  The
-    starting vector is fixed (normalized all-ones) for reproducibility.
+    Dense eigh when n <= max(2k + 2, _DENSE_SOLVE_N), else shift-invert
+    Lanczos within +-tol, shifted one unit below the Gershgorin lower bound
+    so the k targets are the eigenvalues nearest the shift, from a fixed
+    (normalized all-ones) starting vector for reproducibility.
     """
+    if M.n <= max(2 * k + 2, _DENSE_SOLVE_N):
+        vals, vecs = np.linalg.eigh(M.to_dense())
+        return vals[:k], vecs[:, :k]
     A = M.to_csr().tocsc()
     # Gershgorin: min_i (a_ii - sum_{j != i} |a_ij|) bounds the spectrum below.
     diag = A.diagonal()

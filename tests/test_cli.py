@@ -148,6 +148,24 @@ def test_embed_classify_round_trip(tmp_path, capsys):
     assert set(metrics["per_class"]) == {"0", "1", "2"}
 
 
+@pytest.mark.parametrize("text, line", [
+    ("", 1),                                     # empty file
+    ("e0,e1\n1,2\n3\n", 3),                     # short row
+    ("e0,e1\n1,2\n\n3,x\n", 4)])                 # non-numeric cell
+@pytest.mark.parametrize("command", ["embed", "classify"])
+def test_malformed_csv_is_a_clean_error(tmp_path, capsys, command, text, line):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n")
+    argv = [str(path)] if command == "embed" else [str(path), str(labels)]
+    rc, out, err = run_cli(capsys, command, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{path}: line {line}:" in err
+
+
 def test_pipeline_and_ensemble_commands(tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc, out, _ = run_cli(capsys, "pipeline", "--synthetic", "3,20,32,8.0",

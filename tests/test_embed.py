@@ -146,6 +146,24 @@ def test_disconnected_components_occupy_disjoint_columns():
     assert supports[0] != supports[1]
 
 
+def test_grid_fallback_on_a_tree_component_is_logged(caplog):
+    # a path has no sign change of lambda_min (its Bethe-Hessian is positive
+    # definite at every beta), so its temperature comes from the grid
+    # fallback; K4 brackets normally
+    edges = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
+    edges += [(4, 5, 1.0), (5, 6, 1.0), (6, 7, 1.0), (7, 8, 1.0)]
+    with caplog.at_level("DEBUG", logger="nishigraph.embed"):
+        spectral_embed(CouplingGraph(9, edges), 2)
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelname == "WARNING"]
+    assert len(warnings) == 1
+    assert "component of 5 vertices" in warnings[0]
+    assert "no sign change" in warnings[0] and "beta=" in warnings[0]
+    debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
+    assert [m.split(":")[0] for m in debug] == ["component of 4 vertices",
+                                                "component of 5 vertices"]
+
+
 def test_spectral_embed_accepts_explicit_temperature_window():
     ft = synthetic_features(2, 12, 20, separation=8.0, seed=7)
     J = similarity_graph(ft, gamma=2.0, p=5)
@@ -163,6 +181,23 @@ def test_embedding_csv_round_trip(tmp_path):
     assert np.allclose(back.coords, emb.coords, atol=1e-15)
     assert back.beta_N_used == pytest.approx(0.42)
     assert back.graph_id == "gA"
+
+
+def test_csv_readers_name_the_file_and_line(tmp_path):
+    path = tmp_path / "bad.csv"
+    cases = [(FeatureTable, "", 1),                         # empty file
+             (FeatureTable, "f0,f1,label\n1,2,0\n\n3,4\n", 4),  # short row
+             (FeatureTable, "f0,f1\n1,2\n3,4,5\n", 3),       # long row
+             (FeatureTable, "f0,f1\n1,2\n3,x\n", 3),         # non-numeric
+             (FeatureTable, "f0,f1\n", 2),                   # no data row
+             (Embedding, "", 1),
+             (Embedding, "e0,e1,beta_N,graph_id\n1,2,0.5,g\n3\n", 3),
+             (Embedding, "e0,e1,beta_N,graph_id\n1,2,0.5,g\n3,y,,\n", 3),
+             (Embedding, "e0,e1,beta_N,graph_id\n1,2,b,g\n", 2)]
+    for cls, text, line in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.csv: line {line}:"):
+            cls.from_csv(str(path))
 
 
 def test_embedding_validation():

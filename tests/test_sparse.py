@@ -5,11 +5,27 @@ import math
 import numpy as np
 import pytest
 
-from nishigraph import (SparseSym, Spectrum, eig_dense, lambda_min,
+import nishigraph.sparse as sparse
+from nishigraph import (CouplingGraph, SparseSym, Spectrum,
+                        bethe_hessian_weighted, eig_dense, lambda_min,
                         rank_and_kernel, read_matrix_market,
                         write_matrix_market)
 
-from util import cycle_edges
+from util import cycle_edges, random_connected
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Counts the shift-invert (ARPACK) solves made while the test runs."""
+    calls = []
+    eigsh = sparse.spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sparse.spla, "eigsh", counted)
+    return calls
 
 
 def test_constructor_normalizes_triangle_and_rejects_duplicates():
@@ -52,23 +68,58 @@ def test_lambda_min_dense_path_matches_numpy():
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
 
 
-def test_lambda_min_iterative_path_on_even_cycle_adjacency():
-    # adjacency spectrum of C_20 is 2 cos(2 pi k / 20); the minimum is exactly -2
-    n = 20
+# n = 20 and n = 40 take the dense branch; n = 402 and n = 450 the
+# shift-invert branch, which eigsh_calls confirms.
+@pytest.mark.parametrize("n", [20, 402])
+def test_lambda_min_iterative_path_on_even_cycle_adjacency(n, eigsh_calls):
+    # adjacency spectrum of C_n is 2 cos(2 pi k / n); for even n the minimum
+    # is exactly -2
     S = SparseSym(n, [(i, j, 1.0) for i, j in cycle_edges(n)])
     assert lambda_min(S) == pytest.approx(-2.0, abs=1e-8)
+    assert eigsh_calls == ([n] if n > 400 else [])
 
 
-def test_lambda_min_iterative_matches_dense_oracle():
+@pytest.mark.parametrize("n", [40, 450])
+def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
     rng = np.random.default_rng(2)
-    n = 40
     A = np.zeros((n, n))
-    for _ in range(120):
+    for _ in range(3 * n):
         i, j = rng.integers(0, n, size=2)
         if i != j:
             A[i, j] = A[j, i] = rng.standard_normal()
     S = SparseSym.from_dense(A)
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-8)
+    assert eigsh_calls == ([n] if n > 400 else [])
+
+
+@pytest.mark.parametrize("n", [400, 401])
+def test_lambda_min_at_the_dense_cutoff_matches_eig_dense(n, eigsh_calls):
+    # a weighted ring with chords: the cutoff (400 rows) is the last dense size
+    rng = np.random.default_rng(4)
+    chords = rng.integers(0, n, size=(n // 2, 2))
+    ring = {(min(i, j), max(i, j)) for i, j in cycle_edges(n)}
+    pairs = ring | {(min(i, j), max(i, j)) for i, j in chords if i != j}
+    S = SparseSym(n, [(i, j, rng.uniform(0.5, 1.5)) for i, j in sorted(pairs)])
+    assert lambda_min(S) == pytest.approx(eig_dense(S).min(), abs=1e-8)
+    assert eigsh_calls == ([n] if n > 400 else [])
+
+
+def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
+    # the k-pair shift-invert branch that spectral_embed takes above 400
+    # vertices, on a weighted Bethe-Hessian near its root temperature
+    rng = np.random.default_rng(5)
+    n, k = 450, 4
+    edges = random_connected(n, 8.0 / n, rng)
+    J = CouplingGraph(n, [(i, j, rng.uniform(0.2, 1.0)) for i, j in edges])
+    H = bethe_hessian_weighted(J, 0.6)
+    ref_vals, ref_vecs = np.linalg.eigh(H.to_dense())
+    # distinct bottom eigenvalues, so each vector is defined up to sign
+    assert np.min(np.diff(ref_vals[:k + 1])) > 1e-3
+    vals, vecs = sparse.bottom_eigenpairs(H, k, 1e-9)
+    assert eigsh_calls == [n]
+    assert np.max(np.abs(vals - ref_vals[:k])) < 1e-8
+    signs = np.sign(np.sum(vecs * ref_vecs[:, :k], axis=0))
+    assert np.max(np.abs(vecs * signs - ref_vecs[:, :k])) < 1e-6
 
 
 def test_lambda_min_input_validation():
