@@ -68,7 +68,7 @@ def test_lambda_min_dense_path_matches_numpy():
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
 
 
-# n = 20 and n = 40 take the dense branch; n = 402 and n = 450 the
+# n = 20, 40 and 400 take the dense branch; n = 401, 402 and 450 the
 # shift-invert branch, which eigsh_calls confirms.
 @pytest.mark.parametrize("n", [20, 402])
 def test_lambda_min_iterative_path_on_even_cycle_adjacency(n, eigsh_calls):
@@ -79,7 +79,7 @@ def test_lambda_min_iterative_path_on_even_cycle_adjacency(n, eigsh_calls):
     assert eigsh_calls == ([n] if n > 400 else [])
 
 
-@pytest.mark.parametrize("n", [40, 450])
+@pytest.mark.parametrize("n", [40, 400, 401, 450])
 def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
     rng = np.random.default_rng(2)
     A = np.zeros((n, n))
@@ -92,21 +92,9 @@ def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
     assert eigsh_calls == ([n] if n > 400 else [])
 
 
-@pytest.mark.parametrize("n", [400, 401])
-def test_lambda_min_at_the_dense_cutoff_matches_eig_dense(n, eigsh_calls):
-    # a weighted ring with chords: the cutoff (400 rows) is the last dense size
-    rng = np.random.default_rng(4)
-    chords = rng.integers(0, n, size=(n // 2, 2))
-    ring = {(min(i, j), max(i, j)) for i, j in cycle_edges(n)}
-    pairs = ring | {(min(i, j), max(i, j)) for i, j in chords if i != j}
-    S = SparseSym(n, [(i, j, rng.uniform(0.5, 1.5)) for i, j in sorted(pairs)])
-    assert lambda_min(S) == pytest.approx(eig_dense(S).min(), abs=1e-8)
-    assert eigsh_calls == ([n] if n > 400 else [])
-
-
 def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
     # the k-pair shift-invert branch that spectral_embed takes above 400
-    # vertices, on a weighted Bethe-Hessian near its root temperature
+    # vertices, on a weighted Bethe-Hessian
     rng = np.random.default_rng(5)
     n, k = 450, 4
     edges = random_connected(n, 8.0 / n, rng)
