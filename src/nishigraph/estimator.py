@@ -64,23 +64,31 @@ def _bethe_hessian(n, i, j, t, dense=False):
         H_ij = -sum_{e = ij} t_e / (1 - t_e^2)
 
     Returns an ndarray when dense, else a SparseSym (which needs distinct
-    edges).  Raises ValueError when some t_e^2 is within 1e-12 of 1.
+    edges).  A dense t may carry leading axes: t of shape (k, |E|) gives k
+    stacked (n, n) matrices, each bit-identical to the one its row alone
+    gives.  Raises ValueError when some t_e^2 is within 1e-12 of 1.
     """
     t2 = t * t
     q = 1 - t2
     sat = np.flatnonzero(np.abs(q) <= 1e-12)
     if sat.size:
-        e = sat[0]
+        e = sat[0] % len(i)
         raise ValueError(f"coupling saturated on edge ({i[e]},{j[e]}): "
-                         f"tanh^2 = {t2[e]!r}")
+                         f"tanh^2 = {t2.flat[sat[0]]!r}")
     c = t2 / q
-    diag = 1 + np.bincount(i, c, n) + np.bincount(j, c, n)
     off = -t / q
+    # stacked matrix r is rows r*n .. r*n + n - 1 of one (k*n, n) array
+    k = math.prod(t.shape[:-1])
+    at = np.arange(0, k * n, n)[:, None]
+    c = c.ravel()
+    diag = (1 + np.bincount((at + i).ravel(), c, k * n)
+            + np.bincount((at + j).ravel(), c, k * n))
     if dense:
-        H = np.bincount(i * n + j, off, n * n).reshape(n, n)
-        H += H.T
-        H.flat[::n + 1] = diag
-        return H
+        H = np.bincount(((at + i) * n + j).ravel(), off.ravel(),
+                        k * n * n).reshape(k, n, n)
+        H += H.transpose(0, 2, 1)
+        H.reshape(k, n * n)[:, ::n + 1] = diag.reshape(k, n)
+        return H.reshape(t.shape[:-1] + (n, n))
     ar = np.arange(n)
     return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
                                          np.concatenate((j, ar)),

@@ -6,6 +6,7 @@ Lifting replaces each shift k by the LxL identity shifted right by k, so a
 check i in block-row r couples to variable (i + k) mod L in block-column c.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -103,6 +104,12 @@ class TannerGraph:
         for _, v in self.edges:
             d[v] += 1
         return d
+
+    @functools.cached_property
+    def _ace_tables(self):
+        """(edge set as sorted global-id pairs, variable degrees), built once for ace()."""
+        return (frozenset((v, self.check_id(c)) for c, v in self.edges),
+                tuple(self.var_degrees()))
 
 
 class Cycle:
@@ -213,11 +220,9 @@ def enumerate_cycles(g, max_len):
 
 def ace(cycle, g):
     """Approximate cycle EMD: sum of (degree - 2) over the cycle's variable nodes."""
-    graph_edges = {(min(gc, gv), max(gc, gv))
-                   for gc, gv in ((g.check_id(c), v) for c, v in g.edges)}
+    graph_edges, vdeg = g._ace_tables
     if not cycle.edge_set() <= graph_edges:
         raise ValueError("cycle is not contained in the graph")
-    vdeg = g.var_degrees()
     return sum(vdeg[v] - 2 for v in cycle.var_nodes(g))
 
 
@@ -251,17 +256,93 @@ class LiftSearchResult:
         self.restarts_used = restarts_used
 
 
+# Elements of one chunk's gathered (starts, edges, predecessors, L) array.
+_WALK_CHUNK = 1 << 21
+# Walk counts that may reach this are kept as exact Python ints.
+_INT64_WALKS = 2 ** 63
+
+
+def _closed_walks(proto, max_len, ace_len):
+    """Closed tailless walks on the protograph whose shift sum is 0 mod L.
+
+    Each shift of each cell is one base edge; directed edge 2e walks it from
+    check to variable (adding the shift), 2e + 1 walks it back (subtracting
+    it).  A walk DP over states (directed edge, shift sum mod L) runs from
+    every directed edge and counts the walks that return to their start
+    state; a min-plus DP beside it carries the ACE, adding colweight - 2 on
+    entering a variable block.  Returns ({length: closed walks}, min ACE).
+    The dict is exact at the shortest closing length in 4..max_len and is
+    empty when no walk closes by max_len; the minimum is over the closed
+    walks of length <= ace_len (math.inf when there are none).
+    """
+    L, m_b = proto.L, proto.m_b
+    colw = proto.weight_matrix().sum(axis=0)
+    r, c, k = np.array([(ri, ci, ki) for ri, row in enumerate(proto.cells)
+                        for ci, cell in enumerate(row) for ki in cell], dtype=np.intp).T
+    tail = np.column_stack((r, m_b + c)).ravel()
+    head = np.column_stack((m_b + c, r)).ravel()
+    shift = np.column_stack((k, -k)).ravel()
+    step_ace = np.column_stack((colw[c] - 2, np.zeros_like(c))).ravel()
+    D = len(tail)
+    # pred[d]: the edges that may precede d (ending at its tail, not d
+    # reversed), padded with the all-zero / all-inf sentinel row D
+    d = np.arange(D)
+    may = (head[None, :] == tail[:, None]) & (d[None, :] != (d ^ 1)[:, None])
+    rows, cols = np.nonzero(may)
+    P = max(1, int(may.sum(axis=1).max()))
+    pred = np.full((D, P), D)
+    pred[rows, np.arange(len(rows)) - np.searchsorted(rows, rows)] = cols
+    # entering d moves shift sum s - shift[d] to s
+    moved = ((np.arange(L)[None, :] - shift[:, None]) % L)[None]
+    # no start has more than P^max_len walks of length max_len
+    dtype = np.int64 if D * P ** max_len < _INT64_WALKS else object
+    counts, min_ace, shortest = {}, math.inf, math.inf
+    chunk = max(1, _WALK_CHUNK // (D * P * L))
+    for lo in range(0, D, chunk):
+        starts = np.arange(lo, min(lo + chunk, D))
+        home = (np.arange(len(starts)), starts, 0)  # each start's start state
+        walks = np.zeros((len(starts), D + 1, L), dtype=dtype)
+        walks[home] = 1
+        cost = np.full((len(starts), D + 1, L), math.inf)
+        cost[home] = 0
+        length = 0
+        while length < min(max_len, max(ace_len, shortest)):
+            length += 1
+            walks[:, :D] = np.take_along_axis(walks[:, pred].sum(axis=2), moved, 2)
+            cost[:, :D] = np.take_along_axis(
+                cost[:, pred].min(axis=2) + step_ace[None, :, None], moved, 2)
+            if length < 4 or length % 2:
+                continue
+            closed = int(walks[home].sum())
+            if closed:
+                counts[length] = counts.get(length, 0) + closed
+                shortest = min(shortest, length)
+            if length <= ace_len:
+                min_ace = min(min_ace, cost[home].min())
+    return counts, (int(min_ace) if math.isfinite(min_ace) else math.inf)
+
+
 def _score_lift(proto, min_girth):
-    g = lift(proto)
-    gir = girth(g)
-    if math.isinf(gir):
-        return (math.inf, 0, math.inf), gir, math.inf
+    """(girth, -#girth cycles, min ACE over cycles shorter than min_girth + 4)
+    of the lift, with girth and min ACE beside it, from the protograph.
+
+    A length-l cycle of the lift is a closed tailless block walk with shift
+    sum 0 mod L (Fossorier 2004).  Each closed block walk lifts to L closed
+    walks, and at l = girth these are the cycles, each met 2l times, so the
+    lift has L * walks / (2 l) girth cycles.  Every lift of a block walk has
+    its ACE, and a closed tailless walk contains a cycle no longer and of no
+    larger ACE, so the walk minimum is the cycle minimum.  When no walk
+    closes by the scan length the lift's girth comes from a BFS.
+    """
     scan = min(int(min_girth) + 4, 12)
     scan -= scan % 2
-    cycles = enumerate_cycles(g, scan) if scan >= 4 else []
-    n_short = sum(1 for c in cycles if c.length == gir)
-    aces = [ace(c, g) for c in cycles if c.length < min_girth + 4]
-    min_ace_found = min(aces) if aces else math.inf
+    ace_len = max((n for n in range(4, scan + 1, 2) if n < min_girth + 4), default=0)
+    counts, min_ace_found = _closed_walks(proto, scan, ace_len)
+    if not counts:
+        gir = girth(lift(proto))
+        return (gir, 0, math.inf), gir, math.inf
+    gir = min(counts)
+    n_short = proto.L * counts[gir] // (2 * gir)
     return (gir, -n_short, min_ace_found), gir, min_ace_found
 
 

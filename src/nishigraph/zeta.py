@@ -168,11 +168,11 @@ def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
     beta_grid = np.asarray(beta_grid, dtype=float)
     i, j = _edge_arrays(g)
 
-    def det(beta):
-        t = np.full(len(i), np.tanh(beta * J0))
-        return float(np.linalg.det(_bethe_hessian(g.n, i, j, t, dense=True)))
+    def det(betas):
+        t = np.repeat(np.tanh(np.asarray(betas) * J0)[:, None], len(i), axis=1)
+        return np.linalg.det(_bethe_hessian(g.n, i, j, t, dense=True))
 
-    dets = [det(b) for b in beta_grid]
+    dets = det(beta_grid).tolist()
     pole_list = poles(g)
     crossings = []
     for k in range(len(beta_grid) - 1):
@@ -182,7 +182,9 @@ def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
         flo = dets[k]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            fm = det(mid)
+            if not lo < mid < hi:
+                break  # lo and hi are adjacent floats: no later step moves them
+            fm = float(det([mid])[0])
             if fm == 0:
                 lo = hi = mid
                 break

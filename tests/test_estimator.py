@@ -9,6 +9,7 @@ from nishigraph import (CouplingGraph, EstimatorConfig, WeightedSystem,
                         auto_bracket, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
+from nishigraph.estimator import _bethe_hessian
 
 from util import cycle_edges, random_regular, unit_coupling_graph, unweighted_system
 
@@ -63,6 +64,22 @@ def test_weighted_matrix_matches_edge_loop():
     H = bethe_hessian_weighted(J, beta)
     assert np.allclose(H.to_dense(), expected, rtol=0, atol=1e-13)
     assert WeightedSystem(J).matrix(beta) == H
+
+
+def test_stacked_dense_matrices_equal_one_at_a_time():
+    # parallel edges and vertices on both sides of an edge, per-row t:
+    # each matrix of the stack is the one its row alone assembles, bit for bit
+    rng = np.random.default_rng(5)
+    i = np.array([0, 0, 1, 2, 2, 3, 1])
+    j = np.array([1, 1, 2, 3, 4, 4, 4])
+    t = rng.uniform(-0.9, 0.9, (6, len(i)))
+    H = _bethe_hessian(5, i, j, t, dense=True)
+    assert H.shape == (6, 5, 5)
+    for row, Hr in zip(t, H):
+        assert np.array_equal(Hr, _bethe_hessian(5, i, j, row, dense=True))
+    t[3, 2] = 1.0
+    with pytest.raises(ValueError, match=r"edge \(1,2\)"):
+        _bethe_hessian(5, i, j, t, dense=True)
 
 
 def test_weighted_matrix_rejects_saturated_coupling():

@@ -5,11 +5,15 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nishigraph import (METProtograph, TannerGraph, ace, bipartite_adjacency,
                         block_cycle_consistent, enumerate_cycles, girth, lift,
-                        optimize_lift, parse_exponent_text, read_exponent_file,
-                        write_exponent_file)
+                        optimize_lift, parse_exponent_text, qc,
+                        read_exponent_file, write_exponent_file)
+
+from util import lifted_score
 
 H1_TEXT = "L=7\n1 2 4\n6 5 3\n"
 
@@ -158,6 +162,86 @@ def test_optimize_lift_is_deterministic_and_reports_lift_quality():
     assert r1.girth == girth(lift(r1.proto))
     assert r1.girth >= 8
     assert r1.restarts_used >= 1
+
+
+# Lifted-graph DFS work grows like vertices * (max base degree - 1)^scan;
+# min_girth values whose scan would exceed this budget are not drawn.
+_ORACLE_BUDGET = 1e8
+
+
+@st.composite
+def scored_patterns(draw):
+    """A protograph with 0-2 distinct shifts per cell and a min_girth."""
+    m_b = draw(st.integers(1, 3))
+    n_b = draw(st.integers(1, 4))
+    L = draw(st.integers(2, 9))
+    cells = [[sorted(draw(st.sets(st.integers(0, L - 1), max_size=2)))
+              for _ in range(n_b)] for _ in range(m_b)]
+    if not any(cell for row in cells for cell in row):
+        cells[0][0] = [draw(st.integers(0, L - 1))]
+    w = np.array([[len(cell) for cell in row] for row in cells])
+    step = max(w.sum(axis=0).max(), w.sum(axis=1).max()) - 1
+    affordable = [g for g in (4, 6, 8, 10)
+                  if L * (m_b + n_b) * max(step, 1) ** min(g + 4, 12) <= _ORACLE_BUDGET]
+    return METProtograph(cells, L), draw(st.sampled_from(affordable))
+
+
+@given(scored_patterns())
+def test_protograph_score_matches_lifted_oracle(case):
+    proto, min_girth = case
+    assert qc._score_lift(proto, min_girth) == lifted_score(proto, min_girth)
+
+
+@pytest.mark.parametrize("cells, L, min_girth, expected", [
+    # two parallel shifts: the length-2 block walk repeated L times closes
+    ([[[0, 1]]], 2, 4, (4, -1, 0)),
+    ([[[0, 1]]], 3, 4, (6, -1, 0)),
+    ([[[0, 1], [0]], [[1], [0, 1]]], 2, 6, None),
+    ([[[0, 2], [1]], [[1], [0, 1]]], 3, 8, None),
+    ([[[0, 1], [0, 2], [1]], [[2], [0], [0, 1]]], 3, 10, None),
+    # a star lifts to a forest: no cycle at all
+    ([[[0], [1], [2]]], 5, 6, (math.inf, 0, math.inf)),
+    # girth 52 > scan: no block walk closes, the BFS gives the girth
+    ([[[5], [11]], [[12], [3]]], 13, 4, (52, 0, math.inf)),
+    ([[[5], [11]], [[12], [3]]], 13, 10, (52, 0, math.inf)),
+])
+def test_protograph_score_edge_cases(cells, L, min_girth, expected):
+    proto = METProtograph(cells, L)
+    got = qc._score_lift(proto, min_girth)
+    assert got == lifted_score(proto, min_girth)
+    if expected is not None:
+        assert got[0] == expected
+
+
+@pytest.mark.parametrize("cells, L", [
+    ([[[0, 3], [1], [4]], [[2], [0, 5], [1]]], 6),
+    # girth 8: at min_girth 4 it lies past the ACE lengths, so every chunk
+    # must walk on to the shortest closing length found by any chunk
+    ([[[6], [0, 6], [2]], [[], [], [0, 3]]], 7),
+])
+def test_protograph_score_in_chunks_and_exact_ints(monkeypatch, cells, L):
+    # one start edge per chunk, and Python-int walk counts, change nothing
+    proto = METProtograph(cells, L)
+    want = {g: lifted_score(proto, g) for g in (4, 6, 8)}
+    monkeypatch.setattr(qc, "_WALK_CHUNK", 1)
+    assert {g: qc._score_lift(proto, g) for g in want} == want
+    monkeypatch.setattr(qc, "_INT64_WALKS", 1)
+    assert {g: qc._score_lift(proto, g) for g in want} == want
+
+
+@pytest.mark.parametrize("m_b, n_b, L, min_girth, min_ace, seed, restarts, steps, want", [
+    # the benchmark's code-path search: 3x5 all free, L=12, 1 restart x 8 steps
+    (3, 5, 12, 6, 4, 0, 1, 8,
+     ([[[10], [7], [6], [3], [3]], [[0], [0], [0], [2], [9]],
+       [[7], [10], [6], [7], [11]]], 4, 2, False, 1)),
+    (2, 2, 13, 8, 2, 9, 24, 150, ([[[5], [11]], [[12], [3]]], 52, math.inf, True, 1)),
+])
+def test_seeded_lift_searches_are_pinned(m_b, n_b, L, min_girth, min_ace, seed,
+                                         restarts, steps, want):
+    # the shifts and scores the lifted-graph scorer found for these searches
+    pat = METProtograph([[[None]] * n_b for _ in range(m_b)], L, allow_unset=True)
+    r = optimize_lift(pat, L, min_girth, min_ace, seed, restarts, steps)
+    assert (r.proto.cells, r.girth, r.min_ace, r.satisfied, r.restarts_used) == want
 
 
 def test_optimize_lift_validation():

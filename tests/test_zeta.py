@@ -1,13 +1,17 @@
 """Non-backtracking operator, determinant identities, and pole matching."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from nishigraph import (SimpleGraph, SparseSym, bass_identity_residual,
-                        bass_loose_form_residual, det_crossing_check,
-                        non_backtracking, poles, zeta_reciprocal)
+from nishigraph import (SimpleGraph, SparseSym, TrappingSet,
+                        bass_identity_residual, bass_loose_form_residual,
+                        det_crossing_check, enumerate_cycles, lift,
+                        non_backtracking, poles, read_exponent_file,
+                        zeta_reciprocal)
 
-from util import cycle_edges
+from util import cycle_edges, det_crossings_by_loop
 
 
 def complete_graph(n):
@@ -129,3 +133,23 @@ def test_det_crossing_matches_pole_on_variable_multigraph():
     assert first["beta"] == pytest.approx(0.367081, abs=1e-4)
     assert first["u"] == pytest.approx(0.351436, abs=1e-4)
     assert first["dist"] < 1e-8
+
+
+def test_det_crossing_check_matches_per_beta_loop_on_h2_sets():
+    # Tanner subgraphs of h2 trapping sets, each induced on one cycle of
+    # length <= 8: the stacked grid and the bisection that stops once lo and
+    # hi are adjacent give exactly the crossings of one solve per beta
+    g = lift(read_exponent_file(
+        str(resources.files("nishigraph").joinpath("data", "h2.exp"))))
+    var_sets = sorted({tuple(sorted(set(c.var_nodes(g))))
+                       for c in enumerate_cycles(g, 8)})[::24]
+    found = 0
+    for var_set in var_sets:
+        H = TrappingSet.from_tanner(g, var_set).H
+        m, a = H.shape
+        rows, cols = np.nonzero(H)
+        sg = SimpleGraph(a + m, [(int(v), a + int(r)) for r, v in zip(rows, cols)])
+        crossings = det_crossing_check(sg)["crossings"]
+        assert crossings == det_crossings_by_loop(sg)
+        found += len(crossings)
+    assert len(var_sets) == 36 and found > 0

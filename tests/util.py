@@ -1,12 +1,17 @@
-"""Shared test helpers: pinned random-graph generators and system builders."""
+"""Shared test helpers: pinned random-graph generators, system builders and
+reference implementations of scored quantities."""
 
+import math
 from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from nishigraph import CouplingGraph, SparseSym, UnweightedSystem
+from nishigraph import (CouplingGraph, SparseSym, UnweightedSystem, ace,
+                        enumerate_cycles, girth, lift)
+from nishigraph.estimator import _bethe_hessian
+from nishigraph.zeta import _edge_arrays, poles
 
 
 def random_regular(n, d, seed):
@@ -56,3 +61,61 @@ def unit_coupling_graph(n, edges):
 
 def cycle_edges(L):
     return [(i, (i + 1) % L) for i in range(L)]
+
+
+def lifted_score(proto, min_girth):
+    """Lift-search score (girth, -#girth cycles, min ACE over cycles shorter
+    than min_girth + 4), with girth and min ACE, from the lifted graph: BFS
+    girth, DFS cycle census to min(min_girth + 4, 12) and per-cycle ACE."""
+    g = lift(proto)
+    gir = girth(g)
+    if math.isinf(gir):
+        return (math.inf, 0, math.inf), gir, math.inf
+    scan = min(int(min_girth) + 4, 12)
+    scan -= scan % 2
+    cycles = enumerate_cycles(g, scan) if scan >= 4 else []
+    n_short = sum(1 for c in cycles if c.length == gir)
+    aces = [ace(c, g) for c in cycles if c.length < min_girth + 4]
+    min_ace_found = min(aces) if aces else math.inf
+    return (gir, -n_short, min_ace_found), gir, min_ace_found
+
+
+def det_crossings_by_loop(g, J0=1.0):
+    """det_crossing_check's crossing list, one determinant per beta: every
+    grid point assembled on its own, then 80 bisection steps per sign change."""
+    beta_grid = np.linspace(0.05, 6.0, 240)
+    i, j = _edge_arrays(g)
+
+    def det(beta):
+        t = np.full(len(i), np.tanh(beta * J0))
+        return float(np.linalg.det(_bethe_hessian(g.n, i, j, t, dense=True)))
+
+    dets = [det(b) for b in beta_grid]
+    pole_list = poles(g)
+    crossings = []
+    for k in range(len(beta_grid) - 1):
+        if dets[k] == 0 or dets[k] * dets[k + 1] > 0:
+            continue
+        lo, hi = beta_grid[k], beta_grid[k + 1]
+        flo = dets[k]
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            fm = det(mid)
+            if fm == 0:
+                lo = hi = mid
+                break
+            if flo * fm < 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        beta_star = 0.5 * (lo + hi)
+        u_star = float(np.tanh(beta_star * J0))
+        dists = [abs(u_star - p) for p in pole_list]
+        if dists and min(dists) < 1e-4:
+            m = int(np.argmin(dists))
+            crossings.append({"beta": beta_star, "u": u_star,
+                              "pole": pole_list[m], "dist": float(dists[m])})
+        else:
+            crossings.append({"beta": beta_star, "u": u_star,
+                              "pole": None, "dist": None})
+    return crossings
