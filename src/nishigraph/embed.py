@@ -14,12 +14,16 @@ import struct
 
 import numpy as np
 
-from .estimator import (EstimatorConfig, WeightedSystem, auto_bracket,
-                        estimate_beta_N)
+from .estimator import (_BRACKET_TOL, EstimatorConfig, WeightedSystem,
+                        _CountedEvaluator, auto_bracket, estimate_beta_N)
 from .rbim import CouplingGraph
 from .sparse import bottom_eigenpairs, lambda_min
 
 log = logging.getLogger(__name__)
+
+# similarity_graph's top-p selection takes rows in blocks of about this many
+# kernel entries
+_TOP_P_BLOCK = 1 << 18
 
 
 class FeatureTable:
@@ -83,7 +87,11 @@ class FeatureTable:
             sidecar = path + ".json"
         with open(sidecar) as fh:
             meta = json.load(fh)
-        rows, cols = int(meta["rows"]), int(meta["cols"])
+        try:
+            rows, cols = int(meta["rows"]), int(meta["cols"])
+        except (KeyError, TypeError, ValueError):
+            raise ValueError(f"{sidecar}: expected a JSON object with integer "
+                             "'rows' and 'cols'") from None
         with open(path, "rb") as fh:
             buf = fh.read()
         need = rows * cols * 4
@@ -103,7 +111,9 @@ class FeatureTable:
 
 
 class Embedding:
-    """Per-sample spectral coordinates plus the temperature that produced them."""
+    """Per-sample spectral coordinates plus the temperature that produced
+    them: beta_N_used is the mean of the per-component estimates (0.0 when
+    every component is a single vertex)."""
 
     def __init__(self, coords, beta_N_used, graph_id=""):
         coords = np.asarray(coords, dtype=float)
@@ -123,9 +133,9 @@ class Embedding:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([f"e{i}" for i in range(self.r)] + ["beta_N", "graph_id"])
-            for k, row in enumerate(self.coords):
+            for k, row in enumerate(self.coords.tolist()):
                 tail = [repr(self.beta_N_used), self.graph_id] if k == 0 else ["", ""]
-                writer.writerow([repr(float(x)) for x in row] + tail)
+                writer.writerow(list(map(repr, row)) + tail)
 
     @classmethod
     def from_csv(cls, path):
@@ -206,25 +216,39 @@ def similarity_graph(ft, gamma, p):
     if bad.size:
         raise ValueError(f"zero-norm feature row {int(bad[0])}")
     U = X / norms[:, None]
-    C = np.clip(U @ U.T, -1.0, 1.0)
-    d = 1.0 - C
-    W = np.exp(-gamma * d * d)
-    np.fill_diagonal(W, 0.0)
+    C = U @ U.T
+    np.clip(C, -1.0, 1.0, out=C)
     n = ft.n_samples
-    keep = set()
-    p_eff = min(p, n - 1)
-    for i in range(n):
-        order = np.lexsort((np.arange(n), -W[i]))
-        picked = 0
-        for j in order:
-            if j == i:
-                continue
-            keep.add((min(i, int(j)), max(i, int(j))))
-            picked += 1
-            if picked >= p_eff:
-                break
-    edges = [(i, j, float(W[i, j])) for i, j in sorted(keep)]
-    return CouplingGraph(n, edges)
+    p = min(p, n - 1)
+    if p < 1:
+        return CouplingGraph(n, [])
+    # Row i keeps its p largest weights off the diagonal, ties broken by the
+    # lower column: every weight at or above the p-th largest, less the
+    # highest-column ties when more tie than fit.  Rows go in blocks of
+    # about _TOP_P_BLOCK entries, so the kernel is never held whole.
+    rows, cols = [], []
+    step = max(1, _TOP_P_BLOCK // n)
+    for start in range(0, n, step):
+        d = 1.0 - C[start:start + step]
+        W = -gamma * d
+        W *= d
+        np.exp(W, out=W)
+        b = np.arange(len(W))
+        W[b, start + b] = -np.inf
+        kth = np.partition(W, n - p, axis=1)[:, n - p, None]
+        keep = W >= kth
+        extra = np.count_nonzero(keep, axis=1) - p
+        for row in np.flatnonzero(extra):
+            tied = np.flatnonzero(W[row] == kth[row])
+            keep[row, tied[-extra[row]:]] = False
+        r, c = np.nonzero(keep)
+        rows.append(start + r)
+        cols.append(c)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    pair = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    i, j = pair // n, pair % n
+    d = 1.0 - C[i, j]
+    return CouplingGraph(n, np.column_stack((i, j, np.exp(-gamma * d * d))))
 
 
 def _sign_fix(vecs):
@@ -253,15 +277,23 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
     if len(comps) > 1:
         log.info("graph has %d components; embedding each separately",
                  len(comps))
+    # each vertex's component, and its index within it
+    label, local = np.empty((2, J.n), dtype=np.intp)
+    for c, comp in enumerate(comps):
+        label[comp] = c
+        local[comp] = np.arange(len(comp))
+    edge_label = label[J.i]
     pairs = []
     betas = []
-    for comp in comps:
+    for c, comp in enumerate(comps):
         if len(comp) == 1:  # an isolated vertex: H = [1]
             vals_c, vecs_c = [1.0], np.ones((1, 1))
         else:
-            idx = {v: k for k, v in enumerate(comp)}
-            sub = J if len(comps) == 1 else CouplingGraph(len(comp), [
-                (idx[i], idx[j], w) for i, j, w in J.edges if i in idx])
+            sub = J
+            if len(comps) > 1:
+                on = edge_label == c
+                sub = CouplingGraph(len(comp), np.column_stack(
+                    (local[J.i[on]], local[J.j[on]], J.couplings[on])))
             beta_c, vals_c, vecs_c = _component_eigs(sub, min(r, len(comp)),
                                                      cfg)
             betas.append(beta_c)
@@ -279,9 +311,12 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
 def _component_eigs(J, k, cfg):
     """(beta, eigenvalues, eigenvectors) for one connected coupling graph."""
     system = WeightedSystem(J)
+    # one evaluator for the bracket and the root, so the root finder starts
+    # from the bracket's end values instead of solving them again
+    ev = _CountedEvaluator(system, _BRACKET_TOL)
     try:
-        beta = estimate_beta_N(system, cfg or EstimatorConfig(
-            *auto_bracket(system), eps=1e-4)).beta_N
+        beta = estimate_beta_N(ev, cfg or EstimatorConfig(
+            *auto_bracket(ev), eps=1e-4)).beta_N
     except ValueError as exc:
         if cfg is not None:
             raise

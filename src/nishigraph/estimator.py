@@ -16,20 +16,28 @@ import numpy as np
 
 from .sparse import SparseSym, lambda_min
 
+# quadratic-Newton rounds before giving up, and the forward-difference step
+# of the Newton correction, relative to the root estimate
+_MAX_ROUNDS = 30
+_SLOPE_STEP = 1e-3
+_BISECTION_STEPS = 300
+# auto_bracket's starting bracket, its growth factor and growth steps, and
+# the tolerance of its solves (the estimator's at eps >= 1e-7)
+_BRACKET = (0.05, 1.0)
+_BRACKET_FACTOR = 1.6
+_BRACKET_EXPANSIONS = 40
+_BRACKET_TOL = 1e-8
+
 
 class EstimatorConfig:
-    def __init__(self, beta_lower, beta_upper, eps=1e-6, delta=None, max_rounds=30):
+    def __init__(self, beta_lower, beta_upper, eps=1e-6):
         if not (0 < beta_lower < beta_upper):
             raise ValueError("need 0 < beta_lower < beta_upper")
         if eps <= 0:
             raise ValueError("eps must be positive")
-        if delta is not None and delta <= 0:
-            raise ValueError("delta must be positive")
         self.beta_lower = float(beta_lower)
         self.beta_upper = float(beta_upper)
         self.eps = float(eps)
-        self.delta = delta
-        self.max_rounds = int(max_rounds)
 
 
 class EstimatorTrace:
@@ -95,17 +103,10 @@ def _bethe_hessian(n, i, j, t, dense=False):
                                          np.concatenate((off, diag)))))
 
 
-def _coupling_arrays(J):
-    """(i, j, J_ij) arrays over the edges of a CouplingGraph."""
-    e = np.array(J.edges, dtype=float).reshape(-1, 3)
-    return e[:, 0].astype(np.intp), e[:, 1].astype(np.intp), e[:, 2]
-
-
 def bethe_hessian_weighted(J, beta):
     """Coupled Bethe-Hessian: diagonal 1 + sum_k tanh^2(bJ)/(1-tanh^2(bJ)),
     off-diagonal -tanh(bJ)/(1-tanh^2(bJ)) on each edge."""
-    i, j, Jv = _coupling_arrays(J)
-    return _bethe_hessian(J.n, i, j, np.tanh(beta * Jv))
+    return _bethe_hessian(J.n, J.i, J.j, np.tanh(beta * J.couplings))
 
 
 def bethe_hessian_unweighted(A, D, beta):
@@ -135,31 +136,44 @@ class UnweightedSystem:
 
 
 class WeightedSystem:
-    """Root-finding target lambda_min of the coupled Bethe-Hessian; the edge
-    arrays are read from J once, and matrix(beta) recomputes the values."""
+    """Root-finding target lambda_min of the coupled Bethe-Hessian."""
 
     def __init__(self, J):
         self.J = J
         self.n = J.n
-        self._edges = _coupling_arrays(J)
 
     def matrix(self, beta):
-        i, j, Jv = self._edges
-        return _bethe_hessian(self.n, i, j, np.tanh(beta * Jv))
+        J = self.J
+        return _bethe_hessian(self.n, J.i, J.j, np.tanh(beta * J.couplings))
 
 
 class _CountedEvaluator:
+    """lambda_min(system.matrix(beta)) within tol, cached per beta; calls
+    counts the solves made.  It is itself a system, and auto_bracket and
+    the root finders use one they are given in place of a system when they
+    solve at its tol, so a root started on a bracket's evaluator reuses the
+    bracket's solves and counts them in its eigensolver_calls."""
+
     def __init__(self, system, tol):
         self.system = system
         self.tol = tol
         self.cache = {}
         self.calls = 0
 
+    def matrix(self, beta):
+        return self.system.matrix(beta)
+
     def __call__(self, beta):
         if beta not in self.cache:
             self.cache[beta] = lambda_min(self.system.matrix(beta), self.tol)
             self.calls += 1
         return self.cache[beta]
+
+
+def _evaluator(system, tol):
+    if isinstance(system, _CountedEvaluator) and system.tol == tol:
+        return system
+    return _CountedEvaluator(system, tol)
 
 
 def _fit_parabola(b1, l1, b2, l2, b3, l3):
@@ -169,7 +183,7 @@ def _fit_parabola(b1, l1, b2, l2, b3, l3):
 
 def estimate_beta_N(system, cfg):
     """Quadratic-Newton estimate of the root of lambda_min(beta)."""
-    ev = _CountedEvaluator(system, min(cfg.eps / 10, 1e-8))
+    ev = _evaluator(system, min(cfg.eps / 10, 1e-8))
     lo, hi = cfg.beta_lower, cfg.beta_upper
     # Accept an endpoint that is already an eps-root before demanding a sign
     # change, so a bracket whose edge touches the root (e.g. a spectrum with
@@ -190,7 +204,7 @@ def estimate_beta_N(system, cfg):
     rounds = []
     flags = []
     window = (lo, hi)
-    for _ in range(cfg.max_rounds):
+    for _ in range(_MAX_ROUNDS):
         b1, b3 = window
         b2 = 0.5 * (b1 + b3)
         pts = [(b1, ev(b1)), (b2, ev(b2)), (b3, ev(b3))]
@@ -242,7 +256,7 @@ def estimate_beta_N(system, cfg):
             flags.append(round_flags)
             return EstimatorTrace(beta_t, l_t, ev.calls, rounds, True, flags,
                                   "quadratic-newton")
-        delta = cfg.delta if cfg.delta is not None else 1e-3 * abs(beta_t)
+        delta = _SLOPE_STEP * abs(beta_t)
         l_d = ev(beta_t + delta)
         pts = pts + [(beta_t + delta, l_d)]
         g = (l_d - l_t) / delta
@@ -266,11 +280,11 @@ def estimate_beta_N(system, cfg):
                           False, flags, "quadratic-newton")
 
 
-def bisection_baseline(system, beta_lower, beta_upper, eps, max_iter=300):
+def bisection_baseline(system, beta_lower, beta_upper, eps):
     """Plain bisection on the sign of lambda_min, same trace format."""
     if not (0 < beta_lower < beta_upper) or eps <= 0:
         raise ValueError("invalid bracket or eps")
-    ev = _CountedEvaluator(system, min(eps / 10, 1e-8))
+    ev = _evaluator(system, min(eps / 10, 1e-8))
     rounds = []
     l_lo = ev(beta_lower)
     rounds.append([(beta_lower, l_lo)])
@@ -285,7 +299,7 @@ def bisection_baseline(system, beta_lower, beta_upper, eps, max_iter=300):
     if l_lo * l_hi > 0:
         raise ValueError("no bracket: endpoint eigenvalues share a sign")
     lo, hi = beta_lower, beta_upper
-    for _ in range(max_iter):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         l_mid = ev(mid)
         rounds.append([(mid, l_mid)])
@@ -301,22 +315,26 @@ def bisection_baseline(system, beta_lower, beta_upper, eps, max_iter=300):
                           "bisection")
 
 
-def auto_bracket(system, lo=0.05, hi=1.0, factor=1.6, max_expand=40):
+def auto_bracket(system):
     """Grow the upper end until lambda_min changes sign; returns (lo, hi).
 
-    Convenience for coupled systems, where lambda_min starts near 1 at small
-    beta and decreases through zero in the regime of interest.
+    Starts from _BRACKET and moves both ends up, hi by _BRACKET_FACTOR, at
+    most _BRACKET_EXPANSIONS times.  Convenience for coupled systems, where
+    lambda_min starts near 1 at small beta and decreases through zero in
+    the regime of interest.
     """
-    l_lo = lambda_min(system.matrix(lo), 1e-8)
+    ev = _evaluator(system, _BRACKET_TOL)
+    lo, hi = _BRACKET
+    l_lo = ev(lo)
     if l_lo < 0:
         raise ValueError("lambda_min already negative at the lower end")
-    for _ in range(max_expand):
+    for _ in range(_BRACKET_EXPANSIONS):
         try:
-            l_hi = lambda_min(system.matrix(hi), 1e-8)
+            l_hi = ev(hi)
         except ValueError:
             raise ValueError("no sign change before coupling saturation") from None
         if l_hi < 0:
             return lo, hi
         lo = hi
-        hi *= factor
+        hi *= _BRACKET_FACTOR
     raise ValueError("no sign change found while expanding the bracket")

@@ -9,48 +9,63 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.special import logsumexp
 
+from .sparse import _triples
+
 _ENUM_CAP = 20
 _P_FLOOR = 1e-6
 
 
 class CouplingGraph:
-    """Symmetric weighted graph carrying the couplings J_ij."""
+    """Symmetric weighted graph carrying the couplings J_ij.
+
+    edges is an iterable of (i, j, J_ij) triples, or a (k, 3) array of them;
+    each is stored as i < j in the int arrays i and j, with its coupling in
+    couplings, sorted by (i, j).  Self-couplings, out-of-range and duplicate
+    pairs, and zero or non-finite couplings are rejected.
+    """
 
     def __init__(self, n, edges):
         self.n = int(n)
-        seen = set()
-        clean = []
-        for i, j, J in edges:
-            i, j, J = int(i), int(j), float(J)
-            if i == j:
-                raise ValueError("self-coupling not allowed")
-            if i > j:
-                i, j = j, i
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            if not np.isfinite(J) or J == 0:
-                raise ValueError(f"coupling on ({i},{j}) must be finite and nonzero")
-            seen.add((i, j))
-            clean.append((i, j, J))
-        self.edges = sorted(clean)
+        i, j, J = _triples(edges)
+        if np.any(i == j):
+            raise ValueError("self-coupling not allowed")
+
+        def check(bad, message):
+            if np.any(bad):
+                k = np.flatnonzero(bad)[0]
+                raise ValueError(message.format(i[k], j[k]))
+
+        check((i < 0) | (j >= self.n), "edge ({},{}) out of range")
+        key = i * self.n + j
+        order = np.argsort(key, kind="stable")
+        i, j, J = i[order], j[order], J[order]
+        check(np.r_[False, np.diff(key[order]) == 0], "duplicate edge ({},{})")
+        check(~np.isfinite(J) | (J == 0),
+              "coupling on ({},{}) must be finite and nonzero")
+        self.i, self.j, self.couplings = i, j, J
+
+    @property
+    def edges(self):
+        """The (i, j, J_ij) triples, i < j, sorted."""
+        return list(zip(self.i.tolist(), self.j.tolist(),
+                        self.couplings.tolist()))
 
     @classmethod
     def from_sparse(cls, M):
-        return cls(M.n, [(i, j, v) for i, j, v in M.entries if i != j and v != 0])
+        off = (M.rows != M.cols) & (M.vals != 0)
+        return cls(M.n, np.column_stack((M.rows[off], M.cols[off],
+                                         M.vals[off])))
 
     def components(self):
         """Vertex lists of the connected components, each ascending, ordered
         by their smallest vertex; isolated vertices are singletons."""
-        ij = np.array([e[:2] for e in self.edges], dtype=np.intp).reshape(-1, 2)
-        graph = sp.coo_matrix((np.ones(len(ij)), (ij[:, 0], ij[:, 1])),
+        graph = sp.coo_matrix((np.ones(len(self.i)), (self.i, self.j)),
                               shape=(self.n, self.n))
         _, labels = connected_components(graph, directed=False)
-        groups = {}
-        for v, c in enumerate(labels.tolist()):
-            groups.setdefault(c, []).append(v)
-        return list(groups.values())
+        by_label = np.argsort(labels, kind="stable")
+        groups = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
+        return sorted((g.tolist() for g in groups if g.size),
+                      key=lambda g: g[0])
 
 
 class SpinConfig:

@@ -2,19 +2,37 @@
 
 Only the upper triangle is stored; symmetry is by construction.  Every
 bottom-of-spectrum solve goes through lambda_min or bottom_eigenpairs, which
-share one dense-or-shift-invert rule (_DENSE_SOLVE_N); eig_dense is the
+share one dense-or-shift-invert rule (_solves_dense); eig_dense is the
 full-spectrum oracle the shift-invert branch is tested against.
 """
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
-# Bottom-of-spectrum solves on up to this many rows are dense; SuperLU and
-# ARPACK run only above it (crossover timings in README).
+# Bottom-of-spectrum solves on up to _DENSE_SOLVE_N rows are dense, and so
+# are those on up to _DENSE_CAP rows with at least _DENSE_ROW_NNZ stored
+# entries per row (both triangles and the diagonal), where SuperLU's fill
+# costs more than a dense solve; SuperLU and ARPACK run otherwise
+# (crossover timings in README).
 _DENSE_SOLVE_N = 400
+_DENSE_ROW_NNZ = 10
+
+
+def _triples(entries):
+    """(i, j, value) arrays, i <= j, from an iterable of (i, j, value)
+    triples or a (k, 3) array of them."""
+    a = np.asarray(entries if isinstance(entries, np.ndarray)
+                   else list(entries), dtype=float)
+    if a.size == 0:
+        a = a.reshape(0, 3)
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError("entries must be (i, j, value) triples")
+    ij = np.sort(a[:, :2].astype(np.int64), axis=1)
+    return ij[:, 0], ij[:, 1], a[:, 2].copy()
 
 
 class SparseSym:
@@ -29,15 +47,8 @@ class SparseSym:
     def __init__(self, n, entries):
         if n < 0:
             raise ValueError("negative dimension")
-        a = np.asarray(entries if isinstance(entries, np.ndarray)
-                       else list(entries), dtype=float)
-        if a.size == 0:
-            a = a.reshape(0, 3)
-        if a.ndim != 2 or a.shape[1] != 3:
-            raise ValueError("entries must be (i, j, value) triples")
-        ij = np.sort(a[:, :2].astype(np.int64), axis=1)
-        rows, cols = ij[:, 0], ij[:, 1]
-        if len(ij) and (rows.min() < 0 or cols.max() >= n):
+        rows, cols, vals = _triples(entries)
+        if len(rows) and (rows.min() < 0 or cols.max() >= n):
             k = np.flatnonzero((rows < 0) | (cols >= n))[0]
             raise ValueError(f"entry ({rows[k]},{cols[k]}) out of range for n={n}")
         key = np.sort(rows * n + cols)
@@ -45,7 +56,7 @@ class SparseSym:
         if dup.size:
             raise ValueError(f"duplicate entry ({dup[0] // n},{dup[0] % n})")
         self.n = n
-        self.rows, self.cols, self.vals = rows, cols, a[:, 2].copy()
+        self.rows, self.cols, self.vals = rows, cols, vals
 
     @property
     def entries(self):
@@ -117,18 +128,29 @@ class Spectrum:
         return self.eigenvalues[-1]
 
 
+def _solves_dense(M, k):
+    """Whether the k lowest eigenpairs of M are solved densely: always for
+    n <= max(2k + 2, _DENSE_SOLVE_N), never above _DENSE_CAP, and in
+    between when M has at least _DENSE_ROW_NNZ stored entries per row."""
+    if M.n <= max(2 * k + 2, _DENSE_SOLVE_N):
+        return True
+    nnz = 2 * len(M.vals) - np.count_nonzero(M.rows == M.cols)
+    return bool(M.n <= _DENSE_CAP and nnz >= _DENSE_ROW_NNZ * M.n)
+
+
 def lambda_min(M, tol=1e-10):
     """Smallest eigenvalue of a SparseSym, within +-tol.
 
-    The k = 1 case of bottom_eigenpairs' rule: dense eigvalsh (no vectors)
-    for n <= _DENSE_SOLVE_N, the shift-invert solve above it.
+    The k = 1 case of bottom_eigenpairs' rule; its dense branch computes
+    the one eigenvalue (LAPACK evr) and no vectors.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if M.n == 0:
         raise ValueError("empty matrix has no eigenvalues")
-    if M.n <= _DENSE_SOLVE_N:
-        return float(np.linalg.eigvalsh(M.to_dense())[0])
+    if _solves_dense(M, 1):
+        return float(sla.eigh(M.to_dense(), eigvals_only=True,
+                               subset_by_index=[0, 0], driver="evr")[0])
     return float(bottom_eigenpairs(M, 1, tol)[0][0])
 
 
@@ -136,12 +158,12 @@ def bottom_eigenpairs(M, k, tol):
     """(eigenvalues, eigenvectors): the k smallest eigenpairs of a SparseSym,
     eigenvalues ascending.
 
-    Dense eigh when n <= max(2k + 2, _DENSE_SOLVE_N), else shift-invert
-    Lanczos within +-tol, shifted one unit below the Gershgorin lower bound
-    so the k targets are the eigenvalues nearest the shift, from a fixed
-    (normalized all-ones) starting vector for reproducibility.
+    Dense eigh when _solves_dense(M, k), else shift-invert Lanczos within
+    +-tol, shifted one unit below the Gershgorin lower bound so the k
+    targets are the eigenvalues nearest the shift, from a fixed (normalized
+    all-ones) starting vector for reproducibility.
     """
-    if M.n <= max(2 * k + 2, _DENSE_SOLVE_N):
+    if _solves_dense(M, k):
         vals, vecs = np.linalg.eigh(M.to_dense())
         return vals[:k], vecs[:, :k]
     A = M.to_csr().tocsc()

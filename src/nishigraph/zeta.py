@@ -169,8 +169,10 @@ def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
     i, j = _edge_arrays(g)
 
     def det(betas):
+        # only the sign is used: det itself overflows a double on graphs of
+        # about a hundred vertices
         t = np.repeat(np.tanh(np.asarray(betas) * J0)[:, None], len(i), axis=1)
-        return np.linalg.det(_bethe_hessian(g.n, i, j, t, dense=True))
+        return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
 
     dets = det(beta_grid).tolist()
     pole_list = poles(g)

@@ -166,6 +166,18 @@ def test_malformed_csv_is_a_clean_error(tmp_path, capsys, command, text, line):
     assert f"{path}: line {line}:" in err
 
 
+@pytest.mark.parametrize("sidecar", ['{"rows": 2}', '[2, 2]'])
+def test_bad_raw_sidecar_is_a_clean_error(tmp_path, capsys, sidecar):
+    path = tmp_path / "x.raw"
+    path.write_bytes(b"\x00" * 16)
+    (tmp_path / "x.raw.json").write_text(sidecar)
+    rc, out, err = run_cli(capsys, "embed", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{path}.json:" in err
+
+
 def test_pipeline_and_ensemble_commands(tmp_path, capsys):
     out_dir = tmp_path / "run"
     rc, out, _ = run_cli(capsys, "pipeline", "--synthetic", "3,20,32,8.0",

@@ -1,11 +1,19 @@
 """Feature tables, similarity graphs, and critical-temperature embeddings."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import nishigraph.embed as embed
+import nishigraph.estimator as estimator
 from nishigraph import (CouplingGraph, Embedding, EstimatorConfig,
                         FeatureTable, binarize, select_indices,
                         similarity_graph, spectral_embed, synthetic_features)
+
+from util import similarity_graph_by_loop
 
 
 def test_feature_table_validation():
@@ -111,6 +119,36 @@ def test_similarity_graph_kernel_and_sparsity():
         similarity_graph(FeatureTable(np.zeros((2, 2))), gamma=1.0, p=1)
 
 
+@st.composite
+def top_p_cases(draw):
+    """Features (Gaussian, binarized, or few distinct rows repeated, so many
+    kernel weights tie), a kernel width, p up to n + 1 and a row-block size
+    from one row to all of them."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((n, dim))
+    kind = draw(st.sampled_from(["gaussian", "binarized", "repeated"]))
+    if kind == "binarized":
+        X = binarize(FeatureTable(X)).X
+    elif kind == "repeated":
+        X = X[rng.integers(0, min(draw(st.integers(1, 4)), n), n)]
+    gamma = draw(st.sampled_from([0.3, 1.0, 2.0, 3.7, 15.0]))
+    p = draw(st.integers(1, n + 1))
+    block = draw(st.integers(1, n * n))
+    return FeatureTable(X), gamma, p, block
+
+
+@given(top_p_cases())
+def test_similarity_graph_matches_per_row_oracle(case):
+    # same edges and bit-equal weights as one lexsort per row, whatever the
+    # row blocks (they need not divide n)
+    ft, gamma, p, block = case
+    with mock.patch.object(embed, "_TOP_P_BLOCK", block):
+        J = similarity_graph(ft, gamma, p)
+    assert J.edges == similarity_graph_by_loop(ft, gamma, p)
+
+
 def test_spectral_embed_shapes_and_normalization():
     ft = synthetic_features(3, 15, 30, separation=8.0, seed=6)
     J = similarity_graph(ft, gamma=2.0, p=6)
@@ -128,6 +166,22 @@ def test_spectral_embed_shapes_and_normalization():
         spectral_embed(J, 0)
     with pytest.raises(ValueError):
         spectral_embed(J, 45)
+
+
+def test_spectral_embed_solves_each_temperature_once(monkeypatch):
+    # the root finder starts from the bracket's end values instead of
+    # solving them again
+    solved = []
+    solve = estimator.lambda_min
+
+    def recorded(M, tol=1e-10):
+        solved.append((M.n, M.vals.tobytes()))
+        return solve(M, tol)
+
+    monkeypatch.setattr(estimator, "lambda_min", recorded)
+    ft = synthetic_features(3, 15, 30, separation=8.0, seed=6)
+    spectral_embed(similarity_graph(ft, gamma=2.0, p=6), 4)
+    assert solved and len(set(solved)) == len(solved)
 
 
 def test_disconnected_components_occupy_disjoint_columns():

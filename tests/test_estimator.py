@@ -9,7 +9,7 @@ from nishigraph import (CouplingGraph, EstimatorConfig, WeightedSystem,
                         auto_bracket, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
-from nishigraph.estimator import _bethe_hessian
+from nishigraph.estimator import _bethe_hessian, _CountedEvaluator
 
 from util import cycle_edges, random_regular, unit_coupling_graph, unweighted_system
 
@@ -25,8 +25,6 @@ def test_config_validation():
         EstimatorConfig(-1.0, 2.0)
     with pytest.raises(ValueError):
         EstimatorConfig(1.0, 2.0, eps=0.0)
-    with pytest.raises(ValueError):
-        EstimatorConfig(1.0, 2.0, delta=-1e-3)
 
 
 def test_unweighted_matrix_formula():
@@ -151,6 +149,22 @@ def test_auto_bracket_spans_a_sign_change():
     tr = estimate_beta_N(sysm, EstimatorConfig(lo, hi, eps=1e-6))
     assert tr.converged
     assert abs(tr.lambda_at_root) <= 1e-6
+
+
+def test_root_on_the_bracket_evaluator_reuses_and_counts_its_solves():
+    # the bracket's end values are not solved again, and the root's count
+    # includes the bracket's solves
+    J = unit_coupling_graph(60, random_regular(60, 3, 3))
+    ev = _CountedEvaluator(WeightedSystem(J), 1e-8)
+    lo, hi = auto_bracket(ev)
+    bracket_calls = ev.calls
+    cfg = EstimatorConfig(lo, hi, eps=1e-4)
+    shared = estimate_beta_N(ev, cfg)
+    fresh = estimate_beta_N(WeightedSystem(J), cfg)
+    assert shared.beta_N == fresh.beta_N
+    assert shared.round_points == fresh.round_points
+    assert shared.eigensolver_calls == bracket_calls + fresh.eigensolver_calls - 2
+    assert ev.calls == shared.eigensolver_calls
 
 
 def test_auto_bracket_reports_missing_sign_change():

@@ -9,6 +9,7 @@ import nishigraph.sparse as sparse
 from nishigraph import (CouplingGraph, SparseSym, Spectrum,
                         bethe_hessian_weighted, eig_dense, lambda_min,
                         rank_and_kernel, read_matrix_market,
+                        similarity_graph, synthetic_features,
                         write_matrix_market)
 
 from util import cycle_edges, random_connected
@@ -68,8 +69,9 @@ def test_lambda_min_dense_path_matches_numpy():
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
 
 
-# n = 20, 40 and 400 take the dense branch; n = 401, 402 and 450 the
-# shift-invert branch, which eigsh_calls confirms.
+# n = 20, 40 and 400 take the dense branch; n = 401, 402 and 450, with at
+# most about 7 stored entries per row, the shift-invert branch, which
+# eigsh_calls confirms.
 @pytest.mark.parametrize("n", [20, 402])
 def test_lambda_min_iterative_path_on_even_cycle_adjacency(n, eigsh_calls):
     # adjacency spectrum of C_n is 2 cos(2 pi k / n); for even n the minimum
@@ -108,6 +110,40 @@ def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
     assert np.max(np.abs(vals - ref_vals[:k])) < 1e-8
     signs = np.sign(np.sum(vecs * ref_vecs[:, :k], axis=0))
     assert np.max(np.abs(vecs * signs - ref_vecs[:, :k])) < 1e-6
+
+
+def test_knn_bethe_hessian_above_400_rows_is_solved_densely(eigsh_calls):
+    # a p = 12 similarity graph stores about 15 entries per row, where
+    # SuperLU's fill costs more than a dense solve
+    ft = synthetic_features(10, 45, 64, 6.0, seed=3)
+    H = bethe_hessian_weighted(similarity_graph(ft, 2.0, 12), 0.3)
+    assert H.n == 450 and H.to_csr().nnz >= 10 * H.n
+    A = H.to_dense()
+    ref_vals, ref_vecs = np.linalg.eigh(A)
+    assert lambda_min(H) == pytest.approx(ref_vals[0], abs=1e-10)
+    vals, vecs = sparse.bottom_eigenpairs(H, 4, 1e-9)
+    assert np.array_equal(vals, ref_vals[:4])
+    assert np.array_equal(vecs, ref_vecs[:, :4])
+    assert eigsh_calls == []
+
+
+@pytest.mark.parametrize("n, bands, diagonal, k, dense", [
+    (400, 1, False, 1, True), (401, 1, False, 1, False),
+    (401, 5, False, 1, True), (401, 4, True, 1, False),
+    (2000, 5, False, 1, True), (2001, 5, True, 1, False),
+    (402, 1, False, 200, True), (403, 1, False, 200, False)])
+def test_dense_rule_reads_rows_and_stored_entries_per_row(n, bands, diagonal,
+                                                          k, dense):
+    # stored entries per row count both triangles and the diagonal, as a
+    # CSR matrix holds them: 2 per off-diagonal band, 1 for the diagonal
+    ar = np.arange(n)
+    entries = [np.column_stack((ar, (ar + s) % n, np.ones(n)))
+               for s in range(1, bands + 1)]
+    if diagonal:
+        entries.append(np.column_stack((ar, ar, np.ones(n))))
+    M = SparseSym(n, np.concatenate(entries))
+    assert M.to_csr().nnz == n * (2 * bands + diagonal)
+    assert sparse._solves_dense(M, k) is dense
 
 
 def test_lambda_min_input_validation():

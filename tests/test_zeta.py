@@ -11,7 +11,7 @@ from nishigraph import (SimpleGraph, SparseSym, TrappingSet,
                         non_backtracking, poles, read_exponent_file,
                         zeta_reciprocal)
 
-from util import cycle_edges, det_crossings_by_loop
+from util import cycle_edges, det_crossings_by_loop, random_regular
 
 
 def complete_graph(n):
@@ -133,6 +133,18 @@ def test_det_crossing_matches_pole_on_variable_multigraph():
     assert first["beta"] == pytest.approx(0.367081, abs=1e-4)
     assert first["u"] == pytest.approx(0.351436, abs=1e-4)
     assert first["dist"] < 1e-8
+
+
+def test_det_crossing_check_on_a_large_regular_graph():
+    # 150 edges: det H overflows a double at 87 of the 240 grid points
+    # (beta >= 3.86), and the sign alone must still locate the crossing at
+    # the Perron pole u = 1/(d - 1)
+    g = SimpleGraph(100, random_regular(100, 3, 0))
+    out = det_crossing_check(g)
+    assert len(out["crossings"]) == 1
+    crossing = out["crossings"][0]
+    assert crossing["u"] == pytest.approx(0.5, abs=1e-9)
+    assert crossing["pole"] == pytest.approx(0.5, abs=1e-9)
 
 
 def test_det_crossing_check_matches_per_beta_loop_on_h2_sets():

@@ -119,3 +119,29 @@ def det_crossings_by_loop(g, J0=1.0):
             crossings.append({"beta": beta_star, "u": u_star,
                               "pole": None, "dist": None})
     return crossings
+
+
+def similarity_graph_by_loop(ft, gamma, p):
+    """similarity_graph's edge list from one lexsort per row: row i keeps
+    its min(p, n - 1) largest off-diagonal kernel weights, ties to the lower
+    column; the union of the rows' picks, each edge (i < j) with W[i, j]."""
+    X = ft.X
+    U = X / np.linalg.norm(X, axis=1)[:, None]
+    C = np.clip(U @ U.T, -1.0, 1.0)
+    d = 1.0 - C
+    W = np.exp(-gamma * d * d)
+    np.fill_diagonal(W, 0.0)
+    n = ft.n_samples
+    keep = set()
+    p_eff = min(p, n - 1)
+    for i in range(n):
+        order = np.lexsort((np.arange(n), -W[i]))
+        picked = 0
+        for j in order:
+            if j == i:
+                continue
+            keep.add((min(i, int(j)), max(i, int(j))))
+            picked += 1
+            if picked >= p_eff:
+                break
+    return [(i, j, float(W[i, j])) for i, j in sorted(keep)]
