@@ -31,20 +31,42 @@ class TrappingSet:
         self.b = int(np.sum(H.sum(axis=1) % 2 == 1))
 
     @classmethod
-    def from_text(cls, text):
+    def from_text(cls, text, source="<text>"):
+        """Rows of 0/1 cells, either packed ("0110") or space-separated
+        ("0 1 1 0"), one format for the whole text, chosen by its first row;
+        blank lines and "#" comments are skipped.  A row in the other format,
+        a row of another width or a cell other than 0/1 is a ValueError
+        naming source and the 1-based line."""
         rows = []
-        for line in text.splitlines():
+        spaced = None
+        for number, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([int(ch) for ch in line.split()] if " " in line
-                        else [int(ch) for ch in line])
+            cells = line.split()
+            if spaced is None:
+                spaced = len(cells) > 1
+            elif len(cells) > 1 and not spaced:
+                raise ValueError(f"{source}: line {number}: space-separated "
+                                 "row in a file of packed rows")
+            if not spaced:
+                cells = list(line)
+            bad = [c for c in cells if c not in ("0", "1")]
+            if bad:
+                raise ValueError(f"{source}: line {number}: "
+                                 f"cell {bad[0]!r} is not 0 or 1")
+            if rows and len(cells) != len(rows[0]):
+                raise ValueError(f"{source}: line {number}: {len(cells)} "
+                                 f"cells, expected {len(rows[0])}")
+            rows.append([int(c) for c in cells])
+        if not rows:
+            raise ValueError(f"{source}: no incidence rows")
         return cls(np.array(rows, dtype=int))
 
     @classmethod
     def from_file(cls, path):
         with open(path) as fh:
-            return cls.from_text(fh.read())
+            return cls.from_text(fh.read(), path)
 
     @classmethod
     def from_tanner(cls, g, var_indices):

@@ -6,6 +6,8 @@ the exact copy just traversed).  Determinants are evaluated densely: these
 routines are correctness oracles, not large-scale tools.
 """
 
+from types import MappingProxyType
+
 import numpy as np
 
 from .estimator import _bethe_hessian
@@ -14,8 +16,24 @@ _EDGE_CAP = 500
 _DET_CAP = 200
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+# det_crossing_check's beta grid and its pole-matching radius in u
+_BETA_GRID = _frozen(np.linspace(0.05, 6.0, 240))
+_POLE_TOL = 1e-4
+
+
 class SimpleGraph:
-    """Undirected graph with integer edge multiplicities."""
+    """Undirected graph with integer edge multiplicities.
+
+    A SimpleGraph is treated as immutable (``mult`` is a read-only mapping):
+    its repeated-edge arrays are built once here, and its non-backtracking
+    matrix and poles once on first use, all kept on the instance as
+    read-only arrays.
+    """
 
     def __init__(self, n, edges):
         self.n = int(n)
@@ -31,7 +49,16 @@ class SimpleGraph:
                 raise ValueError("edge multiplicity must be >= 1")
             key = (min(i, j), max(i, j))
             mult[key] = mult.get(key, 0) + m
-        self.mult = dict(sorted(mult.items()))
+        self.mult = MappingProxyType(dict(sorted(mult.items())))
+        # one entry per edge copy: endpoints i < j and the copy number
+        ij = np.array(list(self.mult), dtype=np.intp).reshape(-1, 2)
+        m = np.array(list(self.mult.values()), dtype=np.intp)
+        self._i = _frozen(np.repeat(ij[:, 0], m))
+        self._j = _frozen(np.repeat(ij[:, 1], m))
+        self._copy = _frozen(np.arange(len(self._i))
+                             - np.repeat(np.cumsum(m) - m, m))
+        self._nb = None
+        self._poles = None
 
     @classmethod
     def from_sparse(cls, M, multiplicities=False):
@@ -44,7 +71,7 @@ class SimpleGraph:
         return cls(M.n, edges)
 
     def n_edges(self):
-        return sum(self.mult.values())
+        return len(self._i)
 
     def is_multigraph(self):
         return any(m > 1 for m in self.mult.values())
@@ -56,6 +83,41 @@ class SimpleGraph:
             d[j] += m
         return d
 
+    def _non_backtracking(self):
+        """(directed edges, B), built on first use.
+
+        Each edge copy gives the directed edges (i, j, copy) and (j, i, copy),
+        ordered by (tail, head, copy).  B[a, b] = 1 when b's tail is a's head
+        and b is not a's own copy reversed.
+        """
+        if self._nb is None:
+            e = np.arange(len(self._i))
+            eid = np.concatenate((e, e))
+            des = np.column_stack((np.concatenate((self._i, self._j)),
+                                   np.concatenate((self._j, self._i)),
+                                   np.concatenate((self._copy, self._copy))))
+            order = np.lexsort(des.T[::-1])
+            des, eid = des[order], eid[order]
+            B = ((des[:, 1, None] == des[None, :, 0])
+                 & (eid[:, None] != eid[None, :])).astype(float)
+            self._nb = (_frozen(des), _frozen(B))
+        return self._nb
+
+    def _pole_array(self):
+        """poles() as a read-only complex array, computed on first use."""
+        if self._poles is None:
+            B = self._non_backtracking()[1]
+            out = []
+            for lam in (np.linalg.eigvals(B) if len(B) else ()):
+                if abs(lam) < 1e-10:
+                    continue
+                p = 1.0 / lam
+                if not any(abs(p - q) < 1e-8 for q in out):
+                    out.append(complex(p))
+            out.sort(key=lambda z: (abs(z), z.real, z.imag))
+            self._poles = _frozen(np.array(out, dtype=complex))
+        return self._poles
+
 
 class DirectedEdgeSpace:
     """Ordered edge copies plus the non-backtracking matrix over them."""
@@ -65,46 +127,31 @@ class DirectedEdgeSpace:
         self.B = B
 
 
-def _directed_edge_matrix(g):
-    # one directed pair per edge copy, lexicographic by (tail, head, copy)
-    des = []
-    for (i, j), m in g.mult.items():
-        for copy in range(m):
-            des.append((i, j, copy))
-            des.append((j, i, copy))
-    des.sort()
-    idx = {e: k for k, e in enumerate(des)}
-    B = np.zeros((len(des), len(des)))
-    for (u, v, c1) in des:
-        for (x, y, c2) in des:
-            if x == v and not (y == u and c2 == c1 and
-                               (min(u, v), max(u, v)) == (min(x, y), max(x, y))):
-                B[idx[(u, v, c1)], idx[(x, y, c2)]] = 1
-    return DirectedEdgeSpace(des, B)
-
-
 def non_backtracking(g):
-    """Directed-edge non-backtracking operator of a simple graph."""
+    """Directed-edge non-backtracking operator of a simple graph.
+
+    B is the graph's cached read-only matrix; directed_edges is a fresh list
+    of (tail, head, copy) tuples.
+    """
     if g.is_multigraph():
         raise ValueError("multigraphs not supported by the public operator")
     if g.n_edges() > _EDGE_CAP:
         raise ValueError(f"edge count capped at {_EDGE_CAP}")
-    return _directed_edge_matrix(g)
+    des, B = g._non_backtracking()
+    return DirectedEdgeSpace(list(map(tuple, des.tolist())), B)
 
 
 def zeta_reciprocal(g, u):
     """det(I - uB): reciprocal of the cycle-product zeta function."""
     if g.n_edges() > _DET_CAP:
         raise ValueError(f"determinant path capped at {_DET_CAP} edges")
-    B = _directed_edge_matrix(g).B
+    B = g._non_backtracking()[1]
     return float(np.linalg.det(np.eye(len(B)) - u * B))
 
 
 def _edge_arrays(g):
     """Endpoint index arrays of g's edges, each repeated by its multiplicity."""
-    ij = np.array(list(g.mult), dtype=np.intp).reshape(-1, 2)
-    m = np.array(list(g.mult.values()), dtype=np.intp)
-    return np.repeat(ij[:, 0], m), np.repeat(ij[:, 1], m)
+    return g._i, g._j
 
 
 def _bass_sides(g, u):
@@ -141,67 +188,81 @@ def poles(g):
     """Reciprocals of the nonzero eigenvalues of B, deduplicated to 1e-8."""
     if g.n_edges() > _DET_CAP:
         raise ValueError(f"pole computation capped at {_DET_CAP} edges")
-    B = _directed_edge_matrix(g).B
-    if len(B) == 0:
-        return []
-    ev = np.linalg.eigvals(B)
-    out = []
-    for lam in ev:
-        if abs(lam) < 1e-10:
-            continue
-        p = 1.0 / lam
-        if not any(abs(p - q) < 1e-8 for q in out):
-            out.append(complex(p))
-    return sorted(out, key=lambda z: (abs(z), z.real, z.imag))
+    return [complex(p) for p in g._pole_array()]
 
 
-def det_crossing_check(g, J0=1.0, beta_grid=None, pole_tol=1e-4):
+def _refine_crossing(f, lo, hi, flo, fhi):
+    """(root, evaluations) of f on (lo, hi), where f(lo) and f(hi) differ in
+    sign: Illinois false position, with a bisection step whenever its point
+    is not strictly inside (lo, hi).  Like bisection, it stops once no new
+    point lies strictly inside, since no later step could move either end.
+    """
+    solves = 0
+    kept = 0  # the end a step left in place: -1 for lo, +1 for hi
+    while True:
+        x = hi - fhi * (hi - lo) / (fhi - flo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+            if not lo < x < hi:
+                return x, solves
+        fx = f(x)
+        solves += 1
+        if fx == 0:
+            return x, solves
+        if (fx < 0) == (flo < 0):
+            lo, flo = x, fx
+            if kept == 1:
+                fhi *= 0.5  # hi kept twice: halve it so the next point crosses
+            kept = 1
+        else:
+            hi, fhi = x, fx
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
+
+
+def det_crossing_check(g, J0=1.0):
     """Locate determinant sign changes of the coupled Bethe-Hessian and match
     each crossing's u = tanh(beta J0) against a zeta pole.
 
-    Returns {"crossings": [...], "no_crossing": bool}; a forest or a graph
-    whose determinant never changes sign on the grid yields a structured
-    no-crossing result rather than an error.
+    Sign changes are bracketed on the grid _BETA_GRID and refined by
+    _refine_crossing on f(beta) = sign * exp(logabsdet(beta) - logabsdet(lo)),
+    which is continuous, linear near a simple root, and cannot overflow where
+    det itself does (on graphs of about a hundred vertices).  Returns
+    {"crossings": [...], "no_crossing": bool}; each crossing records beta, u,
+    the matched pole within _POLE_TOL (or None) with its distance, and
+    ``solves``, the single-beta determinants its refinement took.  A forest
+    or a graph whose determinant never changes sign on the grid yields a
+    structured no-crossing result rather than an error.
     """
-    if beta_grid is None:
-        beta_grid = np.linspace(0.05, 6.0, 240)
-    beta_grid = np.asarray(beta_grid, dtype=float)
     i, j = _edge_arrays(g)
 
-    def det(betas):
-        # only the sign is used: det itself overflows a double on graphs of
-        # about a hundred vertices
+    def slogdet(betas):
         t = np.repeat(np.tanh(np.asarray(betas) * J0)[:, None], len(i), axis=1)
-        return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
+        return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))
 
-    dets = det(beta_grid).tolist()
+    signs, logdets = slogdet(_BETA_GRID)
     pole_list = poles(g)
     crossings = []
-    for k in range(len(beta_grid) - 1):
-        if dets[k] == 0 or dets[k] * dets[k + 1] > 0:
+    for k in range(len(_BETA_GRID) - 1):
+        if signs[k] == 0 or signs[k] * signs[k + 1] > 0:
             continue
-        lo, hi = beta_grid[k], beta_grid[k + 1]
-        flo = dets[k]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break  # lo and hi are adjacent floats: no later step moves them
-            fm = float(det([mid])[0])
-            if fm == 0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        beta_star = 0.5 * (lo + hi)
+        ref = logdets[k]
+
+        def f(beta):
+            sign, logdet = slogdet([beta])
+            return float(sign[0] * np.exp(logdet[0] - ref))
+
+        beta_star, solves = _refine_crossing(
+            f, float(_BETA_GRID[k]), float(_BETA_GRID[k + 1]), float(signs[k]),
+            float(signs[k + 1] * np.exp(logdets[k + 1] - ref)))
         u_star = float(np.tanh(beta_star * J0))
         dists = [abs(u_star - p) for p in pole_list]
-        if dists and min(dists) < pole_tol:
-            j = int(np.argmin(dists))
-            crossings.append({"beta": beta_star, "u": u_star,
-                              "pole": pole_list[j], "dist": float(dists[j])})
+        if dists and min(dists) < _POLE_TOL:
+            m = int(np.argmin(dists))
+            match = {"pole": pole_list[m], "dist": float(dists[m])}
         else:
-            crossings.append({"beta": beta_star, "u": u_star,
-                              "pole": None, "dist": None})
+            match = {"pole": None, "dist": None}
+        crossings.append({"beta": beta_star, "u": u_star, **match,
+                          "solves": solves})
     return {"crossings": crossings, "no_crossing": not crossings}

@@ -73,6 +73,17 @@ def test_ts_table_reports_per_file_errors(tmp_path, capsys):
     assert "error" in rows[0]
 
 
+def test_ts_table_error_row_names_the_file_and_line(tmp_path, capsys):
+    good = data_path("ts_4_2.txt")
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1 0 0\n1 1\n")
+    rc, out, _ = run_cli(capsys, "ts-table", good, str(ragged))
+    assert rc == 1
+    rows = json.loads(out)
+    assert rows[0]["label"] == "TS(4,2)"
+    assert rows[1]["error"] == f"{ragged}: line 2: 2 cells, expected 3"
+
+
 def test_beta_on_complete_graph_matrix(tmp_path, capsys):
     A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
     path = tmp_path / "k4.mtx"
@@ -126,6 +137,18 @@ def test_zeta_square_cycle(tmp_path, capsys):
                for re, im in info["poles"])
     assert all(r < 1e-9 for r in info["residuals"].values())
     assert info["no_crossing"] is True
+
+
+def test_zeta_reports_solves_per_crossing(tmp_path, capsys):
+    # K4 is 3-regular: det H changes sign at the Perron pole u = 1/2
+    A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+    path = tmp_path / "k4.mtx"
+    write_matrix_market(A, str(path))
+    rc, out, _ = run_cli(capsys, "zeta", str(path))
+    assert rc == 0
+    crossings = json.loads(out)["crossings"]
+    assert [c["u"] for c in crossings] == pytest.approx([0.5], abs=1e-12)
+    assert all(c["solves"] > 0 for c in crossings)
 
 
 def test_embed_classify_round_trip(tmp_path, capsys):

@@ -25,6 +25,25 @@ def test_from_text_and_label():
     assert load("ts_9_2.txt").label() == "TS(9,2)"
 
 
+def test_from_text_reads_both_formats_alike():
+    packed = TrappingSet.from_text("# packed\n10\n\n11\n")
+    spaced = TrappingSet.from_text("1 0\n1 1\n")
+    assert packed.H.tolist() == spaced.H.tolist() == [[1, 0], [1, 1]]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("10\n01 1\n", "line 2: space-separated row in a file of packed rows"),
+    ("1 0\n1 1 0\n", "line 2: 3 cells, expected 2"),
+    ("11\n\n1x1\n", "line 3: cell 'x' is not 0 or 1"),
+])
+def test_from_file_names_the_file_and_line(tmp_path, text, message):
+    path = tmp_path / "ts.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        TrappingSet.from_file(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_from_tanner_restriction():
     g = lift(METProtograph([[[0], [0]], [[0], [0]]], L=2))
     ts = TrappingSet.from_tanner(g, [0, 1])

@@ -1,17 +1,26 @@
 """Non-backtracking operator, determinant identities, and pole matching."""
 
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import nishigraph
 from nishigraph import (SimpleGraph, SparseSym, TrappingSet,
                         bass_identity_residual, bass_loose_form_residual,
                         det_crossing_check, enumerate_cycles, lift,
                         non_backtracking, poles, read_exponent_file,
                         zeta_reciprocal)
+from nishigraph.estimator import _bethe_hessian
+from nishigraph.zeta import _BETA_GRID, _edge_arrays
 
-from util import cycle_edges, det_crossings_by_loop, random_regular
+from util import (cycle_edges, det_crossings_by_loop,
+                  directed_edge_matrix_by_loop, random_regular)
 
 
 def complete_graph(n):
@@ -49,6 +58,32 @@ def test_non_backtracking_matrix_on_square_cycle():
     assert np.allclose(B.sum(axis=1), 1.0)
     # B permutes the two orientation classes separately: B^4 = I on C4
     assert np.allclose(np.linalg.matrix_power(B, 4), np.eye(8))
+
+
+@st.composite
+def multigraphs(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picked = draw(st.lists(st.sampled_from(pairs), max_size=12))
+    return SimpleGraph(n, [(i, j, draw(st.integers(1, 3))) for i, j in picked])
+
+
+@given(multigraphs())
+def test_cached_non_backtracking_matches_loop_oracle(g):
+    des, B = directed_edge_matrix_by_loop(g)
+    cached_des, cached_B = g._non_backtracking()
+    assert list(map(tuple, cached_des.tolist())) == des
+    assert cached_B.dtype == B.dtype and cached_B.tobytes() == B.tobytes()
+    first = poles(g)
+    assert poles(g) == first and poles(g) is not first
+    for a in (cached_des, cached_B, g._pole_array()) + _edge_arrays(g):
+        assert not a.flags.writeable
+    with pytest.raises(TypeError):
+        g.mult[(0, 1)] = 1
+    if not g.is_multigraph():
+        space = non_backtracking(g)
+        assert space.directed_edges == des
+        assert non_backtracking(g).B is space.B
 
 
 def test_non_backtracking_rejects_multigraph():
@@ -147,21 +182,52 @@ def test_det_crossing_check_on_a_large_regular_graph():
     assert crossing["pole"] == pytest.approx(0.5, abs=1e-9)
 
 
+def det_sign(g, beta):
+    i, j = _edge_arrays(g)
+    t = np.full(len(i), np.tanh(beta))
+    return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
+
+
 def test_det_crossing_check_matches_per_beta_loop_on_h2_sets():
     # Tanner subgraphs of h2 trapping sets, each induced on one cycle of
-    # length <= 8: the stacked grid and the bisection that stops once lo and
-    # hi are adjacent give exactly the crossings of one solve per beta
+    # length <= 8.  The secant refinement is checked against one solve per
+    # beta and 80 bisection steps: the same crossings in the same grid
+    # intervals, matched to the same poles, within 64 ulp of the bisection
+    # root, with det H changing sign across each reported beta, and at most
+    # 16 determinants per crossing on average (bisection takes about 47)
     g = lift(read_exponent_file(
         str(resources.files("nishigraph").joinpath("data", "h2.exp"))))
     var_sets = sorted({tuple(sorted(set(c.var_nodes(g))))
                        for c in enumerate_cycles(g, 8)})[::24]
-    found = 0
+    solves = []
     for var_set in var_sets:
         H = TrappingSet.from_tanner(g, var_set).H
         m, a = H.shape
         rows, cols = np.nonzero(H)
         sg = SimpleGraph(a + m, [(int(v), a + int(r)) for r, v in zip(rows, cols)])
         crossings = det_crossing_check(sg)["crossings"]
-        assert crossings == det_crossings_by_loop(sg)
-        found += len(crossings)
-    assert len(var_sets) == 36 and found > 0
+        oracle = det_crossings_by_loop(sg)
+        assert len(crossings) == len(oracle)
+        for c, o in zip(crossings, oracle):
+            assert (np.searchsorted(_BETA_GRID, c["beta"])
+                    == np.searchsorted(_BETA_GRID, o["beta"]))
+            assert c["pole"] == o["pole"] and c["pole"] is not None
+            assert abs(c["beta"] - o["beta"]) <= 64 * np.spacing(c["beta"])
+            assert (det_sign(sg, c["beta"] * (1 - 1e-13))
+                    * det_sign(sg, c["beta"] * (1 + 1e-13)) < 0)
+            solves.append(c["solves"])
+    assert len(var_sets) == 36 and solves
+    assert np.mean(solves) <= 16
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize costs 0.16-0.21 s on top of a ~0.6 s import, which is
+    # why the crossing refinement is written in zeta itself
+    src = os.path.dirname(os.path.dirname(nishigraph.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, nishigraph; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, check=True, env=env)
+    assert out.stdout.strip() == "False"

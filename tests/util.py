@@ -80,6 +80,26 @@ def lifted_score(proto, min_girth):
     return (gir, -n_short, min_ace_found), gir, min_ace_found
 
 
+def directed_edge_matrix_by_loop(g):
+    """(directed edges, B) of g by a Python double loop over edge copies:
+    one directed pair per copy, lexicographic by (tail, head, copy), and
+    B[a, b] = 1 where b leaves a's head without reversing a's own copy."""
+    des = []
+    for (i, j), m in g.mult.items():
+        for copy in range(m):
+            des.append((i, j, copy))
+            des.append((j, i, copy))
+    des.sort()
+    idx = {e: k for k, e in enumerate(des)}
+    B = np.zeros((len(des), len(des)))
+    for (u, v, c1) in des:
+        for (x, y, c2) in des:
+            if x == v and not (y == u and c2 == c1 and
+                               (min(u, v), max(u, v)) == (min(x, y), max(x, y))):
+                B[idx[(u, v, c1)], idx[(x, y, c2)]] = 1
+    return des, B
+
+
 def det_crossings_by_loop(g, J0=1.0):
     """det_crossing_check's crossing list, one determinant per beta: every
     grid point assembled on its own, then 80 bisection steps per sign change."""
