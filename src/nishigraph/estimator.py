@@ -92,9 +92,11 @@ def _bethe_hessian(n, i, j, t, dense=False):
     diag = (1 + np.bincount((at + i).ravel(), c, k * n)
             + np.bincount((at + j).ravel(), c, k * n))
     if dense:
-        H = np.bincount(((at + i) * n + j).ravel(), off.ravel(),
+        # both triangles in one scatter: (i, j) and (j, i) sum alike
+        key = np.concatenate(((at + i) * n + j, (at + j) * n + i), axis=1)
+        off = off.reshape(k, -1)
+        H = np.bincount(key.ravel(), np.concatenate((off, off), axis=1).ravel(),
                         k * n * n).reshape(k, n, n)
-        H += H.transpose(0, 2, 1)
         H.reshape(k, n * n)[:, ::n + 1] = diag.reshape(k, n)
         return H.reshape(t.shape[:-1] + (n, n))
     ar = np.arange(n)

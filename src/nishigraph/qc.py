@@ -94,16 +94,17 @@ class TannerGraph:
         return [sorted(a) for a in adj]
 
     def check_degrees(self):
-        d = [0] * self.n_checks
-        for c, _ in self.edges:
-            d[c] += 1
-        return d
+        return np.bincount(self._edge_array[:, 0], minlength=self.n_checks).tolist()
 
     def var_degrees(self):
-        d = [0] * self.n_vars
-        for _, v in self.edges:
-            d[v] += 1
-        return d
+        return np.bincount(self._edge_array[:, 1], minlength=self.n_vars).tolist()
+
+    @functools.cached_property
+    def _edge_array(self):
+        """edges as a read-only (|E|, 2) int array of (check, var) rows."""
+        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        e.flags.writeable = False
+        return e
 
     @functools.cached_property
     def _ace_tables(self):
@@ -232,16 +233,11 @@ def bipartite_adjacency(g):
     A = [[0, H^T], [H, 0]] with zero diagonal; D holds the row sums of A.
     """
     n = g.n_vertices()
-    ent = []
-    for c, v in g.edges:
-        gc = g.check_id(c)
-        ent.append((v, gc, 1.0))
-    A = SparseSym(n, ent)
-    deg = np.zeros(n)
-    for c, v in g.edges:
-        deg[v] += 1
-        deg[g.check_id(c)] += 1
-    D = SparseSym(n, [(i, i, deg[i]) for i in range(n) if deg[i] != 0])
+    var, check = g._edge_array[:, 1], g.check_id(g._edge_array[:, 0])
+    A = SparseSym(n, np.column_stack((var, check, np.ones(len(var)))))
+    deg = np.bincount(np.concatenate((var, check)), minlength=n)
+    nz = np.flatnonzero(deg)
+    D = SparseSym(n, np.column_stack((nz, nz, deg[nz])))
     return A, D
 
 

@@ -201,14 +201,17 @@ def rank_and_kernel(M, tol=None):
     """
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
-    if M.n == 0:
-        return (0, 0)
-    ev = np.array(eig_dense(M).eigenvalues)
-    if tol is None:
-        scale = float(np.max(np.abs(ev))) if len(ev) else 0.0
-        tol = 1e-8 * scale if scale > 0 else 1e-12
-    kernel = int(np.sum(np.abs(ev) < tol))
+    kernel = _kernel_dim(np.array(eig_dense(M).eigenvalues), tol)
     return (M.n - kernel, kernel)
+
+
+def _kernel_dim(ev, tol=None):
+    """Count of eigenvalues ev below tol in magnitude, by rank_and_kernel's
+    rule for tol=None (1e-12 when every eigenvalue is 0)."""
+    ev = np.abs(ev)
+    if tol is None:
+        tol = 1e-8 * ev.max() if len(ev) and ev.max() > 0 else 1e-12
+    return int(np.sum(ev < tol))
 
 
 def write_matrix_market(M, path):
@@ -225,17 +228,16 @@ def write_matrix_market(M, path):
 def read_matrix_market(path):
     """Read a symmetric Matrix Market coordinate file into a SparseSym.
 
-    A size or entry line that is missing, short or non-numeric raises
+    A bad header; a size or entry line that is missing, short or
+    non-numeric; a size that is not square, is negative or reaches 2**31;
+    and an entry out of range or repeating an earlier pair each raise
     ValueError naming the file and the 1-based line number.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].lower() if lines else ""
-    if "matrixmarket" not in header or "symmetric" not in header:
-        raise ValueError(f"{path}: not a symmetric MatrixMarket file")
-    k = 1
-    while k < len(lines) and lines[k].startswith("%"):
-        k += 1
+        lines = fh.read().split("\n")
+
+    def fail(k, message):
+        raise ValueError(f"{path}: line {k + 1}: {message}")
 
     def fields(k, types):
         line = lines[k] if k < len(lines) else ""
@@ -245,11 +247,26 @@ def read_matrix_market(path):
                 return [t(x) for t, x in zip(types, parts)]
             except ValueError:
                 pass
-        raise ValueError(f"{path}: line {k + 1}: expected {len(types)} "
-                         f"numbers, found {line or 'end of file'!r}")
+        fail(k, f"expected {len(types)} numbers, found {line or 'end of file'!r}")
 
-    nrow, ncol, nnz = fields(k, (int, int, int))
-    if nrow != ncol:
-        raise ValueError(f"{path}: non-square matrix")
-    entries = [fields(k + 1 + e, (int, int, float)) for e in range(nnz)]
-    return SparseSym(nrow, [(r - 1, c - 1, v) for r, c, v in entries])
+    header = lines[0].lower().split()
+    if header[:1] != ["%%matrixmarket"] or "symmetric" not in header:
+        fail(0, "not a symmetric MatrixMarket header")
+    k = 1
+    while k < len(lines) and lines[k].startswith("%"):
+        k += 1
+    n, ncol, nnz = fields(k, (int, int, int))
+    # SparseSym keys pair (i, j) as i * n + j in int64
+    if not (n == ncol and 0 <= n < 2 ** 31 and nnz >= 0):
+        fail(k, f"size {n} x {ncol} with {nnz} entries: need a square size "
+                "below 2**31 and nnz >= 0")
+    entries = {}
+    for k in range(k + 1, k + 1 + nnz):
+        r, c, v = fields(k, (int, int, float))
+        if not (1 <= r <= n and 1 <= c <= n):
+            fail(k, f"entry ({r},{c}) out of range for n={n}")
+        pair = (min(r, c), max(r, c))
+        if pair in entries:
+            fail(k, f"entry ({r},{c}) repeats line {entries[pair][0] + 1}")
+        entries[pair] = (k, r - 1, c - 1, v)
+    return SparseSym(n, [e[1:] for e in entries.values()])

@@ -5,14 +5,13 @@ matrix: adjacency H^T H with its diagonal zeroed, so off-diagonal entry (i, j)
 counts the checks shared by variables i and j.
 """
 
+import io
 import json
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .estimator import _bethe_hessian
-from .sparse import SparseSym, eig_dense, rank_and_kernel
+from .sparse import SparseSym, _kernel_dim, eig_dense
 
 _NEG_TOL = -1e-8
 
@@ -24,7 +23,7 @@ class TrappingSet:
         H = np.asarray(H, dtype=int)
         if H.ndim != 2 or H.size == 0:
             raise ValueError("nonempty 2-D incidence matrix required")
-        if not np.isin(H, (0, 1)).all():
+        if not ((H == 0) | (H == 1)).all():
             raise ValueError("incidence entries must be 0/1")
         self.H = H
         self.a = int(H.shape[1])
@@ -32,14 +31,14 @@ class TrappingSet:
 
     @classmethod
     def from_text(cls, text, source="<text>"):
-        """Rows of 0/1 cells, either packed ("0110") or space-separated
-        ("0 1 1 0"), one format for the whole text, chosen by its first row;
-        blank lines and "#" comments are skipped.  A row in the other format,
-        a row of another width or a cell other than 0/1 is a ValueError
-        naming source and the 1-based line."""
+        """Rows of 0/1 cells, packed ("0110") or space-separated ("0 1 1 0"),
+        one format per text, chosen by its first row; blank lines and "#"
+        comments are skipped, and lines end as in a text-mode file.  A row in
+        the other format, a row of another width or a cell other than 0/1 is
+        a ValueError naming source and the 1-based line."""
         rows = []
         spaced = None
-        for number, line in enumerate(text.splitlines(), 1):
+        for number, line in enumerate(io.StringIO(text, newline=None), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -70,17 +69,19 @@ class TrappingSet:
 
     @classmethod
     def from_tanner(cls, g, var_indices):
-        """Extract the trapping set induced by a variable subset of a Tanner graph."""
-        var_indices = sorted(set(var_indices))
-        col_of = {v: c for c, v in enumerate(var_indices)}
-        rows = {}
-        for c, v in g.edges:
-            if v in col_of:
-                rows.setdefault(c, set()).add(col_of[v])
-        H = np.zeros((len(rows), len(var_indices)), dtype=int)
-        for r, check in enumerate(sorted(rows)):
-            for c in rows[check]:
-                H[r, c] = 1
+        """The trapping set induced by a variable subset of a Tanner graph:
+        a row per check touching it and a column per variable, in order."""
+        cols = sorted(set(var_indices))
+        if cols and (cols[0] < 0 or cols[-1] >= g.n_vars):
+            raise ValueError(f"variable index out of range [0, {g.n_vars})")
+        col = np.full(g.n_vars, -1)
+        col[cols] = np.arange(len(cols))
+        check, var = g._edge_array.T
+        on = col[var] >= 0
+        live = np.zeros(g.n_checks, dtype=bool)
+        live[check[on]] = True
+        H = np.zeros((np.count_nonzero(live), len(cols)), dtype=int)
+        H[np.cumsum(live)[check[on]] - 1, col[var[on]]] = 1
         return cls(H)
 
     def label(self):
@@ -138,23 +139,18 @@ def betti(ts, tol=1e-8):
     betti0 is the Laplacian kernel dimension of the variable-node graph.  The
     second value is the rank-nullity expression n - rank(L) - betti0, exposed
     separately because it is identically zero.  cycle_rank is |E| - |V| + c
-    on the bipartite check/variable subgraph itself.
+    on the bipartite subgraph of the variables and the checks that touch
+    them.  A check joins only variables adjacent in the variable-node graph,
+    so c is that graph's component count, a - |spanning forest|, and
+    cycle_rank = |E| - (live checks) - |spanning forest|, counted exactly.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rank, kernel = rank_and_kernel(SparseSym.from_dense(_laplacian(ts)), tol)
-    betti0 = kernel
-    betti1_formula = ts.a - rank - betti0
-    # bipartite subgraph: variables plus the checks that actually touch them
-    live = ts.H[ts.H.any(axis=1)]
-    rows, cols = np.nonzero(live)
-    n_vertices = ts.a + live.shape[0]
-    n_edges = len(rows)
-    graph = sp.coo_matrix((np.ones(n_edges), (cols, ts.a + rows)),
-                          shape=(n_vertices, n_vertices))
-    comps, _ = connected_components(graph, directed=False)
-    cycle_rank = n_edges - n_vertices + comps
-    return betti0, betti1_formula, cycle_rank
+    betti0 = _kernel_dim(np.linalg.eigvalsh(_laplacian(ts)), tol)
+    rank = ts.a - betti0
+    cycle_rank = (np.count_nonzero(ts.H) - np.count_nonzero(ts.H.any(axis=1))
+                  - spanning_forest_incidence(ts).shape[1])
+    return betti0, ts.a - rank - betti0, int(cycle_rank)
 
 
 def negative_modes(ts, r=1.0):
@@ -216,8 +212,8 @@ def kasparov_k(S, T):
     D[:a, a + ms:] = T
     D[a:a + ms, :a] = S.T
     D[a + ms:, :a] = T.T
-    rank, kernel = rank_and_kernel(SparseSym.from_dense(D))
-    return kernel, rank % 2
+    kernel = _kernel_dim(np.linalg.eigvalsh(D))
+    return kernel, (n - kernel) % 2
 
 
 def spanning_forest_incidence(ts):

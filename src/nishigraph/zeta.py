@@ -77,11 +77,8 @@ class SimpleGraph:
         return any(m > 1 for m in self.mult.values())
 
     def degrees(self):
-        d = [0] * self.n
-        for (i, j), m in self.mult.items():
-            d[i] += m
-            d[j] += m
-        return d
+        return np.bincount(np.concatenate((self._i, self._j)),
+                           minlength=self.n).tolist()
 
     def _non_backtracking(self):
         """(directed edges, B), built on first use.
@@ -149,18 +146,12 @@ def zeta_reciprocal(g, u):
     return float(np.linalg.det(np.eye(len(B)) - u * B))
 
 
-def _edge_arrays(g):
-    """Endpoint index arrays of g's edges, each repeated by its multiplicity."""
-    return g._i, g._j
-
-
 def _bass_sides(g, u):
     """(det(I - uB), H(u), (1-u^2)^(|E|-|V|)), with H(u) the uniform-coupling
     Bethe-Hessian after the substitution u = tanh(beta J)."""
     if abs(abs(u) - 1.0) < 1e-12:
         raise ValueError("u = +-1 is outside the identity's domain")
-    i, j = _edge_arrays(g)
-    H = _bethe_hessian(g.n, i, j, np.full(len(i), float(u)), dense=True)
+    H = _bethe_hessian(g.n, g._i, g._j, np.full(len(g._i), float(u)), dense=True)
     return zeta_reciprocal(g, u), H, (1 - u * u) ** (g.n_edges() - g.n)
 
 
@@ -235,7 +226,7 @@ def det_crossing_check(g, J0=1.0):
     or a graph whose determinant never changes sign on the grid yields a
     structured no-crossing result rather than an error.
     """
-    i, j = _edge_arrays(g)
+    i, j = g._i, g._j
 
     def slogdet(betas):
         t = np.repeat(np.tanh(np.asarray(betas) * J0)[:, None], len(i), axis=1)
@@ -244,9 +235,7 @@ def det_crossing_check(g, J0=1.0):
     signs, logdets = slogdet(_BETA_GRID)
     pole_list = poles(g)
     crossings = []
-    for k in range(len(_BETA_GRID) - 1):
-        if signs[k] == 0 or signs[k] * signs[k + 1] > 0:
-            continue
+    for k in np.flatnonzero((signs[:-1] != 0) & (signs[:-1] * signs[1:] <= 0)):
         ref = logdets[k]
 
         def f(beta):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nishigraph import (CouplingGraph, EstimatorConfig, WeightedSystem,
                         auto_bracket, bethe_hessian_unweighted,
@@ -11,7 +13,8 @@ from nishigraph import (CouplingGraph, EstimatorConfig, WeightedSystem,
                         estimate_beta_N, lambda_min)
 from nishigraph.estimator import _bethe_hessian, _CountedEvaluator
 
-from util import cycle_edges, random_regular, unit_coupling_graph, unweighted_system
+from util import (cycle_edges, dense_bethe_hessian_by_transpose, random_regular,
+                  unit_coupling_graph, unweighted_system)
 
 
 def k4_system():
@@ -78,6 +81,28 @@ def test_stacked_dense_matrices_equal_one_at_a_time():
     t[3, 2] = 1.0
     with pytest.raises(ValueError, match=r"edge \(1,2\)"):
         _bethe_hessian(5, i, j, t, dense=True)
+
+
+@st.composite
+def upper_multigraph_couplings(draw):
+    """(n, i, j, t): repeated edges i < j and t of shape (), (3,) or (2, 2)
+    stacked on the edge axis."""
+    n = draw(st.integers(2, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ij = np.array(draw(st.lists(st.sampled_from(pairs), max_size=14)),
+                  dtype=np.intp).reshape(-1, 2)
+    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    size = math.prod(lead) * len(ij)
+    t = draw(st.lists(st.floats(-0.95, 0.95), min_size=size, max_size=size))
+    return n, ij[:, 0], ij[:, 1], np.array(t).reshape(lead + (len(ij),))
+
+
+@given(upper_multigraph_couplings())
+def test_dense_assembly_matches_transpose_add_oracle(case):
+    n, i, j, t = case
+    H = _bethe_hessian(n, i, j, t, dense=True)
+    assert H.shape == t.shape[:-1] + (n, n)
+    assert np.array_equal(H, dense_bethe_hessian_by_transpose(n, i, j, t))
 
 
 def test_weighted_matrix_rejects_saturated_coupling():

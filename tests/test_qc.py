@@ -13,7 +13,7 @@ from nishigraph import (METProtograph, TannerGraph, ace, bipartite_adjacency,
                         optimize_lift, parse_exponent_text, qc,
                         read_exponent_file, write_exponent_file)
 
-from util import lifted_score
+from util import bipartite_adjacency_by_loop, lifted_score
 
 H1_TEXT = "L=7\n1 2 4\n6 5 3\n"
 
@@ -266,6 +266,22 @@ def test_bipartite_adjacency_orders_variables_first():
     assert np.allclose(dense.sum(axis=1), D.diagonal())
     assert D.diagonal()[:21].tolist() == [2.0] * 21
     assert D.diagonal()[21:].tolist() == [3.0] * 14
+
+
+@given(st.integers(1, 5), st.integers(1, 6), st.data())
+def test_edge_array_and_adjacency_match_edge_loop_oracle(n_checks, n_vars, data):
+    # zero-degree checks and variables included; identical arrays means
+    # identical SparseSym insertion order too
+    pairs = [(c, v) for c in range(n_checks) for v in range(n_vars)]
+    g = TannerGraph(n_checks, n_vars, data.draw(st.lists(
+        st.sampled_from(pairs), unique=True)))
+    assert g._edge_array.tolist() == [list(e) for e in g.edges]
+    assert not g._edge_array.flags.writeable
+    for got, want in zip(bipartite_adjacency(g), bipartite_adjacency_by_loop(g)):
+        assert got.n == want.n
+        for name in ("rows", "cols", "vals"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+            assert getattr(got, name).dtype == getattr(want, name).dtype
 
 
 def test_bundled_exponent_files_parse(tmp_path):

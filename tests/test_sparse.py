@@ -1,9 +1,12 @@
 """Symmetric sparse container, eigensolvers, and matrix-market round trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nishigraph.sparse as sparse
 from nishigraph import (CouplingGraph, SparseSym, Spectrum,
@@ -221,3 +224,64 @@ def test_matrix_market_rejects_bad_header(tmp_path):
     path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n")
     with pytest.raises(ValueError):
         read_matrix_market(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    # the bad header, size or entry is named by its line
+    ("real general\n2 2 1\n", "line 1: not a symmetric MatrixMarket header"),
+    ("real skew-symmetric\n2 2 1\n1 2 1.0\n",
+     "line 1: not a symmetric MatrixMarket header"),
+    *((f"real symmetric\n{n} {m} {nnz}\n", f"line 2: size {n} x {m} with "
+       f"{nnz} entries: need a square size below 2**31 and nnz >= 0")
+      for n, m, nnz in ((2, 3, 0), (-1, -1, 0), (2, 2, -1),
+                        (2 ** 31, 2 ** 31, 0))),
+    ("real symmetric\n% c\n2 2 2\n1 1 1.0\n0 1 1.0\n",
+     "line 5: entry (0,1) out of range for n=2"),
+    ("real symmetric\n2 2 2\n1 2 1.0\n2 3 1.0\n",
+     "line 4: entry (2,3) out of range for n=2"),
+    ("real symmetric\n2 2 2\n1 2 1.0\n2 1 5.0\n",
+     "line 4: entry (2,1) repeats line 3"),
+    # a Unicode line separator inside a comment does not end the line
+    ("real symmetric\n% c\u2028 1 1 1\n1 1 0\n", None),
+])
+def test_matrix_market_names_the_line_of_a_bad_size_or_entry(tmp_path, text,
+                                                             message):
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate " + text, encoding="utf-8")
+    if message is None:
+        assert read_matrix_market(str(path)) == SparseSym(1, [])
+        return
+    with pytest.raises(ValueError) as err:
+        read_matrix_market(str(path))
+    assert str(err.value) == f"{path}: {message}"
+
+
+_MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"
+_MM_SMALL = st.integers(-1, 3).map(str)
+_MM_TOKEN = st.one_of(_MM_SMALL, st.integers().map(str), st.floats().map(repr),
+                      st.sampled_from(["x", "nan", "1e400", "%", "2.5"]))
+_MM_LINE = st.one_of(st.tuples(_MM_SMALL, _MM_SMALL, _MM_TOKEN).map(" ".join),
+                     st.lists(_MM_TOKEN, max_size=4).map(" ".join),
+                     st.just("% note"), st.text(max_size=6))
+_MM_SIZE = st.tuples(_MM_SMALL, st.integers(-1, 4).map(str)).map(
+    lambda nk: f"{nk[0]} {nk[0]} {nk[1]}")
+
+
+@given(st.sampled_from([_MM_HEADER, _MM_HEADER.lower(), "%%MatrixMarket",
+                        _MM_HEADER + " \x85 1 1 1", ""]),
+       st.lists(st.one_of(_MM_SIZE, _MM_LINE), max_size=2),
+       st.lists(_MM_LINE, max_size=5))
+def test_matrix_market_gives_a_matrix_or_names_the_line(tmp_path_factory,
+                                                        header, size, body):
+    path = tmp_path_factory.getbasetemp() / "fuzz.mtx"
+    path.write_text("\n".join([header] + size + body), encoding="utf-8")
+    # the file's lines as text mode reads them; line len + 1 is end of file
+    n_lines = len(path.read_text(encoding="utf-8").split("\n"))
+    try:
+        M = read_matrix_market(str(path))
+    except ValueError as exc:
+        number = re.fullmatch(rf"{re.escape(str(path))}: line (\d+): .+",
+                              str(exc), re.DOTALL)
+        assert number and 1 <= int(number[1]) <= n_lines + 1, str(exc)
+    else:
+        assert isinstance(M, SparseSym)

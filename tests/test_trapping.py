@@ -1,15 +1,21 @@
 """Induced-subgraph invariants: spectra, counting, genus, and index pairs."""
 
 import math
+import re
 from importlib import resources
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nishigraph import (METProtograph, TrappingSet, betti, continuous_genus,
                         dirac_spectrum, invariant_panel, kasparov_k, lift,
                         negative_modes, spanning_forest_incidence,
                         spectral_radius, variable_adjacency)
+
+from util import betti_by_components, kasparov_k_by_sparse, trapping_matrix_by_loop
 
 
 def load(name):
@@ -44,11 +50,58 @@ def test_from_file_names_the_file_and_line(tmp_path, text, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+_ROW_TEXT = st.text(st.sampled_from(list("01 \t#x\n\r\x0b\x0c\x85\u2028"))
+                    | st.characters(), max_size=40)
+
+
+@given(_ROW_TEXT)
+def test_from_text_gives_a_set_or_names_the_line(text):
+    # a row is a line (ended by "\n", "\r\n" or "\r", as in a file read in
+    # text mode) that is neither blank nor a comment
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rows = [k for k, line in enumerate(lines, 1)
+            if line.strip() and not line.strip().startswith("#")]
+    try:
+        ts = TrappingSet.from_text(text, "fuzz.txt")
+    except ValueError as exc:
+        message = str(exc)
+        if message == "fuzz.txt: no incidence rows":
+            assert not rows
+        else:
+            number = re.fullmatch(r"fuzz\.txt: line (\d+): .+", message,
+                                  re.DOTALL)
+            assert number and int(number[1]) in rows, message
+    else:
+        assert ts.H.shape[0] == len(rows)
+
+
+def test_from_text_counts_lines_at_newlines_only():
+    # a form feed or a Unicode line separator is inside a line, not a break
+    assert TrappingSet.from_text("1\x0c0\n0 1\n").H.tolist() == [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match=r"^<text>: line 2: 3 cells"):
+        TrappingSet.from_text("1 0\u2028\n1 1 0\n")
+
+
 def test_from_tanner_restriction():
     g = lift(METProtograph([[[0], [0]], [[0], [0]]], L=2))
     ts = TrappingSet.from_tanner(g, [0, 1])
     assert ts.a == 2
     assert ts.H.shape[1] == 2
+    with pytest.raises(ValueError, match=r"out of range \[0, 4\)"):
+        TrappingSet.from_tanner(g, [0, 4])
+    with pytest.raises(ValueError, match="out of range"):
+        TrappingSet.from_tanner(g, [-1, 2])
+
+
+_TANNER = lift(METProtograph([[[0], [1], [3]], [[2], [0], [5]]], L=7))
+
+
+@given(st.lists(st.integers(0, _TANNER.n_vars - 1), min_size=1, max_size=9))
+def test_from_tanner_matches_edge_loop_oracle(var_indices):
+    ts = TrappingSet.from_tanner(_TANNER, var_indices)
+    expected = trapping_matrix_by_loop(_TANNER, var_indices)
+    assert ts.H.dtype == expected.dtype
+    assert np.array_equal(ts.H, expected)
 
 
 def test_variable_adjacency_has_zero_diagonal():
@@ -133,3 +186,30 @@ def test_invariant_panel_second_report():
     assert d["r_crit"] == pytest.approx(2.986099139620455, abs=1e-9)
     assert d["neg_modes_r1"] == 1
     assert d["cycle_rank"] == 11
+
+
+@st.composite
+def incidence_matrices(draw):
+    """0/1 matrices, some with zero rows or columns, some block-diagonal
+    (so their variable graphs are disconnected)."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 3))):
+        m, a = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        cells = draw(st.lists(st.integers(0, 1), min_size=m * a, max_size=m * a))
+        blocks.append(np.array(cells).reshape(m, a))
+    return sla.block_diag(*blocks).astype(int)
+
+
+@given(incidence_matrices())
+def test_panel_matches_component_and_sparse_oracles(H):
+    ts = TrappingSet(H)
+    b = betti_by_components(ts)
+    assert betti(ts) == b
+    S, T = ts.H.T, spanning_forest_incidence(ts)
+    k0, k1 = kasparov_k_by_sparse(S, T)
+    assert kasparov_k(S, T) == (k0, k1)
+    rho, r_crit = spectral_radius(ts)
+    assert invariant_panel(ts).to_dict() == {
+        "rho": rho, "r_crit": r_crit, "neg_modes_r1": negative_modes(ts, 1.0),
+        "genus": continuous_genus(ts), "k0": k0, "k1": k1, "kervaire": k1,
+        "betti0": b[0], "betti1_mod2": b[1], "cycle_rank": b[2]}

@@ -17,7 +17,7 @@ from nishigraph import (SimpleGraph, SparseSym, TrappingSet,
                         non_backtracking, poles, read_exponent_file,
                         zeta_reciprocal)
 from nishigraph.estimator import _bethe_hessian
-from nishigraph.zeta import _BETA_GRID, _edge_arrays
+from nishigraph.zeta import _BETA_GRID
 
 from util import (cycle_edges, det_crossings_by_loop,
                   directed_edge_matrix_by_loop, random_regular)
@@ -76,7 +76,7 @@ def test_cached_non_backtracking_matches_loop_oracle(g):
     assert cached_B.dtype == B.dtype and cached_B.tobytes() == B.tobytes()
     first = poles(g)
     assert poles(g) == first and poles(g) is not first
-    for a in (cached_des, cached_B, g._pole_array()) + _edge_arrays(g):
+    for a in (cached_des, cached_B, g._pole_array(), g._i, g._j):
         assert not a.flags.writeable
     with pytest.raises(TypeError):
         g.mult[(0, 1)] = 1
@@ -183,7 +183,7 @@ def test_det_crossing_check_on_a_large_regular_graph():
 
 
 def det_sign(g, beta):
-    i, j = _edge_arrays(g)
+    i, j = g._i, g._j
     t = np.full(len(i), np.tanh(beta))
     return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
 

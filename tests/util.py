@@ -9,9 +9,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from nishigraph import (CouplingGraph, SparseSym, UnweightedSystem, ace,
-                        enumerate_cycles, girth, lift)
+                        enumerate_cycles, girth, lift, rank_and_kernel)
 from nishigraph.estimator import _bethe_hessian
-from nishigraph.zeta import _edge_arrays, poles
+from nishigraph.trapping import _laplacian
+from nishigraph.zeta import poles
 
 
 def random_regular(n, d, seed):
@@ -104,7 +105,7 @@ def det_crossings_by_loop(g, J0=1.0):
     """det_crossing_check's crossing list, one determinant per beta: every
     grid point assembled on its own, then 80 bisection steps per sign change."""
     beta_grid = np.linspace(0.05, 6.0, 240)
-    i, j = _edge_arrays(g)
+    i, j = g._i, g._j
 
     def det(beta):
         t = np.full(len(i), np.tanh(beta * J0))
@@ -165,3 +166,77 @@ def similarity_graph_by_loop(ft, gamma, p):
             if picked >= p_eff:
                 break
     return [(i, j, float(W[i, j])) for i, j in sorted(keep)]
+
+
+def dense_bethe_hessian_by_transpose(n, i, j, t):
+    """_bethe_hessian(n, i, j, t, dense=True) from one upper-triangle
+    scatter of the off-diagonal terms, then H += H^T, then the diagonal."""
+    t2 = t * t
+    q = 1 - t2
+    k = math.prod(t.shape[:-1])
+    at = np.arange(0, k * n, n)[:, None]
+    c = (t2 / q).ravel()
+    diag = (1 + np.bincount((at + i).ravel(), c, k * n)
+            + np.bincount((at + j).ravel(), c, k * n))
+    H = np.bincount(((at + i) * n + j).ravel(), (-t / q).ravel(),
+                    k * n * n).reshape(k, n, n)
+    H += H.transpose(0, 2, 1)
+    H.reshape(k, n * n)[:, ::n + 1] = diag.reshape(k, n)
+    return H.reshape(t.shape[:-1] + (n, n))
+
+
+def betti_by_components(ts, tol=1e-8):
+    """betti(ts, tol) with the Laplacian kernel from rank_and_kernel on a
+    SparseSym and the bipartite subgraph's components from
+    connected_components on its COO graph."""
+    rank, betti0 = rank_and_kernel(SparseSym.from_dense(_laplacian(ts)), tol)
+    live = ts.H[ts.H.any(axis=1)]
+    rows, cols = np.nonzero(live)
+    n_vertices = ts.a + live.shape[0]
+    graph = sp.coo_matrix((np.ones(len(rows)), (cols, ts.a + rows)),
+                          shape=(n_vertices, n_vertices))
+    comps = connected_components(graph, directed=False)[0]
+    return betti0, ts.a - rank - betti0, len(rows) - n_vertices + comps
+
+
+def kasparov_k_by_sparse(S, T):
+    """kasparov_k(S, T) with the block operator's rank and kernel from
+    rank_and_kernel on a SparseSym."""
+    S = np.atleast_2d(np.asarray(S, dtype=float))
+    T = np.atleast_2d(np.asarray(T, dtype=float))
+    a, ms = S.shape
+    D = np.zeros((a + ms + T.shape[1],) * 2)
+    D[:a, a:a + ms] = S
+    D[:a, a + ms:] = T
+    D[a:a + ms, :a] = S.T
+    D[a + ms:, :a] = T.T
+    rank, kernel = rank_and_kernel(SparseSym.from_dense(D))
+    return kernel, rank % 2
+
+
+def trapping_matrix_by_loop(g, var_indices):
+    """TrappingSet.from_tanner(g, var_indices).H by one pass over g.edges:
+    rows are the checks touching the subset, columns the sorted subset."""
+    var_indices = sorted(set(var_indices))
+    col_of = {v: c for c, v in enumerate(var_indices)}
+    rows = {}
+    for c, v in g.edges:
+        if v in col_of:
+            rows.setdefault(c, set()).add(col_of[v])
+    H = np.zeros((len(rows), len(var_indices)), dtype=int)
+    for r, check in enumerate(sorted(rows)):
+        for c in rows[check]:
+            H[r, c] = 1
+    return H
+
+
+def bipartite_adjacency_by_loop(g):
+    """bipartite_adjacency(g) from Python loops over g.edges."""
+    n = g.n_vertices()
+    A = SparseSym(n, [(v, g.check_id(c), 1.0) for c, v in g.edges])
+    deg = np.zeros(n)
+    for c, v in g.edges:
+        deg[v] += 1
+        deg[g.check_id(c)] += 1
+    D = SparseSym(n, [(i, i, deg[i]) for i in range(n) if deg[i] != 0])
+    return A, D
