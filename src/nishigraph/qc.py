@@ -7,11 +7,12 @@ check i in block-row r couples to variable (i + k) mod L in block-column c.
 """
 
 import functools
+import io
 import math
 
 import numpy as np
 
-from .sparse import SparseSym
+from .sparse import SparseSym, _read_text
 
 
 class METProtograph:
@@ -418,11 +419,13 @@ def parse_exponent_text(text):
 
     First non-comment line is `L=<int>`; each later line is one block-row of
     whitespace-separated cells, a cell being `-1` (zero block) or a
-    comma-separated shift list.
+    comma-separated shift list.  Lines end as in a text-mode file, and every
+    error is a ValueError naming the 1-based line.
     """
     L = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lineno = 0
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -431,6 +434,8 @@ def parse_exponent_text(text):
                 raise ValueError(f"line {lineno}: expected header 'L=<int>'")
             try:
                 L = int(line[2:])
+                if L < 1:
+                    raise ValueError
             except ValueError:
                 raise ValueError(f"line {lineno}: bad circulant size {line[2:]!r}") from None
             continue
@@ -448,19 +453,29 @@ def parse_exponent_text(text):
                 if not (0 <= k < L):
                     raise ValueError(
                         f"line {lineno}: cell {cellno} shift {k} outside [0,{L})")
+            if len(set(shifts)) < len(shifts):
+                k = next(k for i, k in enumerate(shifts) if k in shifts[:i])
+                raise ValueError(f"line {lineno}: cell {cellno} repeats shift {k}")
             row.append(shifts)
+        if rows and len(row) != len(rows[0]):
+            raise ValueError(f"line {lineno}: {len(row)} cells, expected {len(rows[0])}")
         rows.append(row)
+        last = lineno
     if L is None or not rows:
-        raise ValueError("missing header or block rows")
-    return METProtograph(rows, L)
+        expected = "header 'L=<int>'" if L is None else "a block row"
+        raise ValueError(f"line {lineno + 1}: expected {expected}, found end of file")
+    try:
+        return METProtograph(rows, L)
+    except ValueError as exc:
+        raise ValueError(f"line {last}: {exc}") from None
 
 
 def read_exponent_file(path):
-    with open(path) as fh:
-        try:
-            return parse_exponent_text(fh.read())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    text = _read_text(path)
+    try:
+        return parse_exponent_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_exponent_file(proto, path):

@@ -2,9 +2,11 @@
 
 Only the upper triangle is stored; symmetry is by construction.  Every
 bottom-of-spectrum solve goes through lambda_min or bottom_eigenpairs, which
-share one dense-or-shift-invert rule (_solves_dense); eig_dense is the
-full-spectrum oracle the shift-invert branch is tested against.
+share one dense-or-Lanczos rule (_solves_dense); eig_dense is the
+full-spectrum oracle the Lanczos branch is tested against.
 """
+
+import io
 
 import numpy as np
 import scipy.linalg as sla
@@ -13,13 +15,9 @@ import scipy.sparse.linalg as spla
 
 _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
-# Bottom-of-spectrum solves on up to _DENSE_SOLVE_N rows are dense, and so
-# are those on up to _DENSE_CAP rows with at least _DENSE_ROW_NNZ stored
-# entries per row (both triangles and the diagonal), where SuperLU's fill
-# costs more than a dense solve; SuperLU and ARPACK run otherwise
-# (crossover timings in README).
+# Bottom-of-spectrum solves on up to _DENSE_SOLVE_N rows are dense; ARPACK's
+# Lanczos runs above (crossover timings in README).
 _DENSE_SOLVE_N = 400
-_DENSE_ROW_NNZ = 10
 
 
 def _triples(entries):
@@ -129,13 +127,9 @@ class Spectrum:
 
 
 def _solves_dense(M, k):
-    """Whether the k lowest eigenpairs of M are solved densely: always for
-    n <= max(2k + 2, _DENSE_SOLVE_N), never above _DENSE_CAP, and in
-    between when M has at least _DENSE_ROW_NNZ stored entries per row."""
-    if M.n <= max(2 * k + 2, _DENSE_SOLVE_N):
-        return True
-    nnz = 2 * len(M.vals) - np.count_nonzero(M.rows == M.cols)
-    return bool(M.n <= _DENSE_CAP and nnz >= _DENSE_ROW_NNZ * M.n)
+    """Whether the k lowest eigenpairs of M are solved densely: exactly
+    when n <= max(2k + 2, _DENSE_SOLVE_N)."""
+    return M.n <= max(2 * k + 2, _DENSE_SOLVE_N)
 
 
 def lambda_min(M, tol=1e-10):
@@ -158,23 +152,21 @@ def bottom_eigenpairs(M, k, tol):
     """(eigenvalues, eigenvectors): the k smallest eigenpairs of a SparseSym,
     eigenvalues ascending.
 
-    Dense eigh when _solves_dense(M, k), else shift-invert Lanczos within
-    +-tol, shifted one unit below the Gershgorin lower bound so the k
-    targets are the eigenvalues nearest the shift, from a fixed (normalized
-    all-ones) starting vector for reproducibility.
+    Dense eigh when _solves_dense(M, k), else Lanczos for the smallest
+    algebraic eigenvalues within +-tol, from a fixed (normalized all-ones)
+    starting vector for reproducibility.  ARPACK's tol is relative to each
+    Ritz value, which the largest absolute row sum bounds, so it is passed
+    tol over that sum (at least 1).
     """
     if _solves_dense(M, k):
         vals, vecs = np.linalg.eigh(M.to_dense())
         return vals[:k], vecs[:, :k]
-    A = M.to_csr().tocsc()
-    # Gershgorin: min_i (a_ii - sum_{j != i} |a_ij|) bounds the spectrum below.
-    diag = A.diagonal()
-    absrow = np.abs(A).sum(axis=1).A1 - np.abs(diag)
-    sigma = float(np.min(diag - absrow)) - 1.0
+    A = M.to_csr()
+    scale = max(1.0, float(abs(A).sum(axis=1).max()))
     v0 = np.ones(M.n) / np.sqrt(M.n)
     try:
-        vals, vecs = spla.eigsh(A, k=k, sigma=sigma, which="LM", v0=v0,
-                                tol=tol, maxiter=_ARPACK_MAXITER)
+        vals, vecs = spla.eigsh(A, k=k, which="SA", v0=v0, tol=tol / scale,
+                                maxiter=_ARPACK_MAXITER)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(
             f"eigensolver failed to converge within {_ARPACK_MAXITER} iterations"
@@ -225,16 +217,32 @@ def write_matrix_market(M, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_matrix_market(path):
-    """Read a symmetric Matrix Market coordinate file into a SparseSym.
+def _read_text(path):
+    """A UTF-8 file's text with every line end made a newline, as a
+    text-mode file reads it; a byte that is not UTF-8 is a ValueError naming
+    the file and the byte's 1-based line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None).read()
+    except UnicodeDecodeError as exc:
+        head = io.StringIO(data[:exc.start].decode("utf-8"), newline=None)
+        line = head.read().count("\n") + 1
+        raise ValueError(f"{path}: line {line}: byte {data[exc.start]:#04x} "
+                         "is not UTF-8") from None
 
-    A bad header; a size or entry line that is missing, short or
-    non-numeric; a size that is not square, is negative or reaches 2**31;
-    and an entry out of range or repeating an earlier pair each raise
+
+def read_matrix_market(path):
+    """Read a symmetric Matrix Market coordinate file of real or integer
+    entries into a SparseSym.
+
+    A bad header (complex, pattern and array files included); a size or
+    entry line that is missing, short or non-numeric; a size that is not
+    square, is negative or reaches 2**31; an entry out of range or
+    repeating an earlier pair; and a byte that is not UTF-8 each raise
     ValueError naming the file and the 1-based line number.
     """
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path).split("\n")
 
     def fail(k, message):
         raise ValueError(f"{path}: line {k + 1}: {message}")
@@ -250,8 +258,12 @@ def read_matrix_market(path):
         fail(k, f"expected {len(types)} numbers, found {line or 'end of file'!r}")
 
     header = lines[0].lower().split()
-    if header[:1] != ["%%matrixmarket"] or "symmetric" not in header:
+    if header[:1] != ["%%matrixmarket"] or header[4:5] != ["symmetric"]:
         fail(0, "not a symmetric MatrixMarket header")
+    if header[1:4] not in (["matrix", "coordinate", "real"],
+                           ["matrix", "coordinate", "integer"]):
+        fail(0, f"found {' '.join(header[1:4])!r}; only coordinate real or "
+                "integer matrices are read")
     k = 1
     while k < len(lines) and lines[k].startswith("%"):
         k += 1

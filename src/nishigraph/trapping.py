@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from .estimator import _bethe_hessian
-from .sparse import SparseSym, _kernel_dim, eig_dense
+from .sparse import SparseSym, _kernel_dim, _read_text, eig_dense
 
 _NEG_TOL = -1e-8
 
@@ -64,8 +64,7 @@ class TrappingSet:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            return cls.from_text(fh.read(), path)
+        return cls.from_text(_read_text(path), path)
 
     @classmethod
     def from_tanner(cls, g, var_indices):

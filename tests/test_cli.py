@@ -125,6 +125,16 @@ def test_beta_on_truncated_matrix_is_a_clean_error(tmp_path, capsys):
     assert str(path) in err and "line 8" in err
 
 
+def test_zeta_on_a_byte_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "c.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
+                     b"% caf\xe9\n2 2 1\n2 1 1.0\n")
+    rc, out, err = run_cli(capsys, "zeta", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {path}: line 2: byte 0xe9 is not UTF-8\n"
+
+
 def test_zeta_square_cycle(tmp_path, capsys):
     A = SparseSym(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
     path = tmp_path / "c4.mtx"

@@ -1,6 +1,8 @@
 """Protograph lifting, girth/cycle machinery, and the exponent-file format."""
 
+import io
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -61,6 +63,60 @@ def test_parse_exponent_text_errors():
         parse_exponent_text("L=7\n1 9 3\n")         # shift outside [0, L)
     with pytest.raises(ValueError):
         parse_exponent_text("L=7\n")                # no block rows
+
+
+@pytest.mark.parametrize("text, message", [
+    # lines end as in a text-mode file: not at a form feed or U+2028
+    ("L=7\x0c\n1 x 3\n", "line 2: cell 1 is not a shift list: 'x'"),
+    ("L=7\n\u2028\n1 x 3\n", "line 3: cell 1 is not a shift list: 'x'"),
+    ("L=7\r1 2\r\n1 9\n", "line 3: cell 1 shift 9 outside [0,7)"),
+    ("# only a comment\n", "line 2: expected header 'L=<int>', found end of file"),
+    ("L=7\n\n", "line 3: expected a block row, found end of file"),
+    ("L=0\n1\n", "line 1: bad circulant size '0'"),
+    ("L=7\n1 2\n3\n", "line 3: 1 cells, expected 2"),
+    ("L=7\n1,3,1 2\n", "line 2: cell 0 repeats shift 1"),
+    ("L=7\n-1 -1\n# c\n-1 -1\n", "line 4: protograph has no nonzero cell"),
+])
+def test_parse_exponent_text_names_the_line(text, message):
+    with pytest.raises(ValueError) as err:
+        parse_exponent_text(text)
+    assert str(err.value) == message
+
+
+_EXP_TOKEN = st.one_of(st.sampled_from(["-1", "0", "1", "2,3", "3,3", "x", "",
+                                        "#", "L=", "L=4", "L=0", "\x0c",
+                                        "\u2028", "\r", "\x85"]),
+                       st.integers(-2, 6).map(str),
+                       st.text(max_size=4))
+_EXP_LINE = st.lists(_EXP_TOKEN, max_size=4).map(" ".join)
+
+
+@given(st.one_of(st.text(),
+                 st.lists(_EXP_LINE, max_size=6).map("\n".join),
+                 st.lists(_EXP_LINE, max_size=5).map(
+                     lambda lines: "\n".join(["L=4"] + lines))))
+def test_parse_exponent_text_gives_a_protograph_or_names_the_line(text):
+    # the text's lines as a text-mode file reads them; len + 1 is the end
+    n_lines = len(list(io.StringIO(text, newline=None)))
+    try:
+        p = parse_exponent_text(text)
+    except ValueError as exc:
+        number = re.fullmatch(r"line (\d+): .+", str(exc), re.DOTALL)
+        assert number and 1 <= int(number[1]) <= n_lines + 1, str(exc)
+    else:
+        assert isinstance(p, METProtograph)
+
+
+def test_read_exponent_file_names_the_file_and_line(tmp_path):
+    path = tmp_path / "code.exp"
+    path.write_bytes(b"L=7\n1 caf\xe9 3\n")
+    with pytest.raises(ValueError) as err:
+        read_exponent_file(str(path))
+    assert str(err.value) == f"{path}: line 2: byte 0xe9 is not UTF-8"
+    path.write_text("L=7\n1 2\n3\n")
+    with pytest.raises(ValueError) as err:
+        read_exponent_file(str(path))
+    assert str(err.value) == f"{path}: line 3: 1 cells, expected 2"
 
 
 def test_exponent_file_round_trip(tmp_path):

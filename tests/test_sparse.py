@@ -20,16 +20,19 @@ from util import cycle_edges, random_connected
 
 @pytest.fixture
 def eigsh_calls(monkeypatch):
-    """Counts the shift-invert (ARPACK) solves made while the test runs."""
-    calls = []
+    """Sizes of the Lanczos (ARPACK) solves made while the test runs; the
+    shift each passed is recorded too, and none may have passed one."""
+    calls, sigmas = [], []
     eigsh = sparse.spla.eigsh
 
     def counted(*args, **kwargs):
         calls.append(args[0].shape[0])
+        sigmas.append(kwargs.get("sigma"))
         return eigsh(*args, **kwargs)
 
     monkeypatch.setattr(sparse.spla, "eigsh", counted)
-    return calls
+    yield calls
+    assert sigmas == [None] * len(calls)
 
 
 def test_constructor_normalizes_triangle_and_rejects_duplicates():
@@ -72,9 +75,8 @@ def test_lambda_min_dense_path_matches_numpy():
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
 
 
-# n = 20, 40 and 400 take the dense branch; n = 401, 402 and 450, with at
-# most about 7 stored entries per row, the shift-invert branch, which
-# eigsh_calls confirms.
+# n = 20, 40 and 400 take the dense branch; n = 401, 402 and 450 the
+# Lanczos branch, which eigsh_calls confirms.
 @pytest.mark.parametrize("n", [20, 402])
 def test_lambda_min_iterative_path_on_even_cycle_adjacency(n, eigsh_calls):
     # adjacency spectrum of C_n is 2 cos(2 pi k / n); for even n the minimum
@@ -98,8 +100,8 @@ def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
 
 
 def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
-    # the k-pair shift-invert branch that spectral_embed takes above 400
-    # vertices, on a weighted Bethe-Hessian
+    # the k-pair Lanczos branch that spectral_embed takes above 400
+    # vertices, on a sparse weighted Bethe-Hessian
     rng = np.random.default_rng(5)
     n, k = 450, 4
     edges = random_connected(n, 8.0 / n, rng)
@@ -115,14 +117,33 @@ def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
     assert np.max(np.abs(vecs * signs - ref_vecs[:, :k])) < 1e-6
 
 
-def test_knn_bethe_hessian_above_400_rows_is_solved_densely(eigsh_calls):
-    # a p = 12 similarity graph stores about 15 entries per row, where
-    # SuperLU's fill costs more than a dense solve
+def _assert_bottom_matches_eigh(H, k, lam_tol, val_tol, vec_tol):
+    """lambda_min and the k bottom pairs of H against numpy's eigh; vectors
+    up to sign, so the k + 1 bottom eigenvalues must be distinct."""
+    ref_vals, ref_vecs = np.linalg.eigh(H.to_dense())
+    assert np.min(np.diff(ref_vals[:k + 1])) > 1e-3
+    assert lambda_min(H) == pytest.approx(ref_vals[0], abs=lam_tol)
+    vals, vecs = sparse.bottom_eigenpairs(H, k, 1e-9)
+    assert np.max(np.abs(vals - ref_vals[:k])) <= val_tol
+    signs = np.sign(np.sum(vecs * ref_vecs[:, :k], axis=0))
+    assert np.max(np.abs(vecs * signs - ref_vecs[:, :k])) <= vec_tol
+
+
+def test_knn_bethe_hessian_above_400_rows_matches_eigh_by_lanczos(eigsh_calls):
+    # a p = 12 similarity graph stores about 15 entries per row; above 400
+    # rows it is solved by Lanczos whatever its density
     ft = synthetic_features(10, 45, 64, 6.0, seed=3)
     H = bethe_hessian_weighted(similarity_graph(ft, 2.0, 12), 0.3)
     assert H.n == 450 and H.to_csr().nnz >= 10 * H.n
-    A = H.to_dense()
-    ref_vals, ref_vecs = np.linalg.eigh(A)
+    _assert_bottom_matches_eigh(H, 4, 1e-10, 1e-8, 1e-6)
+    assert eigsh_calls == [450, 450]
+
+
+def test_knn_bethe_hessian_at_400_rows_is_bit_equal_to_eigh(eigsh_calls):
+    ft = synthetic_features(10, 40, 64, 6.0, seed=3)
+    H = bethe_hessian_weighted(similarity_graph(ft, 2.0, 12), 0.3)
+    assert H.n == 400
+    ref_vals, ref_vecs = np.linalg.eigh(H.to_dense())
     assert lambda_min(H) == pytest.approx(ref_vals[0], abs=1e-10)
     vals, vecs = sparse.bottom_eigenpairs(H, 4, 1e-9)
     assert np.array_equal(vals, ref_vals[:4])
@@ -130,15 +151,31 @@ def test_knn_bethe_hessian_above_400_rows_is_solved_densely(eigsh_calls):
     assert eigsh_calls == []
 
 
+def test_pm_j_bethe_hessian_above_400_rows_matches_eigh(eigsh_calls):
+    # with negative couplings H is no Z-matrix, so the all-ones start
+    # vector is no approximate Perron vector
+    rng = np.random.default_rng(7)
+    n = 460
+    edges = random_connected(n, 6.0 / n, rng)
+    signs = rng.choice([-1.0, 1.0], size=len(edges), p=[0.3, 0.7])
+    J = CouplingGraph(n, [(i, j, s * rng.uniform(0.2, 1.0))
+                          for (i, j), s in zip(edges, signs)])
+    assert np.any(J.couplings < 0)
+    H = bethe_hessian_weighted(J, 0.8)
+    _assert_bottom_matches_eigh(H, 4, 1e-10, 1e-8, 1e-6)
+    assert eigsh_calls == [n, n]
+
+
 @pytest.mark.parametrize("n, bands, diagonal, k, dense", [
     (400, 1, False, 1, True), (401, 1, False, 1, False),
-    (401, 5, False, 1, True), (401, 4, True, 1, False),
-    (2000, 5, False, 1, True), (2001, 5, True, 1, False),
+    (401, 5, False, 1, False), (401, 4, True, 1, False),
+    (2000, 5, False, 1, False), (2001, 5, True, 1, False),
     (402, 1, False, 200, True), (403, 1, False, 200, False)])
 def test_dense_rule_reads_rows_and_stored_entries_per_row(n, bands, diagonal,
                                                           k, dense):
-    # stored entries per row count both triangles and the diagonal, as a
-    # CSR matrix holds them: 2 per off-diagonal band, 1 for the diagonal
+    # the rule reads rows only: from 3 to 11 stored entries per row (both
+    # triangles and the diagonal, as a CSR matrix holds them: 2 per
+    # off-diagonal band, 1 for the diagonal) leave it where n puts it
     ar = np.arange(n)
     entries = [np.column_stack((ar, (ar + s) % n, np.ones(n)))
                for s in range(1, bands + 1)]
@@ -231,6 +268,8 @@ def test_matrix_market_rejects_bad_header(tmp_path):
     ("real general\n2 2 1\n", "line 1: not a symmetric MatrixMarket header"),
     ("real skew-symmetric\n2 2 1\n1 2 1.0\n",
      "line 1: not a symmetric MatrixMarket header"),
+    ("real general symmetric\n2 2 1\n1 2 1.0\n",
+     "line 1: not a symmetric MatrixMarket header"),
     *((f"real symmetric\n{n} {m} {nnz}\n", f"line 2: size {n} x {m} with "
        f"{nnz} entries: need a square size below 2**31 and nnz >= 0")
       for n, m, nnz in ((2, 3, 0), (-1, -1, 0), (2, 2, -1),
@@ -254,6 +293,34 @@ def test_matrix_market_names_the_line_of_a_bad_size_or_entry(tmp_path, text,
     with pytest.raises(ValueError) as err:
         read_matrix_market(str(path))
     assert str(err.value) == f"{path}: {message}"
+
+
+@pytest.mark.parametrize("header, kind", [
+    ("matrix coordinate complex symmetric", "matrix coordinate complex"),
+    ("matrix coordinate pattern symmetric", "matrix coordinate pattern"),
+    ("matrix array real symmetric", "matrix array real")])
+def test_matrix_market_reads_only_coordinate_real_or_integer(tmp_path, header,
+                                                             kind):
+    # a complex file's entry lines hold the real part first, so reading
+    # them as real would drop the imaginary parts without a word
+    path = tmp_path / "m.mtx"
+    path.write_text(f"%%MatrixMarket {header}\n2 2 1\n1 1 1.0 2.0\n")
+    with pytest.raises(ValueError) as err:
+        read_matrix_market(str(path))
+    assert str(err.value) == (f"{path}: line 1: found {kind!r}; only "
+                              "coordinate real or integer matrices are read")
+    path.write_text("%%MatrixMarket matrix coordinate integer symmetric\n"
+                    "2 2 1\n2 1 3\n")
+    assert read_matrix_market(str(path)) == SparseSym(2, [(0, 1, 3.0)])
+
+
+def test_matrix_market_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\r\n"
+                     b"% caf\xe9\n1 1 1\n1 1 2.0\n")
+    with pytest.raises(ValueError) as err:
+        read_matrix_market(str(path))
+    assert str(err.value) == f"{path}: line 2: byte 0xe9 is not UTF-8"
 
 
 _MM_HEADER = "%%MatrixMarket matrix coordinate real symmetric"

@@ -50,6 +50,14 @@ def test_from_file_names_the_file_and_line(tmp_path, text, message):
     assert str(err.value) == f"{path}: {message}"
 
 
+def test_from_file_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    path = tmp_path / "ts.txt"
+    path.write_bytes(b"# caf\xc3\xa9\r\n10\r\n0\xe9\n")
+    with pytest.raises(ValueError) as err:
+        TrappingSet.from_file(str(path))
+    assert str(err.value) == f"{path}: line 3: byte 0xe9 is not UTF-8"
+
+
 _ROW_TEXT = st.text(st.sampled_from(list("01 \t#x\n\r\x0b\x0c\x85\u2028"))
                     | st.characters(), max_size=40)
 
