@@ -9,6 +9,13 @@ import json
 
 import numpy as np
 
+# epochs, step sizes and weight decay of the fixed-epoch gradient descents
+_EPOCHS = 300
+_LR = 0.5
+_WEIGHT_DECAY = 1e-4
+_ARBITER_EPOCHS = 400
+_ARBITER_LR = 0.3
+
 
 def _softmax(Z):
     Z = Z - Z.max(axis=1, keepdims=True)
@@ -41,7 +48,7 @@ class LinearModel:
         return cls(W, np.array(obj["b"], dtype=float), obj["classes"])
 
 
-def train_linear(X, y, seed=0, epochs=300, lr=0.5, weight_decay=1e-4):
+def train_linear(X, y, seed=0):
     """Softmax regression by full-batch gradient descent; deterministic per seed."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -56,11 +63,11 @@ def train_linear(X, y, seed=0, epochs=300, lr=0.5, weight_decay=1e-4):
     W = 0.01 * rng.standard_normal((d, K))
     b = np.zeros(K)
     Y = np.eye(K)[yk]
-    for _ in range(epochs):
+    for _ in range(_EPOCHS):
         P = _softmax(X @ W + b)
         G = (P - Y) / n
-        W -= lr * (X.T @ G + weight_decay * W)
-        b -= lr * G.sum(axis=0)
+        W -= _LR * (X.T @ G + _WEIGHT_DECAY * W)
+        b -= _LR * G.sum(axis=0)
     return LinearModel(W, b, classes)
 
 
@@ -71,8 +78,8 @@ def predict(model, X):
 
 
 def predict_labels(model, X):
-    P = predict(model, X)
-    return np.array([model.classes[k] for k in P.argmax(axis=1)])
+    """The most probable of model.classes for each input row."""
+    return np.array(model.classes)[predict(model, X).argmax(axis=1)]
 
 
 class PairwiseArbiter:
@@ -97,7 +104,7 @@ class PairwiseArbiter:
         return key[1] if score > 0 else key[0]
 
 
-def arbiter_train(X, y, pairs, seed=0, epochs=400, lr=0.3):
+def arbiter_train(X, y, pairs, seed=0):
     """Train one binary MLP per pair; errors name the pair when data is short."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
@@ -117,7 +124,7 @@ def arbiter_train(X, y, pairs, seed=0, epochs=400, lr=0.3):
         w2 = rng.standard_normal(hidden) / np.sqrt(hidden)
         b2 = 0.0
         n = len(tp)
-        for _ in range(epochs):
+        for _ in range(_ARBITER_EPOCHS):
             H = np.tanh(Xp @ W1 + b1)
             s = H @ w2 + b2
             # logistic loss on the +-1 target
@@ -125,10 +132,10 @@ def arbiter_train(X, y, pairs, seed=0, epochs=400, lr=0.3):
             gw2 = H.T @ grad_s
             gb2 = grad_s.sum()
             gH = np.outer(grad_s, w2) * (1 - H * H)
-            W1 -= lr * (Xp.T @ gH)
-            b1 -= lr * gH.sum(axis=0)
-            w2 -= lr * gw2
-            b2 -= lr * gb2
+            W1 -= _ARBITER_LR * (Xp.T @ gH)
+            b1 -= _ARBITER_LR * gH.sum(axis=0)
+            w2 -= _ARBITER_LR * gw2
+            b2 -= _ARBITER_LR * gb2
         models[(a, b)] = (W1, b1, w2, b2)
     return PairwiseArbiter(models)
 

@@ -14,13 +14,13 @@ import sys
 import numpy as np
 
 from . import qc, trapping, zeta as zeta_mod
-from .classify import (EnsembleConfig, accuracy, ensemble_decide,
-                       per_class_metrics, predict, train_linear)
+from .classify import accuracy, per_class_metrics, predict_labels, train_linear
 from .embed import Embedding, FeatureTable, similarity_graph, spectral_embed, \
     synthetic_features
 from .estimator import (EstimatorConfig, UnweightedSystem, WeightedSystem,
                         auto_bracket, bisection_baseline, estimate_beta_N)
-from .pipeline import confusion_to_csv, metrics_table, run_pipeline
+from .pipeline import (confusion_to_csv, evaluate_ensemble, metrics_table,
+                       run_pipeline, stratified_split)
 from .rbim import CouplingGraph
 from .sparse import SparseSym, read_matrix_market, write_matrix_market
 
@@ -153,13 +153,11 @@ def _load_system(args):
     M = read_matrix_market(args.file)
     if args.weighted:
         return WeightedSystem(CouplingGraph.from_sparse(M)), M
-    degs = {}
-    for i, j, v in M.entries:
-        if i == j:
-            continue
-        degs[i] = degs.get(i, 0) + abs(v)
-        degs[j] = degs.get(j, 0) + abs(v)
-    D = SparseSym(M.n, [(i, i, d) for i, d in sorted(degs.items())])
+    off = M.rows != M.cols
+    ends = np.column_stack((M.rows[off], M.cols[off])).ravel()
+    deg = np.bincount(ends, np.repeat(np.abs(M.vals[off]), 2), M.n)
+    nz = np.unique(ends)
+    D = SparseSym(M.n, np.column_stack((nz, nz, deg[nz])))
     return UnweightedSystem(M, D), M
 
 
@@ -238,11 +236,9 @@ def _read_labels(path):
 def cmd_classify(args):
     emb = Embedding.from_csv(args.embedding)
     labels = _read_labels(args.labels)
-    from .pipeline import stratified_split
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
     model = train_linear(emb.coords[train_idx], labels[train_idx], seed=args.seed)
-    P = predict(model, emb.coords)
-    pred = np.array([model.classes[k] for k in P.argmax(axis=1)])
+    pred = predict_labels(model, emb.coords)
     classes = sorted(set(int(x) for x in labels))
     _emit({
         "train_accuracy": accuracy(labels[train_idx], pred[train_idx]),
@@ -256,27 +252,13 @@ def cmd_classify(args):
 
 
 def cmd_ensemble(args):
-    embs = [Embedding.from_csv(p) for p in args.embeddings]
+    coords = [Embedding.from_csv(p).coords for p in args.embeddings]
     labels = _read_labels(args.labels)
-    from .pipeline import stratified_split
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
-    classes = sorted(set(int(x) for x in labels))
-    posteriors = []
-    for k, emb in enumerate(embs):
-        model = train_linear(emb.coords[train_idx], labels[train_idx],
-                             seed=args.seed + k)
-        posteriors.append(predict(model, emb.coords))
-    cfg = EnsembleConfig(mode=args.mode, margin_threshold=args.threshold)
-    decisions = np.array([classes[ensemble_decide([P[i] for P in posteriors], cfg)]
-                          for i in test_idx])
-    per_graph = [accuracy(labels[test_idx],
-                          np.array([classes[int(np.argmax(P[i]))] for i in test_idx]))
-                 for P in posteriors]
-    _emit({
-        "per_graph_accuracy": per_graph,
-        "ensemble_accuracy": accuracy(labels[test_idx], decisions),
-        "mode": args.mode,
-    })
+    metrics, _ = evaluate_ensemble(coords, labels, train_idx, test_idx,
+                                   args.seed, args.mode, args.threshold, False)
+    _emit({k: metrics[k] for k in ("per_graph_accuracy", "ensemble_accuracy",
+                                   "mode")})
     return 0
 
 

@@ -145,8 +145,7 @@ class WeightedSystem:
         self.n = J.n
 
     def matrix(self, beta):
-        J = self.J
-        return _bethe_hessian(self.n, J.i, J.j, np.tanh(beta * J.couplings))
+        return bethe_hessian_weighted(self.J, beta)
 
 
 class _CountedEvaluator:

@@ -13,6 +13,9 @@ import numpy as np
 
 _RYSER_CAP = 20
 _BETHE_CAP = 12
+# bethe_permanent's message-passing rounds and convex damping weight
+_BETHE_ITERS = 3000
+_BETHE_DAMPING = 0.5
 
 
 def _to_rows(M):
@@ -133,7 +136,7 @@ def dmin_upper_bound(weight_matrix, v):
     return best
 
 
-def bethe_permanent(M, iters=3000, damping=0.5):
+def bethe_permanent(M):
     """Bethe-free-energy permanent approximation by damped message passing.
 
     Returns (value, converged).  Zero entries are allowed provided every row
@@ -158,16 +161,16 @@ def bethe_permanent(M, iters=3000, damping=0.5):
     gamma_old = np.where(support, 1.0 / m, 0.0)
     converged = False
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for _ in range(iters):
+        for _ in range(_BETHE_ITERS):
             # alternating row/column message updates with convex damping
             denom_a = (M * b).sum(axis=1, keepdims=True) - M * b
             new_a = np.where(support, np.where(denom_a > 0, 1.0 / np.maximum(denom_a, 1e-300), np.inf), 0.0)
             a = np.where(np.isinf(new_a) | np.isinf(a), new_a,
-                         damping * a + (1 - damping) * new_a)
+                         _BETHE_DAMPING * a + (1 - _BETHE_DAMPING) * new_a)
             denom_b = (M * a).sum(axis=0, keepdims=True) - M * a
             new_b = np.where(support, np.where(denom_b > 0, 1.0 / np.maximum(denom_b, 1e-300), np.inf), 0.0)
             b = np.where(np.isinf(new_b) | np.isinf(b), new_b,
-                         damping * b + (1 - damping) * new_b)
+                         _BETHE_DAMPING * b + (1 - _BETHE_DAMPING) * new_b)
             mab = M * a * b
             gamma = np.where(support, 1.0 / (1.0 + 1.0 / np.where(mab > 0, mab, 1e-300)), 0.0)
             gamma[np.isinf(mab)] = 1.0

@@ -48,80 +48,77 @@ def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
                  mode="majority", margin_threshold=0.0, use_arbiter=False):
     """Full embed/classify/ensemble run on a labeled feature table.
 
-    Returns a dict with per-graph and ensemble test metrics, the confusion
-    matrix, embeddings, and the fitted models.
+    Returns (result, embeddings, models): evaluate_ensemble's metrics with
+    each embedding's beta_N added, the embeddings, and the fitted models.
     """
     if ft.labels is None:
         raise ValueError("labeled features required")
     train_idx, test_idx = stratified_split(ft.labels, test_fraction, seed)
-    y = np.asarray(ft.labels)
-    classes = ft.classes()
     embeddings = []
-    models = []
-    posteriors = []
-    beta_list = []
     for g_id, gcfg in enumerate(graphs):
         Xg = _restrict_features(ft, train_idx, gcfg.get("s_frac", 1.0))
-        sub = FeatureTable(Xg, ft.labels)
-        J = similarity_graph(sub, gcfg["gamma"], gcfg["p"])
-        emb = spectral_embed(J, r, graph_id=f"graph{g_id}")
-        model = train_linear(emb.coords[train_idx], y[train_idx], seed=seed + g_id)
-        P = predict(model, emb.coords)
-        embeddings.append(emb)
-        models.append(model)
-        posteriors.append(P)
-        beta_list.append(emb.beta_N_used)
+        J = similarity_graph(FeatureTable(Xg, ft.labels), gcfg["gamma"], gcfg["p"])
+        embeddings.append(spectral_embed(J, r, graph_id=f"graph{g_id}"))
+    result, models = evaluate_ensemble(
+        [e.coords for e in embeddings], ft.labels, train_idx, test_idx, seed,
+        mode, margin_threshold, use_arbiter)
+    result["beta_N"] = [float(e.beta_N_used) for e in embeddings]
+    return result, embeddings, models
 
-    arbiter_obj = None
+
+def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
+                      margin_threshold, use_arbiter):
+    """(metrics, models): a linear model per embedding (seed + k for the
+    k-th), with an arbiter for the three class pairs most confused in
+    training when use_arbiter, and the ensemble's test metrics.  Posterior
+    column k is models[0].classes[k]; a class absent from the training rows
+    has none."""
+    y = np.asarray(labels)
+    classes = sorted(set(int(c) for c in y))
+    models = [train_linear(X[train_idx], y[train_idx], seed=seed + k)
+              for k, X in enumerate(coords)]
+    posteriors = [predict(m, X) for m, X in zip(models, coords)]
+    seen = models[0].classes
+    votes = [np.array(seen)[P.argmax(axis=1)] for P in posteriors]
+    concat = np.hstack(coords)
+    arbiter = None
     if use_arbiter:
-        concat = np.hstack([e.coords for e in embeddings])
-        votes_train = np.stack([np.array([m.classes[k] for k in P[train_idx].argmax(axis=1)])
-                                for m, P in zip(models, posteriors)])
-        conf = confusion_matrix(
-            np.tile(y[train_idx], 3), votes_train.ravel(), classes)
+        conf = confusion_matrix(np.tile(y[train_idx], len(coords)),
+                                np.concatenate([v[train_idx] for v in votes]), seen)
         np.fill_diagonal(conf, 0)
-        flat = [(conf[i, j] + conf[j, i], classes[i], classes[j])
-                for i in range(len(classes)) for j in range(i + 1, len(classes))]
-        flat.sort(reverse=True)
+        flat = sorted(((conf[a, b] + conf[b, a], seen[a], seen[b])
+                       for a in range(len(seen)) for b in range(a + 1, len(seen))),
+                      reverse=True)
         pairs = [(a, b) for cnt, a, b in flat[:3] if cnt > 0]
         if pairs:
             try:
-                arbiter_obj = arbiter_train(concat[train_idx], y[train_idx], pairs,
-                                            seed=seed)
+                arbiter = arbiter_train(concat[train_idx], y[train_idx], pairs,
+                                        seed=seed)
             except ValueError:
-                arbiter_obj = None
+                arbiter = None
 
-    def decide_row(k):
+    def decide(k):
         arb = None
-        if arbiter_obj is not None:
-            concat_row = np.hstack([e.coords[k] for e in embeddings])
-
-            def arb(a, b, row=concat_row):
-                winner = arbiter_obj.decide(row, classes[a], classes[b])
-                return classes.index(winner)
+        if arbiter is not None:
+            def arb(a, b):
+                return seen.index(arbiter.decide(concat[k], seen[a], seen[b]))
         cfg = EnsembleConfig(mode=mode, margin_threshold=margin_threshold,
                              arbiter=arb)
-        kidx = ensemble_decide([P[k] for P in posteriors], cfg)
-        return classes[kidx]
+        return seen[ensemble_decide([P[k] for P in posteriors], cfg)]
 
-    y_ens = np.array([decide_row(k) for k in test_idx])
+    y_ens = np.array([decide(k) for k in test_idx])
     y_true = y[test_idx]
-    per_graph_acc = []
-    for m, P in zip(models, posteriors):
-        pred = np.array([m.classes[k] for k in P[test_idx].argmax(axis=1)])
-        per_graph_acc.append(accuracy(y_true, pred))
-    result = {
+    metrics = {
         "classes": classes,
         "n_train": int(len(train_idx)),
         "n_test": int(len(test_idx)),
-        "beta_N": [float(b) for b in beta_list],
-        "per_graph_accuracy": [float(a) for a in per_graph_acc],
+        "per_graph_accuracy": [accuracy(y_true, v[test_idx]) for v in votes],
         "ensemble_accuracy": accuracy(y_true, y_ens),
         "per_class": per_class_metrics(y_true, y_ens, classes),
         "confusion": confusion_matrix(y_true, y_ens, classes).tolist(),
         "mode": mode,
     }
-    return result, embeddings, models
+    return metrics, models
 
 
 def confusion_to_csv(confusion, classes, path):

@@ -62,22 +62,34 @@ class METProtograph:
 
 
 class TannerGraph:
-    """Bipartite check/variable graph; edges are (check, var) index pairs."""
+    """Bipartite check/variable graph; its distinct (check, var) edges are
+    stored once, as the sorted, read-only (|E|, 2) int array _edge_array."""
 
     def __init__(self, n_checks, n_vars, edges, family_tag="generic"):
         if family_tag not in ("spherical", "toroidal", "generic"):
             raise ValueError(f"unknown family tag {family_tag!r}")
-        seen = set()
-        for c, v in edges:
-            if not (0 <= c < n_checks and 0 <= v < n_vars):
-                raise ValueError(f"edge ({c},{v}) out of range")
-            if (c, v) in seen:
-                raise ValueError(f"duplicate edge ({c},{v})")
-            seen.add((c, v))
+        e = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
+        c, v = e.T
+        bad = np.flatnonzero((c < 0) | (c >= n_checks) | (v < 0) | (v >= n_vars))
+        if bad.size:
+            raise ValueError(f"edge ({c[bad[0]]},{v[bad[0]]}) out of range")
+        order = np.lexsort((v, c))
+        e = e[order]
+        # lexsort is stable: a repeated pair's later occurrences follow its first
+        again = order[1:][(np.diff(e, axis=0) == 0).all(axis=1)]
+        if again.size:
+            k = again.min()
+            raise ValueError(f"duplicate edge ({c[k]},{v[k]})")
         self.n_checks = int(n_checks)
         self.n_vars = int(n_vars)
-        self.edges = sorted(seen)
+        e.flags.writeable = False
+        self._edge_array = e
         self.family_tag = family_tag
+
+    @property
+    def edges(self):
+        """The (check, var) pairs, sorted."""
+        return list(map(tuple, self._edge_array.tolist()))
 
     # Global vertex ids put variables first (0..n_vars-1), checks after.
     def n_vertices(self):
@@ -99,13 +111,6 @@ class TannerGraph:
 
     def var_degrees(self):
         return np.bincount(self._edge_array[:, 1], minlength=self.n_vars).tolist()
-
-    @functools.cached_property
-    def _edge_array(self):
-        """edges as a read-only (|E|, 2) int array of (check, var) rows."""
-        e = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        e.flags.writeable = False
-        return e
 
     @functools.cached_property
     def _ace_tables(self):
@@ -146,14 +151,19 @@ def lift(proto):
     if proto.has_unset():
         raise ValueError("protograph has unset shifts; run the optimizer first")
     L = proto.L
-    edges = []
-    for r, row in enumerate(proto.cells):
-        for c, cell in enumerate(row):
-            for k in cell:
-                for i in range(L):
-                    edges.append((r * L + i, c * L + (i + k) % L))
+    r, c, k = _base_edges(proto)
+    i = np.arange(L)
+    edges = np.column_stack(((r[:, None] * L + i).ravel(),
+                             (c[:, None] * L + (i + k[:, None]) % L).ravel()))
     tag = {1: "spherical", 2: "toroidal"}.get(proto.m_b, "generic")
     return TannerGraph(proto.m_b * L, proto.n_b * L, edges, family_tag=tag)
+
+
+def _base_edges(proto):
+    """(block row, block column, shift) arrays, one entry per shift of each cell."""
+    return np.array([(r, c, k) for r, row in enumerate(proto.cells)
+                     for c, cell in enumerate(row) for k in cell],
+                    dtype=np.intp).reshape(-1, 3).T
 
 
 def block_cycle_consistent(shifts, L):
@@ -274,8 +284,7 @@ def _closed_walks(proto, max_len, ace_len):
     """
     L, m_b = proto.L, proto.m_b
     colw = proto.weight_matrix().sum(axis=0)
-    r, c, k = np.array([(ri, ci, ki) for ri, row in enumerate(proto.cells)
-                        for ci, cell in enumerate(row) for ki in cell], dtype=np.intp).T
+    r, c, k = _base_edges(proto)
     tail = np.column_stack((r, m_b + c)).ravel()
     head = np.column_stack((m_b + c, r)).ravel()
     shift = np.column_stack((k, -k)).ravel()
@@ -377,14 +386,13 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
             return assign
         raise RuntimeError("could not draw a valid shift assignment")
 
+    def meets(gir, mace):
+        return gir >= min_girth and (math.isinf(mace) or mace >= min_ace)
+
     if not free:
         proto = METProtograph(proto_pattern.cells, L)
         _, gir, mace = _score_lift(proto, min_girth)
-        sat = gir >= min_girth and (math.isinf(mace) or mace >= min_ace)
-        return LiftSearchResult(proto, gir, mace, sat, 0)
-
-    def meets(gir, mace):
-        return gir >= min_girth and (math.isinf(mace) or mace >= min_ace)
+        return LiftSearchResult(proto, gir, mace, meets(gir, mace), 0)
 
     best = None  # (score, assign, gir, mace, restart_index)
     for restart in range(restarts):
@@ -405,10 +413,9 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
                 score, gir, mace = cand_score, cand_g, cand_a
             else:
                 assign[pos] = old
-        if best is None or score > best[0]:
+        if best is None or score > best[0] or meets(gir, mace):
             best = (score, list(assign), gir, mace, restart)
         if meets(gir, mace):
-            best = (score, list(assign), gir, mace, restart)
             break
     _, assign, gir, mace, restart = best
     return LiftSearchResult(build(assign), gir, mace, meets(gir, mace), restart + 1)

@@ -63,13 +63,13 @@ class SparseSym:
                         self.vals.tolist()))
 
     @classmethod
-    def from_dense(cls, M, tol=0.0):
+    def from_dense(cls, M):
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError("square matrix required")
         if not np.allclose(M, M.T, atol=1e-12):
             raise ValueError("matrix is not symmetric")
-        i, j = np.nonzero(np.triu(np.abs(M) > tol))
+        i, j = np.nonzero(np.triu(np.abs(M) > 0))
         return cls(M.shape[0], np.column_stack((i, j, M[i, j])))
 
     @classmethod

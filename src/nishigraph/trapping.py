@@ -14,6 +14,8 @@ from .estimator import _bethe_hessian
 from .sparse import SparseSym, _kernel_dim, _read_text, eig_dense
 
 _NEG_TOL = -1e-8
+# betti's Laplacian kernel: eigenvalues below this in magnitude
+_BETTI_TOL = 1e-8
 
 
 class TrappingSet:
@@ -132,7 +134,7 @@ def spectral_radius(ts):
     return rho, float(np.sqrt(rho))
 
 
-def betti(ts, tol=1e-8):
+def betti(ts):
     """(betti0, betti1_mod2_formula, cycle_rank).
 
     betti0 is the Laplacian kernel dimension of the variable-node graph.  The
@@ -143,9 +145,7 @@ def betti(ts, tol=1e-8):
     so c is that graph's component count, a - |spanning forest|, and
     cycle_rank = |E| - (live checks) - |spanning forest|, counted exactly.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    betti0 = _kernel_dim(np.linalg.eigvalsh(_laplacian(ts)), tol)
+    betti0 = _kernel_dim(np.linalg.eigvalsh(_laplacian(ts)), _BETTI_TOL)
     rank = ts.a - betti0
     cycle_rank = (np.count_nonzero(ts.H) - np.count_nonzero(ts.H.any(axis=1))
                   - spanning_forest_incidence(ts).shape[1])

@@ -6,8 +6,6 @@ the exact copy just traversed).  Determinants are evaluated densely: these
 routines are correctness oracles, not large-scale tools.
 """
 
-from types import MappingProxyType
-
 import numpy as np
 
 from .estimator import _bethe_hessian
@@ -29,52 +27,50 @@ _POLE_TOL = 1e-4
 class SimpleGraph:
     """Undirected graph with integer edge multiplicities.
 
-    A SimpleGraph is treated as immutable (``mult`` is a read-only mapping):
-    its repeated-edge arrays are built once here, and its non-backtracking
-    matrix and poles once on first use, all kept on the instance as
-    read-only arrays.
+    edges holds (i, j) pairs or (i, j, multiplicity) triples; repeated pairs
+    add up.  A SimpleGraph is treated as immutable: its edge copies are
+    stored once here as read-only arrays _i < _j with a copy number _copy,
+    sorted by (i, j, copy), and its non-backtracking matrix and poles are
+    kept on the instance on first use.
     """
 
     def __init__(self, n, edges):
         self.n = int(n)
-        mult = {}
-        for e in edges:
-            i, j = int(e[0]), int(e[1])
-            m = int(e[2]) if len(e) > 2 else 1
-            if i == j:
-                raise ValueError("self-loops not supported")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"edge ({i},{j}) out of range")
-            if m < 1:
-                raise ValueError("edge multiplicity must be >= 1")
-            key = (min(i, j), max(i, j))
-            mult[key] = mult.get(key, 0) + m
-        self.mult = MappingProxyType(dict(sorted(mult.items())))
-        # one entry per edge copy: endpoints i < j and the copy number
-        ij = np.array(list(self.mult), dtype=np.intp).reshape(-1, 2)
-        m = np.array(list(self.mult.values()), dtype=np.intp)
-        self._i = _frozen(np.repeat(ij[:, 0], m))
-        self._j = _frozen(np.repeat(ij[:, 1], m))
-        self._copy = _frozen(np.arange(len(self._i))
-                             - np.repeat(np.cumsum(m) - m, m))
+        e = np.array([(x[0], x[1], x[2] if len(x) > 2 else 1) for x in edges],
+                     dtype=np.intp).reshape(-1, 3)
+        i, j, m = e.T
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+
+        def check(bad, message):
+            if bad.any():
+                k = bad.argmax()
+                raise ValueError(message.format(i[k], j[k]))
+
+        check(i == j, "self-loops not supported")
+        check((lo < 0) | (hi >= self.n), "edge ({},{}) out of range")
+        check(m < 1, "edge multiplicity must be >= 1")
+        # one entry per edge copy; a copy's number is its offset in its run
+        key = lo * self.n + hi
+        order = key.argsort(kind="stable")
+        m = m[order]
+        key = key[order].repeat(m)
+        self._i = _frozen(lo[order].repeat(m))
+        self._j = _frozen(hi[order].repeat(m))
+        self._copy = _frozen(np.arange(len(key)) - key.searchsorted(key))
         self._nb = None
         self._poles = None
 
     @classmethod
-    def from_sparse(cls, M, multiplicities=False):
-        """Off-diagonal support of a SparseSym; weights become multiplicities on request."""
-        edges = []
-        for i, j, v in M.entries:
-            if i != j and v != 0:
-                m = int(round(v)) if multiplicities else 1
-                edges.append((i, j, max(m, 1)))
-        return cls(M.n, edges)
+    def from_sparse(cls, M):
+        """The off-diagonal nonzero support of a SparseSym, one copy per edge."""
+        off = (M.rows != M.cols) & (M.vals != 0)
+        return cls(M.n, zip(M.rows[off].tolist(), M.cols[off].tolist()))
 
     def n_edges(self):
         return len(self._i)
 
     def is_multigraph(self):
-        return any(m > 1 for m in self.mult.values())
+        return bool(self._copy.any())
 
     def degrees(self):
         return np.bincount(np.concatenate((self._i, self._j)),

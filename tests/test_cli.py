@@ -237,6 +237,29 @@ def test_pipeline_and_ensemble_commands(tmp_path, capsys):
     assert len(ens["per_graph_accuracy"]) == 3
 
 
+@pytest.mark.parametrize("mode", ["majority", "soft"])
+def test_ensemble_command_reproduces_the_pipeline(tmp_path, capsys, mode):
+    # overlapping classes, so that accuracies below 1 are compared
+    spec, seed = "4,25,32,2.0", "3"
+    rc, out, _ = run_cli(capsys, "pipeline", "--synthetic", spec, "--seed",
+                         seed, "-r", "5", "--mode", mode, "--out",
+                         str(tmp_path))
+    assert rc == 0
+    result = json.loads(out)
+    assert result["ensemble_accuracy"] < 1
+    ft = synthetic_features(4, 25, 32, separation=2.0, seed=3)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{int(y)}\n" for y in ft.labels))
+    rc, out, _ = run_cli(capsys, "ensemble",
+                         *[str(tmp_path / f"embedding_graph{k}.csv")
+                           for k in range(3)],
+                         "--labels", str(labels), "--seed", seed, "--mode", mode)
+    assert rc == 0
+    ens = json.loads(out)
+    assert ens == {k: result[k] for k in ("per_graph_accuracy",
+                                          "ensemble_accuracy", "mode")}
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     ft = synthetic_features(2, 12, 16, separation=8.0, seed=1)
     feat = tmp_path / "f.csv"

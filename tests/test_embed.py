@@ -81,6 +81,19 @@ def test_binarize_signs():
     assert fb.X.tolist() == [[1.0, -1.0], [1.0, -1.0]]
 
 
+def test_binarize_is_idempotent_and_keeps_labels():
+    X = np.array([[0.0, -0.0, 2.5], [-1e-300, 1e-300, -4.0]])
+    ft = FeatureTable(X, labels=[1, 0])
+    fb = binarize(ft)
+    assert fb.X.tolist() == [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0]]
+    assert fb.binarized and not ft.binarized
+    assert fb.labels.tolist() == [1, 0]
+    again = binarize(fb)
+    assert np.array_equal(again.X, fb.X) and again.binarized
+    assert again.labels.tolist() == [1, 0]
+    assert binarize(FeatureTable(X)).labels is None
+
+
 def test_select_indices_finds_discriminative_columns():
     rng = np.random.default_rng(2)
     X = 0.01 * rng.standard_normal((40, 10))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from nishigraph import run_pipeline, stratified_split, synthetic_features
+from nishigraph import (EnsembleConfig, FeatureTable, accuracy,
+                        ensemble_decide, predict, predict_labels, run_pipeline,
+                        stratified_split, synthetic_features)
 from nishigraph.pipeline import confusion_to_csv, metrics_table
 
 
@@ -59,6 +61,30 @@ def test_run_pipeline_soft_mode_and_arbiter_flag():
                                 seed=0, mode="soft", use_arbiter=True)
     assert result["mode"] == "soft"
     assert result["ensemble_accuracy"] >= 0.9
+
+
+def test_ensemble_reads_posterior_columns_as_model_classes():
+    # class 0 keeps one sample, which the split puts in the test rows: the
+    # models know classes 1..3, so posterior column k is class k + 1
+    ft = synthetic_features(4, 30, 64, separation=20.0, seed=3)
+    keep = ft.labels != 0
+    keep[np.flatnonzero(ft.labels == 0)[0]] = True
+    ft = FeatureTable(ft.X[keep], ft.labels[keep])
+    result, embeddings, models = run_pipeline(ft, r=6, seed=0)
+    _, test_idx = stratified_split(ft.labels, 0.25, seed=0)
+    y_true = ft.labels[test_idx]
+    assert result["classes"] == [0, 1, 2, 3]
+    assert all(m.classes == [1, 2, 3] for m in models)
+    P = [predict(m, e.coords) for m, e in zip(models, embeddings)]
+    votes = [models[0].classes[ensemble_decide([p[k] for p in P],
+                                               EnsembleConfig())]
+             for k in test_idx]
+    assert result["ensemble_accuracy"] == accuracy(y_true, votes)
+    assert result["per_graph_accuracy"] == [
+        accuracy(y_true, predict_labels(m, e.coords)[test_idx])
+        for m, e in zip(models, embeddings)]
+    # every row but the class-0 one is classified right
+    assert result["ensemble_accuracy"] == 1 - 1 / len(test_idx)
 
 
 def test_run_pipeline_requires_labels():

@@ -99,6 +99,27 @@ def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
     assert eigsh_calls == ([n] if n > 400 else [])
 
 
+@pytest.mark.parametrize("graph", ["random", "path"])
+def test_lambda_min_tol_is_absolute_under_a_large_shift(graph, eigsh_calls):
+    # every eigenvalue lies near -1e6, where ARPACK's tol, relative to the
+    # Ritz value, would allow an error of about tol * 1e6: lambda_min must
+    # pass tol over the row-sum scale to keep its +-tol promise
+    n = 600
+    A = np.zeros((n, n))
+    if graph == "random":
+        rng = np.random.default_rng(2)
+        for _ in range(3 * n):
+            i, j = rng.integers(0, n, size=2)
+            if i != j:
+                A[i, j] = A[j, i] = rng.standard_normal()
+    else:
+        A[np.arange(n - 1), np.arange(1, n)] = A[np.arange(1, n), np.arange(n - 1)] = 1.0
+    A -= 1e6 * np.eye(n)
+    got = lambda_min(SparseSym.from_dense(A), 1e-4)
+    assert eigsh_calls == [n]
+    assert abs(got - np.linalg.eigvalsh(A)[0]) < 1e-4
+
+
 def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
     # the k-pair Lanczos branch that spectral_embed takes above 400
     # vertices, on a sparse weighted Bethe-Hessian

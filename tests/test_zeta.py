@@ -29,7 +29,9 @@ def complete_graph(n):
 
 def test_simple_graph_accumulates_multiplicities():
     g = SimpleGraph(3, [(0, 1), (1, 0), (0, 2, 2)])
-    assert g.mult == {(0, 1): 2, (0, 2): 2}
+    assert list(zip(g._i.tolist(), g._j.tolist())) == [(0, 1), (0, 1),
+                                                       (0, 2), (0, 2)]
+    assert g._copy.tolist() == [0, 1, 0, 1]
     assert g.n_edges() == 4
     assert g.is_multigraph()
     assert g.degrees() == [4, 2, 2]
@@ -44,9 +46,8 @@ def test_simple_graph_accumulates_multiplicities():
 def test_from_sparse_support_and_multiplicities():
     M = SparseSym(3, [(0, 1, 3.0), (1, 2, 1.0), (0, 0, 5.0)])
     g1 = SimpleGraph.from_sparse(M)
-    assert g1.mult == {(0, 1): 1, (1, 2): 1}
-    g2 = SimpleGraph.from_sparse(M, multiplicities=True)
-    assert g2.mult == {(0, 1): 3, (1, 2): 1}
+    assert (g1._i.tolist(), g1._j.tolist()) == ([0, 1], [1, 2])
+    assert not g1.is_multigraph()
 
 
 def test_non_backtracking_matrix_on_square_cycle():
@@ -76,10 +77,8 @@ def test_cached_non_backtracking_matches_loop_oracle(g):
     assert cached_B.dtype == B.dtype and cached_B.tobytes() == B.tobytes()
     first = poles(g)
     assert poles(g) == first and poles(g) is not first
-    for a in (cached_des, cached_B, g._pole_array(), g._i, g._j):
+    for a in (cached_des, cached_B, g._pole_array(), g._i, g._j, g._copy):
         assert not a.flags.writeable
-    with pytest.raises(TypeError):
-        g.mult[(0, 1)] = 1
     if not g.is_multigraph():
         space = non_backtracking(g)
         assert space.directed_edges == des

@@ -86,7 +86,7 @@ def directed_edge_matrix_by_loop(g):
     one directed pair per copy, lexicographic by (tail, head, copy), and
     B[a, b] = 1 where b leaves a's head without reversing a's own copy."""
     des = []
-    for (i, j), m in g.mult.items():
+    for (i, j), m in Counter(zip(g._i.tolist(), g._j.tolist())).items():
         for copy in range(m):
             des.append((i, j, copy))
             des.append((j, i, copy))
@@ -186,9 +186,9 @@ def dense_bethe_hessian_by_transpose(n, i, j, t):
 
 
 def betti_by_components(ts, tol=1e-8):
-    """betti(ts, tol) with the Laplacian kernel from rank_and_kernel on a
-    SparseSym and the bipartite subgraph's components from
-    connected_components on its COO graph."""
+    """betti(ts) (kernel tol 1e-8) with the Laplacian kernel from
+    rank_and_kernel on a SparseSym and the bipartite subgraph's components
+    from connected_components on its COO graph."""
     rank, betti0 = rank_and_kernel(SparseSym.from_dense(_laplacian(ts)), tol)
     live = ts.H[ts.H.any(axis=1)]
     rows, cols = np.nonzero(live)
