@@ -26,6 +26,8 @@ from .sparse import SparseSym, read_matrix_market, write_matrix_market
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "reference_panel.json")
+# embed's root tolerance when --beta-lower and --beta-upper are given
+_EMBED_EPS = 1e-6
 
 
 def _out_path(args, name):
@@ -161,10 +163,20 @@ def _load_system(args):
     return UnweightedSystem(M, D), M
 
 
+def _bracket(args):
+    """(--beta-lower, --beta-upper), or None when neither is given; a lone
+    bound is a ValueError."""
+    if (args.beta_lower is None) != (args.beta_upper is None):
+        raise ValueError("--beta-lower and --beta-upper must be given together")
+    return None if args.beta_lower is None else (args.beta_lower,
+                                                 args.beta_upper)
+
+
 def cmd_beta(args):
+    bracket = _bracket(args)
     system, M = _load_system(args)
-    if args.beta_lower is not None and args.beta_upper is not None:
-        lo, hi = args.beta_lower, args.beta_upper
+    if bracket is not None:
+        lo, hi = bracket
     elif isinstance(system, WeightedSystem):
         lo, hi = auto_bracket(system)
     else:
@@ -215,11 +227,15 @@ def _load_features(path):
 
 
 def cmd_embed(args):
+    bracket = _bracket(args)
+    cfg = None
+    if bracket is not None:
+        cfg = EstimatorConfig(*bracket, eps=_EMBED_EPS if args.eps is None
+                              else args.eps)
+    elif args.eps is not None:
+        raise ValueError("--eps needs --beta-lower and --beta-upper")
     ft = _load_features(args.features)
     J = similarity_graph(ft, args.gamma, args.p)
-    cfg = None
-    if args.beta_lower is not None and args.beta_upper is not None:
-        cfg = EstimatorConfig(args.beta_lower, args.beta_upper, eps=args.eps)
     emb = spectral_embed(J, args.r, cfg=cfg, graph_id=args.graph_id)
     out_csv = _out_path(args, "embedding.csv")
     emb.to_csv(out_csv)
@@ -356,7 +372,8 @@ def build_parser(config_defaults=None):
     p.add_argument("--graph-id", default="graph0")
     p.add_argument("--beta-lower", type=float)
     p.add_argument("--beta-upper", type=float)
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=float,
+                   help=f"with both bounds (default {_EMBED_EPS})")
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("classify", help="train and evaluate a linear model")

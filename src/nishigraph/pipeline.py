@@ -5,12 +5,16 @@ Graph diversity comes from per-graph kernel parameters and discriminative
 feature-index subsets selected on the training split only.
 """
 
+import logging
+
 import numpy as np
 
 from .classify import (EnsembleConfig, accuracy, arbiter_train,
                        confusion_matrix, ensemble_decide, per_class_metrics,
                        predict, train_linear)
 from .embed import FeatureTable, select_indices, similarity_graph, spectral_embed
+
+log = logging.getLogger(__name__)
 
 DEFAULT_GRAPHS = (
     {"gamma": 2.0, "p": 12, "s_frac": 1.0},
@@ -70,7 +74,8 @@ def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
                       margin_threshold, use_arbiter):
     """(metrics, models): a linear model per embedding (seed + k for the
     k-th), with an arbiter for the three class pairs most confused in
-    training when use_arbiter, and the ensemble's test metrics.  Posterior
+    training when use_arbiter (dropped with a WARNING naming the error when
+    arbiter_train raises), and the ensemble's test metrics.  Posterior
     column k is models[0].classes[k]; a class absent from the training rows
     has none."""
     y = np.asarray(labels)
@@ -94,8 +99,8 @@ def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
             try:
                 arbiter = arbiter_train(concat[train_idx], y[train_idx], pairs,
                                         seed=seed)
-            except ValueError:
-                arbiter = None
+            except ValueError as exc:
+                log.warning("arbiter dropped: %s", exc)
 
     def decide(k):
         arb = None

@@ -1,9 +1,10 @@
 """Sparse symmetric matrices and extremal eigenvalue routines.
 
 Only the upper triangle is stored; symmetry is by construction.  Every
-bottom-of-spectrum solve goes through lambda_min or bottom_eigenpairs, which
-share one dense-or-Lanczos rule (_solves_dense); eig_dense is the
-full-spectrum oracle the Lanczos branch is tested against.
+bottom-of-spectrum solve goes through bottom_pair (lambda_min is its
+eigenvalue) or bottom_eigenpairs, which share one dense-or-Lanczos rule
+(_solves_dense); eig_dense is the full-spectrum oracle the Lanczos branch is
+tested against.
 """
 
 import io
@@ -133,19 +134,27 @@ def _solves_dense(M, k):
 
 
 def lambda_min(M, tol=1e-10):
-    """Smallest eigenvalue of a SparseSym, within +-tol.
+    """Smallest eigenvalue of a SparseSym, within +-tol."""
+    return bottom_pair(M, tol)[0]
 
-    The k = 1 case of bottom_eigenpairs' rule; its dense branch computes
-    the one eigenvalue (LAPACK evr) and no vectors.
+
+def bottom_pair(M, tol):
+    """(lambda, v): the smallest eigenvalue of a SparseSym, within +-tol, and
+    a unit eigenvector v for it.
+
+    The k = 1 case of bottom_eigenpairs' rule; its dense branch computes the
+    one pair (LAPACK evr).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if M.n == 0:
         raise ValueError("empty matrix has no eigenvalues")
     if _solves_dense(M, 1):
-        return float(sla.eigh(M.to_dense(), eigvals_only=True,
-                               subset_by_index=[0, 0], driver="evr")[0])
-    return float(bottom_eigenpairs(M, 1, tol)[0][0])
+        vals, vecs = sla.eigh(M.to_dense(), subset_by_index=[0, 0],
+                              driver="evr")
+    else:
+        vals, vecs = bottom_eigenpairs(M, 1, tol)
+    return float(vals[0]), vecs[:, 0]
 
 
 def bottom_eigenpairs(M, k, tol):

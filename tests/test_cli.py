@@ -110,6 +110,30 @@ def test_beta_reports_missing_bracket(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("beta", ["--beta-lower", "1.5"]),
+    ("beta", ["--beta-upper", "3"]),
+    ("embed", ["--beta-lower", "0.01"]),
+    ("embed", ["--beta-upper", "3"]),
+    ("embed", ["--eps", "1e-12"])])
+def test_flag_that_would_be_ignored_is_a_clean_error(tmp_path, capsys,
+                                                     command, flags):
+    # a lone bound, or embed's --eps without both bounds, would change
+    # nothing: it is refused instead
+    A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+    path = tmp_path / "k4.mtx"
+    write_matrix_market(A, str(path))
+    feat = tmp_path / "features.csv"
+    synthetic_features(3, 10, 8, separation=8.0, seed=5).to_csv(str(feat))
+    rc, out, err = run_cli(capsys, command,
+                           str(path if command == "beta" else feat), *flags,
+                           "--out", str(tmp_path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --") and err.count("\n") == 1
+    assert not (tmp_path / "embedding.csv").exists()
+
+
 def test_beta_on_truncated_matrix_is_a_clean_error(tmp_path, capsys):
     A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
     path = tmp_path / "k4.mtx"

@@ -185,16 +185,39 @@ def test_spectral_embed_solves_each_temperature_once(monkeypatch):
     # the root finder starts from the bracket's end values instead of
     # solving them again
     solved = []
-    solve = estimator.lambda_min
+    solve = estimator.bottom_pair
 
-    def recorded(M, tol=1e-10):
+    def recorded(M, tol):
         solved.append((M.n, M.vals.tobytes()))
         return solve(M, tol)
 
-    monkeypatch.setattr(estimator, "lambda_min", recorded)
+    monkeypatch.setattr(estimator, "bottom_pair", recorded)
     ft = synthetic_features(3, 15, 30, separation=8.0, seed=6)
     spectral_embed(similarity_graph(ft, gamma=2.0, p=6), 4)
     assert solved and len(set(solved)) == len(solved)
+
+
+def test_component_roots_take_at_most_six_solves(monkeypatch):
+    # graph 0 of the separated pipeline datasets: ten components of about 100
+    # vertices, each root counting its bracket's solves (4.9 measured)
+    traces, solves = [], []
+    root, solve = embed.estimate_beta_N, estimator.bottom_pair
+
+    def recorded_root(system, cfg):
+        traces.append(root(system, cfg))
+        return traces[-1]
+
+    def recorded_solve(M, tol):
+        solves.append(M.n)
+        return solve(M, tol)
+
+    monkeypatch.setattr(embed, "estimate_beta_N", recorded_root)
+    monkeypatch.setattr(estimator, "bottom_pair", recorded_solve)
+    ft = synthetic_features(10, 100, 1280, 20.0)
+    spectral_embed(similarity_graph(ft, 2.0, 12), 32)
+    calls = [tr.eigensolver_calls for tr in traces]
+    assert len(calls) == 10 and sum(calls) == len(solves)
+    assert np.mean(calls) <= 6
 
 
 def test_disconnected_components_occupy_disjoint_columns():

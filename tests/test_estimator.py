@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from nishigraph import (CouplingGraph, EstimatorConfig, WeightedSystem,
-                        auto_bracket, bethe_hessian_unweighted,
+from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
+                        WeightedSystem, auto_bracket, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
 from nishigraph.estimator import _bethe_hessian, _CountedEvaluator
+from nishigraph.sparse import bottom_pair
 
 from util import (cycle_edges, dense_bethe_hessian_by_transpose, random_regular,
-                  unit_coupling_graph, unweighted_system)
+                  unit_coupling_graph, unweighted_system,
+                  weighted_non_backtracking)
 
 
 def k4_system():
@@ -84,14 +86,14 @@ def test_stacked_dense_matrices_equal_one_at_a_time():
 
 
 @st.composite
-def upper_multigraph_couplings(draw):
-    """(n, i, j, t): repeated edges i < j and t of shape (), (3,) or (2, 2)
+def upper_multigraph_couplings(draw, leads=((), (3,), (2, 2))):
+    """(n, i, j, t): repeated edges i < j and t of one of the shapes leads
     stacked on the edge axis."""
     n = draw(st.integers(2, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     ij = np.array(draw(st.lists(st.sampled_from(pairs), max_size=14)),
                   dtype=np.intp).reshape(-1, 2)
-    lead = draw(st.sampled_from([(), (3,), (2, 2)]))
+    lead = draw(st.sampled_from(leads))
     size = math.prod(lead) * len(ij)
     t = draw(st.lists(st.floats(-0.95, 0.95), min_size=size, max_size=size))
     return n, ij[:, 0], ij[:, 1], np.array(t).reshape(lead + (len(ij),))
@@ -103,6 +105,104 @@ def test_dense_assembly_matches_transpose_add_oracle(case):
     H = _bethe_hessian(n, i, j, t, dense=True)
     assert H.shape == t.shape[:-1] + (n, n)
     assert np.array_equal(H, dense_bethe_hessian_by_transpose(n, i, j, t))
+
+
+@given(upper_multigraph_couplings(leads=[()]))
+def test_weighted_bass_identity_on_multigraphs(case):
+    # det(I - B_t) = prod_e (1 - t_e^2) det H(t), B[e -> f] = t_f; measured
+    # residuals stay below 1e-14 relative
+    n, i, j, t = case
+    lhs = np.linalg.det(np.eye(2 * len(i)) - weighted_non_backtracking(i, j, t))
+    rhs = np.prod(1 - t * t) * np.linalg.det(_bethe_hessian(n, i, j, t,
+                                                            dense=True))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+@st.composite
+def positive_coupling_components(draw):
+    """A connected CouplingGraph of cycle rank >= 2 (a random tree plus at
+    least two more edges) with couplings in [0.5, 1.5], so lambda_min
+    changes sign before any coupling saturates."""
+    n = draw(st.integers(4, 10))
+    tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    rest = [(i, j) for i in range(n) for j in range(i + 1, n)
+            if (i, j) not in tree]
+    edges = tree + draw(st.lists(st.sampled_from(rest), min_size=2,
+                                 max_size=n + 4, unique=True))
+    J = draw(st.lists(st.floats(0.5, 1.5), min_size=len(edges),
+                      max_size=len(edges)))
+    return CouplingGraph(n, [(i, j, w) for (i, j), w in zip(edges, J)])
+
+
+@given(positive_coupling_components())
+def test_root_is_where_the_weighted_non_backtracking_radius_is_one(J):
+    # for positive couplings rho(B_t) rises through 1 exactly where
+    # lambda_min falls through 0: a bracket-free oracle for the root.  At
+    # eps 1e-6 the measured |rho - 1| stays below 2e-6.
+    system = WeightedSystem(J)
+    tr = estimate_beta_N(system, EstimatorConfig(*auto_bracket(system),
+                                                 eps=1e-6))
+    assert tr.converged
+    B = weighted_non_backtracking(J.i, J.j, np.tanh(tr.beta_N * J.couplings))
+    assert abs(np.max(np.abs(np.linalg.eigvals(B))) - 1) <= 1e-4
+
+
+# Slopes are checked where the bottom gap is at least _GAP, against a central
+# difference of step _H: measured errors stay below 1e-8 relative.
+_GAP = 1e-2
+_H = 1e-6
+
+
+def assert_slope_is_central_difference(system, beta):
+    H = system.matrix(beta)
+    ev = np.linalg.eigvalsh(H.to_dense())
+    assume(ev[1] - ev[0] >= _GAP)
+    _, v = bottom_pair(H, 1e-10)
+    diff = (lambda_min(system.matrix(beta + _H))
+            - lambda_min(system.matrix(beta - _H))) / (2 * _H)
+    assert system.slope(beta, v) == pytest.approx(diff, rel=1e-6, abs=1e-6)
+
+
+@st.composite
+def simple_graphs(draw):
+    """(n, edges): n >= 2 vertices and at least one edge i < j."""
+    n = draw(st.integers(2, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return n, draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+
+
+@given(simple_graphs(), st.data())
+def test_weighted_slope_is_the_derivative_of_lambda_min(graph, data):
+    # signed couplings with |beta J| <= 2, so no coupling nears saturation
+    n, edges = graph
+    J = data.draw(st.lists(st.floats(0.1, 2.0).flatmap(
+        lambda w: st.sampled_from([w, -w])), min_size=len(edges),
+        max_size=len(edges)))
+    beta = data.draw(st.floats(0.05, 1.0))
+    system = WeightedSystem(CouplingGraph(n, [(i, j, w) for (i, j), w
+                                              in zip(edges, J)]))
+    assert_slope_is_central_difference(system, beta)
+
+
+@given(simple_graphs(), st.floats(0.2, 4.0))
+def test_unweighted_slope_is_the_derivative_of_lambda_min(graph, beta):
+    assert_slope_is_central_difference(unweighted_system(*graph), beta)
+
+
+def test_lanczos_eigenvector_gives_the_dense_slope():
+    # above 400 rows the vector comes from the k = 1 Lanczos solve
+    rng = np.random.default_rng(3)
+    edges = random_regular(500, 3, 4)
+    J = CouplingGraph(500, [(i, j, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1))
+                            for i, j in edges])
+    system = WeightedSystem(J)
+    H = system.matrix(0.9)
+    lam, v = bottom_pair(H, 1e-10)
+    vals, vecs = np.linalg.eigh(H.to_dense())
+    assert vals[1] - vals[0] >= _GAP
+    assert lam == pytest.approx(vals[0], abs=1e-10)
+    assert system.slope(0.9, v) == pytest.approx(
+        system.slope(0.9, vecs[:, 0]), rel=1e-6)
 
 
 def test_weighted_matrix_rejects_saturated_coupling():
@@ -130,6 +230,33 @@ def test_quadratic_newton_finds_complete_graph_root():
     assert set(d) == {"beta_N", "lambda_at_root", "eigensolver_calls",
                       "rounds", "converged", "flags", "method"}
     assert sum(len(r) for r in d["rounds"]) == tr.eigensolver_calls
+
+
+class CubeRoot:
+    """lambda_min(beta) = beta^3 - 2 on one row, with a slope that is zero or
+    so small that a Newton step leaves any bracket."""
+
+    n = 1
+
+    def __init__(self, slope):
+        self.value = slope
+
+    def matrix(self, beta):
+        return SparseSym(1, [(0, 0, beta ** 3 - 2)])
+
+    def slope(self, beta, v):
+        return self.value
+
+
+@pytest.mark.parametrize("slope", [0.0, 1e-12])
+def test_newton_step_without_a_usable_slope_bisects(slope):
+    tr = estimate_beta_N(CubeRoot(slope), EstimatorConfig(1.0, 2.0, eps=1e-9))
+    assert tr.converged
+    assert abs(tr.beta_N - 2 ** (1 / 3)) <= 1e-9
+    # the parabola's root, then a bisection step for every Newton step
+    assert tr.flags[0] == [] and len(tr.flags) > 1
+    assert all(f == ["bisection_fallback"] for f in tr.flags[1:])
+    assert tr.eigensolver_calls == 3 + len(tr.flags)
 
 
 def test_bisection_agrees_but_spends_more_calls():

@@ -63,6 +63,19 @@ def test_run_pipeline_soft_mode_and_arbiter_flag():
     assert result["ensemble_accuracy"] >= 0.9
 
 
+def test_dropped_arbiter_is_logged(caplog):
+    # 9 training rows per class: arbiter_train refuses every pair, and the
+    # run goes on without an arbiter, saying so at WARNING
+    ft = synthetic_features(3, 12, 32, 2.0, seed=1)
+    with caplog.at_level("WARNING", logger="nishigraph.pipeline"):
+        with_flag, _, _ = run_pipeline(ft, r=5, seed=1, use_arbiter=True)
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelname == "WARNING" and r.name == "nishigraph.pipeline"]
+    assert warned == ["arbiter dropped: pair (0,1) needs >= 10 samples per "
+                      "class"]
+    assert with_flag == run_pipeline(ft, r=5, seed=1)[0]
+
+
 def test_ensemble_reads_posterior_columns_as_model_classes():
     # class 0 keeps one sample, which the split puts in the test rows: the
     # models know classes 1..3, so posterior column k is class k + 1

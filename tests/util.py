@@ -240,3 +240,17 @@ def bipartite_adjacency_by_loop(g):
         deg[g.check_id(c)] += 1
     D = SparseSym(n, [(i, i, deg[i]) for i in range(n) if deg[i] != 0])
     return A, D
+
+
+def weighted_non_backtracking(i, j, t):
+    """Weighted non-backtracking matrix B_t of a multigraph with edges
+    (i[e], j[e]), parallel edges repeated, by a Python double loop: directed
+    edge 2e runs i[e] -> j[e] and 2e + 1 runs back, and B[a, b] = t of b's
+    edge where b leaves a's head along another edge than a's."""
+    ends = [(int(a), int(b)) for e in zip(i, j) for a, b in (e, e[::-1])]
+    B = np.zeros((len(ends), len(ends)))
+    for a, (_, head) in enumerate(ends):
+        for b, (tail, _) in enumerate(ends):
+            if tail == head and a // 2 != b // 2:
+                B[a, b] = t[b // 2]
+    return B
