@@ -244,14 +244,19 @@ def cmd_embed(args):
     return 0
 
 
-def _read_labels(path):
+def _read_labels(path, rows):
+    """One integer label per non-blank line; ValueError naming the file and
+    both counts unless there are as many labels as rows."""
     with open(path) as fh:
-        return np.array([int(line.strip()) for line in fh if line.strip()])
+        labels = np.array([int(line.strip()) for line in fh if line.strip()])
+    if len(labels) != rows:
+        raise ValueError(f"{path}: {len(labels)} labels for {rows} rows")
+    return labels
 
 
 def cmd_classify(args):
     emb = Embedding.from_csv(args.embedding)
-    labels = _read_labels(args.labels)
+    labels = _read_labels(args.labels, len(emb.coords))
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
     model = train_linear(emb.coords[train_idx], labels[train_idx], seed=args.seed)
     pred = predict_labels(model, emb.coords)
@@ -268,8 +273,11 @@ def cmd_classify(args):
 
 
 def cmd_ensemble(args):
+    if args.threshold:
+        raise ValueError("--threshold needs an arbiter, which ensemble does "
+                         "not train")
     coords = [Embedding.from_csv(p).coords for p in args.embeddings]
-    labels = _read_labels(args.labels)
+    labels = _read_labels(args.labels, len(coords[0]))
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
     metrics, _ = evaluate_ensemble(coords, labels, train_idx, test_idx,
                                    args.seed, args.mode, args.threshold, False)
@@ -279,6 +287,8 @@ def cmd_ensemble(args):
 
 
 def cmd_pipeline(args):
+    if args.threshold and not args.arbiter:
+        raise ValueError("--threshold needs --arbiter")
     if args.synthetic:
         parts = [float(x) for x in args.synthetic.split(",")]
         if len(parts) != 4:
@@ -289,7 +299,7 @@ def cmd_pipeline(args):
     elif args.features:
         ft = _load_features(args.features)
         if ft.labels is None:
-            labels = _read_labels(args.labels)
+            labels = _read_labels(args.labels, ft.n_samples)
             ft = FeatureTable(ft.X, labels)
     else:
         print("error: --features or --synthetic required", file=sys.stderr)

@@ -64,8 +64,10 @@ class FeatureTable:
         rows = [_csv_fields(path, line, rec, types, exact=True)
                 for line, rec in records]
         if has_label:
-            return cls([r[:-1] for r in rows], [r[-1] for r in rows])
-        return cls(rows)
+            X, labels = [r[:-1] for r in rows], [r[-1] for r in rows]
+        else:
+            X, labels = rows, None
+        return cls(_finite_rows(path, records, X), labels)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -141,8 +143,8 @@ class Embedding:
     def from_csv(cls, path):
         header, records = _csv_records(path)
         r = sum(1 for h in header if h.startswith("e"))
-        coords = [_csv_fields(path, line, rec, [float] * r)
-                  for line, rec in records]
+        coords = _finite_rows(path, records, [
+            _csv_fields(path, line, rec, [float] * r) for line, rec in records])
         line, first = records[0]
         beta, gid = 0.0, ""
         if len(first) > r and first[r]:
@@ -178,13 +180,23 @@ def _csv_fields(path, line, rec, types, exact=False):
         raise ValueError(f"{path}: line {line}: {exc}") from None
 
 
-def select_indices(ft, s):
-    """Per class, the s feature indices with the largest absolute difference
-    between the class mean and the rest-of-data mean; ties break low."""
+def _finite_rows(path, records, rows):
+    """rows as a float array; ValueError naming the file and the line of the
+    first one that holds a NaN or an infinity."""
+    X = np.array(rows, dtype=float)
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        line = records[int(bad.argmax())][0]
+        raise ValueError(f"{path}: line {line}: non-finite value")
+    return X
+
+
+def _rank_features(ft):
+    """Per class, every feature index ordered by decreasing absolute
+    difference between the class mean and the rest-of-data mean; ties break
+    low."""
     if ft.labels is None:
         raise ValueError("labels required for index selection")
-    if s > ft.n_features:
-        raise ValueError("s exceeds the feature dimension")
     out = {}
     for c in ft.classes():
         mask = ft.labels == c
@@ -193,9 +205,17 @@ def select_indices(ft, s):
         if (~mask).sum() == 0:
             raise ValueError("a single class covers all samples")
         gap = np.abs(ft.X[mask].mean(axis=0) - ft.X[~mask].mean(axis=0))
-        order = np.lexsort((np.arange(ft.n_features), -gap))
-        out[c] = sorted(int(i) for i in order[:s])
+        out[c] = np.lexsort((np.arange(ft.n_features), -gap))
     return out
+
+
+def select_indices(ft, s):
+    """Per class, the s feature indices with the largest absolute difference
+    between the class mean and the rest-of-data mean; ties break low."""
+    if s > ft.n_features:
+        raise ValueError("s exceeds the feature dimension")
+    return {c: sorted(int(i) for i in order[:s])
+            for c, order in _rank_features(ft).items()}
 
 
 def binarize(ft):

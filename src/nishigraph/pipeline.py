@@ -12,7 +12,8 @@ import numpy as np
 from .classify import (EnsembleConfig, accuracy, arbiter_train,
                        confusion_matrix, ensemble_decide, per_class_metrics,
                        predict, train_linear)
-from .embed import FeatureTable, select_indices, similarity_graph, spectral_embed
+from .embed import (FeatureTable, _rank_features, similarity_graph,
+                    spectral_embed)
 
 log = logging.getLogger(__name__)
 
@@ -37,15 +38,16 @@ def stratified_split(labels, test_fraction, seed):
     return np.array(sorted(train)), np.array(sorted(test))
 
 
-def _restrict_features(ft, train_idx, s_frac):
-    """Union of per-class discriminative indices computed on the training rows."""
+def _restrict_features(ft, ranking, s_frac):
+    """ft's columns in the union of each class's s_frac share of top-ranked
+    features, ranking being _rank_features of the training rows."""
     if s_frac >= 1.0:
         return ft.X
     s = max(2, int(round(s_frac * ft.n_features)))
-    train_ft = FeatureTable(ft.X[train_idx], ft.labels[train_idx])
-    per_class = select_indices(train_ft, s)
-    union = sorted(set().union(*per_class.values()))
-    return ft.X[:, union]
+    if s > ft.n_features:
+        raise ValueError("s exceeds the feature dimension")
+    top = np.concatenate([order[:s] for order in ranking.values()])
+    return ft.X[:, np.unique(top)]
 
 
 def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
@@ -58,9 +60,13 @@ def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
     if ft.labels is None:
         raise ValueError("labeled features required")
     train_idx, test_idx = stratified_split(ft.labels, test_fraction, seed)
+    ranking = None
+    if any(g.get("s_frac", 1.0) < 1.0 for g in graphs):
+        ranking = _rank_features(FeatureTable(ft.X[train_idx],
+                                              ft.labels[train_idx]))
     embeddings = []
     for g_id, gcfg in enumerate(graphs):
-        Xg = _restrict_features(ft, train_idx, gcfg.get("s_frac", 1.0))
+        Xg = _restrict_features(ft, ranking, gcfg.get("s_frac", 1.0))
         J = similarity_graph(FeatureTable(Xg, ft.labels), gcfg["gamma"], gcfg["p"])
         embeddings.append(spectral_embed(J, r, graph_id=f"graph{g_id}"))
     result, models = evaluate_ensemble(

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from nishigraph import (EnsembleConfig, LinearModel, PairwiseArbiter, accuracy,
                         arbiter_train, confusion_matrix, ensemble_decide,
                         per_class_metrics, predict, predict_labels,
                         train_linear)
+
+from util import train_linear_row_major
 
 
 def blobs(seed=0, per=30, spread=0.3):
@@ -45,6 +49,59 @@ def test_predict_labels_uses_original_class_ids():
 def test_train_linear_rejects_single_class():
     with pytest.raises(ValueError):
         train_linear(np.zeros((5, 2)), np.zeros(5, dtype=int))
+
+
+@st.composite
+def training_tables(draw):
+    """Rows of embedding scale (norm about 1, at most 3), K classes with
+    non-contiguous labels, one of which has a single row."""
+    K = draw(st.integers(2, 12))
+    n = draw(st.integers(K, 200))
+    d = draw(st.integers(1, 40))
+    labels = 3 * np.array(sorted(draw(st.sets(st.integers(0, 10 ** 6),
+                                              min_size=K, max_size=K)))) + 1
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    single = draw(st.integers(0, K - 1))
+    others = np.delete(np.arange(K), single)
+    yk = np.concatenate([np.arange(K), rng.choice(others, n - K)])
+    scale = draw(st.sampled_from([0.1, 1.0, 3.0]))
+    X = scale * rng.standard_normal((n, d)) / np.sqrt(d)
+    return X, labels[rng.permutation(yk)], draw(st.integers(0, 1000))
+
+
+@given(training_tables())
+def test_train_linear_matches_row_major_oracle(case):
+    # same descent in the other layout: sums run in another order, so the
+    # weights agree to rounding and the labels wherever the top two
+    # posteriors are not tied
+    X, y, seed = case
+    model = train_linear(X, y, seed=seed)
+    ref = train_linear_row_major(X, y, seed=seed)
+    assert model.classes == ref.classes
+    tol = 1e-10 * np.abs(ref.W).max()
+    assert np.abs(model.W - ref.W).max() <= tol
+    assert np.abs(model.b - ref.b).max() <= tol
+    top_two = np.sort(predict(ref, X), axis=1)[:, -2:]
+    clear = top_two[:, 1] - top_two[:, 0] > 1e-9
+    assert np.array_equal(predict_labels(model, X)[clear],
+                          predict_labels(ref, X)[clear])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_row_is_named(bad):
+    X, y = blobs()
+    X[17, 1] = bad
+    with pytest.raises(ValueError, match="^row 17 holds a non-finite value$"):
+        train_linear(X, y)
+    model = train_linear(*blobs())
+    with pytest.raises(ValueError, match="^row 17 holds a non-finite value$"):
+        predict(model, X)
+
+
+def test_train_linear_names_both_sizes():
+    X, y = blobs()
+    with pytest.raises(ValueError, match="^89 labels for 90 rows$"):
+        train_linear(X, y[1:])
 
 
 def test_linear_model_json_round_trip():

@@ -7,7 +7,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from nishigraph import SparseSym, synthetic_features, write_matrix_market
+from nishigraph import (Embedding, SparseSym, synthetic_features,
+                        write_matrix_market)
 from nishigraph.cli import main
 
 
@@ -134,6 +135,46 @@ def test_flag_that_would_be_ignored_is_a_clean_error(tmp_path, capsys,
     assert not (tmp_path / "embedding.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ensemble", "E0.csv", "E1.csv", "E2.csv", "--labels", "L.txt",
+     "--threshold", "0.2"],
+    ["pipeline", "--synthetic", "3,20,32,8.0", "--threshold", "0.2"]])
+def test_threshold_without_arbiter_is_a_clean_error(tmp_path, capsys, argv):
+    # the margin threshold hands low-margin rows to the arbiter; with none
+    # it would change nothing, so it is refused before any input is read
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --threshold needs ")
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threshold_with_arbiter_runs(tmp_path, capsys):
+    rc, out, _ = run_cli(capsys, "pipeline", "--synthetic", "3,20,32,8.0",
+                         "-r", "5", "--threshold", "0.2", "--arbiter",
+                         "--out", str(tmp_path))
+    assert rc == 0
+    assert json.loads(out)["ensemble_accuracy"] >= 0.9
+
+
+@pytest.mark.parametrize("command", ["classify", "ensemble"])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_label_count_mismatch_is_a_clean_error(tmp_path, capsys, command,
+                                               extra):
+    emb = tmp_path / "emb.csv"
+    Embedding(np.random.default_rng(0).standard_normal((12, 3)), 1.0).to_csv(
+        str(emb))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{k % 2}\n" for k in range(12 + extra)))
+    argv = ([str(emb), str(labels)] if command == "classify"
+            else [str(emb)] * 3 + ["--labels", str(labels)])
+    rc, out, err = run_cli(capsys, command, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {labels}: {12 + extra} labels for 12 rows\n"
+
+
 def test_beta_on_truncated_matrix_is_a_clean_error(tmp_path, capsys):
     A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
     path = tmp_path / "k4.mtx"
@@ -208,7 +249,8 @@ def test_embed_classify_round_trip(tmp_path, capsys):
 @pytest.mark.parametrize("text, line", [
     ("", 1),                                     # empty file
     ("e0,e1\n1,2\n3\n", 3),                     # short row
-    ("e0,e1\n1,2\n\n3,x\n", 4)])                 # non-numeric cell
+    ("e0,e1\n1,2\n\n3,x\n", 4),                  # non-numeric cell
+    ("e0,e1\n1,2\n\n3,4\nnan,1\n", 5)])          # non-finite cell
 @pytest.mark.parametrize("command", ["embed", "classify"])
 def test_malformed_csv_is_a_clean_error(tmp_path, capsys, command, text, line):
     path = tmp_path / "bad.csv"

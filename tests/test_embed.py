@@ -109,6 +109,13 @@ def test_select_indices_finds_discriminative_columns():
         select_indices(ft, 11)
     with pytest.raises(ValueError):
         select_indices(FeatureTable(X), 2)
+    # columns 1, 4 and 6 separate the classes equally well, the rest not at
+    # all: ties break low
+    X = np.zeros((4, 8))
+    X[:2, [1, 4, 6]] = 1.0
+    ft = FeatureTable(X, [0, 0, 1, 1])
+    assert select_indices(ft, 2) == {0: [1, 4], 1: [1, 4]}
+    assert select_indices(ft, 4) == {0: [0, 1, 4, 6], 1: [0, 1, 4, 6]}
 
 
 def test_similarity_graph_kernel_and_sparsity():

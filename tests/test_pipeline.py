@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import nishigraph.pipeline as pipeline
 from nishigraph import (EnsembleConfig, FeatureTable, accuracy,
                         ensemble_decide, predict, predict_labels, run_pipeline,
-                        stratified_split, synthetic_features)
-from nishigraph.pipeline import confusion_to_csv, metrics_table
+                        select_indices, stratified_split, synthetic_features)
+from nishigraph.pipeline import (DEFAULT_GRAPHS, _restrict_features,
+                                 confusion_to_csv, metrics_table)
 
 
 def small_features(seed=5):
@@ -98,6 +100,32 @@ def test_ensemble_reads_posterior_columns_as_model_classes():
         for m, e in zip(models, embeddings)]
     # every row but the class-0 one is classified right
     assert result["ensemble_accuracy"] == 1 - 1 / len(test_idx)
+
+
+def test_features_are_ranked_once_per_run(monkeypatch):
+    # both restricted graphs slice the one ranking of the training rows, and
+    # each slice keeps the columns select_indices picks on its own
+    ft = small_features()
+    rank = pipeline._rank_features
+    rows = []
+
+    def counted(table):
+        rows.append(table.n_samples)
+        return rank(table)
+
+    monkeypatch.setattr(pipeline, "_rank_features", counted)
+    run_pipeline(ft, r=5, seed=0)
+    assert rows == [90]
+    train_idx, _ = stratified_split(ft.labels, 0.25, seed=0)
+    train_ft = FeatureTable(ft.X[train_idx], ft.labels[train_idx])
+    ranking = rank(train_ft)
+    for gcfg in DEFAULT_GRAPHS:
+        cols = list(range(ft.n_features))
+        if gcfg["s_frac"] < 1.0:
+            s = max(2, int(round(gcfg["s_frac"] * ft.n_features)))
+            cols = sorted(set().union(*select_indices(train_ft, s).values()))
+        assert np.array_equal(_restrict_features(ft, ranking, gcfg["s_frac"]),
+                              ft.X[:, cols])
 
 
 def test_run_pipeline_requires_labels():

@@ -8,8 +8,10 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from nishigraph import (CouplingGraph, SparseSym, UnweightedSystem, ace,
-                        enumerate_cycles, girth, lift, rank_and_kernel)
+from nishigraph import (CouplingGraph, LinearModel, SparseSym,
+                        UnweightedSystem, ace, enumerate_cycles, girth, lift,
+                        rank_and_kernel)
+from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
 from nishigraph.estimator import _bethe_hessian
 from nishigraph.trapping import _laplacian
 from nishigraph.zeta import poles
@@ -254,3 +256,21 @@ def weighted_non_backtracking(i, j, t):
             if tail == head and a // 2 != b // 2:
                 B[a, b] = t[b // 2]
     return B
+
+
+def train_linear_row_major(X, y, seed=0):
+    """train_linear's gradient descent in sample-major layout: logits,
+    posteriors and gradients are (n, K) arrays, W is (d, K)."""
+    X = np.asarray(X, dtype=float)
+    classes = sorted(set(int(c) for c in y))
+    yk = np.array([classes.index(int(c)) for c in y])
+    n, d = X.shape
+    K = len(classes)
+    W = 0.01 * np.random.default_rng(seed).standard_normal((d, K))
+    b = np.zeros(K)
+    Y = np.eye(K)[yk]
+    for _ in range(_EPOCHS):
+        G = (_softmax(X @ W + b) - Y) / n
+        W -= _LR * (X.T @ G + _WEIGHT_DECAY * W)
+        b -= _LR * G.sum(axis=0)
+    return LinearModel(W, b, classes)
