@@ -22,7 +22,8 @@ from .estimator import (EstimatorConfig, UnweightedSystem, WeightedSystem,
 from .pipeline import (confusion_to_csv, evaluate_ensemble, metrics_table,
                        run_pipeline, stratified_split)
 from .rbim import CouplingGraph
-from .sparse import SparseSym, read_matrix_market, write_matrix_market
+from .sparse import (SparseSym, _read_text, read_matrix_market,
+                     write_matrix_market)
 
 _GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "data",
                             "reference_panel.json")
@@ -246,12 +247,20 @@ def cmd_embed(args):
 
 def _read_labels(path, rows):
     """One integer label per non-blank line; ValueError naming the file and
-    both counts unless there are as many labels as rows."""
-    with open(path) as fh:
-        labels = np.array([int(line.strip()) for line in fh if line.strip()])
+    the 1-based line of a label that is not an integer or of a byte that is
+    not UTF-8, and naming the file and both counts unless there are as many
+    labels as rows."""
+    labels = []
+    for line, text in enumerate(_read_text(path).split("\n"), 1):
+        if text.strip():
+            try:
+                labels.append(int(text))
+            except ValueError:
+                raise ValueError(f"{path}: line {line}: expected an integer "
+                                 f"label, found {text.strip()!r}") from None
     if len(labels) != rows:
         raise ValueError(f"{path}: {len(labels)} labels for {rows} rows")
-    return labels
+    return np.array(labels)
 
 
 def cmd_classify(args):
@@ -299,6 +308,9 @@ def cmd_pipeline(args):
     elif args.features:
         ft = _load_features(args.features)
         if ft.labels is None:
+            if args.labels is None:
+                raise ValueError(f"{args.features}: the file holds no labels;"
+                                 " give them with --labels")
             labels = _read_labels(args.labels, ft.n_samples)
             ft = FeatureTable(ft.X, labels)
     else:

@@ -67,7 +67,8 @@ class FeatureTable:
             X, labels = [r[:-1] for r in rows], [r[-1] for r in rows]
         else:
             X, labels = rows, None
-        return cls(_finite_rows(path, records, X), labels)
+        return cls(_finite_rows(path, X, lambda k: f"line {records[k][0]}"),
+                   labels)
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -84,7 +85,9 @@ class FeatureTable:
 
     @classmethod
     def from_raw(cls, path, sidecar=None):
-        """Little-endian float32 matrix with a JSON sidecar {rows, cols}."""
+        """Little-endian float32 matrix with a JSON sidecar {rows, cols}; a
+        NaN or an infinity is a ValueError naming the file and the 1-based
+        row."""
         if sidecar is None:
             sidecar = path + ".json"
         with open(sidecar) as fh:
@@ -101,7 +104,7 @@ class FeatureTable:
             raise ValueError(f"{path}: expected {need} bytes, found {len(buf)}")
         X = np.array(struct.unpack(f"<{rows * cols}f", buf),
                      dtype=float).reshape(rows, cols)
-        return cls(X)
+        return cls(_finite_rows(path, X, lambda k: f"row {k + 1}"))
 
     def to_raw(self, path, sidecar=None):
         if sidecar is None:
@@ -143,8 +146,9 @@ class Embedding:
     def from_csv(cls, path):
         header, records = _csv_records(path)
         r = sum(1 for h in header if h.startswith("e"))
-        coords = _finite_rows(path, records, [
-            _csv_fields(path, line, rec, [float] * r) for line, rec in records])
+        coords = _finite_rows(path, [
+            _csv_fields(path, line, rec, [float] * r) for line, rec in records],
+            lambda k: f"line {records[k][0]}")
         line, first = records[0]
         beta, gid = 0.0, ""
         if len(first) > r and first[r]:
@@ -180,14 +184,13 @@ def _csv_fields(path, line, rec, types, exact=False):
         raise ValueError(f"{path}: line {line}: {exc}") from None
 
 
-def _finite_rows(path, records, rows):
-    """rows as a float array; ValueError naming the file and the line of the
-    first one that holds a NaN or an infinity."""
+def _finite_rows(path, rows, where):
+    """rows as a float array; ValueError naming the file and where(k), the
+    place of the first row k that holds a NaN or an infinity."""
     X = np.array(rows, dtype=float)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        line = records[int(bad.argmax())][0]
-        raise ValueError(f"{path}: line {line}: non-finite value")
+        raise ValueError(f"{path}: {where(int(bad.argmax()))}: non-finite value")
     return X
 
 

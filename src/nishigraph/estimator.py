@@ -66,6 +66,19 @@ class EstimatorTrace:
         }
 
 
+def _checked_square(i, j, t):
+    """t * t, for t of shape (..., |E|); ValueError naming the edge
+    (i[e], j[e]) of the first entry, in C order, whose square is within
+    1e-12 of 1, where the Bethe-Hessian's couplings saturate."""
+    t2 = t * t
+    sat = np.flatnonzero(np.abs(1 - t2) <= 1e-12)
+    if sat.size:
+        e = sat[0] % len(i)
+        raise ValueError(f"coupling saturated on edge ({i[e]},{j[e]}): "
+                         f"tanh^2 = {t2.flat[sat[0]]!r}")
+    return t2
+
+
 def _bethe_hessian(n, i, j, t, dense=False):
     """Weighted Bethe-Hessian on n vertices from edge endpoint arrays i, j
     (i != j; parallel edges repeated) and per-edge t = tanh(beta J):
@@ -78,13 +91,8 @@ def _bethe_hessian(n, i, j, t, dense=False):
     stacked (n, n) matrices, each bit-identical to the one its row alone
     gives.  Raises ValueError when some t_e^2 is within 1e-12 of 1.
     """
-    t2 = t * t
+    t2 = _checked_square(i, j, t)
     q = 1 - t2
-    sat = np.flatnonzero(np.abs(q) <= 1e-12)
-    if sat.size:
-        e = sat[0] % len(i)
-        raise ValueError(f"coupling saturated on edge ({i[e]},{j[e]}): "
-                         f"tanh^2 = {t2.flat[sat[0]]!r}")
     c = t2 / q
     off = -t / q
     # stacked matrix r is rows r*n .. r*n + n - 1 of one (k*n, n) array

@@ -8,7 +8,7 @@ routines are correctness oracles, not large-scale tools.
 
 import numpy as np
 
-from .estimator import _bethe_hessian
+from .estimator import _bethe_hessian, _checked_square
 
 _EDGE_CAP = 500
 _DET_CAP = 200
@@ -208,34 +208,71 @@ def _refine_crossing(f, lo, hi, flo, fhi):
             kept = -1
 
 
+def _two_core(g):
+    """(n, i, j): g's 2-core, vertices relabelled in order (so i < j holds).
+
+    Each round drops every edge copy with an end of degree 1, parallel
+    copies counted in the degree, until none is left; then every vertex
+    with no edge left.  Eliminating a leaf k on an edge with t multiplies
+    det H by H_kk = 1/(1 - t^2) and leaves the Bethe-Hessian of g - k, so
+    det H_g = det H_core * prod over dropped edges of 1/(1 - t_e^2).
+    """
+    i, j = g._i, g._j
+    while True:
+        leaf = np.bincount(np.concatenate((i, j)), minlength=g.n) == 1
+        keep = ~(leaf[i] | leaf[j])
+        if keep.all():
+            break
+        i, j = i[keep], j[keep]
+    label = np.zeros(g.n, dtype=np.intp)
+    label[i] = label[j] = 1
+    n = int(label.sum())
+    label = label.cumsum() - 1
+    return n, label[i], label[j]
+
+
 def det_crossing_check(g, J0=1.0):
     """Locate determinant sign changes of the coupled Bethe-Hessian and match
     each crossing's u = tanh(beta J0) against a zeta pole.
 
-    Sign changes are bracketed on the grid _BETA_GRID and refined by
-    _refine_crossing on f(beta) = sign * exp(logabsdet(beta) - logabsdet(lo)),
-    which is continuous, linear near a simple root, and cannot overflow where
-    det itself does (on graphs of about a hundred vertices).  Returns
+    The scan runs on g's 2-core (_two_core): det H_g is det H_core times a
+    positive factor, so it has the same signs and roots.  On the 861 h2
+    trapping sets of cycles up to length 8 the core has 7.6 vertices on
+    average against 15.3, and the check takes 0.16-0.17 s instead of
+    0.38-0.43 s for the 216 sets of one benchmark pass (one BLAS thread,
+    2-core shared host).  Sign changes are
+    bracketed on the grid _BETA_GRID and refined by _refine_crossing on
+    f(beta) = sign * exp(logabsdet(beta) - logabsdet(lo)) of the core, which
+    is continuous, linear near a simple root, and cannot overflow where det
+    itself does (on graphs of about a hundred vertices).  Returns
     {"crossings": [...], "no_crossing": bool}; each crossing records beta, u,
-    the matched pole within _POLE_TOL (or None) with its distance, and
+    the matched pole of g within _POLE_TOL (or None) with its distance, and
     ``solves``, the single-beta determinants its refinement took.  A forest
     or a graph whose determinant never changes sign on the grid yields a
-    structured no-crossing result rather than an error.
+    structured no-crossing result rather than an error.  A grid point where
+    tanh^2(beta J0) is within 1e-12 of 1 is refused before peeling, with the
+    ValueError _bethe_hessian raises for the whole graph, naming g's first
+    edge: the factor 1/(1 - t^2) of every dropped edge needs 1 - t^2 != 0.
     """
-    i, j = g._i, g._j
+    tanh = np.tanh(_BETA_GRID * J0)
+    if g.n_edges():
+        _checked_square(g._i[:1], g._j[:1], tanh[:, None])
+    n, i, j = _two_core(g)
+    if not n:
+        return {"crossings": [], "no_crossing": True}
 
-    def slogdet(betas):
-        t = np.repeat(np.tanh(np.asarray(betas) * J0)[:, None], len(i), axis=1)
-        return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))
+    def slogdet(t):
+        t = np.repeat(t[:, None], len(i), axis=1)
+        return np.linalg.slogdet(_bethe_hessian(n, i, j, t, dense=True))
 
-    signs, logdets = slogdet(_BETA_GRID)
+    signs, logdets = slogdet(tanh)
     pole_list = poles(g)
     crossings = []
     for k in np.flatnonzero((signs[:-1] != 0) & (signs[:-1] * signs[1:] <= 0)):
         ref = logdets[k]
 
         def f(beta):
-            sign, logdet = slogdet([beta])
+            sign, logdet = slogdet(np.tanh(np.array([beta]) * J0))
             return float(sign[0] * np.exp(logdet[0] - ref))
 
         beta_star, solves = _refine_crossing(

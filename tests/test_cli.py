@@ -7,8 +7,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from nishigraph import (Embedding, SparseSym, synthetic_features,
-                        write_matrix_market)
+from nishigraph import (Embedding, FeatureTable, SparseSym,
+                        synthetic_features, write_matrix_market)
 from nishigraph.cli import main
 
 
@@ -173,6 +173,64 @@ def test_label_count_mismatch_is_a_clean_error(tmp_path, capsys, command,
     assert rc == 1
     assert out == ""
     assert err == f"error: {labels}: {12 + extra} labels for 12 rows\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "ensemble"])
+def test_label_that_is_not_an_integer_is_a_clean_error(tmp_path, capsys,
+                                                       command):
+    emb = tmp_path / "emb.csv"
+    Embedding(np.random.default_rng(0).standard_normal((4, 3)), 1.0).to_csv(
+        str(emb))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("0\n1\n\n x \n1\n")
+    argv = ([str(emb), str(labels)] if command == "classify"
+            else [str(emb)] * 3 + ["--labels", str(labels)])
+    rc, out, err = run_cli(capsys, command, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == (f"error: {labels}: line 4: expected an integer label, "
+                   "found 'x'\n")
+
+
+def unlabelled_features(tmp_path):
+    """Three separated classes without labels, and their label file."""
+    ft = synthetic_features(3, 20, 32, separation=8.0, seed=5)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{int(y)}\n" for y in ft.labels))
+    return FeatureTable(ft.X), labels
+
+
+def test_pipeline_on_a_non_finite_raw_cell_is_a_clean_error(tmp_path,
+                                                           capsys):
+    ft, labels = unlabelled_features(tmp_path)
+    X = ft.X.copy()
+    X[7, 3] = np.nan
+    raw = tmp_path / "x.raw"
+    FeatureTable(X).to_raw(str(raw))
+    rc, out, err = run_cli(capsys, "pipeline", "--features", str(raw),
+                           "--labels", str(labels), "-r", "5", "--out",
+                           str(tmp_path))
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {raw}: row 8: non-finite value\n"
+    ft.to_raw(str(raw))
+    rc, out, _ = run_cli(capsys, "pipeline", "--features", str(raw),
+                         "--labels", str(labels), "-r", "5", "--out",
+                         str(tmp_path))
+    assert rc == 0
+    assert json.loads(out)["ensemble_accuracy"] >= 0.9
+
+
+def test_pipeline_without_labels_is_a_clean_error(tmp_path, capsys):
+    ft, _ = unlabelled_features(tmp_path)
+    features = tmp_path / "f.csv"
+    ft.to_csv(str(features))
+    rc, out, err = run_cli(capsys, "pipeline", "--features", str(features),
+                           "-r", "5", "--out", str(tmp_path))
+    assert rc == 1
+    assert out == ""
+    assert err == (f"error: {features}: the file holds no labels; give them "
+                   "with --labels\n")
 
 
 def test_beta_on_truncated_matrix_is_a_clean_error(tmp_path, capsys):

@@ -58,6 +58,16 @@ def test_feature_table_raw_round_trip(tmp_path):
         FeatureTable.from_raw(str(tmp_path / "short.bin"))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_feature_table_raw_refuses_a_non_finite_cell(tmp_path, value):
+    X = np.ones((4, 3), dtype=np.float32)
+    X[2, 1] = value
+    path = tmp_path / "f.bin"
+    FeatureTable(X).to_raw(str(path))
+    with pytest.raises(ValueError, match=f"^{path}: row 3: non-finite value$"):
+        FeatureTable.from_raw(str(path))
+
+
 def test_synthetic_features_layout():
     ft = synthetic_features(3, 20, 50, separation=8.0, seed=4)
     assert ft.X.shape == (60, 50)

@@ -1,6 +1,7 @@
 """Non-backtracking operator, determinant identities, and pole matching."""
 
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -17,7 +18,7 @@ from nishigraph import (SimpleGraph, SparseSym, TrappingSet,
                         non_backtracking, poles, read_exponent_file,
                         zeta_reciprocal)
 from nishigraph.estimator import _bethe_hessian
-from nishigraph.zeta import _BETA_GRID
+from nishigraph.zeta import _BETA_GRID, _two_core
 
 from util import (cycle_edges, det_crossings_by_loop,
                   directed_edge_matrix_by_loop, random_regular)
@@ -187,13 +188,26 @@ def det_sign(g, beta):
     return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
 
 
+def assert_matches_oracle(g, crossings, oracle):
+    """The same crossings as the one-solve-per-beta bisection oracle, in the
+    same grid intervals, matched to the same poles, within 64 ulp of its
+    root, with det H of the whole graph changing sign across each beta."""
+    assert len(crossings) == len(oracle)
+    for c, o in zip(crossings, oracle):
+        assert (np.searchsorted(_BETA_GRID, c["beta"])
+                == np.searchsorted(_BETA_GRID, o["beta"]))
+        assert c["pole"] == o["pole"]
+        assert abs(c["beta"] - o["beta"]) <= 64 * np.spacing(c["beta"])
+        assert (det_sign(g, c["beta"] * (1 - 1e-13))
+                * det_sign(g, c["beta"] * (1 + 1e-13)) < 0)
+
+
 def test_det_crossing_check_matches_per_beta_loop_on_h2_sets():
     # Tanner subgraphs of h2 trapping sets, each induced on one cycle of
-    # length <= 8.  The secant refinement is checked against one solve per
-    # beta and 80 bisection steps: the same crossings in the same grid
-    # intervals, matched to the same poles, within 64 ulp of the bisection
-    # root, with det H changing sign across each reported beta, and at most
-    # 16 determinants per crossing on average (bisection takes about 47)
+    # length <= 8.  The secant refinement on the 2-core is checked against
+    # one solve per beta of the whole graph and 80 bisection steps, every
+    # crossing matched to a pole, and at most 16 determinants per crossing
+    # on average (bisection takes about 47)
     g = lift(read_exponent_file(
         str(resources.files("nishigraph").joinpath("data", "h2.exp"))))
     var_sets = sorted({tuple(sorted(set(c.var_nodes(g))))
@@ -205,18 +219,67 @@ def test_det_crossing_check_matches_per_beta_loop_on_h2_sets():
         rows, cols = np.nonzero(H)
         sg = SimpleGraph(a + m, [(int(v), a + int(r)) for r, v in zip(rows, cols)])
         crossings = det_crossing_check(sg)["crossings"]
-        oracle = det_crossings_by_loop(sg)
-        assert len(crossings) == len(oracle)
-        for c, o in zip(crossings, oracle):
-            assert (np.searchsorted(_BETA_GRID, c["beta"])
-                    == np.searchsorted(_BETA_GRID, o["beta"]))
-            assert c["pole"] == o["pole"] and c["pole"] is not None
-            assert abs(c["beta"] - o["beta"]) <= 64 * np.spacing(c["beta"])
-            assert (det_sign(sg, c["beta"] * (1 - 1e-13))
-                    * det_sign(sg, c["beta"] * (1 + 1e-13)) < 0)
-            solves.append(c["solves"])
+        assert_matches_oracle(sg, crossings, det_crossings_by_loop(sg))
+        assert all(c["pole"] is not None for c in crossings)
+        solves += [c["solves"] for c in crossings]
     assert len(var_sets) == 36 and solves
     assert np.mean(solves) <= 16
+
+
+@st.composite
+def multigraphs_with_trees(draw):
+    """A multigraph from multigraphs() with up to six vertices hung on it one
+    at a time, each from any earlier vertex (so pendant trees and paths) by
+    one edge or by two parallel copies, which keep it in the 2-core; then up
+    to two isolated vertices, and every label permuted."""
+    g = draw(multigraphs())
+    n = g.n
+    edges = list(zip(g._i.tolist(), g._j.tolist()))
+    for _ in range(draw(st.integers(0, 6))):
+        edges += [(draw(st.integers(0, n - 1)), n)] * draw(st.integers(1, 2))
+        n += 1
+    n += draw(st.integers(0, 2))
+    label = draw(st.permutations(range(n)))
+    return SimpleGraph(n, [(label[a], label[b]) for a, b in edges])
+
+
+def test_two_core_peels_pendant_paths_and_keeps_parallel_copies():
+    # a triangle on 1, 2, 4 with the path 4-3-0 hung on it and a doubled
+    # edge 1=5, which is a 2-cycle; 6 is isolated
+    g = SimpleGraph(7, [(1, 2), (2, 4), (1, 4), (3, 4), (0, 3), (1, 5, 2)])
+    n, i, j = _two_core(g)
+    assert (n, i.tolist(), j.tolist()) == (4, [0, 0, 0, 0, 1],
+                                           [1, 2, 3, 3, 2])
+
+
+@given(multigraphs_with_trees())
+def test_det_crossing_check_on_the_core_matches_the_whole_graph(g):
+    n, i, j = _two_core(g)
+    assert (i < j).all()
+    assert np.bincount(np.concatenate((i, j)), minlength=n).min(initial=2) >= 2
+    assert_matches_oracle(g, det_crossing_check(g)["crossings"],
+                          det_crossings_by_loop(g))
+
+
+@pytest.mark.parametrize("g", [
+    SimpleGraph(7, [(0, 1), (1, 2), (1, 3), (4, 5)]),    # a forest
+    SimpleGraph(3, [])], ids=["forest", "edgeless"])
+def test_det_crossing_check_on_an_empty_core(g):
+    assert det_crossing_check(g) == {"crossings": [], "no_crossing": True}
+
+
+@pytest.mark.parametrize("g, edge", [
+    (SimpleGraph(4, [(2, 3), (1, 2)]), (1, 2)),           # a path
+    (SimpleGraph(5, [(1, 2), (2, 3), (1, 3), (3, 4)]), (1, 2)),
+    (SimpleGraph(5, [(0, 4), (1, 2), (2, 3), (1, 3), (3, 4)]), (0, 4))],
+    ids=["tree", "cycle-pendant", "pendant-first"])
+def test_det_crossing_check_refuses_saturation_in_the_graphs_own_labels(
+        g, edge):
+    # at J0 = 10 the grid's last points reach tanh^2 = 1; the refusal names
+    # g's first edge in g's labels, whether or not peeling keeps it
+    with pytest.raises(ValueError, match=re.escape(
+            f"coupling saturated on edge ({edge[0]},{edge[1]}): tanh^2 = ")):
+        det_crossing_check(g, J0=10.0)
 
 
 def test_import_does_not_load_scipy_optimize():
