@@ -8,6 +8,7 @@ the estimated root temperature.
 """
 
 import csv
+import io
 import json
 import logging
 import struct
@@ -17,7 +18,7 @@ import numpy as np
 from .estimator import (_BRACKET_TOL, EstimatorConfig, WeightedSystem,
                         _CountedEvaluator, auto_bracket, estimate_beta_N)
 from .rbim import CouplingGraph
-from .sparse import bottom_eigenpairs, lambda_min
+from .sparse import _read_text, bottom_eigenpairs, lambda_min
 
 log = logging.getLogger(__name__)
 
@@ -60,7 +61,7 @@ class FeatureTable:
     def from_csv(cls, path):
         header, records = _csv_records(path)
         has_label = header[-1].strip().lower() == "label"
-        types = [float] * (len(header) - has_label) + [int] * has_label
+        types = [float] * (len(header) - has_label) + [_label] * has_label
         rows = [_csv_fields(path, line, rec, types, exact=True)
                 for line, rec in records]
         if has_label:
@@ -84,19 +85,24 @@ class FeatureTable:
                     writer.writerow([repr(float(x)) for x in row])
 
     @classmethod
-    def from_raw(cls, path, sidecar=None):
-        """Little-endian float32 matrix with a JSON sidecar {rows, cols}; a
-        NaN or an infinity is a ValueError naming the file and the 1-based
-        row."""
-        if sidecar is None:
-            sidecar = path + ".json"
-        with open(sidecar) as fh:
-            meta = json.load(fh)
+    def from_raw(cls, path):
+        """Little-endian float32 matrix with a JSON sidecar {rows, cols} at
+        path + ".json"; a NaN or an infinity is a ValueError naming the file
+        and the 1-based row, a sidecar that is not JSON one naming its
+        line."""
+        sidecar = path + ".json"
+        try:
+            meta = json.loads(_read_text(sidecar))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{sidecar}: line {exc.lineno}: not JSON: "
+                             f"{exc.msg}") from None
         try:
             rows, cols = int(meta["rows"]), int(meta["cols"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError(f"{sidecar}: expected a JSON object with integer "
-                             "'rows' and 'cols'") from None
+            if rows < 0 or cols < 0:
+                raise ValueError
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValueError(f"{sidecar}: expected a JSON object with "
+                             "nonnegative integer 'rows' and 'cols'") from None
         with open(path, "rb") as fh:
             buf = fh.read()
         need = rows * cols * 4
@@ -106,12 +112,10 @@ class FeatureTable:
                      dtype=float).reshape(rows, cols)
         return cls(_finite_rows(path, X, lambda k: f"row {k + 1}"))
 
-    def to_raw(self, path, sidecar=None):
-        if sidecar is None:
-            sidecar = path + ".json"
+    def to_raw(self, path):
         with open(path, "wb") as fh:
             fh.write(self.X.astype("<f4").tobytes())
-        with open(sidecar, "w") as fh:
+        with open(path + ".json", "w") as fh:
             json.dump({"rows": self.n_samples, "cols": self.n_features}, fh)
 
 
@@ -146,6 +150,9 @@ class Embedding:
     def from_csv(cls, path):
         header, records = _csv_records(path)
         r = sum(1 for h in header if h.startswith("e"))
+        if not r:
+            raise ValueError(f"{path}: line 1: no coordinate column (e0, e1, "
+                             "...) in the header")
         coords = _finite_rows(path, [
             _csv_fields(path, line, rec, [float] * r) for line, rec in records],
             lambda k: f"line {records[k][0]}")
@@ -153,17 +160,22 @@ class Embedding:
         beta, gid = 0.0, ""
         if len(first) > r and first[r]:
             beta = _csv_fields(path, line, first[r:], [float])[0]
+            if not np.isfinite(beta):
+                raise ValueError(f"{path}: line {line}: non-finite beta_N")
             gid = first[r + 1] if len(first) > r + 1 else ""
         return cls(coords, beta, gid)
 
 
 def _csv_records(path):
     """A CSV file's header and its non-blank records, each with its 1-based
-    line; ValueError naming the file and the line if either is missing."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    line, read by _read_text; ValueError naming the file and the line if
+    either is missing or the csv module refuses a line."""
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
         header = next(reader, None)
         records = [(reader.line_num, rec) for rec in reader if rec]
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not header or not records:
         raise ValueError(f"{path}: line {reader.line_num + 1 if header else 1}:"
                          f" expected {'a data row' if header else 'a header'},"
@@ -182,6 +194,14 @@ def _csv_fields(path, line, rec, types, exact=False):
         return [t(x) for t, x in zip(types, rec)]
     except ValueError as exc:
         raise ValueError(f"{path}: line {line}: {exc}") from None
+
+
+def _label(text):
+    """A CSV cell's class label: an integer in [0, 2**63)."""
+    label = int(text)
+    if not 0 <= label < 2 ** 63:
+        raise ValueError(f"label {label} is not in [0, 2**63)")
+    return label
 
 
 def _finite_rows(path, rows, where):

@@ -50,9 +50,10 @@ def _restrict_features(ft, ranking, s_frac):
     return ft.X[:, np.unique(top)]
 
 
-def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
-                 mode="majority", margin_threshold=0.0, use_arbiter=False):
-    """Full embed/classify/ensemble run on a labeled feature table.
+def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
+                 margin_threshold=0.0, use_arbiter=False):
+    """Full embed/classify/ensemble run on a labeled feature table, one
+    embedding per graph of DEFAULT_GRAPHS.
 
     Returns (result, embeddings, models): evaluate_ensemble's metrics with
     each embedding's beta_N added, the embeddings, and the fitted models.
@@ -60,13 +61,11 @@ def run_pipeline(ft, r=32, graphs=DEFAULT_GRAPHS, test_fraction=0.25, seed=0,
     if ft.labels is None:
         raise ValueError("labeled features required")
     train_idx, test_idx = stratified_split(ft.labels, test_fraction, seed)
-    ranking = None
-    if any(g.get("s_frac", 1.0) < 1.0 for g in graphs):
-        ranking = _rank_features(FeatureTable(ft.X[train_idx],
-                                              ft.labels[train_idx]))
+    ranking = _rank_features(FeatureTable(ft.X[train_idx],
+                                          ft.labels[train_idx]))
     embeddings = []
-    for g_id, gcfg in enumerate(graphs):
-        Xg = _restrict_features(ft, ranking, gcfg.get("s_frac", 1.0))
+    for g_id, gcfg in enumerate(DEFAULT_GRAPHS):
+        Xg = _restrict_features(ft, ranking, gcfg["s_frac"])
         J = similarity_graph(FeatureTable(Xg, ft.labels), gcfg["gamma"], gcfg["p"])
         embeddings.append(spectral_embed(J, r, graph_id=f"graph{g_id}"))
     result, models = evaluate_ensemble(

@@ -15,34 +15,47 @@ _ENUM_CAP = 20
 _P_FLOOR = 1e-6
 
 
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _refuse(i, j, bad, message):
+    """ValueError naming the first edge (i[k], j[k]) where bad holds."""
+    if bad.any():
+        k = bad.argmax()
+        raise ValueError(message.format(i[k], j[k]))
+
+
 class CouplingGraph:
     """Symmetric weighted graph carrying the couplings J_ij.
 
     edges is an iterable of (i, j, J_ij) triples, or a (k, 3) array of them;
-    each is stored as i < j in the int arrays i and j, with its coupling in
-    couplings, sorted by (i, j).  Self-couplings, out-of-range and duplicate
-    pairs, and zero or non-finite couplings are rejected.
+    each is stored as i < j in the read-only int arrays i and j, with its
+    coupling in couplings, sorted stably by (i, j).  Self-couplings,
+    out-of-range and duplicate pairs, and zero or non-finite couplings are
+    rejected.
     """
 
     def __init__(self, n, edges):
+        key = self._store(n, *_triples(edges))
+        _refuse(self.i, self.j, np.r_[False, np.diff(key) == 0],
+                "duplicate edge ({},{})")
+        _refuse(self.i, self.j, ~np.isfinite(self.couplings)
+                | (self.couplings == 0),
+                "coupling on ({},{}) must be finite and nonzero")
+
+    def _store(self, n, i, j, w):
+        """Set n and the edge arrays from i <= j, refusing the first
+        self-loop, then the first out-of-range edge; returns the sorted
+        keys i * n + j."""
         self.n = int(n)
-        i, j, J = _triples(edges)
-        if np.any(i == j):
-            raise ValueError("self-coupling not allowed")
-
-        def check(bad, message):
-            if np.any(bad):
-                k = np.flatnonzero(bad)[0]
-                raise ValueError(message.format(i[k], j[k]))
-
-        check((i < 0) | (j >= self.n), "edge ({},{}) out of range")
+        _refuse(i, j, i == j, "self-loop ({},{}) not allowed")
+        _refuse(i, j, (i < 0) | (j >= self.n), "edge ({},{}) out of range")
         key = i * self.n + j
         order = np.argsort(key, kind="stable")
-        i, j, J = i[order], j[order], J[order]
-        check(np.r_[False, np.diff(key[order]) == 0], "duplicate edge ({},{})")
-        check(~np.isfinite(J) | (J == 0),
-              "coupling on ({},{}) must be finite and nonzero")
-        self.i, self.j, self.couplings = i, j, J
+        self.i, self.j, self.couplings = (_frozen(a[order]) for a in (i, j, w))
+        return key[order]
 
     @property
     def edges(self):

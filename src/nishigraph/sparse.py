@@ -247,9 +247,9 @@ def read_matrix_market(path):
 
     A bad header (complex, pattern and array files included); a size or
     entry line that is missing, short or non-numeric; a size that is not
-    square, is negative or reaches 2**31; an entry out of range or
-    repeating an earlier pair; and a byte that is not UTF-8 each raise
-    ValueError naming the file and the 1-based line number.
+    square, is negative or reaches 2**31; an entry out of range, NaN or
+    infinite, or repeating an earlier pair; and a byte that is not UTF-8
+    each raise ValueError naming the file and the 1-based line number.
     """
     lines = _read_text(path).split("\n")
 
@@ -286,6 +286,8 @@ def read_matrix_market(path):
         r, c, v = fields(k, (int, int, float))
         if not (1 <= r <= n and 1 <= c <= n):
             fail(k, f"entry ({r},{c}) out of range for n={n}")
+        if not np.isfinite(v):
+            fail(k, f"entry ({r},{c}) value {v} is not finite")
         pair = (min(r, c), max(r, c))
         if pair in entries:
             fail(k, f"entry ({r},{c}) repeats line {entries[pair][0] + 1}")

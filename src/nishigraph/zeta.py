@@ -9,53 +9,34 @@ routines are correctness oracles, not large-scale tools.
 import numpy as np
 
 from .estimator import _bethe_hessian, _checked_square
+from .rbim import CouplingGraph, _frozen, _refuse
 
 _EDGE_CAP = 500
 _DET_CAP = 200
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
 
 # det_crossing_check's beta grid and its pole-matching radius in u
 _BETA_GRID = _frozen(np.linspace(0.05, 6.0, 240))
 _POLE_TOL = 1e-4
 
 
-class SimpleGraph:
+class SimpleGraph(CouplingGraph):
     """Undirected graph with integer edge multiplicities.
 
     edges holds (i, j) pairs or (i, j, multiplicity) triples; repeated pairs
-    add up.  A SimpleGraph is treated as immutable: its edge copies are
-    stored once here as read-only arrays _i < _j with a copy number _copy,
-    sorted by (i, j, copy), and its non-backtracking matrix and poles are
-    kept on the instance on first use.
+    add up.  Each edge copy is one entry of the CouplingGraph arrays i < j,
+    with a unit coupling and a copy number in the read-only array _copy.  A
+    SimpleGraph is treated as immutable: its non-backtracking matrix and
+    poles are kept on the instance on first use.
     """
 
     def __init__(self, n, edges):
-        self.n = int(n)
         e = np.array([(x[0], x[1], x[2] if len(x) > 2 else 1) for x in edges],
                      dtype=np.intp).reshape(-1, 3)
         i, j, m = e.T
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-
-        def check(bad, message):
-            if bad.any():
-                k = bad.argmax()
-                raise ValueError(message.format(i[k], j[k]))
-
-        check(i == j, "self-loops not supported")
-        check((lo < 0) | (hi >= self.n), "edge ({},{}) out of range")
-        check(m < 1, "edge multiplicity must be >= 1")
+        _refuse(i, j, m < 1, "edge ({},{}) multiplicity must be >= 1")
         # one entry per edge copy; a copy's number is its offset in its run
-        key = lo * self.n + hi
-        order = key.argsort(kind="stable")
-        m = m[order]
-        key = key[order].repeat(m)
-        self._i = _frozen(lo[order].repeat(m))
-        self._j = _frozen(hi[order].repeat(m))
+        key = self._store(n, np.minimum(i, j).repeat(m),
+                          np.maximum(i, j).repeat(m), np.ones(m.sum()))
         self._copy = _frozen(np.arange(len(key)) - key.searchsorted(key))
         self._nb = None
         self._poles = None
@@ -67,13 +48,13 @@ class SimpleGraph:
         return cls(M.n, zip(M.rows[off].tolist(), M.cols[off].tolist()))
 
     def n_edges(self):
-        return len(self._i)
+        return len(self.i)
 
     def is_multigraph(self):
         return bool(self._copy.any())
 
     def degrees(self):
-        return np.bincount(np.concatenate((self._i, self._j)),
+        return np.bincount(np.concatenate((self.i, self.j)),
                            minlength=self.n).tolist()
 
     def _non_backtracking(self):
@@ -84,10 +65,10 @@ class SimpleGraph:
         and b is not a's own copy reversed.
         """
         if self._nb is None:
-            e = np.arange(len(self._i))
+            e = np.arange(len(self.i))
             eid = np.concatenate((e, e))
-            des = np.column_stack((np.concatenate((self._i, self._j)),
-                                   np.concatenate((self._j, self._i)),
+            des = np.column_stack((np.concatenate((self.i, self.j)),
+                                   np.concatenate((self.j, self.i)),
                                    np.concatenate((self._copy, self._copy))))
             order = np.lexsort(des.T[::-1])
             des, eid = des[order], eid[order]
@@ -147,7 +128,7 @@ def _bass_sides(g, u):
     Bethe-Hessian after the substitution u = tanh(beta J)."""
     if abs(abs(u) - 1.0) < 1e-12:
         raise ValueError("u = +-1 is outside the identity's domain")
-    H = _bethe_hessian(g.n, g._i, g._j, np.full(len(g._i), float(u)), dense=True)
+    H = _bethe_hessian(g.n, g.i, g.j, np.full(len(g.i), float(u)), dense=True)
     return zeta_reciprocal(g, u), H, (1 - u * u) ** (g.n_edges() - g.n)
 
 
@@ -217,7 +198,7 @@ def _two_core(g):
     det H by H_kk = 1/(1 - t^2) and leaves the Bethe-Hessian of g - k, so
     det H_g = det H_core * prod over dropped edges of 1/(1 - t_e^2).
     """
-    i, j = g._i, g._j
+    i, j = g.i, g.j
     while True:
         leaf = np.bincount(np.concatenate((i, j)), minlength=g.n) == 1
         keep = ~(leaf[i] | leaf[j])
@@ -256,7 +237,7 @@ def det_crossing_check(g, J0=1.0):
     """
     tanh = np.tanh(_BETA_GRID * J0)
     if g.n_edges():
-        _checked_square(g._i[:1], g._j[:1], tanh[:, None])
+        _checked_square(g.i[:1], g.j[:1], tanh[:, None])
     n, i, j = _two_core(g)
     if not n:
         return {"crossings": [], "no_crossing": True}

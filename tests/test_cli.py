@@ -248,6 +248,17 @@ def test_beta_on_truncated_matrix_is_a_clean_error(tmp_path, capsys):
     assert str(path) in err and "line 8" in err
 
 
+@pytest.mark.parametrize("command", ["beta", "zeta"])
+def test_non_finite_matrix_entry_is_a_clean_error(tmp_path, capsys, command):
+    path = tmp_path / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "3 3 2\n2 1 1.0\n3 2 nan\n")
+    rc, out, err = run_cli(capsys, command, str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {path}: line 4: entry (3,2) value nan is not finite\n"
+
+
 def test_zeta_on_a_byte_that_is_not_utf8_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "c.mtx"
     path.write_bytes(b"%%MatrixMarket matrix coordinate real symmetric\n"
@@ -323,7 +334,9 @@ def test_malformed_csv_is_a_clean_error(tmp_path, capsys, command, text, line):
     assert f"{path}: line {line}:" in err
 
 
-@pytest.mark.parametrize("sidecar", ['{"rows": 2}', '[2, 2]'])
+@pytest.mark.parametrize("sidecar", ['{"rows": 2}', '[2, 2]', "not json",
+                                     '{"rows": Infinity, "cols": 1}',
+                                     '{"rows": -2, "cols": -2}'])
 def test_bad_raw_sidecar_is_a_clean_error(tmp_path, capsys, sidecar):
     path = tmp_path / "x.raw"
     path.write_bytes(b"\x00" * 16)

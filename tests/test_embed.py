@@ -1,5 +1,8 @@
 """Feature tables, similarity graphs, and critical-temperature embeddings."""
 
+import json
+import re
+import struct
 from unittest import mock
 
 import numpy as np
@@ -300,11 +303,65 @@ def test_csv_readers_name_the_file_and_line(tmp_path):
              (Embedding, "", 1),
              (Embedding, "e0,e1,beta_N,graph_id\n1,2,0.5,g\n3\n", 3),
              (Embedding, "e0,e1,beta_N,graph_id\n1,2,0.5,g\n3,y,,\n", 3),
-             (Embedding, "e0,e1,beta_N,graph_id\n1,2,b,g\n", 2)]
+             (Embedding, "e0,e1,beta_N,graph_id\n1,2,b,g\n", 2),
+             (FeatureTable, b"f0,f1\n1,2\n3,\xff\n", 3),       # not UTF-8
+             (FeatureTable, "f0,label\n1,0\n2,-1\n", 3),       # negative label
+             (Embedding, "x0,beta_N\n1,0.5\n", 1),              # no e column
+             (Embedding, "e0,beta_N,graph_id\n1,nan,g\n", 2),   # beta_N NaN
+             (FeatureTable, "f0\n1\n" + "2" * 131073 + "\n", 3)]  # csv limit
     for cls, text, line in cases:
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         with pytest.raises(ValueError, match=f"bad.csv: line {line}:"):
             cls.from_csv(str(path))
+
+
+_CSV_CELL = st.one_of(st.floats().map(repr), st.integers().map(str),
+                     st.sampled_from(["", "x", "nan", "-1", "1e400", '"',
+                                      "label", "e0"]),
+                     st.text(max_size=4))
+_CSV_LINE = st.lists(_CSV_CELL, max_size=4).map(",".join)
+_CSV = st.builds(
+    lambda header, lines, end, tail: end.join([header] + lines).encode() + tail,
+    st.one_of(st.sampled_from(["f0,f1", "f0,f1,label", "label", "e0",
+                               "e0,e1,beta_N,graph_id", ""]), _CSV_LINE),
+    st.lists(_CSV_LINE, max_size=5), st.sampled_from(["\n", "\r\n", "\r"]),
+    st.binary(max_size=2))
+_SIDE_VALUE = st.one_of(st.integers(-2, 4), st.floats(), st.text(max_size=2),
+                        st.none(), st.booleans())
+_SIDECAR = st.one_of(
+    st.fixed_dictionaries({"rows": _SIDE_VALUE, "cols": _SIDE_VALUE}).map(
+        lambda d: json.dumps(d).encode()),
+    st.sampled_from([b"[2, 2]", b"{", b'{"rows": 1}', b"\xff"]),
+    st.text(max_size=6).map(str.encode))
+_RAW = st.one_of(st.binary(max_size=24), st.lists(
+    st.floats(width=32), max_size=6).map(lambda x: struct.pack(f"<{len(x)}f", *x)))
+
+
+@given(_CSV, _SIDECAR, _RAW)
+def test_readers_give_a_value_or_name_the_file(tmp_path_factory, text, sidecar,
+                                               raw):
+    base = tmp_path_factory.getbasetemp()
+    csv_path, raw_path = str(base / "fuzz.csv"), str(base / "fuzz.raw")
+    with open(csv_path, "wb") as fh:
+        fh.write(text)
+    with open(raw_path, "wb") as fh:
+        fh.write(raw)
+    with open(raw_path + ".json", "wb") as fh:
+        fh.write(sidecar)
+    for path, read, kind in ((csv_path, FeatureTable.from_csv, FeatureTable),
+                             (csv_path, Embedding.from_csv, Embedding),
+                             (raw_path, FeatureTable.from_raw, FeatureTable)):
+        try:
+            value = read(path)
+        except ValueError as exc:
+            assert str(exc).startswith(path), str(exc)
+            if path == csv_path:  # every CSV refusal also names a line
+                assert re.match(rf"{re.escape(path)}: line \d+: ", str(exc))
+        else:
+            assert isinstance(value, kind)
 
 
 def test_embedding_validation():

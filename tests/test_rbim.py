@@ -19,6 +19,10 @@ def test_coupling_graph_validation():
         CouplingGraph(2, [(0, 0, 1.0)])
     with pytest.raises(ValueError):
         CouplingGraph(2, [(0, 1, 1.0), (1, 0, 2.0)])
+    # the arrays are read-only, so a zero coupling cannot be written in
+    for a in (J.i, J.j, J.couplings):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_coupling_graph_from_sparse():

@@ -301,6 +301,9 @@ def test_matrix_market_rejects_bad_header(tmp_path):
      "line 4: entry (2,3) out of range for n=2"),
     ("real symmetric\n2 2 2\n1 2 1.0\n2 1 5.0\n",
      "line 4: entry (2,1) repeats line 3"),
+    *((f"real symmetric\n3 3 2\n1 1 1.0\n3 2 {v}\n",
+       f"line 4: entry (3,2) value {float(v)} is not finite")
+      for v in ("nan", "inf", "-Infinity")),
     # a Unicode line separator inside a comment does not end the line
     ("real symmetric\n% c\u2028 1 1 1\n1 1 0\n", None),
 ])

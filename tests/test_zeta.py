@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nishigraph
-from nishigraph import (SimpleGraph, SparseSym, TrappingSet,
+from nishigraph import (CouplingGraph, SimpleGraph, SparseSym, TrappingSet,
                         bass_identity_residual, bass_loose_form_residual,
                         det_crossing_check, enumerate_cycles, lift,
                         non_backtracking, poles, read_exponent_file,
@@ -30,9 +30,16 @@ def complete_graph(n):
 
 def test_simple_graph_accumulates_multiplicities():
     g = SimpleGraph(3, [(0, 1), (1, 0), (0, 2, 2)])
-    assert list(zip(g._i.tolist(), g._j.tolist())) == [(0, 1), (0, 1),
-                                                       (0, 2), (0, 2)]
+    assert list(zip(g.i.tolist(), g.j.tolist())) == [(0, 1), (0, 1),
+                                                     (0, 2), (0, 2)]
     assert g._copy.tolist() == [0, 1, 0, 1]
+    assert isinstance(g, CouplingGraph)
+    assert g.couplings.tolist() == [1.0] * 4
+    assert g.components() == [[0, 1, 2]]
+    assert SimpleGraph(4, [(3, 1, 2)]).components() == [[0], [1, 3], [2]]
+    for a in (g.i, g.j, g.couplings):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
     assert g.n_edges() == 4
     assert g.is_multigraph()
     assert g.degrees() == [4, 2, 2]
@@ -47,7 +54,7 @@ def test_simple_graph_accumulates_multiplicities():
 def test_from_sparse_support_and_multiplicities():
     M = SparseSym(3, [(0, 1, 3.0), (1, 2, 1.0), (0, 0, 5.0)])
     g1 = SimpleGraph.from_sparse(M)
-    assert (g1._i.tolist(), g1._j.tolist()) == ([0, 1], [1, 2])
+    assert (g1.i.tolist(), g1.j.tolist()) == ([0, 1], [1, 2])
     assert not g1.is_multigraph()
 
 
@@ -78,7 +85,7 @@ def test_cached_non_backtracking_matches_loop_oracle(g):
     assert cached_B.dtype == B.dtype and cached_B.tobytes() == B.tobytes()
     first = poles(g)
     assert poles(g) == first and poles(g) is not first
-    for a in (cached_des, cached_B, g._pole_array(), g._i, g._j, g._copy):
+    for a in (cached_des, cached_B, g._pole_array(), g.i, g.j, g._copy):
         assert not a.flags.writeable
     if not g.is_multigraph():
         space = non_backtracking(g)
@@ -183,7 +190,7 @@ def test_det_crossing_check_on_a_large_regular_graph():
 
 
 def det_sign(g, beta):
-    i, j = g._i, g._j
+    i, j = g.i, g.j
     t = np.full(len(i), np.tanh(beta))
     return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
 
@@ -234,7 +241,7 @@ def multigraphs_with_trees(draw):
     to two isolated vertices, and every label permuted."""
     g = draw(multigraphs())
     n = g.n
-    edges = list(zip(g._i.tolist(), g._j.tolist()))
+    edges = list(zip(g.i.tolist(), g.j.tolist()))
     for _ in range(draw(st.integers(0, 6))):
         edges += [(draw(st.integers(0, n - 1)), n)] * draw(st.integers(1, 2))
         n += 1

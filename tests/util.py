@@ -88,7 +88,7 @@ def directed_edge_matrix_by_loop(g):
     one directed pair per copy, lexicographic by (tail, head, copy), and
     B[a, b] = 1 where b leaves a's head without reversing a's own copy."""
     des = []
-    for (i, j), m in Counter(zip(g._i.tolist(), g._j.tolist())).items():
+    for (i, j), m in Counter(zip(g.i.tolist(), g.j.tolist())).items():
         for copy in range(m):
             des.append((i, j, copy))
             des.append((j, i, copy))
@@ -107,7 +107,7 @@ def det_crossings_by_loop(g, J0=1.0):
     """det_crossing_check's crossing list, one determinant per beta: every
     grid point assembled on its own, then 80 bisection steps per sign change."""
     beta_grid = np.linspace(0.05, 6.0, 240)
-    i, j = g._i, g._j
+    i, j = g.i, g.j
 
     def det(beta):
         t = np.full(len(i), np.tanh(beta * J0))
