@@ -15,8 +15,8 @@ import numpy as np
 
 from . import qc, trapping, zeta as zeta_mod
 from .classify import accuracy, per_class_metrics, predict_labels, train_linear
-from .embed import Embedding, FeatureTable, similarity_graph, spectral_embed, \
-    synthetic_features
+from .embed import (Embedding, FeatureTable, _label, similarity_graph,
+                    spectral_embed, synthetic_features)
 from .estimator import (EstimatorConfig, UnweightedSystem, WeightedSystem,
                         auto_bracket, bisection_baseline, estimate_beta_N)
 from .pipeline import (confusion_to_csv, evaluate_ensemble, metrics_table,
@@ -246,18 +246,17 @@ def cmd_embed(args):
 
 
 def _read_labels(path, rows):
-    """One integer label per non-blank line; ValueError naming the file and
-    the 1-based line of a label that is not an integer or of a byte that is
-    not UTF-8, and naming the file and both counts unless there are as many
-    labels as rows."""
+    """One class label per non-blank line, read by embed._label; ValueError
+    naming the file and the 1-based line of a label that _label refuses or
+    of a byte that is not UTF-8, and naming the file and both counts unless
+    there are as many labels as rows."""
     labels = []
     for line, text in enumerate(_read_text(path).split("\n"), 1):
         if text.strip():
             try:
-                labels.append(int(text))
-            except ValueError:
-                raise ValueError(f"{path}: line {line}: expected an integer "
-                                 f"label, found {text.strip()!r}") from None
+                labels.append(_label(text))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line}: {exc}") from None
     if len(labels) != rows:
         raise ValueError(f"{path}: {len(labels)} labels for {rows} rows")
     return np.array(labels)

@@ -197,8 +197,12 @@ def _csv_fields(path, line, rec, types, exact=False):
 
 
 def _label(text):
-    """A CSV cell's class label: an integer in [0, 2**63)."""
-    label = int(text)
+    """A class label read from text: an integer in [0, 2**63)."""
+    try:
+        label = int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer label, found "
+                         f"{text.strip()!r}") from None
     if not 0 <= label < 2 ** 63:
         raise ValueError(f"label {label} is not in [0, 2**63)")
     return label
@@ -249,19 +253,44 @@ def binarize(ft):
 
 def similarity_graph(ft, gamma, p):
     """Kernelized cosine-similarity graph with union top-p sparsification."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    X = ft.X
-    norms = np.linalg.norm(X, axis=1)
-    bad = np.where(norms == 0)[0]
+    return _similarity_graphs(ft.X, [(np.arange(ft.n_features), gamma, p)])[0]
+
+
+def _similarity_graphs(X, specs):
+    """similarity_graph of X's columns cols, with gamma and p, for each
+    (cols, gamma, p) in specs, from one running Gram matrix G.  The column
+    sets are visited smallest first, and each adds only its new columns'
+    block, G += X_b X_b^T, so every column enters one product.  ValueError
+    unless each set holds the next smaller one."""
+    for _, gamma, p in specs:
+        if gamma <= 0:
+            raise ValueError("gamma must be positive")
+        if p < 1:
+            raise ValueError("p must be >= 1")
+    graphs = [None] * len(specs)
+    G, done = None, np.empty(0, dtype=np.intp)
+    for g in sorted(range(len(specs)), key=lambda g: len(specs[g][0])):
+        cols, gamma, p = specs[g]
+        if not np.isin(done, cols).all():
+            raise ValueError("column sets are not nested")
+        new = np.setdiff1d(cols, done)
+        Xb = X if len(new) == X.shape[1] else X.take(new, axis=1)
+        block = Xb @ Xb.T
+        G = block if G is None else np.add(G, block, out=G)
+        del Xb, block  # only G is n x n during the selection
+        done = cols
+        graphs[g] = _top_p_graph(G, gamma, p)
+    return graphs
+
+
+def _top_p_graph(G, gamma, p):
+    """The union top-p graph of the kernel exp(-gamma * d^2), d = 1 - cosine,
+    with the cosines G / (n n^T) of the Gram matrix G, n = sqrt(diag G)."""
+    nrm = np.sqrt(G.diagonal())
+    bad = np.where(nrm == 0)[0]
     if bad.size:
         raise ValueError(f"zero-norm feature row {int(bad[0])}")
-    U = X / norms[:, None]
-    C = U @ U.T
-    np.clip(C, -1.0, 1.0, out=C)
-    n = ft.n_samples
+    n = len(G)
     p = min(p, n - 1)
     if p < 1:
         return CouplingGraph(n, [])
@@ -272,7 +301,9 @@ def similarity_graph(ft, gamma, p):
     rows, cols = [], []
     step = max(1, _TOP_P_BLOCK // n)
     for start in range(0, n, step):
-        d = 1.0 - C[start:start + step]
+        C = G[start:start + step] / np.outer(nrm[start:start + step], nrm)
+        np.clip(C, -1.0, 1.0, out=C)
+        d = np.subtract(1.0, C, out=C)
         W = -gamma * d
         W *= d
         np.exp(W, out=W)
@@ -290,7 +321,7 @@ def similarity_graph(ft, gamma, p):
     rows, cols = np.concatenate(rows), np.concatenate(cols)
     pair = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
     i, j = pair // n, pair % n
-    d = 1.0 - C[i, j]
+    d = 1.0 - np.clip(G[i, j] / (nrm[i] * nrm[j]), -1.0, 1.0)
     return CouplingGraph(n, np.column_stack((i, j, np.exp(-gamma * d * d))))
 
 

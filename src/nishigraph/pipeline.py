@@ -12,7 +12,7 @@ import numpy as np
 from .classify import (EnsembleConfig, accuracy, arbiter_train,
                        confusion_matrix, ensemble_decide, per_class_metrics,
                        predict, train_linear)
-from .embed import (FeatureTable, _rank_features, similarity_graph,
+from .embed import (FeatureTable, _rank_features, _similarity_graphs,
                     spectral_embed)
 
 log = logging.getLogger(__name__)
@@ -39,15 +39,16 @@ def stratified_split(labels, test_fraction, seed):
 
 
 def _restrict_features(ft, ranking, s_frac):
-    """ft's columns in the union of each class's s_frac share of top-ranked
-    features, ranking being _rank_features of the training rows."""
+    """The sorted indices of ft's columns in the union of each class's
+    s_frac share of top-ranked features, ranking being _rank_features of the
+    training rows.  Each class's share is a prefix of its order, so a
+    smaller s_frac keeps a subset of a larger one's columns."""
     if s_frac >= 1.0:
-        return ft.X
+        return np.arange(ft.n_features)
     s = max(2, int(round(s_frac * ft.n_features)))
     if s > ft.n_features:
         raise ValueError("s exceeds the feature dimension")
-    top = np.concatenate([order[:s] for order in ranking.values()])
-    return ft.X[:, np.unique(top)]
+    return np.unique(np.concatenate([order[:s] for order in ranking.values()]))
 
 
 def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
@@ -63,11 +64,13 @@ def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
     train_idx, test_idx = stratified_split(ft.labels, test_fraction, seed)
     ranking = _rank_features(FeatureTable(ft.X[train_idx],
                                           ft.labels[train_idx]))
-    embeddings = []
-    for g_id, gcfg in enumerate(DEFAULT_GRAPHS):
-        Xg = _restrict_features(ft, ranking, gcfg["s_frac"])
-        J = similarity_graph(FeatureTable(Xg, ft.labels), gcfg["gamma"], gcfg["p"])
-        embeddings.append(spectral_embed(J, r, graph_id=f"graph{g_id}"))
+    # the graphs' column sets are nested, so one running Gram builds all
+    # three; it is freed before the first embedding
+    graphs = _similarity_graphs(ft.X, [
+        (_restrict_features(ft, ranking, g["s_frac"]), g["gamma"], g["p"])
+        for g in DEFAULT_GRAPHS])
+    embeddings = [spectral_embed(J, r, graph_id=f"graph{g_id}")
+                  for g_id, J in enumerate(graphs)]
     result, models = evaluate_ensemble(
         [e.coords for e in embeddings], ft.labels, train_idx, test_idx, seed,
         mode, margin_threshold, use_arbiter)

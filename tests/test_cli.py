@@ -192,6 +192,30 @@ def test_label_that_is_not_an_integer_is_a_clean_error(tmp_path, capsys,
                    "found 'x'\n")
 
 
+@pytest.mark.parametrize("command", ["classify", "ensemble", "pipeline"])
+@pytest.mark.parametrize("bad", ["-1", str(2 ** 70)])
+def test_label_out_of_range_is_a_clean_error(tmp_path, capsys, command, bad):
+    ft, labels = unlabelled_features(tmp_path)
+    lines = labels.read_text().splitlines()
+    lines[2] = bad
+    labels.write_text("\n".join(lines) + "\n")
+    if command == "pipeline":
+        features = tmp_path / "f.csv"
+        ft.to_csv(str(features))
+        argv = ["--features", str(features), "--labels", str(labels), "-r",
+                "5", "--out", str(tmp_path)]
+    else:
+        emb = tmp_path / "emb.csv"
+        Embedding(ft.X[:, :3], 1.0).to_csv(str(emb))
+        argv = ([str(emb), str(labels)] if command == "classify"
+                else [str(emb)] * 3 + ["--labels", str(labels)])
+    rc, out, err = run_cli(capsys, command, *argv)
+    assert rc == 1
+    assert out == ""
+    assert err == (f"error: {labels}: line 3: label {bad} is not in "
+                   "[0, 2**63)\n")
+
+
 def unlabelled_features(tmp_path):
     """Three separated classes without labels, and their label file."""
     ft = synthetic_features(3, 20, 32, separation=8.0, seed=5)

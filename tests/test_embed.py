@@ -182,6 +182,65 @@ def test_similarity_graph_matches_per_row_oracle(case):
     assert J.edges == similarity_graph_by_loop(ft, gamma, p)
 
 
+@st.composite
+def nested_gram_cases(draw):
+    """Features with column scales from 1e-3 to 1e3, at times with repeated
+    rows or a row that is zero on the smallest set's columns, and one to
+    three nested column sets in any order, each with a kernel width and a p
+    up to n + 1."""
+    n = draw(st.integers(3, 60))
+    dim = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.standard_normal((n, dim)) * 10.0 ** rng.uniform(-3, 3, dim)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, draw(st.integers(1, n)), n)]
+    order = rng.permutation(dim)
+    sizes = draw(st.lists(st.integers(1, dim), min_size=1, max_size=3))
+    sets = [np.sort(order[:k]) for k in sizes]
+    if draw(st.booleans()):
+        X[draw(st.integers(0, n - 1)), order[:min(sizes)]] = 0.0
+    return X, [(cols, draw(st.sampled_from([0.3, 1.0, 2.0, 3.7, 15.0])),
+                draw(st.integers(1, n + 1))) for cols in sets]
+
+
+@given(nested_gram_cases())
+def test_nested_gram_graphs_match_one_graph_per_set(case):
+    # each graph has similarity_graph's edges on the set's columns between
+    # rows whose p-th and (p+1)-th weights are apart, and its couplings on
+    # every shared edge; a zero row on the smallest set is refused as
+    # similarity_graph refuses it there
+    X, specs = case
+    inner, gamma, p = min(specs, key=lambda s: len(s[0]))
+    try:
+        similarity_graph(FeatureTable(X[:, inner]), gamma, p)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            embed._similarity_graphs(X, specs)
+        return
+    n = len(X)
+    for J, (cols, gamma, p) in zip(embed._similarity_graphs(X, specs), specs):
+        ref = similarity_graph(FeatureTable(X[:, cols]), gamma, p)
+        G = X[:, cols] @ X[:, cols].T
+        nrm = np.sqrt(np.diag(G))
+        W = np.exp(-gamma * (1 - np.clip(G / np.outer(nrm, nrm), -1, 1)) ** 2)
+        np.fill_diagonal(W, -np.inf)
+        top = -np.sort(-W, axis=1)
+        q = min(p, n - 1)
+        clear = top[:, q - 1] - top[:, q] > 1e-12
+        got = {(i, j): w for i, j, w in J.edges}
+        want = {(i, j): w for i, j, w in ref.edges}
+        assert ({e for e in got if clear[list(e)].all()}
+                == {e for e in want if clear[list(e)].all()})
+        for e in got.keys() & want.keys():
+            assert got[e] == pytest.approx(want[e], rel=1e-12, abs=0)
+
+
+def test_nested_gram_refuses_sets_that_are_not_nested():
+    X = np.random.default_rng(0).standard_normal((5, 4))
+    with pytest.raises(ValueError, match="column sets are not nested"):
+        embed._similarity_graphs(X, [([0, 1, 2], 1.0, 2), ([2, 3], 1.0, 2)])
+
+
 def test_spectral_embed_shapes_and_normalization():
     ft = synthetic_features(3, 15, 30, separation=8.0, seed=6)
     J = similarity_graph(ft, gamma=2.0, p=6)

@@ -6,7 +6,9 @@ import pytest
 import nishigraph.pipeline as pipeline
 from nishigraph import (EnsembleConfig, FeatureTable, accuracy,
                         ensemble_decide, predict, predict_labels, run_pipeline,
-                        select_indices, stratified_split, synthetic_features)
+                        select_indices, similarity_graph, stratified_split,
+                        synthetic_features)
+from nishigraph.embed import _similarity_graphs
 from nishigraph.pipeline import (DEFAULT_GRAPHS, _restrict_features,
                                  confusion_to_csv, metrics_table)
 
@@ -125,7 +127,41 @@ def test_features_are_ranked_once_per_run(monkeypatch):
             s = max(2, int(round(gcfg["s_frac"] * ft.n_features)))
             cols = sorted(set().union(*select_indices(train_ft, s).values()))
         assert np.array_equal(_restrict_features(ft, ranking, gcfg["s_frac"]),
-                              ft.X[:, cols])
+                              cols)
+
+
+def test_default_graph_column_sets_are_nested():
+    ft = small_features()
+    train_idx, _ = stratified_split(ft.labels, 0.25, seed=0)
+    ranking = pipeline._rank_features(
+        FeatureTable(ft.X[train_idx], ft.labels[train_idx]))
+    sets = [set(_restrict_features(ft, ranking, g["s_frac"]).tolist())
+            for g in sorted(DEFAULT_GRAPHS, key=lambda g: g["s_frac"])]
+    assert sets[-1] == set(range(ft.n_features))
+    assert all(a <= b for a, b in zip(sets, sets[1:]))
+    assert len(sets[0]) < ft.n_features
+
+
+def test_nested_gram_graphs_match_per_set_graphs_on_benchmark_data():
+    # the benchmark's separated dataset: each of run_pipeline's graphs has
+    # the edges similarity_graph finds on the restricted table
+    ft = synthetic_features(10, 100, 1280, 20.0, seed=101000)
+    train_idx, _ = stratified_split(ft.labels, 0.25, seed=0)
+    ranking = pipeline._rank_features(
+        FeatureTable(ft.X[train_idx], ft.labels[train_idx]))
+    specs = [(_restrict_features(ft, ranking, g["s_frac"]), g["gamma"], g["p"])
+             for g in DEFAULT_GRAPHS]
+    for J, (cols, gamma, p) in zip(_similarity_graphs(ft.X, specs), specs):
+        ref = similarity_graph(FeatureTable(ft.X[:, cols]), gamma, p)
+        assert np.array_equal(J.i, ref.i) and np.array_equal(J.j, ref.j)
+        assert np.allclose(J.couplings, ref.couplings, rtol=1e-12, atol=0)
+
+
+def test_restriction_refuses_more_columns_than_the_table_has():
+    ft = FeatureTable(np.arange(8.0)[:, None], np.repeat([0, 1], 4))
+    ranking = pipeline._rank_features(ft)
+    with pytest.raises(ValueError, match="s exceeds the feature dimension"):
+        _restrict_features(ft, ranking, 0.5)
 
 
 def test_run_pipeline_requires_labels():

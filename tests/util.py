@@ -149,8 +149,9 @@ def similarity_graph_by_loop(ft, gamma, p):
     its min(p, n - 1) largest off-diagonal kernel weights, ties to the lower
     column; the union of the rows' picks, each edge (i < j) with W[i, j]."""
     X = ft.X
-    U = X / np.linalg.norm(X, axis=1)[:, None]
-    C = np.clip(U @ U.T, -1.0, 1.0)
+    G = X @ X.T
+    nrm = np.sqrt(np.diag(G))
+    C = np.clip(G / np.outer(nrm, nrm), -1.0, 1.0)
     d = 1.0 - C
     W = np.exp(-gamma * d * d)
     np.fill_diagonal(W, 0.0)
