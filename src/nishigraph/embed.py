@@ -11,7 +11,6 @@ import csv
 import io
 import json
 import logging
-import struct
 
 import numpy as np
 
@@ -108,8 +107,7 @@ class FeatureTable:
         need = rows * cols * 4
         if len(buf) != need:
             raise ValueError(f"{path}: expected {need} bytes, found {len(buf)}")
-        X = np.array(struct.unpack(f"<{rows * cols}f", buf),
-                     dtype=float).reshape(rows, cols)
+        X = np.frombuffer(buf, dtype="<f4").astype(float).reshape(rows, cols)
         return cls(_finite_rows(path, X, lambda k: f"row {k + 1}"))
 
     def to_raw(self, path):
@@ -211,7 +209,7 @@ def _label(text):
 def _finite_rows(path, rows, where):
     """rows as a float array; ValueError naming the file and where(k), the
     place of the first row k that holds a NaN or an infinity."""
-    X = np.array(rows, dtype=float)
+    X = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise ValueError(f"{path}: {where(int(bad.argmax()))}: non-finite value")
@@ -325,25 +323,18 @@ def _top_p_graph(G, gamma, p):
     return CouplingGraph(n, np.column_stack((i, j, np.exp(-gamma * d * d))))
 
 
-def _sign_fix(vecs):
-    out = vecs.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        nz = np.where(np.abs(col) > 1e-12)[0]
-        if nz.size and col[nz[0]] < 0:
-            out[:, k] = -col
-    return out
-
-
 def spectral_embed(J, r, cfg=None, graph_id=""):
     """Embed the graph's vertices with the r bottom eigenvectors of the
     coupled Bethe-Hessian at the estimated root temperature.
 
     The Bethe-Hessian is block-diagonal across connected components, so the
-    bottom spectrum is assembled globally: each component contributes its own
-    eigenpairs (with its own temperature estimate, logged), the pairs are
-    sorted by eigenvalue, and the r smallest become the coordinate columns.
-    Rows of distinct components therefore occupy disjoint column supports.
+    bottom spectrum is assembled globally: each component keeps its own
+    eigenpairs (with its own temperature estimate, logged), one stable sort
+    of their eigenvalues picks the r smallest, ties in component order, and
+    only those vectors are written, each into its component's rows of a
+    zeroed column.  Rows of distinct components therefore occupy disjoint
+    column supports.  Columns are normalised, and each one's first entry
+    above 1e-12 in magnitude made positive.
     """
     if r < 1 or r >= J.n:
         raise ValueError("need 1 <= r < n")
@@ -357,28 +348,26 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
         label[comp] = c
         local[comp] = np.arange(len(comp))
     edge_label = label[J.i]
-    pairs = []
-    betas = []
+    vals, pairs, betas = [], [], []
     for c, comp in enumerate(comps):
         if len(comp) == 1:  # an isolated vertex: H = [1]
-            vals_c, vecs_c = [1.0], np.ones((1, 1))
+            vals_c, vecs_c = np.ones(1), np.ones((1, 1))
         else:
-            sub = J
-            if len(comps) > 1:
-                on = edge_label == c
-                sub = CouplingGraph(len(comp), np.column_stack(
-                    (local[J.i[on]], local[J.j[on]], J.couplings[on])))
+            on = edge_label == c
+            sub = CouplingGraph(len(comp), np.column_stack(
+                (local[J.i[on]], local[J.j[on]], J.couplings[on])))
             beta_c, vals_c, vecs_c = _component_eigs(sub, min(r, len(comp)),
                                                      cfg)
             betas.append(beta_c)
-        for t in range(len(vals_c)):
-            vec = np.zeros(J.n)
-            vec[comp] = vecs_c[:, t]
-            pairs.append((float(vals_c[t]), len(pairs), vec))
-    pairs.sort(key=lambda kv: (kv[0], kv[1]))
-    coords = np.stack([vec for _, _, vec in pairs[:r]], axis=1)
-    coords = coords / np.linalg.norm(coords, axis=0, keepdims=True)
-    coords = _sign_fix(coords)
+        vals.append(vals_c)
+        pairs += [(comp, vec) for vec in vecs_c.T]
+    coords = np.zeros((J.n, r))
+    for col, p in enumerate(np.argsort(np.concatenate(vals), kind="stable")[:r]):
+        comp, vec = pairs[p]
+        coords[comp, col] = vec
+    coords /= np.linalg.norm(coords, axis=0)
+    first = (np.abs(coords) > 1e-12).argmax(axis=0)
+    coords[:, coords[first, np.arange(r)] < -1e-12] *= -1
     return Embedding(coords, float(np.mean(betas)) if betas else 0.0, graph_id)
 
 

@@ -179,22 +179,16 @@ class _CountedEvaluator:
     within tol, cached per beta; calls counts the solves made.  The
     derivative is the Hellmann-Feynman slope system.slope(beta, v) at the
     bottom eigenvector v, one-sided where the bottom eigenvalue is
-    degenerate.  It is itself a system, and auto_bracket and the root
-    finders use one they are given in place of a system when they solve at
-    its tol, so a root started on a bracket's evaluator reuses the bracket's
-    solves and counts them in its eigensolver_calls."""
+    degenerate.  auto_bracket and the root finders take one in place of a
+    system and use it when they solve at its tol, so a root started on a
+    bracket's evaluator reuses the bracket's solves and counts them in its
+    eigensolver_calls."""
 
     def __init__(self, system, tol):
         self.system = system
         self.tol = tol
         self.cache = {}
         self.calls = 0
-
-    def matrix(self, beta):
-        return self.system.matrix(beta)
-
-    def slope(self, beta, v):
-        return self.system.slope(beta, v)
 
     def pair(self, beta):
         if beta not in self.cache:
@@ -208,9 +202,34 @@ class _CountedEvaluator:
 
 
 def _evaluator(system, tol):
-    if isinstance(system, _CountedEvaluator) and system.tol == tol:
-        return system
+    """system when it is an evaluator at tol, else a fresh evaluator at tol
+    on system, or on the system under it."""
+    if isinstance(system, _CountedEvaluator):
+        if system.tol == tol:
+            return system
+        system = system.system
     return _CountedEvaluator(system, tol)
+
+
+def _ends(ev, lo, hi, eps, method):
+    """(lambda_min(lo), lambda_min(hi), None), lo solved first, or (None,
+    None, the converged trace) at the first end that is an eps-root, so an
+    end touching the root (e.g. a double root at the edge of a spectrum with
+    lambda_min >= 0) converges without a sign change.  ValueError when the
+    ends share a sign."""
+    rounds = []
+    for beta in (lo, hi):
+        lam = ev(beta)
+        rounds.append([(beta, lam)])
+        if abs(lam) < eps:
+            return None, None, EstimatorTrace(beta, lam, ev.calls, rounds,
+                                              True, [], method)
+    l_lo, l_hi = ev(lo), ev(hi)  # cached
+    if l_lo * l_hi > 0:
+        raise ValueError(
+            f"no bracket: lambda_min({lo})={l_lo:.3e} and lambda_min({hi})={l_hi:.3e} "
+            "share a sign")
+    return l_lo, l_hi, None
 
 
 def _parabola_root(pts, lo, hi):
@@ -234,22 +253,9 @@ def estimate_beta_N(system, cfg):
     point per step; flags holds one list of flags per step."""
     ev = _evaluator(system, min(cfg.eps / 10, 1e-8))
     lo, hi = cfg.beta_lower, cfg.beta_upper
-    # Accept an endpoint that is already an eps-root before demanding a sign
-    # change, so a bracket whose edge touches the root (e.g. a spectrum with
-    # lambda_min >= 0 everywhere and a double root at the edge) converges the
-    # same way the bisection baseline does.
-    l_lo = ev(lo)
-    if abs(l_lo) < cfg.eps:
-        return EstimatorTrace(lo, l_lo, ev.calls, [[(lo, l_lo)]], True, [],
-                              "quadratic-newton")
-    l_hi = ev(hi)
-    if abs(l_hi) < cfg.eps:
-        return EstimatorTrace(hi, l_hi, ev.calls, [[(lo, l_lo)], [(hi, l_hi)]],
-                              True, [], "quadratic-newton")
-    if l_lo * l_hi > 0:
-        raise ValueError(
-            f"no bracket: lambda_min({lo})={l_lo:.3e} and lambda_min({hi})={l_hi:.3e} "
-            "share a sign")
+    l_lo, l_hi, trace = _ends(ev, lo, hi, cfg.eps, "quadratic-newton")
+    if trace is not None:
+        return trace
     beta = 0.5 * (lo + hi)
     lam, g = ev.pair(beta)
     pts = [(lo, l_lo), (beta, lam), (hi, l_hi)]
@@ -283,23 +289,13 @@ def estimate_beta_N(system, cfg):
 
 def bisection_baseline(system, beta_lower, beta_upper, eps):
     """Plain bisection on the sign of lambda_min, same trace format."""
-    if not (0 < beta_lower < beta_upper) or eps <= 0:
-        raise ValueError("invalid bracket or eps")
+    cfg = EstimatorConfig(beta_lower, beta_upper, eps)
+    lo, hi = cfg.beta_lower, cfg.beta_upper
     ev = _evaluator(system, min(eps / 10, 1e-8))
-    rounds = []
-    l_lo = ev(beta_lower)
-    rounds.append([(beta_lower, l_lo)])
-    if abs(l_lo) < eps:
-        return EstimatorTrace(beta_lower, l_lo, ev.calls, rounds, True, [],
-                              "bisection")
-    l_hi = ev(beta_upper)
-    rounds.append([(beta_upper, l_hi)])
-    if abs(l_hi) < eps:
-        return EstimatorTrace(beta_upper, l_hi, ev.calls, rounds, True, [],
-                              "bisection")
-    if l_lo * l_hi > 0:
-        raise ValueError("no bracket: endpoint eigenvalues share a sign")
-    lo, hi = beta_lower, beta_upper
+    l_lo, l_hi, trace = _ends(ev, lo, hi, eps, "bisection")
+    if trace is not None:
+        return trace
+    rounds = [[(lo, l_lo)], [(hi, l_hi)]]
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         l_mid = ev(mid)

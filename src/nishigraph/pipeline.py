@@ -82,10 +82,10 @@ def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
                       margin_threshold, use_arbiter):
     """(metrics, models): a linear model per embedding (seed + k for the
     k-th), with an arbiter for the three class pairs most confused in
-    training when use_arbiter (dropped with a WARNING naming the error when
-    arbiter_train raises), and the ensemble's test metrics.  Posterior
-    column k is models[0].classes[k]; a class absent from the training rows
-    has none."""
+    training when use_arbiter (none, with a WARNING, when no training pair
+    is confused or arbiter_train raises, naming the error), and the
+    ensemble's test metrics.  Posterior column k is models[0].classes[k]; a
+    class absent from the training rows has none."""
     y = np.asarray(labels)
     classes = sorted(set(int(c) for c in y))
     models = [train_linear(X[train_idx], y[train_idx], seed=seed + k)
@@ -103,7 +103,10 @@ def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
                        for a in range(len(seen)) for b in range(a + 1, len(seen))),
                       reverse=True)
         pairs = [(a, b) for cnt, a, b in flat[:3] if cnt > 0]
-        if pairs:
+        if not pairs:
+            log.warning("arbiter not trained: no class pair is confused in "
+                        "training")
+        else:
             try:
                 arbiter = arbiter_train(concat[train_idx], y[train_idx], pairs,
                                         seed=seed)

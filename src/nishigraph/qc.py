@@ -202,22 +202,21 @@ def enumerate_cycles(g, max_len):
     """All simple cycles of length <= max_len, each reported once.
 
     Depth-first search from each anchor vertex, restricted to vertices with
-    larger index so every cycle is discovered from its minimum vertex; the
-    edge set deduplicates the two traversal directions.
+    larger index so every cycle is discovered from its minimum vertex; of
+    its two directions, the one kept has the smaller second vertex.
     """
     if max_len % 2 != 0:
         raise ValueError("max_len must be even")
     if max_len > 12:
         raise ValueError("cycle enumeration capped at length 12")
     adj = g.adjacency_lists()
-    found = {}
+    found = []
 
     def dfs(start, path, on_path):
         u = path[-1]
         for w in adj[u]:
-            if w == start and len(path) >= 4:
-                cyc = Cycle(list(path))
-                found.setdefault(cyc.edge_set(), cyc)
+            if w == start and len(path) >= 4 and path[1] < path[-1]:
+                found.append(Cycle(list(path)))
             elif w > start and w not in on_path and len(path) < max_len:
                 path.append(w)
                 on_path.add(w)
@@ -227,7 +226,7 @@ def enumerate_cycles(g, max_len):
 
     for start in range(g.n_vertices()):
         dfs(start, [start], {start})
-    return sorted(found.values(), key=lambda c: (c.length, c.vertices))
+    return sorted(found, key=lambda c: (c.length, c.vertices))
 
 
 def ace(cycle, g):

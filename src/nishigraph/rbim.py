@@ -7,7 +7,6 @@ averages.
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
-from scipy.special import logsumexp
 
 from .sparse import _triples
 
@@ -117,7 +116,8 @@ def exact_thermo(J, beta):
     for i, j, Jij in J.edges:
         energy_scaled += Jij * (spins[:, i] * spins[:, j]).astype(float)
     log_w = beta * energy_scaled  # -beta * H
-    logZ = float(logsumexp(log_w))
+    top = log_w.max()
+    logZ = float(top + np.log(np.sum(np.exp(log_w - top))))
     w = np.exp(log_w - logZ)
     mags = (w[:, None] * spins).sum(axis=0)
     return logZ, mags

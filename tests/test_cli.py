@@ -100,6 +100,29 @@ def test_beta_on_complete_graph_matrix(tmp_path, capsys):
     assert info["bracket"] == [1.5, 3.0]
 
 
+def test_beta_default_brackets(tmp_path, capsys):
+    # without bounds an exponent file is bracketed from 1 + 1e-6 to twice
+    # the square root of its largest degree, and a weighted matrix by
+    # auto_bracket; both finders reach the same root in either (on K4,
+    # where tanh(beta) (d - 1) = 1)
+    rc, out, _ = run_cli(capsys, "beta", data_path("h2.exp"))
+    assert rc == 0
+    unweighted = json.loads(out)
+    assert unweighted["bracket"] == [1 + 1e-6, 2 * math.sqrt(6)]
+    A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+    path = tmp_path / "k4.mtx"
+    write_matrix_market(A, str(path))
+    rc, out, _ = run_cli(capsys, "beta", str(path), "--weighted")
+    assert rc == 0
+    weighted = json.loads(out)
+    assert weighted["bracket"] == [0.05, 1.0]
+    for info, root in [(unweighted, 2.94116), (weighted, math.atanh(1 / 2))]:
+        for method in ("quadratic_newton", "bisection"):
+            assert info[method]["converged"]
+            assert info[method]["beta_N"] == pytest.approx(root, abs=1e-5)
+        assert info["call_ratio"] > 1
+
+
 def test_beta_reports_missing_bracket(tmp_path, capsys):
     # a path graph stays positive definite: explicit bracket has no root
     A = SparseSym(3, [(0, 1, 1.0), (1, 2, 1.0)])

@@ -3,6 +3,7 @@
 import json
 import re
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -16,7 +17,7 @@ from nishigraph import (CouplingGraph, Embedding, EstimatorConfig,
                         FeatureTable, binarize, select_indices,
                         similarity_graph, spectral_embed, synthetic_features)
 
-from util import similarity_graph_by_loop
+from util import similarity_graph_by_loop, spectral_embed_by_pairs
 
 
 def test_feature_table_validation():
@@ -331,6 +332,72 @@ def test_grid_fallback_on_a_tree_component_is_logged(caplog):
     debug = [r.getMessage() for r in caplog.records if r.levelname == "DEBUG"]
     assert [m.split(":")[0] for m in debug] == ["component of 4 vertices",
                                                 "component of 5 vertices"]
+
+
+@st.composite
+def coupling_graphs(draw):
+    """Coupling graphs of one to five pieces (isolated vertices, paths,
+    random trees, cycles and cliques) under a random vertex relabelling,
+    with unit or U(0.3, 1.5) couplings, and an r from 1 to n - 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges, n = [], 0
+    for kind, size in draw(st.lists(st.tuples(
+            st.sampled_from(["isolated", "path", "tree", "cycle", "clique"]),
+            st.integers(2, 9)), min_size=1, max_size=5)):
+        if kind == "isolated":
+            size = 1
+        elif kind == "path":
+            edges += [(n + k, n + k + 1) for k in range(size - 1)]
+        elif kind == "tree":
+            edges += [(n + int(rng.integers(0, k)), n + k)
+                      for k in range(1, size)]
+        elif kind == "cycle":
+            size = max(size, 3)
+            edges += [(n + k, n + (k + 1) % size) for k in range(size)]
+        else:
+            edges += [(n + a, n + b) for a in range(size)
+                      for b in range(a + 1, size)]
+        n += size
+    if n < 2:
+        n = 2
+    perm = rng.permutation(n)
+    w = (np.ones(len(edges)) if draw(st.booleans())
+         else rng.uniform(0.3, 1.5, len(edges)))
+    J = CouplingGraph(n, [(perm[a], perm[b], x)
+                          for (a, b), x in zip(edges, w)])
+    return J, draw(st.integers(1, n - 1))
+
+
+@given(coupling_graphs())
+def test_spectral_embed_matches_one_vector_per_pair(case):
+    # writing only the r chosen columns gives the same bits as placing every
+    # component pair in a full n-vector and sorting them all
+    J, r = case
+    got, want = spectral_embed(J, r), spectral_embed_by_pairs(J, r)
+    assert got.coords.tobytes() == want.coords.tobytes()
+    assert got.beta_N_used == want.beta_N_used
+
+
+def test_spectral_embed_peak_memory_is_a_few_outputs():
+    # 40 components of 25 vertices, r = 16: the peak stays within a small
+    # multiple of the coordinates, with no n-vector per component pair
+    # (45 times the coordinates with one)
+    J = similarity_graph(synthetic_features(40, 25, 64, 20.0, seed=1), 2.0, 12)
+    tracemalloc.start()
+    try:
+        emb = spectral_embed(J, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * emb.coords.nbytes
+
+
+def test_explicit_window_without_a_root_is_an_error():
+    # a path has no sign change of lambda_min; with a window given there is
+    # no grid fallback, and the root finder's refusal reaches the caller
+    J = CouplingGraph(5, [(k, k + 1, 1.0) for k in range(4)])
+    with pytest.raises(ValueError, match="^no bracket: .* share a sign$"):
+        spectral_embed(J, 2, cfg=EstimatorConfig(0.05, 3.0, eps=1e-4))
 
 
 def test_spectral_embed_accepts_explicit_temperature_window():

@@ -343,3 +343,63 @@ def sample_couplings(edges):
 def test_bisection_requires_a_sign_change():
     with pytest.raises(ValueError):
         bisection_baseline(k4_system(), 2.5, 3.0, eps=1e-6)
+
+
+def test_an_upper_end_root_is_accepted_by_both_finders():
+    # the lower end is no root and the upper one is (2^(1/3) cubes to 2.0
+    # exactly): both stop there after two solves, with the same rounds
+    hi = 2 ** (1 / 3)
+    for tr in (estimate_beta_N(CubeRoot(1.0), EstimatorConfig(1.0, hi, 1e-9)),
+               bisection_baseline(CubeRoot(1.0), 1.0, hi, 1e-9)):
+        assert (tr.beta_N, tr.lambda_at_root, tr.converged) == (hi, 0.0, True)
+        assert tr.round_points == [[(1.0, -1.0)], [(hi, 0.0)]]
+        assert (tr.eigensolver_calls, tr.flags) == (2, [])
+
+
+class CubeRootOfThree(CubeRoot):
+    """lambda_min(beta) = beta^3 - 3, which no double makes exactly zero."""
+
+    def matrix(self, beta):
+        return SparseSym(1, [(0, 0, beta ** 3 - 3)])
+
+
+def test_both_finders_report_no_convergence_at_their_step_limits():
+    # at eps = 1e-300 no step is a root: each finder stops at its limit and
+    # returns its best point, unconverged
+    qn = estimate_beta_N(CubeRootOfThree(1.0),
+                         EstimatorConfig(1.0, 2.0, eps=1e-300))
+    bs = bisection_baseline(CubeRootOfThree(1.0), 1.0, 2.0, eps=1e-300)
+    assert not qn.converged and not bs.converged
+    assert len(qn.flags) == 100 and len(bs.round_points) == 2 + 300
+    for tr in (qn, bs):
+        assert abs(tr.beta_N - 3 ** (1 / 3)) <= 1e-15
+        assert abs(tr.lambda_at_root) <= 1e-14
+
+
+def test_bisection_validates_through_the_config_and_names_the_values():
+    with pytest.raises(ValueError, match="need 0 < beta_lower < beta_upper"):
+        bisection_baseline(k4_system(), 3.0, 1.5, eps=1e-6)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        bisection_baseline(k4_system(), 1.5, 3.0, eps=0.0)
+    with pytest.raises(ValueError, match=r"^no bracket: lambda_min\(2\.5\)="):
+        bisection_baseline(k4_system(), 2.5, 3.0, eps=1e-6)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-9, 1e-11])
+def test_a_shared_evaluator_at_another_tol_changes_no_trace(eps):
+    # below eps = 1e-7 the finders solve at a finer tol than the bracket's
+    # evaluator, and use a fresh evaluator on its system: the traces are
+    # those of a plain system, and the shared evaluator is left alone
+    J = unit_coupling_graph(60, random_regular(60, 3, 3))
+    ev = _CountedEvaluator(WeightedSystem(J), 1e-8)
+    lo, hi = auto_bracket(ev)
+    calls, cfg = ev.calls, EstimatorConfig(lo, hi, eps=eps)
+    shared = [estimate_beta_N(ev, cfg), bisection_baseline(ev, lo, hi, eps)]
+    fresh = [estimate_beta_N(WeightedSystem(J), cfg),
+             bisection_baseline(WeightedSystem(J), lo, hi, eps)]
+    for s, f in zip(shared, fresh):
+        assert s.converged and s.beta_N == f.beta_N
+        assert s.round_points == f.round_points
+    if eps < 1e-7:
+        assert [s.to_dict() for s in shared] == [f.to_dict() for f in fresh]
+        assert ev.calls == calls

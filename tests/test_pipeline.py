@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import nishigraph.pipeline as pipeline
-from nishigraph import (EnsembleConfig, FeatureTable, accuracy,
-                        ensemble_decide, predict, predict_labels, run_pipeline,
-                        select_indices, similarity_graph, stratified_split,
-                        synthetic_features)
+from nishigraph import (EnsembleConfig, FeatureTable, PairwiseArbiter,
+                        accuracy, ensemble_decide, predict, predict_labels,
+                        run_pipeline, select_indices, similarity_graph,
+                        stratified_split, synthetic_features)
 from nishigraph.embed import _similarity_graphs
 from nishigraph.pipeline import (DEFAULT_GRAPHS, _restrict_features,
                                  confusion_to_csv, metrics_table)
@@ -78,6 +78,45 @@ def test_dropped_arbiter_is_logged(caplog):
     assert warned == ["arbiter dropped: pair (0,1) needs >= 10 samples per "
                       "class"]
     assert with_flag == run_pipeline(ft, r=5, seed=1)[0]
+
+
+def test_arbiter_without_a_confused_pair_is_logged(caplog):
+    # well separated classes: no training pair is confused, so no arbiter is
+    # trained and the threshold changes nothing; the run says so at WARNING
+    ft = synthetic_features(3, 20, 32, 8.0, seed=0)
+    with caplog.at_level("WARNING", logger="nishigraph.pipeline"):
+        with_flag, _, _ = run_pipeline(ft, r=5, seed=0, margin_threshold=0.2,
+                                       use_arbiter=True)
+    warned = [r.getMessage() for r in caplog.records
+              if r.levelname == "WARNING" and r.name == "nishigraph.pipeline"]
+    assert warned == ["arbiter not trained: no class pair is confused in "
+                      "training"]
+    assert with_flag == run_pipeline(ft, r=5, seed=0)[0]
+
+
+def test_trained_arbiter_decides_low_margin_rows(monkeypatch):
+    # overlapping classes: the arbiter is trained once, on the confused
+    # pairs, and has the last word on every test row whose margin is below
+    # the threshold
+    trained, consulted = [], []
+    train, decide = pipeline.arbiter_train, PairwiseArbiter.decide
+
+    def recorded_train(X, y, pairs, seed=0):
+        trained.append(pairs)
+        return train(X, y, pairs, seed=seed)
+
+    def recorded_decide(self, x, a, b):
+        consulted.append(x.tobytes())
+        return decide(self, x, a, b)
+
+    monkeypatch.setattr(pipeline, "arbiter_train", recorded_train)
+    monkeypatch.setattr(PairwiseArbiter, "decide", recorded_decide)
+    ft = synthetic_features(3, 40, 32, 2.0, seed=0)
+    result, _, _ = run_pipeline(ft, r=5, seed=0, margin_threshold=0.3,
+                                use_arbiter=True)
+    assert len(trained) == 1 and len(trained[0]) == 3
+    assert result["n_test"] == 30
+    assert len(consulted) == len(set(consulted)) == 26
 
 
 def test_ensemble_reads_posterior_columns_as_model_classes():

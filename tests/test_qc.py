@@ -300,6 +300,27 @@ def test_seeded_lift_searches_are_pinned(m_b, n_b, L, min_girth, min_ace, seed,
     assert (r.proto.cells, r.girth, r.min_ace, r.satisfied, r.restarts_used) == want
 
 
+def test_lift_search_keeps_only_improving_candidates(monkeypatch):
+    # the benchmark's 3x5 pattern over 20 steps: two candidates beat the
+    # score before them and are kept, and the result is the last one kept
+    scores, score = [], qc._score_lift
+
+    def recorded(proto, min_girth):
+        scores.append(score(proto, min_girth))
+        return scores[-1]
+
+    monkeypatch.setattr(qc, "_score_lift", recorded)
+    pat = METProtograph([[[None]] * 5 for _ in range(3)], 12, allow_unset=True)
+    r = optimize_lift(pat, 12, 6, 4, 0, restarts=1, steps=20)
+    kept = scores[:1]
+    for s in scores[1:]:
+        if s[0] > kept[-1][0]:
+            kept.append(s)
+    assert [s[0] for s in kept] == [(4, -12, 2), (6, -84, 3), (6, -60, 3)]
+    assert score(r.proto, 6) == kept[-1]
+    assert (r.girth, r.min_ace, r.satisfied) == (6, 3, False)
+
+
 def test_optimize_lift_validation():
     pat = METProtograph([[[None]]], L=4, allow_unset=True)
     with pytest.raises(ValueError):

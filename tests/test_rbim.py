@@ -1,10 +1,14 @@
 """Coupling graphs, exact enumeration thermodynamics, and disorder sampling."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import nishigraph
 from nishigraph import (CouplingGraph, SparseSym, SpinConfig, exact_thermo,
                         hamiltonian, label_couplings, sample_nishimori_pm)
 
@@ -129,3 +133,15 @@ def test_sample_rejects_degenerate_flip_rates():
     for p in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(ValueError):
             sample_nishimori_pm(2, edges, p_flip=p)
+
+
+def test_import_leaves_scipy_special_and_optimize_unloaded():
+    # exact_thermo writes its log-sum-exp out and zeta refines crossings
+    # itself, so no import of the package pays for loading either module
+    src = os.path.dirname(os.path.dirname(nishigraph.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import nishigraph; "
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.special', 'scipy.optimize'))))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

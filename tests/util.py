@@ -12,6 +12,7 @@ from nishigraph import (CouplingGraph, LinearModel, SparseSym,
                         UnweightedSystem, ace, enumerate_cycles, girth, lift,
                         rank_and_kernel)
 from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
+from nishigraph.embed import Embedding, _component_eigs
 from nishigraph.estimator import _bethe_hessian
 from nishigraph.trapping import _laplacian
 from nishigraph.zeta import poles
@@ -169,6 +170,45 @@ def similarity_graph_by_loop(ft, gamma, p):
             if picked >= p_eff:
                 break
     return [(i, j, float(W[i, j])) for i, j in sorted(keep)]
+
+
+def spectral_embed_by_pairs(J, r, cfg=None):
+    """spectral_embed's coordinates and beta_N_used from one full n-vector
+    per component eigenpair: the connected graph solved whole, every pair
+    sorted by (eigenvalue, insertion), the r first stacked, normalised, and
+    each column negated when its first entry above 1e-12 in magnitude is
+    negative."""
+    comps = J.components()
+    label, local = np.empty((2, J.n), dtype=np.intp)
+    for c, comp in enumerate(comps):
+        label[comp] = c
+        local[comp] = np.arange(len(comp))
+    pairs, betas = [], []
+    for c, comp in enumerate(comps):
+        if len(comp) == 1:
+            vals_c, vecs_c = [1.0], np.ones((1, 1))
+        else:
+            sub = J
+            if len(comps) > 1:
+                on = label[J.i] == c
+                sub = CouplingGraph(len(comp), np.column_stack(
+                    (local[J.i[on]], local[J.j[on]], J.couplings[on])))
+            beta_c, vals_c, vecs_c = _component_eigs(sub, min(r, len(comp)),
+                                                     cfg)
+            betas.append(beta_c)
+        for t in range(len(vals_c)):
+            vec = np.zeros(J.n)
+            vec[comp] = vecs_c[:, t]
+            pairs.append((float(vals_c[t]), len(pairs), vec))
+    pairs.sort(key=lambda kv: (kv[0], kv[1]))
+    coords = np.stack([vec for _, _, vec in pairs[:r]], axis=1)
+    coords = coords / np.linalg.norm(coords, axis=0, keepdims=True)
+    for k in range(r):
+        col = coords[:, k]
+        nz = np.where(np.abs(col) > 1e-12)[0]
+        if nz.size and col[nz[0]] < 0:
+            coords[:, k] = -col
+    return Embedding(coords, float(np.mean(betas)) if betas else 0.0)
 
 
 def dense_bethe_hessian_by_transpose(n, i, j, t):
