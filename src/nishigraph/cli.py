@@ -60,19 +60,26 @@ def _degree_hist(degrees):
     return {str(k): v for k, v in sorted(hist.items())}
 
 
+def _girth(proto):
+    """The lift's girth, None for a forest, from the protograph walk DP
+    (closing lengths up to the 12-cycle cap, min_girth 8 + 4, then a BFS
+    on the lift)."""
+    gir = qc._score_lift(proto, 8)[1]
+    return None if math.isinf(gir) else gir
+
+
 def cmd_lift(args):
     proto = qc.read_exponent_file(args.file)
     g = qc.lift(proto)
     A, D = qc.bipartite_adjacency(g)
     write_matrix_market(A, _out_path(args, "A.mtx"))
     write_matrix_market(D, _out_path(args, "D.mtx"))
-    gir = qc.girth(g)
     _emit({
         "n_checks": g.n_checks,
         "n_vars": g.n_vars,
         "n_edges": len(g.edges),
         "family": g.family_tag,
-        "girth": None if math.isinf(gir) else gir,
+        "girth": _girth(proto),
         "check_degree_hist": _degree_hist(g.check_degrees()),
         "var_degree_hist": _degree_hist(g.var_degrees()),
     })
@@ -90,9 +97,8 @@ def cmd_cycles(args):
         a = qc.ace(c, g)
         ace_hist.setdefault(c.length, {})
         ace_hist[c.length][str(a)] = ace_hist[c.length].get(str(a), 0) + 1
-    gir = qc.girth(g)
     _emit({
-        "girth": None if math.isinf(gir) else gir,
+        "girth": _girth(proto),
         "count_by_length": {str(k): v for k, v in sorted(by_len.items())},
         "ace_by_length": {str(k): dict(sorted(v.items()))
                           for k, v in sorted(ace_hist.items())},
@@ -152,16 +158,16 @@ def _load_system(args):
         proto = qc.read_exponent_file(args.file)
         g = qc.lift(proto)
         A, D = qc.bipartite_adjacency(g)
-        return UnweightedSystem(A, D), A
+        return UnweightedSystem(A, D)
     M = read_matrix_market(args.file)
     if args.weighted:
-        return WeightedSystem(CouplingGraph.from_sparse(M)), M
+        return WeightedSystem(CouplingGraph.from_sparse(M))
     off = M.rows != M.cols
     ends = np.column_stack((M.rows[off], M.cols[off])).ravel()
     deg = np.bincount(ends, np.repeat(np.abs(M.vals[off]), 2), M.n)
     nz = np.unique(ends)
     D = SparseSym(M.n, np.column_stack((nz, nz, deg[nz])))
-    return UnweightedSystem(M, D), M
+    return UnweightedSystem(M, D)
 
 
 def _bracket(args):
@@ -175,21 +181,11 @@ def _bracket(args):
 
 def cmd_beta(args):
     bracket = _bracket(args)
-    system, M = _load_system(args)
-    if bracket is not None:
-        lo, hi = bracket
-    elif isinstance(system, WeightedSystem):
-        lo, hi = auto_bracket(system)
-    else:
-        max_deg = max((v for i, i2, v in system.D.entries), default=1.0)
-        lo, hi = 1 + 1e-6, 2 * math.sqrt(max(max_deg, 1.0))
+    system = _load_system(args)
+    lo, hi = bracket or auto_bracket(system)
     cfg = EstimatorConfig(lo, hi, eps=args.eps)
-    try:
-        qn = estimate_beta_N(system, cfg)
-        bis = bisection_baseline(system, lo, hi, args.eps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    qn = estimate_beta_N(system, cfg)
+    bis = bisection_baseline(system, lo, hi, args.eps)
     ratio = bis.eigensolver_calls / qn.eigensolver_calls
     _emit({
         "quadratic_newton": qn.to_dict(),
@@ -300,8 +296,7 @@ def cmd_pipeline(args):
     if args.synthetic:
         parts = [float(x) for x in args.synthetic.split(",")]
         if len(parts) != 4:
-            print("error: --synthetic K,per_class,dim,separation", file=sys.stderr)
-            return 1
+            raise ValueError("--synthetic K,per_class,dim,separation")
         ft = synthetic_features(int(parts[0]), int(parts[1]), int(parts[2]),
                                 parts[3], seed=args.seed)
     elif args.features:
@@ -313,8 +308,7 @@ def cmd_pipeline(args):
             labels = _read_labels(args.labels, ft.n_samples)
             ft = FeatureTable(ft.X, labels)
     else:
-        print("error: --features or --synthetic required", file=sys.stderr)
-        return 1
+        raise ValueError("--features or --synthetic required")
     result, embeddings, _ = run_pipeline(
         ft, r=args.r, test_fraction=args.test_fraction, seed=args.seed,
         mode=args.mode, margin_threshold=args.threshold,

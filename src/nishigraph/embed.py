@@ -17,7 +17,7 @@ import numpy as np
 from .estimator import (_BRACKET_TOL, EstimatorConfig, WeightedSystem,
                         _CountedEvaluator, auto_bracket, estimate_beta_N)
 from .rbim import CouplingGraph
-from .sparse import _read_text, bottom_eigenpairs, lambda_min
+from .sparse import _read_text, bottom_eigenpairs
 
 log = logging.getLogger(__name__)
 
@@ -381,31 +381,16 @@ def _component_eigs(J, k, cfg):
         beta = estimate_beta_N(ev, cfg or EstimatorConfig(
             *auto_bracket(ev), eps=1e-4)).beta_N
     except ValueError as exc:
-        if cfg is not None:
+        if cfg is not None or not ev.cache:
             raise
-        # no sign change on this component: fall back to the grid point
-        # where lambda_min is smallest
-        beta = _argmin_beta(system)
-        log.warning("component of %d vertices: %s; using grid argmin "
-                    "beta=%.6g", J.n, exc, beta)
+        # no sign change on this component: take the ladder point with the
+        # smallest lambda_min, from the bracket's solves, with no new one
+        beta = min(ev.cache, key=ev)
+        log.warning("component of %d vertices: %s; using the bracket "
+                    "ladder's smallest lambda_min, beta=%.6g", J.n, exc, beta)
     log.debug("component of %d vertices: beta=%.6g", J.n, beta)
     vals, vecs = bottom_eigenpairs(system.matrix(beta), k, 1e-9)
     return beta, vals, vecs
-
-
-_ARGMIN_GRID = np.geomspace(0.1, 3.0, 12)
-
-
-def _argmin_beta(system):
-    """The grid point where lambda_min is smallest (first on ties), scanning
-    up to the first saturated coupling; 1.0 if the first one saturates."""
-    vals = []
-    for b in _ARGMIN_GRID:
-        try:
-            vals.append(lambda_min(system.matrix(b)))
-        except ValueError:
-            break
-    return float(_ARGMIN_GRID[np.argmin(vals)]) if vals else 1.0
 
 
 def synthetic_features(n_classes, per_class, dim, separation, seed=0):

@@ -23,8 +23,8 @@ from .sparse import SparseSym, bottom_pair
 # quadratic-Newton solves after the first three before giving up
 _MAX_STEPS = 100
 _BISECTION_STEPS = 300
-# auto_bracket's starting bracket, its growth factor and growth steps, and
-# the tolerance of its solves (the estimator's at eps >= 1e-7)
+# WeightedSystem's starting bracket; auto_bracket's growth factor and growth
+# steps, and the tolerance of its solves (the estimator's at eps >= 1e-7)
 _BRACKET = (0.05, 1.0)
 _BRACKET_FACTOR = 1.6
 _BRACKET_EXPANSIONS = 40
@@ -136,12 +136,15 @@ def bethe_hessian_unweighted(A, D, beta):
 
 
 class UnweightedSystem:
-    """Root-finding target lambda_min((beta^2-1)I - beta A + D)."""
+    """Root-finding target lambda_min((beta^2-1)I - beta A + D); bracket,
+    auto_bracket's starting window, runs from just above the trivial root
+    beta = 1 to twice the square root of the largest degree."""
 
     def __init__(self, A, D):
         self.A = A
         self.D = D
         self.n = A.n
+        self.bracket = (1 + 1e-6, 2 * math.sqrt(D.diagonal().max(initial=1.0)))
 
     def matrix(self, beta):
         return bethe_hessian_unweighted(self.A, self.D, beta)
@@ -155,11 +158,13 @@ class UnweightedSystem:
 
 
 class WeightedSystem:
-    """Root-finding target lambda_min of the coupled Bethe-Hessian."""
+    """Root-finding target lambda_min of the coupled Bethe-Hessian; bracket,
+    auto_bracket's starting window, is _BRACKET."""
 
     def __init__(self, J):
         self.J = J
         self.n = J.n
+        self.bracket = _BRACKET
 
     def matrix(self, beta):
         return bethe_hessian_weighted(self.J, beta)
@@ -313,25 +318,23 @@ def bisection_baseline(system, beta_lower, beta_upper, eps):
 
 
 def auto_bracket(system):
-    """Grow the upper end until lambda_min changes sign; returns (lo, hi).
-
-    Starts from _BRACKET and moves both ends up, hi by _BRACKET_FACTOR, at
-    most _BRACKET_EXPANSIONS times.  Convenience for coupled systems, where
-    lambda_min starts near 1 at small beta and decreases through zero in
-    the regime of interest.
+    """(lo, hi) where lambda_min has opposite signs, from the system's own
+    window, system.bracket: while lambda_min(hi) has the sign of
+    lambda_min(lo), lo moves to hi and hi grows by _BRACKET_FACTOR, at most
+    _BRACKET_EXPANSIONS times.  The unweighted root, the spectral radius of
+    the non-backtracking matrix (d - 1 on a d-regular graph), can lie above
+    the window's 2 sqrt(d_max).  The ladder's solves stay in the
+    evaluator's cache for a root, or a fallback, to reuse.
     """
     ev = _evaluator(system, _BRACKET_TOL)
-    lo, hi = _BRACKET
-    l_lo = ev(lo)
-    if l_lo < 0:
-        raise ValueError("lambda_min already negative at the lower end")
+    lo, hi = ev.system.bracket
+    negative = ev(lo) < 0
     for _ in range(_BRACKET_EXPANSIONS):
         try:
             l_hi = ev(hi)
         except ValueError:
             raise ValueError("no sign change before coupling saturation") from None
-        if l_hi < 0:
+        if (l_hi < 0) != negative:
             return lo, hi
-        lo = hi
-        hi *= _BRACKET_FACTOR
+        lo, hi = hi, hi * _BRACKET_FACTOR
     raise ValueError("no sign change found while expanding the bracket")

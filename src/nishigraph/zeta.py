@@ -217,11 +217,7 @@ def det_crossing_check(g, J0=1.0):
     each crossing's u = tanh(beta J0) against a zeta pole.
 
     The scan runs on g's 2-core (_two_core): det H_g is det H_core times a
-    positive factor, so it has the same signs and roots.  On the 861 h2
-    trapping sets of cycles up to length 8 the core has 7.6 vertices on
-    average against 15.3, and the check takes 0.16-0.17 s instead of
-    0.38-0.43 s for the 216 sets of one benchmark pass (one BLAS thread,
-    2-core shared host).  Sign changes are
+    positive factor, so it has the same signs and roots.  Sign changes are
     bracketed on the grid _BETA_GRID and refined by _refine_crossing on
     f(beta) = sign * exp(logabsdet(beta) - logabsdet(lo)) of the core, which
     is continuous, linear near a simple root, and cannot overflow where det

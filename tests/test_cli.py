@@ -7,7 +7,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from nishigraph import (Embedding, FeatureTable, SparseSym,
+from nishigraph import (Embedding, FeatureTable, SparseSym, qc,
                         synthetic_features, write_matrix_market)
 from nishigraph.cli import main
 
@@ -121,6 +121,41 @@ def test_beta_default_brackets(tmp_path, capsys):
             assert info[method]["converged"]
             assert info[method]["beta_N"] == pytest.approx(root, abs=1e-5)
         assert info["call_ratio"] > 1
+
+
+def test_beta_climbs_past_the_default_window_on_h3(capsys):
+    # h3 lifts to a 15-regular graph, whose root rho(B) = 14 lies above the
+    # starting window's 2 sqrt(15): the bracket ladder climbs to it, and
+    # both finders reach it
+    rc, out, _ = run_cli(capsys, "beta", data_path("h3.exp"))
+    assert rc == 0
+    info = json.loads(out)
+    lo, hi = info["bracket"]
+    assert 2 * math.sqrt(15) < lo < 14 < hi
+    for method in ("quadratic_newton", "bisection"):
+        assert info[method]["converged"]
+        assert info[method]["beta_N"] == pytest.approx(14, abs=1e-5)
+
+
+def test_lift_reports_the_girth_of_a_large_lift(tmp_path, capsys,
+                                               monkeypatch):
+    # the 5,200-vertex, 39,000-edge h3 lift: the girth comes from the walk
+    # DP, with no BFS over the lift (which takes over a minute)
+    monkeypatch.setattr(qc, "girth", None)
+    rc, out, _ = run_cli(capsys, "lift", data_path("h3.exp"), "--out",
+                         str(tmp_path))
+    assert rc == 0
+    assert json.loads(out)["girth"] == 6
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--synthetic", "10,100,1280"], "--synthetic K,per_class,dim,separation"),
+    ([], "--features or --synthetic required"),
+])
+def test_pipeline_without_usable_input_is_a_clean_error(tmp_path, capsys,
+                                                         flags, message):
+    rc, out, err = run_cli(capsys, "pipeline", *flags, "--out", str(tmp_path))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_beta_reports_missing_bracket(tmp_path, capsys):

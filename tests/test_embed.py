@@ -334,6 +334,62 @@ def test_grid_fallback_on_a_tree_component_is_logged(caplog):
                                                 "component of 5 vertices"]
 
 
+def test_no_sign_change_takes_a_ladder_point_with_no_further_solve(
+        monkeypatch):
+    # a path's lambda_min stays positive up to coupling saturation: its beta
+    # is the solved rung of the bracket ladder (0.05, then 1.6^k) with the
+    # smallest lambda_min, and no solve follows the ladder
+    betas, solved = [], []
+    matrix, solve = estimator.WeightedSystem.matrix, estimator.bottom_pair
+
+    def recorded_matrix(self, beta):
+        betas.append(beta)
+        return matrix(self, beta)
+
+    def recorded_solve(M, tol):
+        lam, v = solve(M, tol)
+        solved.append((betas[-1], lam))
+        return lam, v
+
+    monkeypatch.setattr(estimator.WeightedSystem, "matrix", recorded_matrix)
+    monkeypatch.setattr(estimator, "bottom_pair", recorded_solve)
+    emb = spectral_embed(CouplingGraph(5, [(k, k + 1, 1.0) for k in range(4)]),
+                         2)
+    ladder = [0.05, 1.0]
+    while len(ladder) < 8:
+        ladder.append(ladder[-1] * 1.6)
+    # the eighth rung saturates (tanh^2 within 1e-12 of 1) and is not solved
+    assert [b for b, _ in solved] == ladder[:7]
+    assert emb.beta_N_used == min(solved, key=lambda bl: bl[1])[0]
+    # after the ladder, only the embedding's own matrix is assembled
+    assert betas == ladder + [emb.beta_N_used]
+    assert emb.beta_N_used == pytest.approx(1.6 ** 5)
+
+
+def test_saturation_before_the_first_rung_is_an_error():
+    # with no rung solved there is no ladder point to fall back on, and the
+    # saturation refusal reaches the caller
+    J = CouplingGraph(3, [(0, 1, 1000.0), (1, 2, 1000.0)])
+    with pytest.raises(ValueError, match="^coupling saturated on edge"):
+        spectral_embed(J, 1)
+
+
+def test_nested_similarity_graphs_hold_about_two_gram_sized_arrays():
+    # the running Gram and one new block are the only n x n arrays alive at
+    # once (2.4 n^2 doubles measured at n = 1,000, d = 128); one more n x n
+    # array would pass 3 n^2
+    n = 1000
+    X = np.random.default_rng(0).standard_normal((n, 128))
+    specs = [(np.arange(k), 2.0, 12) for k in (32, 64, 128)]
+    tracemalloc.start()
+    try:
+        embed._similarity_graphs(X, specs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * n * n * 8
+
+
 @st.composite
 def coupling_graphs(draw):
     """Coupling graphs of one to five pieces (isolated vertices, paths,

@@ -319,6 +319,22 @@ def test_root_on_the_bracket_evaluator_reuses_and_counts_its_solves():
     assert ev.calls == shared.eigensolver_calls
 
 
+def test_auto_bracket_climbs_to_the_unweighted_root_above_its_window():
+    # on a 7-regular graph the unweighted root rho(B) = d - 1 = 6 lies above
+    # 2 sqrt(7), so both ends of the starting window are negative; the
+    # ladder climbs until lambda_min changes sign around the root
+    edges = [(i, (i + s) % 60) for i in range(60) for s in (1, 2, 3)]
+    sysm = unweighted_system(60, edges + [(i, i + 30) for i in range(30)])
+    lo, hi = sysm.bracket
+    assert (lo, hi) == (1 + 1e-6, 2 * math.sqrt(7))
+    assert lambda_min(sysm.matrix(lo)) < 0 and lambda_min(sysm.matrix(hi)) < 0
+    lo, hi = auto_bracket(sysm)
+    assert lo < 6 < hi
+    assert lambda_min(sysm.matrix(hi)) > 0
+    tr = estimate_beta_N(sysm, EstimatorConfig(lo, hi, eps=1e-8))
+    assert tr.converged and abs(tr.beta_N - 6) <= 1e-6
+
+
 def test_auto_bracket_reports_missing_sign_change():
     # a tree-shaped coupling graph keeps the operator positive definite all
     # the way to coupling saturation
