@@ -14,8 +14,7 @@ import logging
 
 import numpy as np
 
-from .estimator import (_BRACKET_TOL, EstimatorConfig, WeightedSystem,
-                        _CountedEvaluator, auto_bracket, estimate_beta_N)
+from .estimator import EstimatorConfig, WeightedSystem, estimate_beta_N
 from .rbim import CouplingGraph
 from .sparse import _read_text, bottom_eigenpairs
 
@@ -374,20 +373,11 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
 def _component_eigs(J, k, cfg):
     """(beta, eigenvalues, eigenvectors) for one connected coupling graph."""
     system = WeightedSystem(J)
-    # one evaluator for the bracket and the root, so the root finder starts
-    # from the bracket's end values instead of solving them again
-    ev = _CountedEvaluator(system, _BRACKET_TOL)
-    try:
-        beta = estimate_beta_N(ev, cfg or EstimatorConfig(
-            *auto_bracket(ev), eps=1e-4)).beta_N
-    except ValueError as exc:
-        if cfg is not None or not ev.cache:
-            raise
-        # no sign change on this component: take the ladder point with the
-        # smallest lambda_min, from the bracket's solves, with no new one
-        beta = min(ev.cache, key=ev)
-        log.warning("component of %d vertices: %s; using the bracket "
-                    "ladder's smallest lambda_min, beta=%.6g", J.n, exc, beta)
+    tr = estimate_beta_N(system, cfg or EstimatorConfig(eps=1e-4))
+    beta = tr.beta_N
+    if ["ladder_minimum"] in tr.flags:
+        log.warning("component of %d vertices: no sign change on the ladder; "
+                    "using its smallest lambda_min, beta=%.6g", J.n, beta)
     log.debug("component of %d vertices: beta=%.6g", J.n, beta)
     vals, vecs = bottom_eigenpairs(system.matrix(beta), k, 1e-9)
     return beta, vals, vecs

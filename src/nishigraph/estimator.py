@@ -8,10 +8,11 @@ bottom eigenvector each solve returns), one solve per step, until
 |lambda| < eps.  Every step stays inside the current sign bracket: one that
 would leave it, or meets a zero slope, is a bisection step flagged
 "bisection_fallback".  That also covers a near-degenerate bottom eigenvalue,
-whose slope is only one-sided.  On the pipeline's components a root takes
-4.9 solves, its bracket's included, and the h2 root 5.  A plain bisection
-baseline shares the trace format so eigensolver-call counts are directly
-comparable (the h2 root: 22).
+whose slope is only one-sided.  Given no bracket, the finder climbs the
+bracket ladder first, with the same cached solves.  On the pipeline's
+components a root takes 4.9 solves, its ladder's included, and the h2 root
+5.  A plain bisection baseline shares the trace format so eigensolver-call
+counts are directly comparable (the h2 root: 22).
 """
 
 import math
@@ -23,8 +24,8 @@ from .sparse import SparseSym, bottom_pair
 # quadratic-Newton solves after the first three before giving up
 _MAX_STEPS = 100
 _BISECTION_STEPS = 300
-# WeightedSystem's starting bracket; auto_bracket's growth factor and growth
-# steps, and the tolerance of its solves (the estimator's at eps >= 1e-7)
+# WeightedSystem's starting bracket; the ladder's growth factor and growth
+# steps, and auto_bracket's solve tolerance (the estimator's at eps >= 1e-7)
 _BRACKET = (0.05, 1.0)
 _BRACKET_FACTOR = 1.6
 _BRACKET_EXPANSIONS = 40
@@ -32,13 +33,17 @@ _BRACKET_TOL = 1e-8
 
 
 class EstimatorConfig:
-    def __init__(self, beta_lower, beta_upper, eps=1e-6):
-        if not (0 < beta_lower < beta_upper):
+    """The root's window, or neither bound for the ladder's, and its eps."""
+
+    def __init__(self, beta_lower=None, beta_upper=None, eps=1e-6):
+        if (beta_lower is None) != (beta_upper is None):
+            raise ValueError("beta_lower and beta_upper go together")
+        if beta_lower is not None and not (0 < beta_lower < beta_upper):
             raise ValueError("need 0 < beta_lower < beta_upper")
         if eps <= 0:
             raise ValueError("eps must be positive")
-        self.beta_lower = float(beta_lower)
-        self.beta_upper = float(beta_upper)
+        self.beta_lower = None if beta_lower is None else float(beta_lower)
+        self.beta_upper = None if beta_upper is None else float(beta_upper)
         self.eps = float(eps)
 
 
@@ -184,10 +189,8 @@ class _CountedEvaluator:
     within tol, cached per beta; calls counts the solves made.  The
     derivative is the Hellmann-Feynman slope system.slope(beta, v) at the
     bottom eigenvector v, one-sided where the bottom eigenvalue is
-    degenerate.  auto_bracket and the root finders take one in place of a
-    system and use it when they solve at its tol, so a root started on a
-    bracket's evaluator reuses the bracket's solves and counts them in its
-    eigensolver_calls."""
+    degenerate.  Each finder makes one, so a root found after the ladder
+    reuses the ladder's solves and counts them in its eigensolver_calls."""
 
     def __init__(self, system, tol):
         self.system = system
@@ -206,35 +209,24 @@ class _CountedEvaluator:
         return self.pair(beta)[0]
 
 
-def _evaluator(system, tol):
-    """system when it is an evaluator at tol, else a fresh evaluator at tol
-    on system, or on the system under it."""
-    if isinstance(system, _CountedEvaluator):
-        if system.tol == tol:
-            return system
-        system = system.system
-    return _CountedEvaluator(system, tol)
-
-
 def _ends(ev, lo, hi, eps, method):
-    """(lambda_min(lo), lambda_min(hi), None), lo solved first, or (None,
-    None, the converged trace) at the first end that is an eps-root, so an
-    end touching the root (e.g. a double root at the edge of a spectrum with
-    lambda_min >= 0) converges without a sign change.  ValueError when the
-    ends share a sign."""
-    rounds = []
-    for beta in (lo, hi):
-        lam = ev(beta)
-        rounds.append([(beta, lam)])
+    """(lambda_min(lo), lambda_min(hi), None), lo solved first, when they
+    strictly change sign, so a root inside wins over an end within eps of
+    it.  Otherwise (None, None, the converged trace) at the first end that
+    is an eps-root, so an end touching the root (e.g. a double root at the
+    edge of a spectrum with lambda_min >= 0) converges without a sign
+    change; ValueError when the ends share a sign."""
+    l_lo, l_hi = ev(lo), ev(hi)
+    if l_lo * l_hi < 0:
+        return l_lo, l_hi, None
+    for beta, lam in ((lo, l_lo), (hi, l_hi)):
         if abs(lam) < eps:
-            return None, None, EstimatorTrace(beta, lam, ev.calls, rounds,
-                                              True, [], method)
-    l_lo, l_hi = ev(lo), ev(hi)  # cached
-    if l_lo * l_hi > 0:
-        raise ValueError(
-            f"no bracket: lambda_min({lo})={l_lo:.3e} and lambda_min({hi})={l_hi:.3e} "
-            "share a sign")
-    return l_lo, l_hi, None
+            return None, None, EstimatorTrace(
+                beta, lam, ev.calls, [[(lo, l_lo)], [(hi, l_hi)]], True, [],
+                method)
+    raise ValueError(
+        f"no bracket: lambda_min({lo})={l_lo:.3e} and lambda_min({hi})={l_hi:.3e} "
+        "share a sign")
 
 
 def _parabola_root(pts, lo, hi):
@@ -253,11 +245,21 @@ def _parabola_root(pts, lo, hi):
 
 
 def estimate_beta_N(system, cfg):
-    """Quadratic-Newton estimate of the root of lambda_min(beta), as the
-    module docstring describes.  Rounds are the first three points, then one
-    point per step; flags holds one list of flags per step."""
-    ev = _evaluator(system, min(cfg.eps / 10, 1e-8))
+    """Quadratic-Newton root of lambda_min(beta), as the module docstring
+    describes, in cfg's window or else _ladder's.  Rounds are the first three
+    points, then one per step; flags holds one list per step.  A ladder with
+    no sign change gives its smallest-lambda_min rung, unconverged, with
+    rounds [the rungs solved] and flags [["ladder_minimum"]]."""
+    ev = _CountedEvaluator(system, min(cfg.eps / 10, 1e-8))
     lo, hi = cfg.beta_lower, cfg.beta_upper
+    if lo is None:
+        window = _ladder(ev)
+        if window is None:
+            best = min(ev.cache, key=ev)
+            return EstimatorTrace(best, ev(best), ev.calls,
+                                  [[(b, ev(b)) for b in ev.cache]], False,
+                                  [["ladder_minimum"]], "quadratic-newton")
+        lo, hi = window
     l_lo, l_hi, trace = _ends(ev, lo, hi, cfg.eps, "quadratic-newton")
     if trace is not None:
         return trace
@@ -293,10 +295,13 @@ def estimate_beta_N(system, cfg):
 
 
 def bisection_baseline(system, beta_lower, beta_upper, eps):
-    """Plain bisection on the sign of lambda_min, same trace format."""
+    """Plain bisection on the sign of lambda_min, same trace format; it
+    needs a window."""
     cfg = EstimatorConfig(beta_lower, beta_upper, eps)
     lo, hi = cfg.beta_lower, cfg.beta_upper
-    ev = _evaluator(system, min(eps / 10, 1e-8))
+    if lo is None:
+        raise ValueError("bisection needs beta_lower and beta_upper")
+    ev = _CountedEvaluator(system, min(eps / 10, 1e-8))
     l_lo, l_hi, trace = _ends(ev, lo, hi, eps, "bisection")
     if trace is not None:
         return trace
@@ -317,24 +322,29 @@ def bisection_baseline(system, beta_lower, beta_upper, eps):
                           "bisection")
 
 
-def auto_bracket(system):
-    """(lo, hi) where lambda_min has opposite signs, from the system's own
-    window, system.bracket: while lambda_min(hi) has the sign of
-    lambda_min(lo), lo moves to hi and hi grows by _BRACKET_FACTOR, at most
-    _BRACKET_EXPANSIONS times.  The unweighted root, the spectral radius of
-    the non-backtracking matrix (d - 1 on a d-regular graph), can lie above
-    the window's 2 sqrt(d_max).  The ladder's solves stay in the
-    evaluator's cache for a root, or a fallback, to reuse.
-    """
-    ev = _evaluator(system, _BRACKET_TOL)
+def _ladder(ev):
+    """(lo, hi) where lambda_min has opposite signs, from ev.system.bracket:
+    while lambda_min(hi) has the sign of lambda_min(lo), lo moves to hi and
+    hi grows by _BRACKET_FACTOR, at most _BRACKET_EXPANSIONS times (the
+    unweighted root, d - 1 on a d-regular graph, can pass 2 sqrt(d_max)).
+    None when that runs out or a later rung saturates a coupling; the first
+    rung's ValueError propagates."""
     lo, hi = ev.system.bracket
     negative = ev(lo) < 0
     for _ in range(_BRACKET_EXPANSIONS):
         try:
             l_hi = ev(hi)
         except ValueError:
-            raise ValueError("no sign change before coupling saturation") from None
+            return None
         if (l_hi < 0) != negative:
             return lo, hi
         lo, hi = hi, hi * _BRACKET_FACTOR
-    raise ValueError("no sign change found while expanding the bracket")
+    return None
+
+
+def auto_bracket(system):
+    """_ladder's window for system at tol _BRACKET_TOL, or ValueError."""
+    window = _ladder(_CountedEvaluator(system, _BRACKET_TOL))
+    if window is None:
+        raise ValueError("no sign change of lambda_min on the bracket ladder")
+    return window

@@ -175,7 +175,10 @@ def block_cycle_consistent(shifts, L):
 
 
 def girth(g):
-    """Length of the shortest cycle, or math.inf if the graph is a forest."""
+    """Length of the shortest cycle, or math.inf if the graph is a forest.
+
+    A BFS from each root; a cycle closed at depth d is at least 2d + 1
+    long, so each BFS stops once that reaches the shortest found so far."""
     adj = g.adjacency_lists()
     n = g.n_vertices()
     best = math.inf
@@ -184,7 +187,7 @@ def girth(g):
         parent = [-1] * n
         dist[root] = 0
         queue = [root]
-        while queue:
+        while queue and 2 * dist[queue[0]] + 1 < best:
             nxt = []
             for u in queue:
                 for w in adj[u]:

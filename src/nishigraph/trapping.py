@@ -14,8 +14,6 @@ from .estimator import _bethe_hessian
 from .sparse import SparseSym, _kernel_dim, _read_text, eig_dense
 
 _NEG_TOL = -1e-8
-# betti's Laplacian kernel: eigenvalues below this in magnitude
-_BETTI_TOL = 1e-8
 
 
 class TrappingSet:
@@ -137,19 +135,19 @@ def spectral_radius(ts):
 def betti(ts):
     """(betti0, betti1_mod2_formula, cycle_rank).
 
-    betti0 is the Laplacian kernel dimension of the variable-node graph.  The
-    second value is the rank-nullity expression n - rank(L) - betti0, exposed
+    betti0 is the Laplacian kernel dimension of the variable-node graph,
+    its component count a - |spanning forest|, counted exactly.  The second
+    value is the rank-nullity expression n - rank(L) - betti0, exposed
     separately because it is identically zero.  cycle_rank is |E| - |V| + c
     on the bipartite subgraph of the variables and the checks that touch
     them.  A check joins only variables adjacent in the variable-node graph,
-    so c is that graph's component count, a - |spanning forest|, and
-    cycle_rank = |E| - (live checks) - |spanning forest|, counted exactly.
+    so c is betti0, and cycle_rank = |E| - (live checks) - |spanning forest|.
     """
-    betti0 = _kernel_dim(np.linalg.eigvalsh(_laplacian(ts)), _BETTI_TOL)
-    rank = ts.a - betti0
+    forest = spanning_forest_incidence(ts).shape[1]
+    betti0 = ts.a - forest
     cycle_rank = (np.count_nonzero(ts.H) - np.count_nonzero(ts.H.any(axis=1))
-                  - spanning_forest_incidence(ts).shape[1])
-    return betti0, ts.a - rank - betti0, int(cycle_rank)
+                  - forest)
+    return betti0, ts.a - forest - betti0, int(cycle_rank)
 
 
 def negative_modes(ts, r=1.0):

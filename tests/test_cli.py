@@ -137,6 +137,20 @@ def test_beta_climbs_past_the_default_window_on_h3(capsys):
         assert info[method]["beta_N"] == pytest.approx(14, abs=1e-5)
 
 
+def test_beta_finds_the_nontrivial_root_of_h1_without_a_window(capsys):
+    # lambda_min at the window's lower end 1 + 1e-6 lies within eps of 0
+    # (H(1) is the Laplacian), but the ends change sign: the root inside,
+    # sqrt(2), wins over the trivial one
+    rc, out, _ = run_cli(capsys, "beta", data_path("h1.exp"))
+    assert rc == 0
+    info = json.loads(out)
+    assert info["bracket"][0] == 1 + 1e-6
+    qn, bis = info["quadratic_newton"], info["bisection"]
+    assert qn["converged"] and abs(qn["beta_N"] - math.sqrt(2)) <= 1e-6
+    assert bis["converged"] and bis["beta_N"] == pytest.approx(math.sqrt(2),
+                                                               abs=1e-5)
+
+
 def test_lift_reports_the_girth_of_a_large_lift(tmp_path, capsys,
                                                monkeypatch):
     # the 5,200-vertex, 39,000-edge h3 lift: the girth comes from the walk

@@ -11,7 +11,8 @@ from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
                         WeightedSystem, auto_bracket, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
-from nishigraph.estimator import _bethe_hessian, _CountedEvaluator
+from nishigraph import estimator
+from nishigraph.estimator import _bethe_hessian
 from nishigraph.sparse import bottom_pair
 
 from util import (cycle_edges, dense_bethe_hessian_by_transpose, random_regular,
@@ -303,20 +304,34 @@ def test_auto_bracket_spans_a_sign_change():
     assert abs(tr.lambda_at_root) <= 1e-6
 
 
-def test_root_on_the_bracket_evaluator_reuses_and_counts_its_solves():
-    # the bracket's end values are not solved again, and the root's count
-    # includes the bracket's solves
+def recorded_tols(monkeypatch):
+    """The tol of every solve the estimator makes from here on."""
+    tols, solve = [], estimator.bottom_pair
+
+    def recorded(M, tol):
+        tols.append(tol)
+        return solve(M, tol)
+
+    monkeypatch.setattr(estimator, "bottom_pair", recorded)
+    return tols
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+def test_a_no_window_root_continues_from_the_ladders_solves(monkeypatch, eps):
+    # without a window the root finder climbs the ladder and starts from its
+    # end values with no second solve of them: the root of the ladder's
+    # window, with the ladder's solves counted in
     J = unit_coupling_graph(60, random_regular(60, 3, 3))
-    ev = _CountedEvaluator(WeightedSystem(J), 1e-8)
-    lo, hi = auto_bracket(ev)
-    bracket_calls = ev.calls
-    cfg = EstimatorConfig(lo, hi, eps=1e-4)
-    shared = estimate_beta_N(ev, cfg)
-    fresh = estimate_beta_N(WeightedSystem(J), cfg)
-    assert shared.beta_N == fresh.beta_N
-    assert shared.round_points == fresh.round_points
-    assert shared.eigensolver_calls == bracket_calls + fresh.eigensolver_calls - 2
-    assert ev.calls == shared.eigensolver_calls
+    tols = recorded_tols(monkeypatch)
+    window = auto_bracket(WeightedSystem(J))
+    ladder_calls = len(tols)
+    windowed = estimate_beta_N(WeightedSystem(J), EstimatorConfig(*window, eps))
+    own = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=eps))
+    assert own.converged and own.beta_N == windowed.beta_N
+    assert own.round_points == windowed.round_points
+    assert own.flags == windowed.flags
+    assert own.eigensolver_calls == ladder_calls + windowed.eigensolver_calls - 2
+    assert len(tols) == ladder_calls + windowed.eigensolver_calls + own.eigensolver_calls
 
 
 def test_auto_bracket_climbs_to_the_unweighted_root_above_its_window():
@@ -402,20 +417,45 @@ def test_bisection_validates_through_the_config_and_names_the_values():
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-9, 1e-11])
-def test_a_shared_evaluator_at_another_tol_changes_no_trace(eps):
-    # below eps = 1e-7 the finders solve at a finer tol than the bracket's
-    # evaluator, and use a fresh evaluator on its system: the traces are
-    # those of a plain system, and the shared evaluator is left alone
+def test_the_ladder_solves_at_the_roots_tol(monkeypatch, eps):
+    # below eps = 1e-7 the root asks for a finer tol than auto_bracket's
+    # 1e-8: a no-window search solves its ladder at the root's tol too, and
+    # reaches the root the same finer solves give on the same window
     J = unit_coupling_graph(60, random_regular(60, 3, 3))
-    ev = _CountedEvaluator(WeightedSystem(J), 1e-8)
-    lo, hi = auto_bracket(ev)
-    calls, cfg = ev.calls, EstimatorConfig(lo, hi, eps=eps)
-    shared = [estimate_beta_N(ev, cfg), bisection_baseline(ev, lo, hi, eps)]
-    fresh = [estimate_beta_N(WeightedSystem(J), cfg),
-             bisection_baseline(WeightedSystem(J), lo, hi, eps)]
-    for s, f in zip(shared, fresh):
-        assert s.converged and s.beta_N == f.beta_N
-        assert s.round_points == f.round_points
-    if eps < 1e-7:
-        assert [s.to_dict() for s in shared] == [f.to_dict() for f in fresh]
-        assert ev.calls == calls
+    tols = recorded_tols(monkeypatch)
+    own = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=eps))
+    assert own.converged and len(tols) == own.eigensolver_calls
+    assert set(tols) == {min(eps / 10, 1e-8)}
+    windowed = estimate_beta_N(WeightedSystem(J), EstimatorConfig(
+        *auto_bracket(WeightedSystem(J)), eps))
+    assert own.to_dict()["rounds"] == windowed.to_dict()["rounds"]
+    assert own.beta_N == windowed.beta_N
+
+
+def test_a_ladder_without_a_sign_change_gives_its_smallest_rung(monkeypatch):
+    # a path's lambda_min stays positive up to coupling saturation: the
+    # search returns the solved rung of the ladder (0.05, then 1.6^k) with
+    # the smallest lambda_min, unconverged and flagged, with no solve after
+    # the ladder; the eighth rung saturates (tanh^2 within 1e-12 of 1)
+    J = CouplingGraph(5, [(k, k + 1, 1.0) for k in range(4)])
+    tols = recorded_tols(monkeypatch)
+    tr = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=1e-4))
+    ladder = [0.05] + [1.6 ** k for k in range(6)]
+    assert (tr.converged, tr.flags) == (False, [["ladder_minimum"]])
+    assert [b for b, _ in tr.round_points[0]] == pytest.approx(ladder)
+    assert len(tr.round_points) == 1 and len(tols) == tr.eigensolver_calls == 7
+    assert tr.beta_N == pytest.approx(1.6 ** 5)
+    assert tr.lambda_at_root == min(lam for _, lam in tr.round_points[0])
+    with pytest.raises(ValueError, match="^no sign change"):
+        auto_bracket(WeightedSystem(J))
+
+
+def test_bisection_refuses_a_missing_window():
+    # only estimate_beta_N finds its own window; a lone bound is refused by
+    # the config
+    with pytest.raises(ValueError, match="^bisection needs beta_lower"):
+        bisection_baseline(k4_system(), None, None, eps=1e-6)
+    with pytest.raises(ValueError, match="go together"):
+        bisection_baseline(k4_system(), 1.5, None, eps=1e-6)
+    with pytest.raises(ValueError, match="go together"):
+        EstimatorConfig(beta_upper=3.0)

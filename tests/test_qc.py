@@ -15,7 +15,7 @@ from nishigraph import (METProtograph, TannerGraph, ace, bipartite_adjacency,
                         optimize_lift, parse_exponent_text, qc,
                         read_exponent_file, write_exponent_file)
 
-from util import bipartite_adjacency_by_loop, lifted_score
+from util import bipartite_adjacency_by_loop, girth_by_full_bfs, lifted_score
 
 H1_TEXT = "L=7\n1 2 4\n6 5 3\n"
 
@@ -168,6 +168,35 @@ def test_girth_four_cycle_and_forest():
     assert girth(c4) == 4
     tree = TannerGraph(1, 3, [(0, 0), (0, 1), (0, 2)])
     assert math.isinf(girth(tree))
+
+
+@st.composite
+def tanner_graphs(draw):
+    """(Tanner graph, whether it was drawn as a forest) on up to 6 checks and
+    8 variables: distinct random edges, or a forest in which each vertex, in
+    a random order, joins at most one earlier vertex of the other side."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    if not draw(st.booleans()):
+        edges = draw(st.sets(st.tuples(st.integers(0, m - 1),
+                                       st.integers(0, n - 1))))
+        return TannerGraph(m, n, sorted(edges)), False
+    order = draw(st.permutations([("c", k) for k in range(m)]
+                                 + [("v", k) for k in range(n)]))
+    edges = []
+    for at, (side, k) in enumerate(order):
+        earlier = [x for other, x in order[:at] if other != side]
+        if earlier and draw(st.booleans()):
+            x = draw(st.sampled_from(earlier))
+            edges.append((k, x) if side == "c" else (x, k))
+    return TannerGraph(m, n, edges), True
+
+
+@given(tanner_graphs())
+def test_bounded_girth_matches_the_full_bfs(case):
+    g, forest = case
+    assert girth(g) == girth_by_full_bfs(g)
+    if forest:
+        assert math.isinf(girth(g))
 
 
 def test_all_zero_shift_lift_is_disjoint_base_copies():

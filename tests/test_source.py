@@ -1,17 +1,42 @@
-"""Source hygiene: every name a package module imports is used there."""
+"""Source hygiene: every name a package module imports is used there, and
+every private name one package module takes from another is listed."""
 
 import ast
 from pathlib import Path
 
 import nishigraph
 
+# "user <- owner._name" for each private name a package module takes from
+# another one; a new entry is a new coupling between modules, so it is
+# named here first
+PRIVATE_IMPORTS = {
+    "cli <- embed._label",
+    "cli <- qc._score_lift",
+    "cli <- sparse._read_text",
+    "embed <- sparse._read_text",
+    "pipeline <- embed._rank_features",
+    "pipeline <- embed._similarity_graphs",
+    "qc <- sparse._read_text",
+    "rbim <- sparse._triples",
+    "trapping <- estimator._bethe_hessian",
+    "trapping <- sparse._kernel_dim",
+    "trapping <- sparse._read_text",
+    "zeta <- estimator._bethe_hessian",
+    "zeta <- estimator._checked_square",
+    "zeta <- rbim._frozen",
+    "zeta <- rbim._refuse",
+}
+
+
+def _modules():
+    for path in sorted(Path(nishigraph.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
 
 def test_no_module_has_an_unused_import():
     unused = []
-    for path in sorted(Path(nishigraph.__file__).parent.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path, tree in _modules():
         used = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name)}
         for node in ast.walk(tree):
@@ -21,3 +46,37 @@ def test_no_module_has_an_unused_import():
                     if name not in used:
                         unused.append(f"{path.name}:{node.lineno}: {name}")
     assert not unused
+
+
+def private_imports(path, tree):
+    """Private names the module takes from sibling modules, as
+    "user <- owner._name": from `from .owner import _name`, and from
+    `owner._name` on a module bound by `from . import owner [as alias]`."""
+    user = path.stem
+    found, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add(f"{user} <- {node.module}.{alias.name}")
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            found.add(f"{user} <- {modules[node.value.id]}.{node.attr}")
+    return found
+
+
+def test_private_names_crossing_modules_are_listed():
+    found = set().union(*(private_imports(p, t) for p, t in _modules()))
+    assert found == PRIVATE_IMPORTS
+
+
+def test_a_new_private_import_is_caught(tmp_path):
+    path = tmp_path / "user.py"
+    tree = ast.parse("from . import qc as q\nfrom .estimator import _ends\n"
+                     "q._girth_by_walks(None)\n")
+    assert private_imports(path, tree) == {"user <- estimator._ends",
+                                           "user <- qc._girth_by_walks"}

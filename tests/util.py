@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from nishigraph import (CouplingGraph, LinearModel, SparseSym,
-                        UnweightedSystem, ace, enumerate_cycles, girth, lift,
+                        UnweightedSystem, ace, enumerate_cycles, lift,
                         rank_and_kernel)
 from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
 from nishigraph.embed import Embedding, _component_eigs
@@ -72,7 +72,7 @@ def lifted_score(proto, min_girth):
     than min_girth + 4), with girth and min ACE, from the lifted graph: BFS
     girth, DFS cycle census to min(min_girth + 4, 12) and per-cycle ACE."""
     g = lift(proto)
-    gir = girth(g)
+    gir = girth_by_full_bfs(g)
     if math.isinf(gir):
         return (math.inf, 0, math.inf), gir, math.inf
     scan = min(int(min_girth) + 4, 12)
@@ -82,6 +82,32 @@ def lifted_score(proto, min_girth):
     aces = [ace(c, g) for c in cycles if c.length < min_girth + 4]
     min_ace_found = min(aces) if aces else math.inf
     return (gir, -n_short, min_ace_found), gir, min_ace_found
+
+
+def girth_by_full_bfs(g):
+    """qc.girth without its early stop: a full BFS from every root, each
+    edge to a vertex no nearer the root than the current one closing a
+    cycle, other than the edge back to the parent."""
+    adj = g.adjacency_lists()
+    n = g.n_vertices()
+    best = math.inf
+    for root in range(n):
+        dist = [-1] * n
+        parent = [-1] * n
+        dist[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for w in adj[u]:
+                    if dist[w] == -1:
+                        dist[w] = dist[u] + 1
+                        parent[w] = u
+                        nxt.append(w)
+                    elif w != parent[u] and dist[w] >= dist[u]:
+                        best = min(best, dist[u] + dist[w] + 1)
+            queue = nxt
+    return best
 
 
 def directed_edge_matrix_by_loop(g):
@@ -229,9 +255,9 @@ def dense_bethe_hessian_by_transpose(n, i, j, t):
 
 
 def betti_by_components(ts, tol=1e-8):
-    """betti(ts) (kernel tol 1e-8) with the Laplacian kernel from
-    rank_and_kernel on a SparseSym and the bipartite subgraph's components
-    from connected_components on its COO graph."""
+    """betti(ts) with betti0 the Laplacian kernel from rank_and_kernel on a
+    SparseSym (tol 1e-8), not a spanning-forest count, and the bipartite
+    subgraph's components from connected_components on its COO graph."""
     rank, betti0 = rank_and_kernel(SparseSym.from_dense(_laplacian(ts)), tol)
     live = ts.H[ts.H.any(axis=1)]
     rows, cols = np.nonzero(live)
