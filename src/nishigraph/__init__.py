@@ -21,7 +21,7 @@ from .zeta import (SimpleGraph, bass_identity_residual,
 from .rbim import (CouplingGraph, SpinConfig, exact_thermo, hamiltonian,
                    label_couplings, sample_nishimori_pm)
 from .estimator import (EstimatorConfig, EstimatorTrace, UnweightedSystem,
-                        WeightedSystem, auto_bracket, bethe_hessian_unweighted,
+                        WeightedSystem, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N)
 from .embed import (Embedding, FeatureTable, binarize, select_indices,
@@ -52,7 +52,7 @@ __all__ = [
     "CouplingGraph", "SpinConfig", "exact_thermo", "hamiltonian",
     "label_couplings", "sample_nishimori_pm",
     "EstimatorConfig", "EstimatorTrace", "UnweightedSystem", "WeightedSystem",
-    "auto_bracket", "bethe_hessian_unweighted", "bethe_hessian_weighted",
+    "bethe_hessian_unweighted", "bethe_hessian_weighted",
     "bisection_baseline", "estimate_beta_N",
     "Embedding", "FeatureTable", "binarize", "select_indices",
     "similarity_graph", "spectral_embed", "synthetic_features",

@@ -18,7 +18,7 @@ from .classify import accuracy, per_class_metrics, predict_labels, train_linear
 from .embed import (Embedding, FeatureTable, _label, similarity_graph,
                     spectral_embed, synthetic_features)
 from .estimator import (EstimatorConfig, UnweightedSystem, WeightedSystem,
-                        auto_bracket, bisection_baseline, estimate_beta_N)
+                        bisection_baseline, estimate_beta_N)
 from .pipeline import (confusion_to_csv, evaluate_ensemble, metrics_table,
                        run_pipeline, stratified_split)
 from .rbim import CouplingGraph
@@ -180,18 +180,17 @@ def _bracket(args):
 
 
 def cmd_beta(args):
-    bracket = _bracket(args)
+    cfg = EstimatorConfig(*(_bracket(args) or (None, None)), eps=args.eps)
     system = _load_system(args)
-    lo, hi = bracket or auto_bracket(system)
-    cfg = EstimatorConfig(lo, hi, eps=args.eps)
     qn = estimate_beta_N(system, cfg)
-    bis = bisection_baseline(system, lo, hi, args.eps)
-    ratio = bis.eigensolver_calls / qn.eigensolver_calls
+    if qn.bracket is None:
+        raise ValueError("no sign change of lambda_min on the bracket ladder")
+    bis = bisection_baseline(system, cfg.beta_lower, cfg.beta_upper, cfg.eps)
     _emit({
         "quadratic_newton": qn.to_dict(),
         "bisection": bis.to_dict(),
-        "call_ratio": ratio,
-        "bracket": [lo, hi],
+        "call_ratio": bis.eigensolver_calls / qn.eigensolver_calls,
+        "bracket": qn.bracket,
     })
     return 0
 
@@ -294,11 +293,13 @@ def cmd_pipeline(args):
     if args.threshold and not args.arbiter:
         raise ValueError("--threshold needs --arbiter")
     if args.synthetic:
-        parts = [float(x) for x in args.synthetic.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--synthetic K,per_class,dim,separation")
-        ft = synthetic_features(int(parts[0]), int(parts[1]), int(parts[2]),
-                                parts[3], seed=args.seed)
+        try:
+            k, per_class, dim, separation = args.synthetic.split(",")
+            shape = int(k), int(per_class), int(dim)
+            separation = float(separation)
+        except ValueError:
+            raise ValueError("--synthetic K,per_class,dim,separation") from None
+        ft = synthetic_features(*shape, separation, seed=args.seed)
     elif args.features:
         ft = _load_features(args.features)
         if ft.labels is None:

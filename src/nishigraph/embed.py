@@ -260,8 +260,8 @@ def _similarity_graphs(X, specs):
     block, G += X_b X_b^T, so every column enters one product.  ValueError
     unless each set holds the next smaller one."""
     for _, gamma, p in specs:
-        if gamma <= 0:
-            raise ValueError("gamma must be positive")
+        if not 0 < gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
         if p < 1:
             raise ValueError("p must be >= 1")
     graphs = [None] * len(specs)
@@ -387,8 +387,13 @@ def synthetic_features(n_classes, per_class, dim, separation, seed=0):
     """Gaussian class blobs in a high-dimensional feature space.
 
     Each class mean is a random unit direction scaled by `separation`; unit
-    isotropic noise is added.  Returns a labeled FeatureTable.
+    isotropic noise is added.  Returns a labeled FeatureTable; ValueError
+    for a count below 1 or a non-finite separation.
     """
+    if min(n_classes, per_class, dim) < 1:
+        raise ValueError("n_classes, per_class and dim must be >= 1")
+    if not np.isfinite(separation):
+        raise ValueError("separation must be finite")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, dim))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)

@@ -8,8 +8,8 @@ bottom eigenvector each solve returns), one solve per step, until
 |lambda| < eps.  Every step stays inside the current sign bracket: one that
 would leave it, or meets a zero slope, is a bisection step flagged
 "bisection_fallback".  That also covers a near-degenerate bottom eigenvalue,
-whose slope is only one-sided.  Given no bracket, the finder climbs the
-bracket ladder first, with the same cached solves.  On the pipeline's
+whose slope is only one-sided.  Given no bracket, either finder climbs
+the bracket ladder first, with the same cached solves.  On the pipeline's
 components a root takes 4.9 solves, its ladder's included, and the h2 root
 5.  A plain bisection baseline shares the trace format so eigensolver-call
 counts are directly comparable (the h2 root: 22).
@@ -25,11 +25,10 @@ from .sparse import SparseSym, bottom_pair
 _MAX_STEPS = 100
 _BISECTION_STEPS = 300
 # WeightedSystem's starting bracket; the ladder's growth factor and growth
-# steps, and auto_bracket's solve tolerance (the estimator's at eps >= 1e-7)
+# steps
 _BRACKET = (0.05, 1.0)
 _BRACKET_FACTOR = 1.6
 _BRACKET_EXPANSIONS = 40
-_BRACKET_TOL = 1e-8
 
 
 class EstimatorConfig:
@@ -38,18 +37,21 @@ class EstimatorConfig:
     def __init__(self, beta_lower=None, beta_upper=None, eps=1e-6):
         if (beta_lower is None) != (beta_upper is None):
             raise ValueError("beta_lower and beta_upper go together")
-        if beta_lower is not None and not (0 < beta_lower < beta_upper):
-            raise ValueError("need 0 < beta_lower < beta_upper")
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if beta_lower is not None and not 0 < beta_lower < beta_upper < math.inf:
+            raise ValueError("need 0 < beta_lower < beta_upper < inf")
+        if not 0 < eps < math.inf:
+            raise ValueError("eps must be positive and finite")
         self.beta_lower = None if beta_lower is None else float(beta_lower)
         self.beta_upper = None if beta_upper is None else float(beta_upper)
         self.eps = float(eps)
 
 
 class EstimatorTrace:
+    """A finder's result; bracket is the window it searched, None when the
+    ladder found no sign change."""
+
     def __init__(self, beta_N, lambda_at_root, eigensolver_calls, round_points,
-                 converged, flags, method):
+                 converged, flags, method, bracket):
         self.beta_N = beta_N
         self.lambda_at_root = lambda_at_root
         self.eigensolver_calls = eigensolver_calls
@@ -57,6 +59,7 @@ class EstimatorTrace:
         self.converged = converged
         self.flags = flags
         self.method = method
+        self.bracket = bracket
 
     def to_dict(self):
         return {
@@ -68,6 +71,7 @@ class EstimatorTrace:
             "converged": self.converged,
             "flags": self.flags,
             "method": self.method,
+            "bracket": self.bracket and [float(b) for b in self.bracket],
         }
 
 
@@ -142,7 +146,7 @@ def bethe_hessian_unweighted(A, D, beta):
 
 class UnweightedSystem:
     """Root-finding target lambda_min((beta^2-1)I - beta A + D); bracket,
-    auto_bracket's starting window, runs from just above the trivial root
+    the ladder's starting window, runs from just above the trivial root
     beta = 1 to twice the square root of the largest degree."""
 
     def __init__(self, A, D):
@@ -164,7 +168,7 @@ class UnweightedSystem:
 
 class WeightedSystem:
     """Root-finding target lambda_min of the coupled Bethe-Hessian; bracket,
-    auto_bracket's starting window, is _BRACKET."""
+    the ladder's starting window, is _BRACKET."""
 
     def __init__(self, J):
         self.J = J
@@ -209,21 +213,33 @@ class _CountedEvaluator:
         return self.pair(beta)[0]
 
 
-def _ends(ev, lo, hi, eps, method):
-    """(lambda_min(lo), lambda_min(hi), None), lo solved first, when they
-    strictly change sign, so a root inside wins over an end within eps of
-    it.  Otherwise (None, None, the converged trace) at the first end that
-    is an eps-root, so an end touching the root (e.g. a double root at the
-    edge of a spectrum with lambda_min >= 0) converges without a sign
-    change; ValueError when the ends share a sign."""
+def _search_start(ev, cfg, method):
+    """(((lo, lambda_min(lo)), (hi, lambda_min(hi))), None) for cfg's window,
+    or else _ladder's, lo solved first, when the ends strictly change sign,
+    so a root inside wins over an end within eps of it.  Otherwise (None,
+    the finished trace): converged at the first end that is an eps-root, so
+    an end touching the root (e.g. a double root at the edge of a spectrum
+    with lambda_min >= 0) converges without a sign change; or, when the
+    ladder finds no sign change, its smallest-lambda_min rung, unconverged,
+    with rounds [the rungs solved], flags [["ladder_minimum"]] and no
+    bracket.  ValueError when a given window's ends share a sign."""
+    lo, hi = cfg.beta_lower, cfg.beta_upper
+    if lo is None:
+        window = _ladder(ev)
+        if window is None:
+            best = min(ev.cache, key=ev)
+            return None, EstimatorTrace(
+                best, ev(best), ev.calls, [[(b, ev(b)) for b in ev.cache]],
+                False, [["ladder_minimum"]], method, None)
+        lo, hi = window
     l_lo, l_hi = ev(lo), ev(hi)
     if l_lo * l_hi < 0:
-        return l_lo, l_hi, None
+        return ((lo, l_lo), (hi, l_hi)), None
     for beta, lam in ((lo, l_lo), (hi, l_hi)):
-        if abs(lam) < eps:
-            return None, None, EstimatorTrace(
+        if abs(lam) < cfg.eps:
+            return None, EstimatorTrace(
                 beta, lam, ev.calls, [[(lo, l_lo)], [(hi, l_hi)]], True, [],
-                method)
+                method, (lo, hi))
     raise ValueError(
         f"no bracket: lambda_min({lo})={l_lo:.3e} and lambda_min({hi})={l_hi:.3e} "
         "share a sign")
@@ -246,23 +262,14 @@ def _parabola_root(pts, lo, hi):
 
 def estimate_beta_N(system, cfg):
     """Quadratic-Newton root of lambda_min(beta), as the module docstring
-    describes, in cfg's window or else _ladder's.  Rounds are the first three
-    points, then one per step; flags holds one list per step.  A ladder with
-    no sign change gives its smallest-lambda_min rung, unconverged, with
-    rounds [the rungs solved] and flags [["ladder_minimum"]]."""
+    describes, from _search_start's ends.  Rounds are the first three points,
+    then one per step; flags holds one list per step."""
     ev = _CountedEvaluator(system, min(cfg.eps / 10, 1e-8))
-    lo, hi = cfg.beta_lower, cfg.beta_upper
-    if lo is None:
-        window = _ladder(ev)
-        if window is None:
-            best = min(ev.cache, key=ev)
-            return EstimatorTrace(best, ev(best), ev.calls,
-                                  [[(b, ev(b)) for b in ev.cache]], False,
-                                  [["ladder_minimum"]], "quadratic-newton")
-        lo, hi = window
-    l_lo, l_hi, trace = _ends(ev, lo, hi, cfg.eps, "quadratic-newton")
+    ends, trace = _search_start(ev, cfg, "quadratic-newton")
     if trace is not None:
         return trace
+    (lo, l_lo), (hi, l_hi) = ends
+    window = (lo, hi)
     beta = 0.5 * (lo + hi)
     lam, g = ev.pair(beta)
     pts = [(lo, l_lo), (beta, lam), (hi, l_hi)]
@@ -272,7 +279,7 @@ def estimate_beta_N(system, cfg):
         if len(flags) == _MAX_STEPS:
             best = min(ev.cache, key=lambda b: abs(ev(b)))
             return EstimatorTrace(best, ev(best), ev.calls, rounds, False,
-                                  flags, "quadratic-newton")
+                                  flags, "quadratic-newton", window)
         if lam * l_lo < 0:
             hi = beta
         else:
@@ -291,20 +298,20 @@ def estimate_beta_N(system, cfg):
         rounds.append([(beta, lam)])
         flags.append(step_flags)
     return EstimatorTrace(beta, lam, ev.calls, rounds, True, flags,
-                          "quadratic-newton")
+                          "quadratic-newton", window)
 
 
 def bisection_baseline(system, beta_lower, beta_upper, eps):
-    """Plain bisection on the sign of lambda_min, same trace format; it
-    needs a window."""
+    """Plain bisection on the sign of lambda_min from _search_start's ends,
+    in the window beta_lower, beta_upper or, both None, the ladder's; same
+    trace format."""
     cfg = EstimatorConfig(beta_lower, beta_upper, eps)
-    lo, hi = cfg.beta_lower, cfg.beta_upper
-    if lo is None:
-        raise ValueError("bisection needs beta_lower and beta_upper")
     ev = _CountedEvaluator(system, min(eps / 10, 1e-8))
-    l_lo, l_hi, trace = _ends(ev, lo, hi, eps, "bisection")
+    ends, trace = _search_start(ev, cfg, "bisection")
     if trace is not None:
         return trace
+    (lo, l_lo), (hi, l_hi) = ends
+    window = (lo, hi)
     rounds = [[(lo, l_lo)], [(hi, l_hi)]]
     for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
@@ -312,14 +319,14 @@ def bisection_baseline(system, beta_lower, beta_upper, eps):
         rounds.append([(mid, l_mid)])
         if abs(l_mid) < eps:
             return EstimatorTrace(mid, l_mid, ev.calls, rounds, True, [],
-                                  "bisection")
+                                  "bisection", window)
         if l_lo * l_mid < 0:
             hi = mid
         else:
             lo, l_lo = mid, l_mid
     best = 0.5 * (lo + hi)
     return EstimatorTrace(best, ev(best), ev.calls, rounds, False, [],
-                          "bisection")
+                          "bisection", window)
 
 
 def _ladder(ev):
@@ -340,11 +347,3 @@ def _ladder(ev):
             return lo, hi
         lo, hi = hi, hi * _BRACKET_FACTOR
     return None
-
-
-def auto_bracket(system):
-    """_ladder's window for system at tol _BRACKET_TOL, or ValueError."""
-    window = _ladder(_CountedEvaluator(system, _BRACKET_TOL))
-    if window is None:
-        raise ValueError("no sign change of lambda_min on the bracket ladder")
-    return window

@@ -25,7 +25,10 @@ DEFAULT_GRAPHS = (
 
 
 def stratified_split(labels, test_fraction, seed):
-    """Deterministic per-class split; returns (train_idx, test_idx)."""
+    """Deterministic per-class split; returns (train_idx, test_idx).
+    ValueError unless 0 < test_fraction < 1."""
+    if not 0 < test_fraction < 1:
+        raise ValueError("test_fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     labels = np.asarray(labels)
     train, test = [], []

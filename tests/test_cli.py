@@ -101,10 +101,10 @@ def test_beta_on_complete_graph_matrix(tmp_path, capsys):
 
 
 def test_beta_default_brackets(tmp_path, capsys):
-    # without bounds an exponent file is bracketed from 1 + 1e-6 to twice
-    # the square root of its largest degree, and a weighted matrix by
-    # auto_bracket; both finders reach the same root in either (on K4,
-    # where tanh(beta) (d - 1) = 1)
+    # without bounds the bracket ladder starts an exponent file from
+    # 1 + 1e-6 to twice the square root of its largest degree and a weighted
+    # matrix from [0.05, 1]; both finders search that window and reach the
+    # same root in either (on K4, where tanh(beta) (d - 1) = 1)
     rc, out, _ = run_cli(capsys, "beta", data_path("h2.exp"))
     assert rc == 0
     unweighted = json.loads(out)
@@ -120,13 +120,14 @@ def test_beta_default_brackets(tmp_path, capsys):
         for method in ("quadratic_newton", "bisection"):
             assert info[method]["converged"]
             assert info[method]["beta_N"] == pytest.approx(root, abs=1e-5)
+            assert info[method]["bracket"] == info["bracket"]
         assert info["call_ratio"] > 1
 
 
 def test_beta_climbs_past_the_default_window_on_h3(capsys):
     # h3 lifts to a 15-regular graph, whose root rho(B) = 14 lies above the
     # starting window's 2 sqrt(15): the bracket ladder climbs to it, and
-    # both finders reach it
+    # both finders reach it, each counting the ladder's four solves
     rc, out, _ = run_cli(capsys, "beta", data_path("h3.exp"))
     assert rc == 0
     info = json.loads(out)
@@ -135,6 +136,9 @@ def test_beta_climbs_past_the_default_window_on_h3(capsys):
     for method in ("quadratic_newton", "bisection"):
         assert info[method]["converged"]
         assert info[method]["beta_N"] == pytest.approx(14, abs=1e-5)
+        assert info[method]["bracket"] == [lo, hi]
+    assert (info["quadratic_newton"]["eigensolver_calls"],
+            info["bisection"]["eigensolver_calls"]) == (6, 27)
 
 
 def test_beta_finds_the_nontrivial_root_of_h1_without_a_window(capsys):
@@ -181,6 +185,63 @@ def test_beta_reports_missing_bracket(tmp_path, capsys):
                            "--beta-lower", "0.1", "--beta-upper", "0.2")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_beta_without_a_sign_change_on_the_ladder_is_a_clean_error(tmp_path,
+                                                                    capsys):
+    # a unit-coupling path stays positive definite until its couplings
+    # saturate: with no window the ladder finds no sign change, and neither
+    # finder's trace is printed
+    A = SparseSym(5, [(k, k + 1, 1.0) for k in range(4)])
+    path = tmp_path / "p5.mtx"
+    write_matrix_market(A, str(path))
+    rc, out, err = run_cli(capsys, "beta", str(path), "--weighted")
+    assert (rc, out) == (1, "")
+    assert err == ("error: no sign change of lambda_min on the bracket "
+                   "ladder\n")
+
+
+_EPS = "eps must be positive and finite"
+_WINDOW = "need 0 < beta_lower < beta_upper < inf"
+_GAMMA = "gamma must be positive and finite"
+_SPLIT = "test_fraction must be in (0, 1)"
+_COUNTS = "n_classes, per_class and dim must be >= 1"
+_SEPARATION = "separation must be finite"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["beta", data_path("h2.exp"), "--eps", "nan"], _EPS),
+    (["beta", data_path("h2.exp"), "--eps", "inf"], _EPS),
+    (["beta", data_path("h2.exp"), "--beta-lower", "1.5", "--beta-upper",
+      "inf"], _WINDOW),
+    (["beta", data_path("h2.exp"), "--beta-lower", "nan", "--beta-upper",
+      "3"], _WINDOW),
+    (["embed", "FEATURES", "-r", "5", "--gamma", "nan"], _GAMMA),
+    (["embed", "FEATURES", "-r", "5", "--gamma", "inf"], _GAMMA),
+    (["embed", "FEATURES", "-r", "5", "--beta-lower", "0.05", "--beta-upper",
+      "0.5", "--eps", "nan"], _EPS),
+    (["pipeline", "--synthetic", "3,10,8,8.0", "-r", "5", "--test-fraction",
+      "1.5"], _SPLIT),
+    (["pipeline", "--synthetic", "3,10,8,8.0", "-r", "5", "--test-fraction",
+      "-0.5"], _SPLIT),
+    (["pipeline", "--synthetic", "3,10,8,8.0", "-r", "5", "--test-fraction",
+      "nan"], _SPLIT),
+    (["pipeline", "--synthetic", "0,20,32,8"], _COUNTS),
+    (["pipeline", "--synthetic", "3,0,32,8"], _COUNTS),
+    (["pipeline", "--synthetic", "3.7,20,32,8"],
+     "--synthetic K,per_class,dim,separation"),
+    (["pipeline", "--synthetic", "3,20,32,nan"], _SEPARATION),
+    (["pipeline", "--synthetic", "3,20,32,inf"], _SEPARATION)])
+def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
+    # a NaN or infinite tolerance, window, kernel width, split fraction or
+    # separation, and a count that is not a positive integer, each stop the
+    # command with one line naming it, before any output
+    feat = tmp_path / "features.csv"
+    synthetic_features(3, 10, 8, separation=8.0, seed=5).to_csv(str(feat))
+    argv = [str(feat) if a == "FEATURES" else a for a in argv]
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flags", [

@@ -8,7 +8,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
-                        WeightedSystem, auto_bracket, bethe_hessian_unweighted,
+                        WeightedSystem, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
 from nishigraph import estimator
@@ -31,6 +31,14 @@ def test_config_validation():
         EstimatorConfig(-1.0, 2.0)
     with pytest.raises(ValueError):
         EstimatorConfig(1.0, 2.0, eps=0.0)
+    # NaN fails every comparison, and an infinite bound or eps is no window
+    for lo, hi, eps in [(math.nan, 2.0, 1e-6), (1.0, math.nan, 1e-6),
+                        (1.0, math.inf, 1e-6), (1.0, 2.0, math.nan),
+                        (1.0, 2.0, math.inf), (None, None, math.nan)]:
+        with pytest.raises(ValueError):
+            EstimatorConfig(lo, hi, eps)
+    with pytest.raises(ValueError, match="go together"):
+        EstimatorConfig(beta_upper=3.0)
 
 
 def test_unweighted_matrix_formula():
@@ -140,9 +148,7 @@ def test_root_is_where_the_weighted_non_backtracking_radius_is_one(J):
     # for positive couplings rho(B_t) rises through 1 exactly where
     # lambda_min falls through 0: a bracket-free oracle for the root.  At
     # eps 1e-6 the measured |rho - 1| stays below 2e-6.
-    system = WeightedSystem(J)
-    tr = estimate_beta_N(system, EstimatorConfig(*auto_bracket(system),
-                                                 eps=1e-6))
+    tr = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=1e-6))
     assert tr.converged
     B = weighted_non_backtracking(J.i, J.j, np.tanh(tr.beta_N * J.couplings))
     assert abs(np.max(np.abs(np.linalg.eigvals(B))) - 1) <= 1e-4
@@ -229,7 +235,8 @@ def test_quadratic_newton_finds_complete_graph_root():
     assert tr.eigensolver_calls == 4  # one quadratic round, one polish step
     d = tr.to_dict()
     assert set(d) == {"beta_N", "lambda_at_root", "eigensolver_calls",
-                      "rounds", "converged", "flags", "method"}
+                      "rounds", "converged", "flags", "method", "bracket"}
+    assert d["bracket"] == [1.5, 3.0]
     assert sum(len(r) for r in d["rounds"]) == tr.eigensolver_calls
 
 
@@ -293,14 +300,13 @@ def test_low_degree_bracket_converges_at_the_trivial_endpoint():
     assert abs(tr.beta_N - lo) <= 1e-5
 
 
-def test_auto_bracket_spans_a_sign_change():
+def test_the_ladder_window_spans_a_sign_change():
     J = unit_coupling_graph(60, random_regular(60, 3, 3))
-    sysm = WeightedSystem(J)
-    lo, hi = auto_bracket(sysm)
+    tr = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=1e-6))
+    lo, hi = tr.bracket
     assert lambda_min(bethe_hessian_weighted(J, lo)) > 0
     assert lambda_min(bethe_hessian_weighted(J, hi)) < 0
-    tr = estimate_beta_N(sysm, EstimatorConfig(lo, hi, eps=1e-6))
-    assert tr.converged
+    assert tr.converged and lo < tr.beta_N < hi
     assert abs(tr.lambda_at_root) <= 1e-6
 
 
@@ -316,46 +322,81 @@ def recorded_tols(monkeypatch):
     return tols
 
 
+def ladder_solves(system, eps):
+    """The solves the bracket ladder makes for system at eps's tol."""
+    ev = estimator._CountedEvaluator(system, min(eps / 10, 1e-8))
+    estimator._ladder(ev)
+    return ev.calls
+
+
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 def test_a_no_window_root_continues_from_the_ladders_solves(monkeypatch, eps):
     # without a window the root finder climbs the ladder and starts from its
     # end values with no second solve of them: the root of the ladder's
     # window, with the ladder's solves counted in
     J = unit_coupling_graph(60, random_regular(60, 3, 3))
+    ladder_calls = ladder_solves(WeightedSystem(J), eps)
     tols = recorded_tols(monkeypatch)
-    window = auto_bracket(WeightedSystem(J))
-    ladder_calls = len(tols)
-    windowed = estimate_beta_N(WeightedSystem(J), EstimatorConfig(*window, eps))
     own = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=eps))
+    windowed = estimate_beta_N(WeightedSystem(J),
+                               EstimatorConfig(*own.bracket, eps))
     assert own.converged and own.beta_N == windowed.beta_N
     assert own.round_points == windowed.round_points
     assert own.flags == windowed.flags
     assert own.eigensolver_calls == ladder_calls + windowed.eigensolver_calls - 2
-    assert len(tols) == ladder_calls + windowed.eigensolver_calls + own.eigensolver_calls
+    assert len(tols) == windowed.eigensolver_calls + own.eigensolver_calls
 
 
-def test_auto_bracket_climbs_to_the_unweighted_root_above_its_window():
+def seven_regular_system():
+    """A 7-regular 60-vertex circulant: its unweighted root rho(B) = 6 lies
+    above the starting window's 2 sqrt(7)."""
+    edges = [(i, (i + s) % 60) for i in range(60) for s in (1, 2, 3)]
+    return unweighted_system(60, edges + [(i, i + 30) for i in range(30)])
+
+
+def test_no_window_bisection_is_bisection_on_the_ladders_window():
+    # bisection climbs the same ladder: the beta, rounds and bracket of
+    # bisection on that window given explicitly, with the ladder's solves
+    # in its count and its two ends solved once
+    own = bisection_baseline(seven_regular_system(), None, None, 1e-6)
+    windowed = bisection_baseline(seven_regular_system(), *own.bracket, 1e-6)
+    assert own.converged and own.method == "bisection"
+    assert (own.beta_N, own.round_points, own.bracket) == (
+        windowed.beta_N, windowed.round_points, windowed.bracket)
+    ladder_calls = ladder_solves(seven_regular_system(), 1e-6)
+    assert ladder_calls > 2
+    assert own.eigensolver_calls == ladder_calls + windowed.eigensolver_calls - 2
+    qn = estimate_beta_N(seven_regular_system(), EstimatorConfig(eps=1e-6))
+    assert qn.bracket == own.bracket
+
+
+def test_the_ladder_climbs_to_the_unweighted_root_above_its_window():
     # on a 7-regular graph the unweighted root rho(B) = d - 1 = 6 lies above
     # 2 sqrt(7), so both ends of the starting window are negative; the
-    # ladder climbs until lambda_min changes sign around the root
-    edges = [(i, (i + s) % 60) for i in range(60) for s in (1, 2, 3)]
-    sysm = unweighted_system(60, edges + [(i, i + 30) for i in range(30)])
+    # ladder climbs past it until lambda_min changes sign around the root
+    sysm = seven_regular_system()
     lo, hi = sysm.bracket
     assert (lo, hi) == (1 + 1e-6, 2 * math.sqrt(7))
     assert lambda_min(sysm.matrix(lo)) < 0 and lambda_min(sysm.matrix(hi)) < 0
-    lo, hi = auto_bracket(sysm)
-    assert lo < 6 < hi
+    tr = estimate_beta_N(sysm, EstimatorConfig(eps=1e-8))
+    lo, hi = tr.bracket
+    assert 2 * math.sqrt(7) <= lo < 6 < hi
     assert lambda_min(sysm.matrix(hi)) > 0
-    tr = estimate_beta_N(sysm, EstimatorConfig(lo, hi, eps=1e-8))
     assert tr.converged and abs(tr.beta_N - 6) <= 1e-6
 
 
-def test_auto_bracket_reports_missing_sign_change():
+def test_both_finders_report_a_ladder_without_a_sign_change():
     # a tree-shaped coupling graph keeps the operator positive definite all
-    # the way to coupling saturation
+    # the way to coupling saturation: each finder returns the ladder's
+    # smallest rung, flagged, with no window searched
     J = CouplingGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(ValueError):
-        auto_bracket(WeightedSystem(J))
+    qn = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=1e-6))
+    bs = bisection_baseline(WeightedSystem(J), None, None, 1e-6)
+    for tr, method in ((qn, "quadratic-newton"), (bs, "bisection")):
+        assert (tr.converged, tr.flags, tr.method) == (
+            False, [["ladder_minimum"]], method)
+        assert tr.bracket is None and tr.to_dict()["bracket"] is None
+    assert (bs.beta_N, bs.round_points) == (qn.beta_N, qn.round_points)
 
 
 def test_signed_couplings_match_the_planted_temperature():
@@ -414,20 +455,22 @@ def test_bisection_validates_through_the_config_and_names_the_values():
         bisection_baseline(k4_system(), 1.5, 3.0, eps=0.0)
     with pytest.raises(ValueError, match=r"^no bracket: lambda_min\(2\.5\)="):
         bisection_baseline(k4_system(), 2.5, 3.0, eps=1e-6)
+    with pytest.raises(ValueError, match="go together"):
+        bisection_baseline(k4_system(), 1.5, None, eps=1e-6)
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6, 1e-9, 1e-11])
 def test_the_ladder_solves_at_the_roots_tol(monkeypatch, eps):
-    # below eps = 1e-7 the root asks for a finer tol than auto_bracket's
-    # 1e-8: a no-window search solves its ladder at the root's tol too, and
-    # reaches the root the same finer solves give on the same window
+    # below eps = 1e-7 the root asks for a finer tol than 1e-8: a no-window
+    # search solves its ladder at the root's tol too, and reaches the root
+    # the same finer solves give on the same window
     J = unit_coupling_graph(60, random_regular(60, 3, 3))
     tols = recorded_tols(monkeypatch)
     own = estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=eps))
     assert own.converged and len(tols) == own.eigensolver_calls
     assert set(tols) == {min(eps / 10, 1e-8)}
-    windowed = estimate_beta_N(WeightedSystem(J), EstimatorConfig(
-        *auto_bracket(WeightedSystem(J)), eps))
+    windowed = estimate_beta_N(WeightedSystem(J),
+                               EstimatorConfig(*own.bracket, eps))
     assert own.to_dict()["rounds"] == windowed.to_dict()["rounds"]
     assert own.beta_N == windowed.beta_N
 
@@ -446,16 +489,4 @@ def test_a_ladder_without_a_sign_change_gives_its_smallest_rung(monkeypatch):
     assert len(tr.round_points) == 1 and len(tols) == tr.eigensolver_calls == 7
     assert tr.beta_N == pytest.approx(1.6 ** 5)
     assert tr.lambda_at_root == min(lam for _, lam in tr.round_points[0])
-    with pytest.raises(ValueError, match="^no sign change"):
-        auto_bracket(WeightedSystem(J))
-
-
-def test_bisection_refuses_a_missing_window():
-    # only estimate_beta_N finds its own window; a lone bound is refused by
-    # the config
-    with pytest.raises(ValueError, match="^bisection needs beta_lower"):
-        bisection_baseline(k4_system(), None, None, eps=1e-6)
-    with pytest.raises(ValueError, match="go together"):
-        bisection_baseline(k4_system(), 1.5, None, eps=1e-6)
-    with pytest.raises(ValueError, match="go together"):
-        EstimatorConfig(beta_upper=3.0)
+    assert tr.bracket is None
