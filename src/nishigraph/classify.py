@@ -166,7 +166,7 @@ class EnsembleConfig:
     def __init__(self, mode="majority", margin_threshold=0.0, arbiter=None):
         if mode not in ("majority", "soft"):
             raise ValueError("mode must be 'majority' or 'soft'")
-        if margin_threshold < 0:
+        if not margin_threshold >= 0:
             raise ValueError("margin threshold must be >= 0")
         self.mode = mode
         self.margin_threshold = float(margin_threshold)

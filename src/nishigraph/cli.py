@@ -155,6 +155,9 @@ def cmd_ts_table(args):
 
 def _load_system(args):
     if args.file.endswith(".exp"):
+        if args.weighted:
+            raise ValueError("--weighted needs a .mtx file of couplings; an "
+                             "exponent file's lift has none")
         proto = qc.read_exponent_file(args.file)
         g = qc.lift(proto)
         A, D = qc.bipartite_adjacency(g)
@@ -441,10 +444,7 @@ def main(argv=None):
                 overrides = json.load(fh)
             args = build_parser(overrides).parse_args(argv)
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -64,9 +64,10 @@ class CouplingGraph:
 
     @classmethod
     def from_sparse(cls, M):
-        off = (M.rows != M.cols) & (M.vals != 0)
-        return cls(M.n, np.column_stack((M.rows[off], M.cols[off],
-                                         M.vals[off])))
+        """The nonzero entries of a SparseSym as couplings; a diagonal one
+        is refused as a self-loop."""
+        nz = M.vals != 0
+        return cls(M.n, np.column_stack((M.rows[nz], M.cols[nz], M.vals[nz])))
 
     def components(self):
         """Vertex lists of the connected components, each ascending, ordered

@@ -207,8 +207,9 @@ def rank_and_kernel(M, tol=None):
 
 
 def _kernel_dim(ev, tol=None):
-    """Count of eigenvalues ev below tol in magnitude, by rank_and_kernel's
-    rule for tol=None (1e-12 when every eigenvalue is 0)."""
+    """Count of values ev (eigenvalues or singular values) below tol in
+    magnitude, by rank_and_kernel's rule for tol=None (1e-12 when every
+    value is 0)."""
     ev = np.abs(ev)
     if tol is None:
         tol = 1e-8 * ev.max() if len(ev) and ev.max() > 0 else 1e-12

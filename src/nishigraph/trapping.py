@@ -1,8 +1,9 @@
 """Topological and spectral invariant panel for trapping-set incidence matrices.
 
 The variable-node graph is the column-interaction graph of the incidence
-matrix: adjacency H^T H with its diagonal zeroed, so off-diagonal entry (i, j)
-counts the checks shared by variables i and j.
+matrix: adjacency A_vn = H^T H with its diagonal zeroed, so off-diagonal entry
+(i, j) counts the checks shared by variables i and j.  Each TrappingSet builds
+it once; every invariant reads it from there.
 """
 
 import io
@@ -11,13 +12,14 @@ import json
 import numpy as np
 
 from .estimator import _bethe_hessian
-from .sparse import SparseSym, _kernel_dim, _read_text, eig_dense
+from .sparse import SparseSym, Spectrum, _kernel_dim, _read_text
 
 _NEG_TOL = -1e-8
 
 
 class TrappingSet:
-    """Binary check/variable incidence; a = variable count, b = odd-degree checks."""
+    """Binary check/variable incidence; a = variable count, b = odd-degree
+    checks, A_vn = the read-only variable-node adjacency."""
 
     def __init__(self, H):
         H = np.asarray(H, dtype=int)
@@ -28,6 +30,10 @@ class TrappingSet:
         self.H = H
         self.a = int(H.shape[1])
         self.b = int(np.sum(H.sum(axis=1) % 2 == 1))
+        A = (H.T @ H).astype(float)
+        np.fill_diagonal(A, 0.0)
+        A.flags.writeable = False
+        self.A_vn = A
 
     @classmethod
     def from_text(cls, text, source="<text>"):
@@ -104,21 +110,9 @@ class InvariantReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _variable_graph(ts):
-    """Dense A_vn: H^T H with its diagonal zeroed."""
-    A = (ts.H.T @ ts.H).astype(float)
-    np.fill_diagonal(A, 0.0)
-    return A
-
-
-def _laplacian(ts):
-    A = _variable_graph(ts)
-    return np.diag(A.sum(axis=1)) - A
-
-
 def variable_adjacency(ts):
     """(A_vn, D_vn, L): zero-diagonal H^T H, its degree matrix, and D - A."""
-    A = _variable_graph(ts)
+    A = ts.A_vn
     d = A.sum(axis=1)
     nz = np.flatnonzero(d)
     D = SparseSym(ts.a, np.column_stack((nz, nz, d[nz])))
@@ -127,7 +121,7 @@ def variable_adjacency(ts):
 
 def spectral_radius(ts):
     """(rho, r_crit): largest eigenvalue magnitude of A_vn and its square root."""
-    ev = np.linalg.eigvalsh(_variable_graph(ts))
+    ev = np.linalg.eigvalsh(ts.A_vn)
     rho = float(max(abs(ev[0]), abs(ev[-1])))
     return rho, float(np.sqrt(rho))
 
@@ -163,7 +157,7 @@ def negative_modes(ts, r=1.0):
     """
     if r <= 0:
         raise ValueError("r must be positive")
-    i, j = np.nonzero(np.triu(_variable_graph(ts)))
+    i, j = np.nonzero(np.triu(ts.A_vn))
     t = np.full(len(i), np.tanh(r))
     ev = np.linalg.eigvalsh(_bethe_hessian(ts.a, i, j, t, dense=True))
     return int(np.sum(ev < _NEG_TOL))
@@ -175,47 +169,44 @@ def continuous_genus(ts):
     Computed on the combinatorial Laplacian of the variable-node graph, whose
     spectrum is nonnegative, so the second sum is empty.
     """
-    ev = np.linalg.eigvalsh(_laplacian(ts))
+    A = ts.A_vn
+    ev = np.linalg.eigvalsh(np.diag(A.sum(axis=1)) - A)
     pos = ev[ev > 1e-12]
     neg = ev[ev < -1e-12]
     return float((np.sqrt(pos).sum() - np.sqrt(-neg).sum()) / (2 * np.sqrt(ts.a)))
 
 
 def dirac_spectrum(ts):
-    """Spectrum of [[0, A_vn], [A_vn^T, 0]]; symmetric about zero."""
-    Ad = _variable_graph(ts)
-    n = ts.a
-    D = np.zeros((2 * n, 2 * n))
-    D[:n, n:] = Ad
-    D[n:, :n] = Ad.T
-    return eig_dense(SparseSym.from_dense(D))
+    """Spectrum of [[0, A_vn], [A_vn^T, 0]]; symmetric about zero.
+
+    A_vn is symmetric, so the eigenvalues are +-|lambda| for each eigenvalue
+    lambda of A_vn; the tolerance is eig_dense's, 1e-9 max(1, max |lambda|).
+    """
+    ev = np.abs(np.linalg.eigvalsh(ts.A_vn))
+    return Spectrum(np.concatenate((-ev, ev)), 1e-9 * max(1.0, ev.max()))
 
 
 def kasparov_k(S, T):
     """(k0, k1) of the block operator [[0, S, T], [S^T, 0, 0], [T^T, 0, 0]].
 
-    k0 is the kernel dimension of the square of the operator (equal to the
-    kernel of the operator itself, as it is symmetric); k1 is its rank mod 2.
+    k0 is the operator's kernel dimension, k1 its rank mod 2.  Its
+    eigenvalues are +-sigma for each singular value sigma of M = [S T] and 0
+    otherwise, so its rank is 2 rank M, and k1 is 0 for every input; rank M
+    counts the singular values _kernel_dim does not.
     """
     S = np.atleast_2d(np.asarray(S, dtype=float))
     T = np.atleast_2d(np.asarray(T, dtype=float))
     if S.shape[0] != T.shape[0]:
         raise ValueError(f"row counts differ: {S.shape[0]} vs {T.shape[0]}")
-    a = S.shape[0]
-    ms, mt = S.shape[1], T.shape[1]
-    n = a + ms + mt
-    D = np.zeros((n, n))
-    D[:a, a:a + ms] = S
-    D[:a, a + ms:] = T
-    D[a:a + ms, :a] = S.T
-    D[a + ms:, :a] = T.T
-    kernel = _kernel_dim(np.linalg.eigvalsh(D))
-    return kernel, (n - kernel) % 2
+    M = np.hstack((S, T))
+    sv = np.linalg.svd(M, compute_uv=False)
+    rank = 2 * (len(sv) - _kernel_dim(sv))
+    return sum(M.shape) - rank, rank % 2
 
 
 def spanning_forest_incidence(ts):
     """Vertex-by-edge 0/1 incidence of a BFS spanning forest of the variable graph."""
-    Ad = _variable_graph(ts) != 0
+    Ad = ts.A_vn != 0
     n = ts.a
     visited = [False] * n
     forest_edges = []

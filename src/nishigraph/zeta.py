@@ -126,6 +126,8 @@ def zeta_reciprocal(g, u):
 def _bass_sides(g, u):
     """(det(I - uB), H(u), (1-u^2)^(|E|-|V|)), with H(u) the uniform-coupling
     Bethe-Hessian after the substitution u = tanh(beta J)."""
+    if not np.isfinite(u):
+        raise ValueError(f"u = {u} is not finite")
     if abs(abs(u) - 1.0) < 1e-12:
         raise ValueError("u = +-1 is outside the identity's domain")
     H = _bethe_hessian(g.n, g.i, g.j, np.full(len(g.i), float(u)), dense=True)
@@ -230,7 +232,10 @@ def det_crossing_check(g, J0=1.0):
     tanh^2(beta J0) is within 1e-12 of 1 is refused before peeling, with the
     ValueError _bethe_hessian raises for the whole graph, naming g's first
     edge: the factor 1/(1 - t^2) of every dropped edge needs 1 - t^2 != 0.
+    A non-finite J0 is refused first.
     """
+    if not np.isfinite(J0):
+        raise ValueError(f"J0 = {J0} is not finite")
     tanh = np.tanh(_BETA_GRID * J0)
     if g.n_edges():
         _checked_square(g.i[:1], g.j[:1], tanh[:, None])

@@ -244,6 +244,31 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["zeta", "K4P", "--u", "0.1,nan"], "u = nan is not finite"),
+    (["zeta", "K4P", "--j0", "nan"], "J0 = nan is not finite"),
+    (["beta", data_path("h2.exp"), "--weighted"],
+     "--weighted needs a .mtx file of couplings; an exponent file's lift "
+     "has none"),
+    (["beta", "K4D", "--weighted"], "self-loop (0,0) not allowed"),
+    (["pipeline", "--synthetic", "3,20,32,8", "-r", "5", "--arbiter",
+      "--threshold", "nan"], "margin threshold must be >= 0")])
+def test_refused_value_or_flag_is_a_clean_error(tmp_path, capsys, argv,
+                                                message):
+    # a NaN evaluation point, J0 or margin threshold, --weighted on an
+    # exponent file, which has no couplings to weigh, and a weighted
+    # diagonal entry each stop the command with one line, before any output
+    k4 = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
+    files = {"K4P": SparseSym(5, k4 + [(3, 4, 1.0)]),
+             "K4D": SparseSym(4, k4 + [(0, 0, 5.0)])}
+    for name, A in files.items():
+        write_matrix_market(A, str(tmp_path / f"{name}.mtx"))
+    argv = [str(tmp_path / f"{a}.mtx") if a in files else a for a in argv]
+    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command, flags", [
     ("beta", ["--beta-lower", "1.5"]),
     ("beta", ["--beta-upper", "3"]),

@@ -316,10 +316,10 @@ def test_disconnected_components_occupy_disjoint_columns():
     assert supports[0] != supports[1]
 
 
-def test_grid_fallback_on_a_tree_component_is_logged(caplog):
+def test_ladder_minimum_on_a_tree_component_is_logged(caplog):
     # a path has no sign change of lambda_min (its Bethe-Hessian is positive
-    # definite at every beta), so its temperature comes from the grid
-    # fallback; K4 brackets normally
+    # definite at every beta), so its temperature is the bracket ladder's
+    # minimum; K4 brackets normally
     edges = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
     edges += [(4, 5, 1.0), (5, 6, 1.0), (6, 7, 1.0), (7, 8, 1.0)]
     with caplog.at_level("DEBUG", logger="nishigraph.embed"):

@@ -15,7 +15,8 @@ from nishigraph import (METProtograph, TrappingSet, betti, continuous_genus,
                         negative_modes, spanning_forest_incidence,
                         spectral_radius, variable_adjacency)
 
-from util import betti_by_components, kasparov_k_by_sparse, trapping_matrix_by_loop
+from util import (betti_by_components, dirac_spectrum_by_block,
+                  kasparov_k_by_sparse, trapping_matrix_by_loop)
 
 
 def load(name):
@@ -110,6 +111,17 @@ def test_from_tanner_matches_edge_loop_oracle(var_indices):
     expected = trapping_matrix_by_loop(_TANNER, var_indices)
     assert ts.H.dtype == expected.dtype
     assert np.array_equal(ts.H, expected)
+
+
+def test_variable_graph_is_read_only_and_has_zero_diagonal():
+    ts = load("ts_9_2.txt")
+    expected = ts.H.T @ ts.H
+    np.fill_diagonal(expected, 0)
+    assert ts.A_vn.dtype == float
+    assert np.array_equal(ts.A_vn, expected)
+    assert not ts.A_vn.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ts.A_vn[0, 1] = 0.0
 
 
 def test_variable_adjacency_has_zero_diagonal():
@@ -216,8 +228,20 @@ def test_panel_matches_component_and_sparse_oracles(H):
     S, T = ts.H.T, spanning_forest_incidence(ts)
     k0, k1 = kasparov_k_by_sparse(S, T)
     assert kasparov_k(S, T) == (k0, k1)
+    # the block's rank is twice that of [S T], so it is even
+    assert k1 == 0
     rho, r_crit = spectral_radius(ts)
     assert invariant_panel(ts).to_dict() == {
         "rho": rho, "r_crit": r_crit, "neg_modes_r1": negative_modes(ts, 1.0),
         "genus": continuous_genus(ts), "k0": k0, "k1": k1, "kervaire": k1,
         "betti0": b[0], "betti1_mod2": b[1], "cycle_rank": b[2]}
+
+
+@given(incidence_matrices())
+def test_dirac_spectrum_matches_the_block_operator(H):
+    ts = TrappingSet(H)
+    spec, block = dirac_spectrum(ts), dirac_spectrum_by_block(ts)
+    scale = max(1.0, np.abs(block.eigenvalues).max())
+    assert spec.tolerance == pytest.approx(block.tolerance, rel=1e-12)
+    assert np.allclose(spec.eigenvalues, block.eigenvalues, rtol=0,
+                       atol=1e-12 * scale)

@@ -9,12 +9,11 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from nishigraph import (CouplingGraph, LinearModel, SparseSym,
-                        UnweightedSystem, ace, enumerate_cycles, lift,
-                        rank_and_kernel)
+                        UnweightedSystem, ace, eig_dense, enumerate_cycles,
+                        lift, rank_and_kernel)
 from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
 from nishigraph.embed import Embedding, _component_eigs
 from nishigraph.estimator import _bethe_hessian
-from nishigraph.trapping import _laplacian
 from nishigraph.zeta import poles
 
 
@@ -258,7 +257,10 @@ def betti_by_components(ts, tol=1e-8):
     """betti(ts) with betti0 the Laplacian kernel from rank_and_kernel on a
     SparseSym (tol 1e-8), not a spanning-forest count, and the bipartite
     subgraph's components from connected_components on its COO graph."""
-    rank, betti0 = rank_and_kernel(SparseSym.from_dense(_laplacian(ts)), tol)
+    A = (ts.H.T @ ts.H).astype(float)
+    np.fill_diagonal(A, 0.0)
+    L = np.diag(A.sum(axis=1)) - A
+    rank, betti0 = rank_and_kernel(SparseSym.from_dense(L), tol)
     live = ts.H[ts.H.any(axis=1)]
     rows, cols = np.nonzero(live)
     n_vertices = ts.a + live.shape[0]
@@ -281,6 +283,16 @@ def kasparov_k_by_sparse(S, T):
     D[a + ms:, :a] = T.T
     rank, kernel = rank_and_kernel(SparseSym.from_dense(D))
     return kernel, rank % 2
+
+
+def dirac_spectrum_by_block(ts):
+    """dirac_spectrum(ts) from eig_dense on the 2a x 2a block operator
+    [[0, A_vn], [A_vn^T, 0]] as a SparseSym."""
+    A = ts.A_vn
+    D = np.zeros((2 * ts.a,) * 2)
+    D[:ts.a, ts.a:] = A
+    D[ts.a:, :ts.a] = A.T
+    return eig_dense(SparseSym.from_dense(D))
 
 
 def trapping_matrix_by_loop(g, var_indices):
