@@ -113,17 +113,19 @@ class PairwiseArbiter:
     def pairs(self):
         return sorted(self.models)
 
-    def decide(self, x, a, b):
-        """Winner between classes a and b for embedding row x; falls back to a
-        if the pair was never trained."""
-        key = (min(a, b), max(a, b))
-        if key not in self.models:
-            return a
-        W1, b1, w2, b2 = self.models[key]
-        h = np.tanh(np.asarray(x, dtype=float) @ W1 + b1)
-        score = float(h @ w2 + b2)
-        # positive score votes for the larger class label of the pair
-        return key[1] if score > 0 else key[0]
+    def decide(self, X, a, b):
+        """Winner between classes a[i] and b[i] for each embedding row X[i];
+        a row whose pair was never trained falls back to its a[i]."""
+        X = np.asarray(X, dtype=float)
+        a, b = np.asarray(a), np.asarray(b)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        won = a.copy()
+        for (p, q), (W1, b1, w2, b2) in self.models.items():
+            rows = (lo == p) & (hi == q)
+            score = np.tanh(X[rows] @ W1 + b1) @ w2 + b2
+            # positive score votes for the larger class label of the pair
+            won[rows] = np.where(score > 0, q, p)
+        return won
 
 
 def arbiter_train(X, y, pairs, seed=0):
@@ -163,61 +165,54 @@ def arbiter_train(X, y, pairs, seed=0):
 
 
 class EnsembleConfig:
-    def __init__(self, mode="majority", margin_threshold=0.0, arbiter=None):
+    def __init__(self, mode="majority", margin_threshold=0.0):
         if mode not in ("majority", "soft"):
             raise ValueError("mode must be 'majority' or 'soft'")
         if not margin_threshold >= 0:
             raise ValueError("margin threshold must be >= 0")
         self.mode = mode
         self.margin_threshold = float(margin_threshold)
-        self.arbiter = arbiter
 
 
-def ensemble_decide(posteriors, cfg):
-    """Combine three posterior vectors into one class decision.
+def ensemble_decide(P, cfg, arbiter=None):
+    """One posterior column per row from P, the three voters' (n, K)
+    posteriors stacked to shape (3, n, K).
 
     Majority mode: a label chosen by at least two voters wins, the deciding
     posterior being the mean over the agreeing voters; a three-way split goes
     to the arbiter when available and to soft voting otherwise.  Soft mode
     averages the three posteriors.  In both modes, a top-two margin below the
-    threshold hands the final word to the arbiter when one is configured.
+    threshold hands the final word to the arbiter when one is given.
+    arbiter(rows, a, b) is called once, on the rows that need it, with each
+    row's top two columns of the deciding posterior, and returns a column
+    per row.
     """
-    P = [np.asarray(p, dtype=float) for p in posteriors]
-    if len(P) != 3:
-        raise ValueError("exactly three posterior vectors expected")
-    K = len(P[0])
-    if any(len(p) != K for p in P):
-        raise ValueError("posterior dimensions differ")
-
-    def top_two(p):
-        order = np.argsort(-p, kind="stable")
-        return int(order[0]), int(order[1])
-
-    votes = [int(np.argmax(p)) for p in P]
-    deciding = None
-    chosen = None
+    P = np.asarray(P, dtype=float)
+    if P.ndim != 3 or len(P) != 3:
+        raise ValueError(f"posteriors of shape (3, n, K) expected, got shape "
+                         f"{P.shape}")
+    D = P.mean(axis=0)
+    chosen = D.argmax(axis=1)
+    split = np.zeros(len(D), dtype=bool)
     if cfg.mode == "majority":
-        for lab in set(votes):
-            if votes.count(lab) >= 2:
-                agree = [p for p, v in zip(P, votes) if v == lab]
-                deciding = np.mean(agree, axis=0)
-                chosen = lab
-                break
-        if chosen is None:
-            if cfg.arbiter is not None:
-                avg = np.mean(P, axis=0)
-                a, b = top_two(avg)
-                return int(cfg.arbiter(a, b))
-            deciding = np.mean(P, axis=0)
-            chosen = int(np.argmax(deciding))
-    else:
-        deciding = np.mean(P, axis=0)
-        chosen = int(np.argmax(deciding))
-    first, second = top_two(deciding)
-    margin = deciding[first] - deciding[second]
-    if margin < cfg.margin_threshold and cfg.arbiter is not None:
-        return int(cfg.arbiter(first, second))
-    return int(chosen)
+        votes = P.argmax(axis=2)
+        v0, v1, v2 = votes
+        label = np.where((v0 == v1) | (v0 == v2), v0, v1)
+        agree = votes == label
+        count = agree.sum(axis=0)
+        split = count < 2
+        # the masked sum adds exact zeros, so it is bit-equal to the mean over
+        # the agreeing voters alone
+        D = np.where(split[:, None], D, np.where(agree[..., None], P, 0.0)
+                     .sum(axis=0) / count[:, None])
+        chosen = np.where(split, chosen, label)
+    if arbiter is not None:
+        top = np.argsort(-D, axis=1, kind="stable")[:, :2]
+        pair = np.take_along_axis(D, top, axis=1)
+        margin = pair[:, 0] - pair[:, 1]
+        rows = np.flatnonzero(split | (margin < cfg.margin_threshold))
+        chosen[rows] = arbiter(rows, top[rows, 0], top[rows, 1])
+    return chosen
 
 
 def accuracy(y_true, y_pred):

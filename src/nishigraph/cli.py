@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from . import qc, trapping, zeta as zeta_mod
-from .classify import accuracy, per_class_metrics, predict_labels, train_linear
+from .classify import (EnsembleConfig, accuracy, per_class_metrics,
+                       predict_labels, train_linear)
 from .embed import (Embedding, FeatureTable, _label, similarity_graph,
                     spectral_embed, synthetic_features)
 from .estimator import (EstimatorConfig, UnweightedSystem, WeightedSystem,
@@ -282,11 +283,12 @@ def cmd_ensemble(args):
     if args.threshold:
         raise ValueError("--threshold needs an arbiter, which ensemble does "
                          "not train")
+    cfg = EnsembleConfig(args.mode)
     coords = [Embedding.from_csv(p).coords for p in args.embeddings]
     labels = _read_labels(args.labels, len(coords[0]))
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
     metrics, _ = evaluate_ensemble(coords, labels, train_idx, test_idx,
-                                   args.seed, args.mode, args.threshold, False)
+                                   args.seed, cfg, False)
     _emit({k: metrics[k] for k in ("per_graph_accuracy", "ensemble_accuracy",
                                    "mode")})
     return 0

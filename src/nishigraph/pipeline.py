@@ -62,6 +62,7 @@ def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
     Returns (result, embeddings, models): evaluate_ensemble's metrics with
     each embedding's beta_N added, the embeddings, and the fitted models.
     """
+    cfg = EnsembleConfig(mode, margin_threshold)
     if ft.labels is None:
         raise ValueError("labeled features required")
     train_idx, test_idx = stratified_split(ft.labels, test_fraction, seed)
@@ -76,31 +77,31 @@ def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
                   for g_id, J in enumerate(graphs)]
     result, models = evaluate_ensemble(
         [e.coords for e in embeddings], ft.labels, train_idx, test_idx, seed,
-        mode, margin_threshold, use_arbiter)
+        cfg, use_arbiter)
     result["beta_N"] = [float(e.beta_N_used) for e in embeddings]
     return result, embeddings, models
 
 
-def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
-                      margin_threshold, use_arbiter):
+def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, cfg,
+                      use_arbiter):
     """(metrics, models): a linear model per embedding (seed + k for the
     k-th), with an arbiter for the three class pairs most confused in
     training when use_arbiter (none, with a WARNING, when no training pair
-    is confused or arbiter_train raises, naming the error), and the
-    ensemble's test metrics.  Posterior column k is models[0].classes[k]; a
-    class absent from the training rows has none."""
+    is confused or arbiter_train raises, naming the error), and the test
+    metrics of the ensemble under the EnsembleConfig cfg.  Posterior column
+    k is models[0].classes[k]; a class absent from the training rows has
+    none."""
     y = np.asarray(labels)
     classes = sorted(set(int(c) for c in y))
     models = [train_linear(X[train_idx], y[train_idx], seed=seed + k)
               for k, X in enumerate(coords)]
-    posteriors = [predict(m, X) for m, X in zip(models, coords)]
-    seen = models[0].classes
-    votes = [np.array(seen)[P.argmax(axis=1)] for P in posteriors]
-    concat = np.hstack(coords)
-    arbiter = None
+    posteriors = np.stack([predict(m, X) for m, X in zip(models, coords)])
+    seen = np.array(models[0].classes)
+    votes = seen[posteriors.argmax(axis=2)]
+    arbitrate = None
     if use_arbiter:
         conf = confusion_matrix(np.tile(y[train_idx], len(coords)),
-                                np.concatenate([v[train_idx] for v in votes]), seen)
+                                votes[:, train_idx].ravel(), seen)
         np.fill_diagonal(conf, 0)
         flat = sorted(((conf[a, b] + conf[b, a], seen[a], seen[b])
                        for a in range(len(seen)) for b in range(a + 1, len(seen))),
@@ -110,22 +111,19 @@ def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
             log.warning("arbiter not trained: no class pair is confused in "
                         "training")
         else:
+            concat = np.hstack(coords)
             try:
                 arbiter = arbiter_train(concat[train_idx], y[train_idx], pairs,
                                         seed=seed)
             except ValueError as exc:
                 log.warning("arbiter dropped: %s", exc)
+            else:
+                def arbitrate(rows, a, b):
+                    won = arbiter.decide(concat[test_idx][rows], seen[a],
+                                         seen[b])
+                    return np.searchsorted(seen, won)
 
-    def decide(k):
-        arb = None
-        if arbiter is not None:
-            def arb(a, b):
-                return seen.index(arbiter.decide(concat[k], seen[a], seen[b]))
-        cfg = EnsembleConfig(mode=mode, margin_threshold=margin_threshold,
-                             arbiter=arb)
-        return seen[ensemble_decide([P[k] for P in posteriors], cfg)]
-
-    y_ens = np.array([decide(k) for k in test_idx])
+    y_ens = seen[ensemble_decide(posteriors[:, test_idx], cfg, arbitrate)]
     y_true = y[test_idx]
     metrics = {
         "classes": classes,
@@ -135,7 +133,7 @@ def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, mode,
         "ensemble_accuracy": accuracy(y_true, y_ens),
         "per_class": per_class_metrics(y_true, y_ens, classes),
         "confusion": confusion_matrix(y_true, y_ens, classes).tolist(),
-        "mode": mode,
+        "mode": cfg.mode,
     }
     return metrics, models
 

@@ -1,5 +1,7 @@
 """Linear softmax models, the pairwise arbiter, and the ensemble decision."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -10,7 +12,8 @@ from nishigraph import (EnsembleConfig, LinearModel, PairwiseArbiter, accuracy,
                         per_class_metrics, predict, predict_labels,
                         train_linear)
 
-from util import train_linear_row_major
+from util import (arbiter_scores_by_row, ensemble_decide_by_row,
+                  train_linear_row_major)
 
 
 def blobs(seed=0, per=30, spread=0.3):
@@ -123,7 +126,8 @@ def test_arbiter_separates_a_confusable_pair():
     y = np.repeat([0, 1], 40)
     arb = arbiter_train(X, y, [(0, 1)], seed=0)
     assert arb.pairs() == [(0, 1)]
-    correct = sum(arb.decide(x, 0, 1) == t for x, t in zip(X, y))
+    a, b = np.zeros(80, dtype=int), np.ones(80, dtype=int)
+    correct = int((arb.decide(X, a, b) == y).sum())
     assert correct >= 72  # 90 percent on the training pair
 
 
@@ -136,7 +140,7 @@ def test_arbiter_needs_enough_samples_per_class():
 
 def test_arbiter_falls_back_without_a_trained_pair():
     arb = PairwiseArbiter({})
-    assert arb.decide(np.zeros(2), 4, 9) == 4
+    assert arb.decide(np.zeros((1, 2)), [4], [9]) == 4
 
 
 def test_ensemble_config_validation():
@@ -147,61 +151,115 @@ def test_ensemble_config_validation():
 
 
 def test_majority_vote_beats_a_dissenter():
-    P = [np.array([0.8, 0.1, 0.1]), np.array([0.6, 0.3, 0.1]),
-         np.array([0.1, 0.7, 0.2])]
+    P = [[[0.8, 0.1, 0.1]], [[0.6, 0.3, 0.1]], [[0.1, 0.7, 0.2]]]
     assert ensemble_decide(P, EnsembleConfig()) == 0
 
 
 def test_three_way_split_without_arbiter_soft_averages():
-    P = [np.array([0.9, 0.05, 0.05]), np.array([0.1, 0.6, 0.3]),
-         np.array([0.2, 0.2, 0.6])]
+    P = [[[0.9, 0.05, 0.05]], [[0.1, 0.6, 0.3]], [[0.2, 0.2, 0.6]]]
     # votes 0, 1, 2; the mean posterior peaks at class 0
     assert ensemble_decide(P, EnsembleConfig()) == 0
 
 
 def test_three_way_split_with_arbiter_hands_over_top_two():
-    P = [np.array([0.9, 0.05, 0.05]), np.array([0.1, 0.6, 0.3]),
-         np.array([0.2, 0.2, 0.6])]
+    P = [[[0.9, 0.05, 0.05]], [[0.1, 0.6, 0.3]], [[0.2, 0.2, 0.6]]]
     seen = []
 
-    def arb(a, b):
-        seen.append((a, b))
+    def arb(rows, a, b):
+        seen.extend(zip(a.tolist(), b.tolist()))
         return b
 
-    cfg = EnsembleConfig(arbiter=arb)
-    out = ensemble_decide(P, cfg)
+    out = ensemble_decide(P, EnsembleConfig(), arb)
     # mean posterior is [0.4, 0.283, 0.317]: top two are classes 0 and 2
     assert seen == [(0, 2)]
     assert out == 2
 
 
 def test_margin_threshold_triggers_arbiter():
-    P = [np.array([0.51, 0.49]), np.array([0.52, 0.48]),
-         np.array([0.49, 0.51])]
+    P = [[[0.51, 0.49]], [[0.52, 0.48]], [[0.49, 0.51]]]
     calls = []
 
-    def arb(a, b):
-        calls.append((a, b))
+    def arb(rows, a, b):
+        calls.extend(zip(a.tolist(), b.tolist()))
         return a
 
-    assert ensemble_decide(P, EnsembleConfig(margin_threshold=0.2,
-                                             arbiter=arb)) == 0
+    assert ensemble_decide(P, EnsembleConfig(margin_threshold=0.2), arb) == 0
     assert calls == [(0, 1)]
     # without an arbiter the majority decision stands
     assert ensemble_decide(P, EnsembleConfig(margin_threshold=0.2)) == 0
 
 
 def test_soft_mode_averages_posteriors():
-    P = [np.array([0.6, 0.4]), np.array([0.1, 0.9]), np.array([0.2, 0.8])]
+    P = [[[0.6, 0.4]], [[0.1, 0.9]], [[0.2, 0.8]]]
     assert ensemble_decide(P, EnsembleConfig(mode="soft")) == 1
 
 
 def test_ensemble_decide_validation():
-    with pytest.raises(ValueError):
-        ensemble_decide([np.array([1.0])] * 2, EnsembleConfig())
-    with pytest.raises(ValueError):
-        ensemble_decide([np.array([1.0]), np.array([1.0]),
-                         np.array([0.5, 0.5])], EnsembleConfig())
+    with pytest.raises(ValueError, match=r"\(3, n, K\).*\(2, 1, 1\)"):
+        ensemble_decide(np.ones((2, 1, 1)), EnsembleConfig())
+
+
+@st.composite
+def stacked_posteriors(draw):
+    """(3, n, K) posteriors: coarse integer values, which force vote and
+    top-two ties, or floats."""
+    n = draw(st.integers(1, 8))
+    K = draw(st.integers(2, 5))
+    value = draw(st.sampled_from([st.integers(0, 3).map(float),
+                                  st.floats(0, 1, allow_subnormal=False)]))
+    values = draw(st.lists(value, min_size=3 * n * K, max_size=3 * n * K))
+    return np.array(values).reshape(3, n, K)
+
+
+@given(stacked_posteriors())
+def test_ensemble_decide_matches_the_one_row_rule(P):
+    # the arbiter picks a or b by row and pair, so a wrong (row, a, b)
+    # argument shows in the decisions as well as in the recorded calls
+    def pick(k, a, b):
+        return np.where((k + a + 2 * b) % 3, a, b)
+
+    for mode, threshold, with_arbiter in itertools.product(
+            ["majority", "soft"], [0.0, 0.2, 0.5, 1.0], [False, True]):
+        cfg = EnsembleConfig(mode, threshold)
+        calls, row_calls = [], []
+
+        def arbiter(rows, a, b):
+            calls.append(list(zip(rows.tolist(), a.tolist(), b.tolist())))
+            return pick(rows, a, b)
+
+        def by_row(k):
+            def arb(a, b):
+                row_calls.append((k, a, b))
+                return pick(k, a, b)
+            return ensemble_decide_by_row(P[:, k], cfg,
+                                          arb if with_arbiter else None)
+
+        out = ensemble_decide(P, cfg, arbiter if with_arbiter else None)
+        assert out.tolist() == [by_row(k) for k in range(P.shape[1])]
+        assert calls == ([row_calls] if with_arbiter else [])
+
+
+def test_batched_arbiter_matches_the_per_row_score():
+    # trained pairs (0,1) and (1,3); (0,2) and (2,3) were never trained and
+    # fall back to their first class, whichever order the pair comes in
+    rng = np.random.default_rng(4)
+    d, hidden = 4, 8
+    arb = PairwiseArbiter({
+        pair: (rng.standard_normal((d, hidden)), rng.standard_normal(hidden),
+               rng.standard_normal(hidden), float(rng.standard_normal()))
+        for pair in [(0, 1), (1, 3)]})
+    pairs = np.array([(0, 1), (1, 0), (1, 3), (3, 1), (0, 2), (2, 0), (3, 2)])
+    pick = rng.integers(len(pairs), size=400)
+    a, b = pairs[pick].T
+    X = rng.standard_normal((400, d))
+    won = arb.decide(X, a, b)
+    scores = arbiter_scores_by_row(arb, X, a, b)
+    assert sum(s is None for s in scores) > 100
+    for w, s, p, q in zip(won.tolist(), scores, a.tolist(), b.tolist()):
+        if s is None:
+            assert w == p
+        elif abs(s) > 1e-9:
+            assert w == (max(p, q) if s > 0 else min(p, q))
 
 
 def test_metrics_hand_computed_case():

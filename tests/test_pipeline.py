@@ -105,9 +105,9 @@ def test_trained_arbiter_decides_low_margin_rows(monkeypatch):
         trained.append(pairs)
         return train(X, y, pairs, seed=seed)
 
-    def recorded_decide(self, x, a, b):
-        consulted.append(x.tobytes())
-        return decide(self, x, a, b)
+    def recorded_decide(self, X, a, b):
+        consulted.extend(x.tobytes() for x in X)
+        return decide(self, X, a, b)
 
     monkeypatch.setattr(pipeline, "arbiter_train", recorded_train)
     monkeypatch.setattr(PairwiseArbiter, "decide", recorded_decide)
@@ -117,6 +117,24 @@ def test_trained_arbiter_decides_low_margin_rows(monkeypatch):
     assert len(trained) == 1 and len(trained[0]) == 3
     assert result["n_test"] == 30
     assert len(consulted) == len(set(consulted)) == 26
+
+
+@pytest.mark.parametrize("policy, message", [
+    ({"mode": "mean"}, "mode must be 'majority' or 'soft'"),
+    ({"margin_threshold": float("nan"), "use_arbiter": True},
+     "margin threshold must be >= 0"),
+    ({"margin_threshold": -0.1, "use_arbiter": True},
+     "margin threshold must be >= 0"),
+], ids=["mode", "nan-threshold", "negative-threshold"])
+def test_a_bad_ensemble_policy_is_refused_before_any_work(monkeypatch, caplog,
+                                                          policy, message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("similarity graphs built for a refused policy")
+
+    monkeypatch.setattr(pipeline, "_similarity_graphs", unreachable)
+    with pytest.raises(ValueError, match=message):
+        run_pipeline(small_features(), r=5, **policy)
+    assert not caplog.records
 
 
 def test_ensemble_reads_posterior_columns_as_model_classes():
@@ -131,10 +149,9 @@ def test_ensemble_reads_posterior_columns_as_model_classes():
     y_true = ft.labels[test_idx]
     assert result["classes"] == [0, 1, 2, 3]
     assert all(m.classes == [1, 2, 3] for m in models)
-    P = [predict(m, e.coords) for m, e in zip(models, embeddings)]
-    votes = [models[0].classes[ensemble_decide([p[k] for p in P],
-                                               EnsembleConfig())]
-             for k in test_idx]
+    P = np.stack([predict(m, e.coords) for m, e in zip(models, embeddings)])
+    votes = np.array(models[0].classes)[ensemble_decide(P[:, test_idx],
+                                                        EnsembleConfig())]
     assert result["ensemble_accuracy"] == accuracy(y_true, votes)
     assert result["per_graph_accuracy"] == [
         accuracy(y_true, predict_labels(m, e.coords)[test_idx])
