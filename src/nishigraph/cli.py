@@ -297,6 +297,7 @@ def cmd_ensemble(args):
 def cmd_pipeline(args):
     if args.threshold and not args.arbiter:
         raise ValueError("--threshold needs --arbiter")
+    cfg = EnsembleConfig(args.mode, args.threshold)
     if args.synthetic:
         try:
             k, per_class, dim, separation = args.synthetic.split(",")
@@ -317,7 +318,7 @@ def cmd_pipeline(args):
         raise ValueError("--features or --synthetic required")
     result, embeddings, _ = run_pipeline(
         ft, r=args.r, test_fraction=args.test_fraction, seed=args.seed,
-        mode=args.mode, margin_threshold=args.threshold,
+        mode=cfg.mode, margin_threshold=cfg.margin_threshold,
         use_arbiter=args.arbiter)
     confusion_to_csv(result["confusion"], result["classes"],
                      _out_path(args, "confusion.csv"))

@@ -8,17 +8,17 @@ tested against.
 """
 
 import io
+import logging
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+log = logging.getLogger(__name__)
+
 _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
-# Bottom-of-spectrum solves on up to _DENSE_SOLVE_N rows are dense; ARPACK's
-# Lanczos runs above (crossover timings in README).
-_DENSE_SOLVE_N = 400
 
 
 def _triples(entries):
@@ -129,8 +129,9 @@ class Spectrum:
 
 def _solves_dense(M, k):
     """Whether the k lowest eigenpairs of M are solved densely: exactly
-    when n <= max(2k + 2, _DENSE_SOLVE_N)."""
-    return M.n <= max(2 * k + 2, _DENSE_SOLVE_N)
+    when n <= 200 + 4k, the measured dense/Lanczos crossover (README);
+    ARPACK's Lanczos runs above."""
+    return M.n <= 200 + 4 * k
 
 
 def lambda_min(M, tol=1e-10):
@@ -163,9 +164,11 @@ def bottom_eigenpairs(M, k, tol):
 
     Dense eigh when _solves_dense(M, k), else Lanczos for the smallest
     algebraic eigenvalues within +-tol, from a fixed (normalized all-ones)
-    starting vector for reproducibility.  ARPACK's tol is relative to each
-    Ritz value, which the largest absolute row sum bounds, so it is passed
-    tol over that sum (at least 1).
+    starting vector for reproducibility.  ARPACK refuses a start that M
+    maps to zero (a d-regular graph's Bethe-Hessian at beta = d - 1): that
+    solve restarts, logged, from a fixed seeded positive vector.  ARPACK's
+    tol is relative to each Ritz value, which the largest absolute row sum
+    bounds, so it is passed tol over that sum (at least 1).
     """
     if _solves_dense(M, k):
         vals, vecs = np.linalg.eigh(M.to_dense())
@@ -173,6 +176,10 @@ def bottom_eigenpairs(M, k, tol):
     A = M.to_csr()
     scale = max(1.0, float(abs(A).sum(axis=1).max()))
     v0 = np.ones(M.n) / np.sqrt(M.n)
+    if not np.any(A @ v0):
+        log.info("%d-row matrix maps the all-ones start to zero; Lanczos "
+                 "restarts from a seeded positive vector", M.n)
+        v0 = np.random.default_rng(0).uniform(0.5, 1.5, M.n)
     try:
         vals, vecs = spla.eigsh(A, k=k, which="SA", v0=v0, tol=tol / scale,
                                 maxiter=_ARPACK_MAXITER)

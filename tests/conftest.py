@@ -1,7 +1,10 @@
 import os
 import sys
 
+import pytest
 from hypothesis import settings
+
+import nishigraph.sparse as sparse
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -9,3 +12,20 @@ sys.path.insert(0, os.path.dirname(__file__))
 # a slow moment on a shared host cannot fail them.
 settings.register_profile("nishigraph", derandomize=True, deadline=None)
 settings.load_profile("nishigraph")
+
+
+@pytest.fixture
+def eigsh_calls(monkeypatch):
+    """Sizes of the Lanczos (ARPACK) solves made while the test runs; the
+    shift each passed is recorded too, and none may have passed one."""
+    calls, sigmas = [], []
+    eigsh = sparse.spla.eigsh
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        sigmas.append(kwargs.get("sigma"))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(sparse.spla, "eigsh", counted)
+    yield calls
+    assert sigmas == [None] * len(calls)

@@ -2,14 +2,21 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nishigraph
 from nishigraph import (Embedding, FeatureTable, SparseSym, qc,
                         synthetic_features, write_matrix_market)
 from nishigraph.cli import main
+
+from util import random_regular
 
 
 def data_path(name):
@@ -153,6 +160,22 @@ def test_beta_finds_the_nontrivial_root_of_h1_without_a_window(capsys):
     assert qn["converged"] and abs(qn["beta_N"] - math.sqrt(2)) <= 1e-6
     assert bis["converged"] and bis["beta_N"] == pytest.approx(math.sqrt(2),
                                                                abs=1e-5)
+
+
+def test_beta_on_a_regular_graph_whose_root_maps_the_start_to_zero(tmp_path,
+                                                                    capsys):
+    # on a 3-regular graph on 450 vertices H(2) = 6I - 2A maps the all-ones
+    # Lanczos start to zero; the solve restarts and both finders reach 2
+    A = SparseSym(450, [(i, j, 1.0) for i, j in random_regular(450, 3, 0)])
+    path = tmp_path / "reg450.mtx"
+    write_matrix_market(A, str(path))
+    rc, out, err = run_cli(capsys, "beta", str(path), "--beta-lower", "1.5",
+                           "--beta-upper", "2.5")
+    assert (rc, err) == (0, "")
+    info = json.loads(out)
+    for method in ("quadratic_newton", "bisection"):
+        assert info[method]["converged"]
+        assert info[method]["beta_N"] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_lift_reports_the_girth_of_a_large_lift(tmp_path, capsys,
@@ -306,6 +329,14 @@ def test_threshold_without_arbiter_is_a_clean_error(tmp_path, capsys, argv):
     assert err.startswith("error: --threshold needs ")
     assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def test_bad_threshold_is_refused_before_the_features_are_read(tmp_path,
+                                                                capsys):
+    rc, out, err = run_cli(capsys, "pipeline", "--features",
+                           str(tmp_path / "missing.csv"), "--arbiter",
+                           "--threshold", "nan", "--out", str(tmp_path))
+    assert (rc, out, err) == (1, "", "error: margin threshold must be >= 0\n")
 
 
 def test_threshold_with_arbiter_runs(tmp_path, capsys):
@@ -595,3 +626,15 @@ def test_missing_input_file_is_a_clean_error(capsys):
     rc, _, err = run_cli(capsys, "lift", "/nonexistent/file.exp")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli_from_a_source_tree(tmp_path):
+    src = str(Path(nishigraph.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-m", "nishigraph", "pipeline", "--synthetic",
+         "3,20,32,8.0", "-r", "5", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["ensemble_accuracy"] >= 0.9
+    assert (tmp_path / "confusion.csv").exists()

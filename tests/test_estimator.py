@@ -1,9 +1,11 @@
 """Root finder for the smallest Bethe-Hessian eigenvalue as beta varies."""
 
+import importlib.resources
 import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -11,7 +13,7 @@ from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
                         WeightedSystem, bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
-from nishigraph import estimator
+from nishigraph import estimator, qc
 from nishigraph.estimator import _bethe_hessian
 from nishigraph.sparse import bottom_pair
 
@@ -197,7 +199,7 @@ def test_unweighted_slope_is_the_derivative_of_lambda_min(graph, beta):
 
 
 def test_lanczos_eigenvector_gives_the_dense_slope():
-    # above 400 rows the vector comes from the k = 1 Lanczos solve
+    # above 204 rows the vector comes from the k = 1 Lanczos solve
     rng = np.random.default_rng(3)
     edges = random_regular(500, 3, 4)
     J = CouplingGraph(500, [(i, j, rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1))
@@ -210,6 +212,31 @@ def test_lanczos_eigenvector_gives_the_dense_slope():
     assert lam == pytest.approx(vals[0], abs=1e-10)
     assert system.slope(0.9, v) == pytest.approx(
         system.slope(0.9, vecs[:, 0]), rel=1e-6)
+
+
+def test_h2_root_solves_take_lanczos_and_match_dense_evr(monkeypatch,
+                                                         eigsh_calls):
+    # the 328-row h2 lift is past the k = 1 dense edge (204 rows): every
+    # solve of both finders is a Lanczos solve, and its eigenvalue is
+    # LAPACK evr's
+    A, D = qc.bipartite_adjacency(qc.lift(qc.read_exponent_file(str(
+        importlib.resources.files("nishigraph").joinpath("data", "h2.exp")))))
+    system = estimator.UnweightedSystem(A, D)
+
+    def checked(M, tol):
+        lam, v = bottom_pair(M, tol)
+        ref = sla.eigh(M.to_dense(), subset_by_index=[0, 0], driver="evr")[0]
+        assert abs(lam - ref[0]) <= 1e-10
+        return lam, v
+
+    monkeypatch.setattr(estimator, "bottom_pair", checked)
+    lo, hi = system.bracket
+    qn = estimate_beta_N(system, EstimatorConfig(lo, hi, eps=1e-6))
+    bs = bisection_baseline(system, lo, hi, eps=1e-6)
+    assert qn.converged and bs.converged
+    assert abs(qn.beta_N - bs.beta_N) <= 1e-6
+    assert (qn.eigensolver_calls, bs.eigensolver_calls) == (5, 22)
+    assert eigsh_calls == [328] * 27
 
 
 def test_weighted_matrix_rejects_saturated_coupling():

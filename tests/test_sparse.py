@@ -1,5 +1,6 @@
 """Symmetric sparse container, eigensolvers, and matrix-market round trips."""
 
+import logging
 import math
 import re
 
@@ -9,30 +10,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nishigraph.sparse as sparse
-from nishigraph import (CouplingGraph, SparseSym, Spectrum,
+from nishigraph import (CouplingGraph, FeatureTable, SparseSym, Spectrum,
                         bethe_hessian_weighted, eig_dense, lambda_min,
                         rank_and_kernel, read_matrix_market,
                         similarity_graph, synthetic_features,
                         write_matrix_market)
 
-from util import cycle_edges, random_connected
-
-
-@pytest.fixture
-def eigsh_calls(monkeypatch):
-    """Sizes of the Lanczos (ARPACK) solves made while the test runs; the
-    shift each passed is recorded too, and none may have passed one."""
-    calls, sigmas = [], []
-    eigsh = sparse.spla.eigsh
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        sigmas.append(kwargs.get("sigma"))
-        return eigsh(*args, **kwargs)
-
-    monkeypatch.setattr(sparse.spla, "eigsh", counted)
-    yield calls
-    assert sigmas == [None] * len(calls)
+from util import (cycle_edges, random_connected, random_regular,
+                  unweighted_system)
 
 
 def test_constructor_normalizes_triangle_and_rejects_duplicates():
@@ -75,18 +60,19 @@ def test_lambda_min_dense_path_matches_numpy():
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-10)
 
 
-# n = 20, 40 and 400 take the dense branch; n = 401, 402 and 450 the
-# Lanczos branch, which eigsh_calls confirms.
+# A k = 1 solve is dense up to 204 rows (200 + 4k): n = 20, 40 and 204 take
+# the dense branch; n = 205, 401, 402 and 450 the Lanczos branch, which
+# eigsh_calls confirms.
 @pytest.mark.parametrize("n", [20, 402])
 def test_lambda_min_iterative_path_on_even_cycle_adjacency(n, eigsh_calls):
     # adjacency spectrum of C_n is 2 cos(2 pi k / n); for even n the minimum
     # is exactly -2
     S = SparseSym(n, [(i, j, 1.0) for i, j in cycle_edges(n)])
     assert lambda_min(S) == pytest.approx(-2.0, abs=1e-8)
-    assert eigsh_calls == ([n] if n > 400 else [])
+    assert eigsh_calls == ([n] if n > 204 else [])
 
 
-@pytest.mark.parametrize("n", [40, 400, 401, 450])
+@pytest.mark.parametrize("n", [40, 204, 205, 401, 450])
 def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
     rng = np.random.default_rng(2)
     A = np.zeros((n, n))
@@ -96,7 +82,7 @@ def test_lambda_min_iterative_matches_dense_oracle(n, eigsh_calls):
             A[i, j] = A[j, i] = rng.standard_normal()
     S = SparseSym.from_dense(A)
     assert lambda_min(S) == pytest.approx(np.linalg.eigvalsh(A)[0], abs=1e-8)
-    assert eigsh_calls == ([n] if n > 400 else [])
+    assert eigsh_calls == ([n] if n > 204 else [])
 
 
 @pytest.mark.parametrize("graph", ["random", "path"])
@@ -121,7 +107,7 @@ def test_lambda_min_tol_is_absolute_under_a_large_shift(graph, eigsh_calls):
 
 
 def test_bottom_eigenpairs_shift_invert_matches_eigh(eigsh_calls):
-    # the k-pair Lanczos branch that spectral_embed takes above 400
+    # the k-pair Lanczos branch that spectral_embed takes above 200 + 4k
     # vertices, on a sparse weighted Bethe-Hessian
     rng = np.random.default_rng(5)
     n, k = 450, 4
@@ -150,9 +136,17 @@ def _assert_bottom_matches_eigh(H, k, lam_tol, val_tol, vec_tol):
     assert np.max(np.abs(vecs * signs - ref_vecs[:, :k])) <= vec_tol
 
 
+def _knn_bethe_hessian(n):
+    """The weighted Bethe-Hessian at beta = 0.3 of a p = 12 similarity graph
+    on the first n of 330 ten-class rows: about 15 entries per row."""
+    ft = synthetic_features(10, 33, 64, 6.0, seed=3)
+    J = similarity_graph(FeatureTable(ft.X[:n], ft.labels[:n]), 2.0, 12)
+    return bethe_hessian_weighted(J, 0.3)
+
+
 def test_knn_bethe_hessian_above_400_rows_matches_eigh_by_lanczos(eigsh_calls):
-    # a p = 12 similarity graph stores about 15 entries per row; above 400
-    # rows it is solved by Lanczos whatever its density
+    # a p = 12 similarity graph stores about 15 entries per row; above
+    # 200 + 4k rows it is solved by Lanczos whatever its density
     ft = synthetic_features(10, 45, 64, 6.0, seed=3)
     H = bethe_hessian_weighted(similarity_graph(ft, 2.0, 12), 0.3)
     assert H.n == 450 and H.to_csr().nnz >= 10 * H.n
@@ -160,16 +154,26 @@ def test_knn_bethe_hessian_above_400_rows_matches_eigh_by_lanczos(eigsh_calls):
     assert eigsh_calls == [450, 450]
 
 
-def test_knn_bethe_hessian_at_400_rows_is_bit_equal_to_eigh(eigsh_calls):
-    ft = synthetic_features(10, 40, 64, 6.0, seed=3)
-    H = bethe_hessian_weighted(similarity_graph(ft, 2.0, 12), 0.3)
-    assert H.n == 400
+@pytest.mark.parametrize("k", [1, 4, 32])
+def test_knn_bethe_hessian_at_the_dense_edge_is_bit_equal_to_eigh(k,
+                                                                  eigsh_calls):
+    # 200 + 4k rows, the most that k pairs are solved densely on; lambda_min
+    # is the k = 1 case, so above 204 rows it takes Lanczos
+    H = _knn_bethe_hessian(200 + 4 * k)
     ref_vals, ref_vecs = np.linalg.eigh(H.to_dense())
     assert lambda_min(H) == pytest.approx(ref_vals[0], abs=1e-10)
-    vals, vecs = sparse.bottom_eigenpairs(H, 4, 1e-9)
-    assert np.array_equal(vals, ref_vals[:4])
-    assert np.array_equal(vecs, ref_vecs[:, :4])
-    assert eigsh_calls == []
+    vals, vecs = sparse.bottom_eigenpairs(H, k, 1e-9)
+    assert np.array_equal(vals, ref_vals[:k])
+    assert np.array_equal(vecs, ref_vecs[:, :k])
+    assert eigsh_calls == ([] if k == 1 else [H.n])
+
+
+@pytest.mark.parametrize("k", [1, 4, 32])
+def test_knn_bethe_hessian_past_the_dense_edge_matches_eigh_by_lanczos(
+        k, eigsh_calls):
+    H = _knn_bethe_hessian(201 + 4 * k)
+    _assert_bottom_matches_eigh(H, k, 1e-10, 1e-8, 1e-6)
+    assert eigsh_calls == [H.n, H.n]
 
 
 def test_pm_j_bethe_hessian_above_400_rows_matches_eigh(eigsh_calls):
@@ -188,15 +192,20 @@ def test_pm_j_bethe_hessian_above_400_rows_matches_eigh(eigsh_calls):
 
 
 @pytest.mark.parametrize("n, bands, diagonal, k, dense", [
-    (400, 1, False, 1, True), (401, 1, False, 1, False),
+    (204, 1, False, 1, True), (205, 1, False, 1, False),
+    (204, 5, False, 1, True), (401, 1, False, 1, False),
     (401, 5, False, 1, False), (401, 4, True, 1, False),
+    (216, 1, False, 4, True), (217, 4, True, 4, False),
+    (328, 1, False, 32, True), (329, 1, False, 32, False),
     (2000, 5, False, 1, False), (2001, 5, True, 1, False),
-    (402, 1, False, 200, True), (403, 1, False, 200, False)])
+    (402, 1, False, 200, True), (1000, 1, False, 200, True),
+    (1001, 1, False, 200, False)])
 def test_dense_rule_reads_rows_and_stored_entries_per_row(n, bands, diagonal,
                                                           k, dense):
-    # the rule reads rows only: from 3 to 11 stored entries per row (both
-    # triangles and the diagonal, as a CSR matrix holds them: 2 per
-    # off-diagonal band, 1 for the diagonal) leave it where n puts it
+    # the rule reads rows and k only, dense up to 200 + 4k rows: from 3 to
+    # 11 stored entries per row (both triangles and the diagonal, as a CSR
+    # matrix holds them: 2 per off-diagonal band, 1 for the diagonal) leave
+    # it where n puts it
     ar = np.arange(n)
     entries = [np.column_stack((ar, (ar + s) % n, np.ones(n)))
                for s in range(1, bands + 1)]
@@ -205,6 +214,24 @@ def test_dense_rule_reads_rows_and_stored_entries_per_row(n, bands, diagonal,
     M = SparseSym(n, np.concatenate(entries))
     assert M.to_csr().nnz == n * (2 * bands + diagonal)
     assert sparse._solves_dense(M, k) is dense
+
+
+def test_lanczos_restarts_when_the_all_ones_start_maps_to_zero(eigsh_calls,
+                                                               caplog):
+    # a 3-regular graph's H(2) = 6I - 2A maps the all-ones start to zero,
+    # which ARPACK refuses: the solve restarts from a seeded positive vector,
+    # logged, and finds the bottom pair (0, the normalized all-ones vector)
+    n = 450
+    H = unweighted_system(n, random_regular(n, 3, 0)).matrix(2.0)
+    assert not np.any(H.to_csr() @ np.ones(n))
+    with caplog.at_level(logging.INFO, logger="nishigraph.sparse"):
+        lam, v = sparse.bottom_pair(H, 1e-10)
+    assert eigsh_calls == [n]
+    assert abs(lam) <= 1e-10
+    assert np.max(np.abs(np.abs(v) - 1 / math.sqrt(n))) < 1e-6
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{n}-row matrix maps the all-ones start to zero; Lanczos restarts "
+        "from a seeded positive vector"]
 
 
 def test_lambda_min_input_validation():
