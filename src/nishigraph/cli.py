@@ -285,6 +285,9 @@ def cmd_ensemble(args):
                          "not train")
     cfg = EnsembleConfig(args.mode)
     coords = [Embedding.from_csv(p).coords for p in args.embeddings]
+    if len({len(c) for c in coords}) > 1:
+        raise ValueError("embeddings differ in row count: " + ", ".join(
+            f"{p} has {len(c)}" for p, c in zip(args.embeddings, coords)))
     labels = _read_labels(args.labels, len(coords[0]))
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
     metrics, _ = evaluate_ensemble(coords, labels, train_idx, test_idx,

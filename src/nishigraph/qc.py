@@ -99,24 +99,23 @@ class TannerGraph:
         return self.n_vars + c
 
     def adjacency_lists(self):
+        """Each vertex's sorted neighbours, one read-only tuple per vertex."""
+        return self._adjacency
+
+    @functools.cached_property
+    def _adjacency(self):
         adj = [[] for _ in range(self.n_vertices())]
-        for c, v in self.edges:
-            g = self.check_id(c)
-            adj[v].append(g)
-            adj[g].append(v)
-        return [sorted(a) for a in adj]
+        # the edges are sorted by (check, var), so every list fills in order
+        for c, v in self._edge_array.tolist():
+            adj[v].append(self.check_id(c))
+            adj[self.check_id(c)].append(v)
+        return tuple(map(tuple, adj))
 
     def check_degrees(self):
         return np.bincount(self._edge_array[:, 0], minlength=self.n_checks).tolist()
 
     def var_degrees(self):
         return np.bincount(self._edge_array[:, 1], minlength=self.n_vars).tolist()
-
-    @functools.cached_property
-    def _ace_tables(self):
-        """(edge set as sorted global-id pairs, variable degrees), built once for ace()."""
-        return (frozenset((v, self.check_id(c)) for c, v in self.edges),
-                tuple(self.var_degrees()))
 
 
 class Cycle:
@@ -129,14 +128,6 @@ class Cycle:
             raise ValueError("repeated vertex in cycle")
         self.vertices = list(vertices)
         self.length = len(vertices)
-
-    def edge_set(self):
-        es = set()
-        k = self.length
-        for idx in range(k):
-            a, b = self.vertices[idx], self.vertices[(idx + 1) % k]
-            es.add((min(a, b), max(a, b)))
-        return frozenset(es)
 
     def var_nodes(self, g):
         return [v for v in self.vertices if v < g.n_vars]
@@ -233,11 +224,15 @@ def enumerate_cycles(g, max_len):
 
 
 def ace(cycle, g):
-    """Approximate cycle EMD: sum of (degree - 2) over the cycle's variable nodes."""
-    graph_edges, vdeg = g._ace_tables
-    if not cycle.edge_set() <= graph_edges:
+    """Approximate cycle EMD: sum of (degree - 2) over the cycle's variable nodes.
+
+    The cycle must lie in g: every vertex in [0, n_vertices) and each
+    consecutive pair, the last and first included, adjacent."""
+    adj, vs = g.adjacency_lists(), cycle.vertices
+    if not (all(0 <= u < len(adj) for u in vs)
+            and all(w in adj[u] for u, w in zip(vs, vs[1:] + vs[:1]))):
         raise ValueError("cycle is not contained in the graph")
-    return sum(vdeg[v] - 2 for v in cycle.var_nodes(g))
+    return sum(len(adj[v]) - 2 for v in cycle.var_nodes(g))
 
 
 def bipartite_adjacency(g):
@@ -366,6 +361,8 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
         raise ValueError("circulant size must be >= 2 for a lift search")
     if proto_pattern.m_b > 8 or proto_pattern.n_b > 8 or L > 64:
         raise ValueError("lift search capped at 8x8 blocks and L <= 64")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(seed)
     free = [(r, c, idx)
             for r, row in enumerate(proto_pattern.cells)
@@ -373,20 +370,13 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
             for idx, k in enumerate(cell) if k is None]
 
     def build(assign):
+        """The candidate's protograph, or None when a cell repeats a shift."""
         cells = [[list(cell) for cell in row] for row in proto_pattern.cells]
         for (r, c, idx), k in zip(free, assign):
-            cells[r][c][idx] = int(k)
+            cells[r][c][idx] = k
+        if any(len(set(cell)) < len(cell) for row in cells for cell in row):
+            return None
         return METProtograph(cells, L)
-
-    def random_assign():
-        for _ in range(200):
-            assign = [int(rng.integers(0, L)) for _ in free]
-            try:
-                build(assign)
-            except ValueError:
-                continue
-            return assign
-        raise RuntimeError("could not draw a valid shift assignment")
 
     def meets(gir, mace):
         return gir >= min_girth and (math.isinf(mace) or mace >= min_ace)
@@ -396,31 +386,34 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
         _, gir, mace = _score_lift(proto, min_girth)
         return LiftSearchResult(proto, gir, mace, meets(gir, mace), 0)
 
-    best = None  # (score, assign, gir, mace, restart_index)
+    best = None  # (score, proto, gir, mace, restart_index)
     for restart in range(restarts):
-        assign = random_assign()
-        score, gir, mace = _score_lift(build(assign), min_girth)
+        for _ in range(200):
+            assign = [int(rng.integers(0, L)) for _ in free]
+            proto = build(assign)
+            if proto is not None:
+                break
+        else:
+            raise RuntimeError("could not draw a valid shift assignment")
+        score, gir, mace = _score_lift(proto, min_girth)
         for _ in range(steps):
             if meets(gir, mace):
                 break
             pos = int(rng.integers(0, len(free)))
             old = assign[pos]
             assign[pos] = int(rng.integers(0, L))
-            try:
-                cand_score, cand_g, cand_a = _score_lift(build(assign), min_girth)
-            except ValueError:
-                assign[pos] = old
-                continue
-            if cand_score > score:
-                score, gir, mace = cand_score, cand_g, cand_a
+            cand = build(assign)
+            scored = None if cand is None else _score_lift(cand, min_girth)
+            if scored is not None and scored[0] > score:
+                (score, gir, mace), proto = scored, cand
             else:
                 assign[pos] = old
         if best is None or score > best[0] or meets(gir, mace):
-            best = (score, list(assign), gir, mace, restart)
+            best = (score, proto, gir, mace, restart)
         if meets(gir, mace):
             break
-    _, assign, gir, mace, restart = best
-    return LiftSearchResult(build(assign), gir, mace, meets(gir, mace), restart + 1)
+    _, proto, gir, mace, restart = best
+    return LiftSearchResult(proto, gir, mace, meets(gir, mace), restart + 1)
 
 
 def parse_exponent_text(text):

@@ -364,6 +364,27 @@ def test_label_count_mismatch_is_a_clean_error(tmp_path, capsys, command,
     assert err == f"error: {labels}: {12 + extra} labels for 12 rows\n"
 
 
+@pytest.mark.parametrize("rows", [57, 63])
+def test_embeddings_of_different_lengths_are_a_clean_error(tmp_path, capsys,
+                                                           monkeypatch, rows):
+    # refused before any training, naming every file and its row count
+    def train(*args):
+        raise AssertionError("trained on embeddings of different lengths")
+
+    monkeypatch.setattr(nishigraph.cli, "evaluate_ensemble", train)
+    rng = np.random.default_rng(0)
+    embs = [tmp_path / f"E{k}.csv" for k in range(3)]
+    for emb, n in zip(embs, (60, 60, rows)):
+        Embedding(rng.standard_normal((n, 3)), 1.0).to_csv(str(emb))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{k % 2}\n" for k in range(60)))
+    rc, out, err = run_cli(capsys, "ensemble", *map(str, embs),
+                           "--labels", str(labels))
+    assert (rc, out) == (1, "")
+    assert err == (f"error: embeddings differ in row count: {embs[0]} has 60, "
+                   f"{embs[1]} has 60, {embs[2]} has {rows}\n")
+
+
 @pytest.mark.parametrize("command", ["classify", "ensemble"])
 def test_label_that_is_not_an_integer_is_a_clean_error(tmp_path, capsys,
                                                        command):

@@ -235,6 +235,15 @@ def test_ace_rejects_foreign_cycle():
     g2 = TannerGraph(1, 2, [(0, 0), (0, 1)])
     with pytest.raises(ValueError):
         ace(cyc, g2)
+    # g1 has variables 0-3 and checks 4-7; its cycles are 0-4-2-6 and 1-5-3-7
+    n = g1.n_vertices()
+    for vertices in ([0, 4, 2, -2], [0, 4, 2, n], [0, 4, 1, 5]):
+        with pytest.raises(ValueError, match="not contained"):
+            ace(qc.Cycle(vertices), g1)
+    assert ace(qc.Cycle([0, 4, 2, 6]), g1) == 0
+    adj = g1.adjacency_lists()
+    assert adj is g1.adjacency_lists()
+    assert isinstance(adj, tuple) and all(isinstance(a, tuple) for a in adj)
 
 
 def test_optimize_lift_is_deterministic_and_reports_lift_quality():
@@ -357,6 +366,9 @@ def test_optimize_lift_validation():
     big = METProtograph([[[None]] * 9], L=4, allow_unset=True)
     with pytest.raises(ValueError):
         optimize_lift(big, L=4, min_girth=4, min_ace=1, seed=0)
+    for restarts in (0, -2):
+        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+            optimize_lift(pat, L=4, min_girth=4, min_ace=1, seed=0, restarts=restarts)
 
 
 def test_bipartite_adjacency_orders_variables_first():
