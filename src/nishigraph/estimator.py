@@ -106,7 +106,7 @@ def _bethe_hessian(n, i, j, t, dense=False):
     off = -t / q
     # stacked matrix r is rows r*n .. r*n + n - 1 of one (k*n, n) array
     k = math.prod(t.shape[:-1])
-    at = np.arange(0, k * n, n)[:, None]
+    at = n * np.arange(k)[:, None]
     c = c.ravel()
     diag = (1 + np.bincount((at + i).ravel(), c, k * n)
             + np.bincount((at + j).ravel(), c, k * n))
@@ -132,38 +132,37 @@ def bethe_hessian_weighted(J, beta):
 
 def bethe_hessian_unweighted(A, D, beta):
     """(beta^2 - 1) I - beta A + D for a zero-diagonal adjacency A."""
-    on = A.rows == A.cols
-    if np.any(A.vals[on] != 0):
-        raise ValueError("adjacency must have zero diagonal")
-    if np.any(D.rows != D.cols):
-        raise ValueError("degree matrix must be diagonal")
-    off = ~on & (A.vals != 0)
-    ar = np.arange(A.n)
-    return SparseSym(A.n, np.column_stack((
-        np.concatenate((A.rows[off], ar)), np.concatenate((A.cols[off], ar)),
-        np.concatenate((-beta * A.vals[off], D.diagonal() + beta * beta - 1)))))
+    return UnweightedSystem(A, D).matrix(beta)
 
 
 class UnweightedSystem:
     """Root-finding target lambda_min((beta^2-1)I - beta A + D); bracket,
     the ladder's starting window, runs from just above the trivial root
-    beta = 1 to twice the square root of the largest degree."""
+    beta = 1 to twice the square root of the largest degree.  A zero
+    diagonal of A and a diagonal D are checked once, and A's nonzero
+    off-diagonal (i, j, a), kept in stored order, serve matrix and slope."""
 
     def __init__(self, A, D):
-        self.A = A
-        self.D = D
-        self.n = A.n
-        self.bracket = (1 + 1e-6, 2 * math.sqrt(D.diagonal().max(initial=1.0)))
+        on = A.rows == A.cols
+        if np.any(A.vals[on] != 0):
+            raise ValueError("adjacency must have zero diagonal")
+        if np.any(D.rows != D.cols):
+            raise ValueError("degree matrix must be diagonal")
+        off = ~on & (A.vals != 0)
+        self.A, self.D, self.n = A, D, A.n
+        self._i, self._j, self._a = A.rows[off], A.cols[off], A.vals[off]
+        self._d = D.diagonal()
+        self.bracket = (1 + 1e-6, 2 * math.sqrt(self._d.max(initial=1.0)))
 
     def matrix(self, beta):
-        return bethe_hessian_unweighted(self.A, self.D, beta)
+        ar = np.arange(self.n)
+        return SparseSym(self.n, np.column_stack((
+            np.concatenate((self._i, ar)), np.concatenate((self._j, ar)),
+            np.concatenate((-beta * self._a, self._d + beta * beta - 1)))))
 
     def slope(self, beta, v):
         """v^T H'(beta) v = 2 beta - v^T A v for a unit vector v."""
-        A = self.A
-        off = A.rows != A.cols
-        return 2 * beta - 2 * float(A.vals[off]
-                                    @ (v[A.rows[off]] * v[A.cols[off]]))
+        return 2 * beta - 2 * float(self._a @ (v[self._i] * v[self._j]))
 
 
 class WeightedSystem:

@@ -199,6 +199,8 @@ def enumerate_cycles(g, max_len):
     larger index so every cycle is discovered from its minimum vertex; of
     its two directions, the one kept has the smaller second vertex.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     if max_len % 2 != 0:
         raise ValueError("max_len must be even")
     if max_len > 12:

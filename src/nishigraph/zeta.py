@@ -6,6 +6,8 @@ the exact copy just traversed).  Determinants are evaluated densely: these
 routines are correctness oracles, not large-scale tools.
 """
 
+import functools
+
 import numpy as np
 
 from .estimator import _bethe_hessian, _checked_square
@@ -26,7 +28,7 @@ class SimpleGraph(CouplingGraph):
     add up.  Each edge copy is one entry of the CouplingGraph arrays i < j,
     with a unit coupling and a copy number in the read-only array _copy.  A
     SimpleGraph is treated as immutable: its non-backtracking matrix and
-    poles are kept on the instance on first use.
+    poles are cached properties, built on first use.
     """
 
     def __init__(self, n, edges):
@@ -38,8 +40,6 @@ class SimpleGraph(CouplingGraph):
         key = self._store(n, np.minimum(i, j).repeat(m),
                           np.maximum(i, j).repeat(m), np.ones(m.sum()))
         self._copy = _frozen(np.arange(len(key)) - key.searchsorted(key))
-        self._nb = None
-        self._poles = None
 
     @classmethod
     def from_sparse(cls, M):
@@ -57,6 +57,7 @@ class SimpleGraph(CouplingGraph):
         return np.bincount(np.concatenate((self.i, self.j)),
                            minlength=self.n).tolist()
 
+    @functools.cached_property
     def _non_backtracking(self):
         """(directed edges, B), built on first use.
 
@@ -64,33 +65,30 @@ class SimpleGraph(CouplingGraph):
         ordered by (tail, head, copy).  B[a, b] = 1 when b's tail is a's head
         and b is not a's own copy reversed.
         """
-        if self._nb is None:
-            e = np.arange(len(self.i))
-            eid = np.concatenate((e, e))
-            des = np.column_stack((np.concatenate((self.i, self.j)),
-                                   np.concatenate((self.j, self.i)),
-                                   np.concatenate((self._copy, self._copy))))
-            order = np.lexsort(des.T[::-1])
-            des, eid = des[order], eid[order]
-            B = ((des[:, 1, None] == des[None, :, 0])
-                 & (eid[:, None] != eid[None, :])).astype(float)
-            self._nb = (_frozen(des), _frozen(B))
-        return self._nb
+        e = np.arange(len(self.i))
+        eid = np.concatenate((e, e))
+        des = np.column_stack((np.concatenate((self.i, self.j)),
+                               np.concatenate((self.j, self.i)),
+                               np.concatenate((self._copy, self._copy))))
+        order = np.lexsort(des.T[::-1])
+        des, eid = des[order], eid[order]
+        B = ((des[:, 1, None] == des[None, :, 0])
+             & (eid[:, None] != eid[None, :])).astype(float)
+        return _frozen(des), _frozen(B)
 
+    @functools.cached_property
     def _pole_array(self):
         """poles() as a read-only complex array, computed on first use."""
-        if self._poles is None:
-            B = self._non_backtracking()[1]
-            out = []
-            for lam in (np.linalg.eigvals(B) if len(B) else ()):
-                if abs(lam) < 1e-10:
-                    continue
-                p = 1.0 / lam
-                if not any(abs(p - q) < 1e-8 for q in out):
-                    out.append(complex(p))
-            out.sort(key=lambda z: (abs(z), z.real, z.imag))
-            self._poles = _frozen(np.array(out, dtype=complex))
-        return self._poles
+        B = self._non_backtracking[1]
+        out = []
+        for lam in (np.linalg.eigvals(B) if len(B) else ()):
+            if abs(lam) < 1e-10:
+                continue
+            p = 1.0 / lam
+            if not any(abs(p - q) < 1e-8 for q in out):
+                out.append(complex(p))
+        out.sort(key=lambda z: (abs(z), z.real, z.imag))
+        return _frozen(np.array(out, dtype=complex))
 
 
 class DirectedEdgeSpace:
@@ -111,7 +109,7 @@ def non_backtracking(g):
         raise ValueError("multigraphs not supported by the public operator")
     if g.n_edges() > _EDGE_CAP:
         raise ValueError(f"edge count capped at {_EDGE_CAP}")
-    des, B = g._non_backtracking()
+    des, B = g._non_backtracking
     return DirectedEdgeSpace(list(map(tuple, des.tolist())), B)
 
 
@@ -119,7 +117,7 @@ def zeta_reciprocal(g, u):
     """det(I - uB): reciprocal of the cycle-product zeta function."""
     if g.n_edges() > _DET_CAP:
         raise ValueError(f"determinant path capped at {_DET_CAP} edges")
-    B = g._non_backtracking()[1]
+    B = g._non_backtracking[1]
     return float(np.linalg.det(np.eye(len(B)) - u * B))
 
 
@@ -158,7 +156,7 @@ def poles(g):
     """Reciprocals of the nonzero eigenvalues of B, deduplicated to 1e-8."""
     if g.n_edges() > _DET_CAP:
         raise ValueError(f"pole computation capped at {_DET_CAP} edges")
-    return [complex(p) for p in g._pole_array()]
+    return [complex(p) for p in g._pole_array]
 
 
 def _refine_crossing(f, lo, hi, flo, fhi):

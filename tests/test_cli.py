@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import nishigraph
-from nishigraph import (Embedding, FeatureTable, SparseSym, qc,
-                        synthetic_features, write_matrix_market)
+from nishigraph import (Embedding, FeatureTable, LinearModel, SparseSym,
+                        accuracy, predict_labels, qc, stratified_split,
+                        synthetic_features, train_linear,
+                        write_matrix_market)
 from nishigraph.cli import main
 
 from util import random_regular
@@ -213,15 +215,19 @@ def test_beta_reports_missing_bracket(tmp_path, capsys):
 def test_beta_without_a_sign_change_on_the_ladder_is_a_clean_error(tmp_path,
                                                                     capsys):
     # a unit-coupling path stays positive definite until its couplings
-    # saturate: with no window the ladder finds no sign change, and neither
-    # finder's trace is printed
+    # saturate, and an unweighted forest lift for every beta the ladder's
+    # growth steps reach: with no window the ladder finds no sign change,
+    # and neither finder's trace is printed
     A = SparseSym(5, [(k, k + 1, 1.0) for k in range(4)])
     path = tmp_path / "p5.mtx"
     write_matrix_market(A, str(path))
-    rc, out, err = run_cli(capsys, "beta", str(path), "--weighted")
-    assert (rc, out) == (1, "")
-    assert err == ("error: no sign change of lambda_min on the bracket "
-                   "ladder\n")
+    forest = tmp_path / "forest.exp"
+    forest.write_text("L=5\n0 -1\n-1 0\n")
+    for argv in ([str(path), "--weighted"], [str(forest)]):
+        rc, out, err = run_cli(capsys, "beta", *argv)
+        assert (rc, out) == (1, "")
+        assert err == ("error: no sign change of lambda_min on the bracket "
+                       "ladder\n")
 
 
 _EPS = "eps must be positive and finite"
@@ -275,15 +281,20 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
      "has none"),
     (["beta", "K4D", "--weighted"], "self-loop (0,0) not allowed"),
     (["pipeline", "--synthetic", "3,20,32,8", "-r", "5", "--arbiter",
-      "--threshold", "nan"], "margin threshold must be >= 0")])
+      "--threshold", "nan"], "margin threshold must be >= 0"),
+    (["beta", "EMPTY", "--weighted"], "empty matrix has no eigenvalues"),
+    (["cycles", data_path("h2.exp"), "--max-len", "-2"],
+     "max_len must be >= 0, got -2")])
 def test_refused_value_or_flag_is_a_clean_error(tmp_path, capsys, argv,
                                                 message):
     # a NaN evaluation point, J0 or margin threshold, --weighted on an
-    # exponent file, which has no couplings to weigh, and a weighted
-    # diagonal entry each stop the command with one line, before any output
+    # exponent file, which has no couplings to weigh, a weighted diagonal
+    # entry, a 0 x 0 coupling matrix and a negative cycle length each stop
+    # the command with one line, before any output
     k4 = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
     files = {"K4P": SparseSym(5, k4 + [(3, 4, 1.0)]),
-             "K4D": SparseSym(4, k4 + [(0, 0, 5.0)])}
+             "K4D": SparseSym(4, k4 + [(0, 0, 5.0)]),
+             "EMPTY": SparseSym(0, [])}
     for name, A in files.items():
         write_matrix_market(A, str(tmp_path / f"{name}.mtx"))
     argv = [str(tmp_path / f"{a}.mtx") if a in files else a for a in argv]
@@ -517,6 +528,18 @@ def test_zeta_square_cycle(tmp_path, capsys):
     assert info["no_crossing"] is True
 
 
+def test_zeta_on_an_empty_graph(tmp_path, capsys):
+    # a 0 x 0 matrix has no pole and no crossing, and both sides of each
+    # identity are the empty determinant, 1
+    path = tmp_path / "empty.mtx"
+    write_matrix_market(SparseSym(0, []), str(path))
+    rc, out, _ = run_cli(capsys, "zeta", str(path), "--u", "0.3")
+    assert rc == 0
+    assert json.loads(out) == {"poles": [], "residuals": {"0.3": 0.0},
+                               "loose_form_residuals": {"0.3": 0.0},
+                               "crossings": [], "no_crossing": True}
+
+
 def test_zeta_reports_solves_per_crossing(tmp_path, capsys):
     # K4 is 3-regular: det H changes sign at the Perron pole u = 1/2
     A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
@@ -542,11 +565,22 @@ def test_embed_classify_round_trip(tmp_path, capsys):
     assert info["rows"] == 60 and info["r"] == 5
     emb_path = tmp_path / "embedding.csv"
     assert emb_path.exists()
-    rc, out, _ = run_cli(capsys, "classify", str(emb_path), str(labels))
+    rc, out, _ = run_cli(capsys, "classify", str(emb_path), str(labels),
+                         "--out", str(tmp_path / "model"))
     assert rc == 0
     metrics = json.loads(out)
     assert metrics["test_accuracy"] >= 0.9
     assert set(metrics["per_class"]) == {"0", "1", "2"}
+    # --out writes the trained model: read back, it predicts what the
+    # command's model predicts, and scores its reported test accuracy
+    model = LinearModel.from_json((tmp_path / "model" / "model.json").read_text())
+    coords = Embedding.from_csv(str(emb_path)).coords
+    y = np.array([int(v) for v in ft.labels])
+    train_idx, test_idx = stratified_split(y, 0.25, 0)
+    pred = predict_labels(model, coords)
+    assert np.array_equal(pred, predict_labels(
+        train_linear(coords[train_idx], y[train_idx], seed=0), coords))
+    assert accuracy(y[test_idx], pred[test_idx]) == metrics["test_accuracy"]
 
 
 @pytest.mark.parametrize("text, line", [

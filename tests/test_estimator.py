@@ -10,7 +10,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
-                        WeightedSystem, bethe_hessian_unweighted,
+                        UnweightedSystem, WeightedSystem,
+                        bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
 from nishigraph import estimator, qc
@@ -50,6 +51,18 @@ def test_unweighted_matrix_formula():
     A = sysm.A.to_dense()
     expected = (beta ** 2 - 1) * np.eye(4) - beta * A + np.diag(A.sum(axis=1))
     assert np.allclose(H.to_dense(), expected, atol=1e-12)
+    # a stored zero on A's diagonal is no entry; a nonzero one, or an
+    # off-diagonal entry of D, is refused by the system and the function
+    zero = SparseSym(4, sysm.A.entries + [(0, 0, 0.0)])
+    assert bethe_hessian_unweighted(zero, sysm.D, beta) == H
+    bad_A = SparseSym(4, sysm.A.entries + [(0, 0, 1.0)])
+    bad_D = SparseSym(4, sysm.D.entries + [(0, 1, 1.0)])
+    for A, D, message in ((bad_A, sysm.D, "adjacency must have zero diagonal"),
+                          (sysm.A, bad_D, "degree matrix must be diagonal")):
+        with pytest.raises(ValueError, match=message):
+            UnweightedSystem(A, D)
+        with pytest.raises(ValueError, match=message):
+            bethe_hessian_unweighted(A, D, beta)
 
 
 def test_weighted_matrix_formula_single_edge():
@@ -60,6 +73,7 @@ def test_weighted_matrix_formula_single_edge():
     expected = np.array([[1 + t * t / (1 - t * t), -t / (1 - t * t)],
                          [-t / (1 - t * t), 1 + t * t / (1 - t * t)]])
     assert np.allclose(H, expected, atol=1e-12)
+    assert bethe_hessian_weighted(CouplingGraph(0, []), beta) == SparseSym(0, [])
 
 
 def test_weighted_matrix_matches_edge_loop():
@@ -424,6 +438,13 @@ def test_both_finders_report_a_ladder_without_a_sign_change():
             False, [["ladder_minimum"]], method)
         assert tr.bracket is None and tr.to_dict()["bracket"] is None
     assert (bs.beta_N, bs.round_points) == (qn.beta_N, qn.round_points)
+    # an unweighted forest has no root and never saturates: the ladder
+    # spends all its growth steps, one solve at the start and one per step
+    g = qc.lift(qc.parse_exponent_text("L=5\n0 -1\n-1 0\n"))
+    tr = estimate_beta_N(UnweightedSystem(*qc.bipartite_adjacency(g)),
+                         EstimatorConfig(eps=1e-6))
+    assert (tr.converged, tr.flags, tr.eigensolver_calls) == (
+        False, [["ladder_minimum"]], estimator._BRACKET_EXPANSIONS + 1)
 
 
 def test_signed_couplings_match_the_planted_temperature():

@@ -227,6 +227,9 @@ def test_enumerate_cycles_validation():
         enumerate_cycles(g, 5)
     with pytest.raises(ValueError):
         enumerate_cycles(g, 14)
+    with pytest.raises(ValueError, match="max_len must be >= 0, got -2"):
+        enumerate_cycles(g, -2)
+    assert enumerate_cycles(g, 0) == enumerate_cycles(g, 2) == []
 
 
 def test_ace_rejects_foreign_cycle():
@@ -256,6 +259,11 @@ def test_optimize_lift_is_deterministic_and_reports_lift_quality():
     assert r1.girth == girth(lift(r1.proto))
     assert r1.girth >= 8
     assert r1.restarts_used >= 1
+    # with no free shift there is nothing to search: the pattern's own
+    # lift is scored, in no restart
+    fixed = METProtograph([[[0], [1]], [[0], [2]]], L=3)
+    r = optimize_lift(fixed, L=3, min_girth=8, min_ace=2, seed=9)
+    assert (r.proto.cells, r.girth, r.restarts_used) == (fixed.cells, 12, 0)
 
 
 # Lifted-graph DFS work grows like vertices * (max base degree - 1)^scan;

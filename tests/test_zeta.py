@@ -80,12 +80,12 @@ def multigraphs(draw):
 @given(multigraphs())
 def test_cached_non_backtracking_matches_loop_oracle(g):
     des, B = directed_edge_matrix_by_loop(g)
-    cached_des, cached_B = g._non_backtracking()
+    cached_des, cached_B = g._non_backtracking
     assert list(map(tuple, cached_des.tolist())) == des
     assert cached_B.dtype == B.dtype and cached_B.tobytes() == B.tobytes()
     first = poles(g)
     assert poles(g) == first and poles(g) is not first
-    for a in (cached_des, cached_B, g._pole_array(), g.i, g.j, g._copy):
+    for a in (cached_des, cached_B, g._pole_array, g.i, g.j, g._copy):
         assert not a.flags.writeable
     if not g.is_multigraph():
         space = non_backtracking(g)
@@ -131,6 +131,8 @@ def test_bass_identity_residual_small():
         for u in (0.1, 0.3, 0.7):
             worst = max(worst, bass_identity_residual(g, u))
     assert worst < 1e-9
+    # no vertex: both sides are empty determinants, 1
+    assert bass_identity_residual(SimpleGraph(0, []), 0.3) == 0.0
 
 
 def test_bass_identity_rejects_unit_circle():
