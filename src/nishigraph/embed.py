@@ -13,6 +13,7 @@ import json
 import logging
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 
 from .estimator import EstimatorConfig, WeightedSystem, estimate_beta_N
 from .rbim import CouplingGraph
@@ -20,9 +21,10 @@ from .sparse import _read_text, bottom_eigenpairs
 
 log = logging.getLogger(__name__)
 
-# similarity_graph's top-p selection takes rows in blocks of about this many
-# kernel entries
-_TOP_P_BLOCK = 1 << 18
+# the similarity-graph builder's working set, in doubles: the Gram update
+# takes columns, and the mirror and the top-p selection rows, in blocks of
+# about this many entries
+_TOP_P_BLOCK = 1 << 16
 
 
 class FeatureTable:
@@ -222,13 +224,17 @@ def _rank_features(ft):
     if ft.labels is None:
         raise ValueError("labels required for index selection")
     out = {}
+    # each rest-of-data mean from the column totals, (S - S_c) / (n - n_c)
+    total = ft.X.sum(axis=0)
     for c in ft.classes():
         mask = ft.labels == c
-        if mask.sum() < 2:
+        n_c = int(mask.sum())
+        if n_c < 2:
             raise ValueError(f"class {c} has fewer than 2 samples")
-        if (~mask).sum() == 0:
+        if n_c == ft.n_samples:
             raise ValueError("a single class covers all samples")
-        gap = np.abs(ft.X[mask].mean(axis=0) - ft.X[~mask].mean(axis=0))
+        S_c = ft.X[mask].sum(axis=0)
+        gap = np.abs(S_c / n_c - (total - S_c) / (ft.n_samples - n_c))
         out[c] = np.lexsort((np.arange(ft.n_features), -gap))
     return out
 
@@ -256,25 +262,37 @@ def similarity_graph(ft, gamma, p):
 def _similarity_graphs(X, specs):
     """similarity_graph of X's columns cols, with gamma and p, for each
     (cols, gamma, p) in specs, from one running Gram matrix G.  The column
-    sets are visited smallest first, and each adds only its new columns'
-    block, G += X_b X_b^T, so every column enters one product.  ValueError
-    unless each set holds the next smaller one."""
+    sets are visited smallest first, and each adds only its new columns,
+    G += X_b X_b^T, so every column enters one product.  The update writes
+    one triangle of G in place (dsyrk), a chunk of about _TOP_P_BLOCK
+    entries of columns at a time, and the triangle is then mirrored in row
+    blocks, so G is the one n x n array.  ValueError unless each set holds
+    the next smaller one."""
     for _, gamma, p in specs:
         if not 0 < gamma < np.inf:
             raise ValueError("gamma must be positive and finite")
         if p < 1:
             raise ValueError("p must be >= 1")
     graphs = [None] * len(specs)
-    G, done = None, np.empty(0, dtype=np.intp)
+    n = len(X)
+    G, done = np.zeros((n, n)), np.empty(0, dtype=np.intp)
     for g in sorted(range(len(specs)), key=lambda g: len(specs[g][0])):
         cols, gamma, p = specs[g]
         if not np.isin(done, cols).all():
             raise ValueError("column sets are not nested")
         new = np.setdiff1d(cols, done)
-        Xb = X if len(new) == X.shape[1] else X.take(new, axis=1)
-        block = Xb @ Xb.T
-        G = block if G is None else np.add(G, block, out=G)
-        del Xb, block  # only G is n x n during the selection
+        if n and len(new):
+            step = max(1, _TOP_P_BLOCK // n)
+            # G.T is Fortran-ordered, so dsyrk updates G's lower triangle
+            for start in range(0, len(new), step):
+                Xc = X.take(new[start:start + step], axis=1)
+                dsyrk(1.0, Xc.T, beta=1.0, c=G.T, trans=1, overwrite_c=1)
+            for start in range(0, n, step):
+                stop = start + step
+                G[start:stop, stop:] = G[stop:, start:stop].T
+                D = G[start:stop, start:stop]
+                i, j = np.triu_indices(len(D), 1)
+                D[i, j] = D[j, i]
         done = cols
         graphs[g] = _top_p_graph(G, gamma, p)
     return graphs

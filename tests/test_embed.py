@@ -17,7 +17,8 @@ from nishigraph import (CouplingGraph, Embedding, EstimatorConfig,
                         FeatureTable, binarize, select_indices,
                         similarity_graph, spectral_embed, synthetic_features)
 
-from util import similarity_graph_by_loop, spectral_embed_by_pairs
+from util import (rank_features_by_rest_mean, similarity_graph_by_loop,
+                  spectral_embed_by_pairs)
 
 
 def test_feature_table_validation():
@@ -130,6 +131,73 @@ def test_select_indices_finds_discriminative_columns():
     ft = FeatureTable(X, [0, 0, 1, 1])
     assert select_indices(ft, 2) == {0: [1, 4], 1: [1, 4]}
     assert select_indices(ft, 4) == {0: [0, 1, 4, 6], 1: [0, 1, 4, 6]}
+    with pytest.raises(ValueError, match="^class 2 has fewer than 2 samples$"):
+        select_indices(FeatureTable(X, [0, 0, 0, 2]), 2)
+    with pytest.raises(ValueError, match="^a single class covers all samples$"):
+        select_indices(FeatureTable(X, [3, 3, 3, 3]), 2)
+
+
+@st.composite
+def ranking_cases(draw):
+    """Labelled features: two to five classes (labels drawn from 0-99) of
+    2-12 rows, Gaussian columns, columns with scales from 1e-3 to 1e3, or
+    small integers (every sum exact, so many gaps tie exactly), at times with
+    rows repeated from a few distinct ones and columns copied from others."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sizes = draw(st.lists(st.integers(2, 12), min_size=2, max_size=5))
+    labels = rng.permutation(np.repeat(
+        rng.choice(100, len(sizes), replace=False), sizes))
+    n, d = len(labels), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["gaussian", "scaled", "integer"]))
+    X = rng.standard_normal((n, d))
+    if kind == "scaled":
+        X *= 10.0 ** rng.uniform(-3, 3, d)
+    elif kind == "integer":
+        X = rng.integers(-2, 3, (n, d)).astype(float)
+    if draw(st.booleans()):
+        X = X[rng.integers(0, draw(st.integers(1, n)), n)]
+    if draw(st.booleans()):
+        X = X[:, rng.integers(0, d, d)]
+    return FeatureTable(X, labels), kind
+
+
+@given(ranking_cases())
+def test_class_sum_ranking_matches_the_rest_of_data_oracle(case):
+    # the rest-of-data mean from the column totals orders the features as
+    # the mean of the other rows does: each prefix that ends where the
+    # oracle's next gap is clearly smaller (by 1e-12 of the two columns'
+    # largest entry) holds the same columns, equal columns keep the lower
+    # first, and exact sums give the oracle's order itself
+    ft, kind = case
+    got, want = embed._rank_features(ft), rank_features_by_rest_mean(ft)
+    assert list(got) == list(want)
+    scale = np.abs(ft.X).max(axis=0)
+    same = [(a, b) for a in range(ft.n_features)
+            for b in range(a + 1, ft.n_features)
+            if np.array_equal(ft.X[:, a], ft.X[:, b])]
+    for c, order in want.items():
+        mask = ft.labels == c
+        gap = np.abs(ft.X[mask].mean(axis=0) - ft.X[~mask].mean(axis=0))
+        if kind == "integer":
+            assert np.array_equal(got[c], order)
+        tol = 1e-12 * np.maximum(scale[order[:-1]], scale[order[1:]])
+        for k in np.flatnonzero(gap[order[:-1]] - gap[order[1:]] > tol):
+            assert set(got[c][:k + 1]) == set(order[:k + 1])
+        rank = np.argsort(got[c])
+        assert all(rank[a] < rank[b] for a, b in same)
+
+
+def test_feature_ranking_copies_no_other_rows():
+    # one class's rows at a time, a tenth of the table for ten classes; a
+    # copy of the other rows per class would be nine tenths
+    ft = synthetic_features(10, 40, 256, 20.0, seed=1)
+    tracemalloc.start()
+    try:
+        embed._rank_features(ft)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * ft.X.nbytes
 
 
 def test_similarity_graph_kernel_and_sparsity():
@@ -173,22 +241,52 @@ def top_p_cases(draw):
     return FeatureTable(X), gamma, p, block
 
 
+def assert_same_graph_where_clear(got, want, X, gamma, p):
+    """got has want's edges between rows whose p-th and (p+1)-th kernel
+    weights on X's rows are apart, and its couplings to 1e-12 on every
+    shared edge."""
+    n = len(X)
+    q = min(p, n - 1)
+    if q < 1:
+        assert got.edges == want.edges == []
+        return
+    G = X @ X.T
+    nrm = np.sqrt(np.diag(G))
+    W = np.exp(-gamma * (1 - np.clip(G / np.outer(nrm, nrm), -1, 1)) ** 2)
+    np.fill_diagonal(W, -np.inf)
+    top = -np.sort(-W, axis=1)
+    clear = top[:, q - 1] - top[:, q] > 1e-12
+    got = {(i, j): w for i, j, w in got.edges}
+    want = {(i, j): w for i, j, w in want.edges}
+    assert ({e for e in got if clear[list(e)].all()}
+            == {e for e in want if clear[list(e)].all()})
+    for e in got.keys() & want.keys():
+        assert got[e] == pytest.approx(want[e], rel=1e-12, abs=0)
+
+
 @given(top_p_cases())
 def test_similarity_graph_matches_per_row_oracle(case):
-    # same edges and bit-equal weights as one lexsort per row, whatever the
-    # row blocks (they need not divide n)
+    # on the one Gram X X^T, the same edges and bit-equal weights as one
+    # lexsort per row, whatever the row blocks (they need not divide n); the
+    # builder's own Gram, summed in column chunks of the same budget, gives
+    # them where the rows' p-th weights are clear
     ft, gamma, p, block = case
+    want = similarity_graph_by_loop(ft, gamma, p)
     with mock.patch.object(embed, "_TOP_P_BLOCK", block):
+        assert embed._top_p_graph(ft.X @ ft.X.T, gamma, p).edges == want
         J = similarity_graph(ft, gamma, p)
-    assert J.edges == similarity_graph_by_loop(ft, gamma, p)
+    assert_same_graph_where_clear(J, CouplingGraph(ft.n_samples, want), ft.X,
+                                  gamma, p)
 
 
 @st.composite
 def nested_gram_cases(draw):
     """Features with column scales from 1e-3 to 1e3, at times with repeated
-    rows or a row that is zero on the smallest set's columns, and one to
-    three nested column sets in any order, each with a kernel width and a p
-    up to n + 1."""
+    rows or a row that is zero on the smallest set's columns, one to three
+    nested column sets in any order (equal sets included), each with a
+    kernel width and a p up to n + 1, and a working-set budget of under 4n
+    entries: Gram chunks of one to three columns, mirror and top-p blocks
+    of one to three rows."""
     n = draw(st.integers(3, 60))
     dim = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -201,7 +299,8 @@ def nested_gram_cases(draw):
     if draw(st.booleans()):
         X[draw(st.integers(0, n - 1)), order[:min(sizes)]] = 0.0
     return X, [(cols, draw(st.sampled_from([0.3, 1.0, 2.0, 3.7, 15.0])),
-                draw(st.integers(1, n + 1))) for cols in sets]
+                draw(st.integers(1, n + 1))) for cols in sets], \
+        draw(st.integers(1, 4 * n - 1))
 
 
 @given(nested_gram_cases())
@@ -210,30 +309,42 @@ def test_nested_gram_graphs_match_one_graph_per_set(case):
     # rows whose p-th and (p+1)-th weights are apart, and its couplings on
     # every shared edge; a zero row on the smallest set is refused as
     # similarity_graph refuses it there
-    X, specs = case
+    X, specs, block = case
     inner, gamma, p = min(specs, key=lambda s: len(s[0]))
-    try:
-        similarity_graph(FeatureTable(X[:, inner]), gamma, p)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            embed._similarity_graphs(X, specs)
-        return
-    n = len(X)
-    for J, (cols, gamma, p) in zip(embed._similarity_graphs(X, specs), specs):
-        ref = similarity_graph(FeatureTable(X[:, cols]), gamma, p)
-        G = X[:, cols] @ X[:, cols].T
-        nrm = np.sqrt(np.diag(G))
-        W = np.exp(-gamma * (1 - np.clip(G / np.outer(nrm, nrm), -1, 1)) ** 2)
-        np.fill_diagonal(W, -np.inf)
-        top = -np.sort(-W, axis=1)
-        q = min(p, n - 1)
-        clear = top[:, q - 1] - top[:, q] > 1e-12
-        got = {(i, j): w for i, j, w in J.edges}
-        want = {(i, j): w for i, j, w in ref.edges}
-        assert ({e for e in got if clear[list(e)].all()}
-                == {e for e in want if clear[list(e)].all()})
-        for e in got.keys() & want.keys():
-            assert got[e] == pytest.approx(want[e], rel=1e-12, abs=0)
+    with mock.patch.object(embed, "_TOP_P_BLOCK", block):
+        try:
+            similarity_graph(FeatureTable(X[:, inner]), gamma, p)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                embed._similarity_graphs(X, specs)
+            return
+        graphs = embed._similarity_graphs(X, specs)
+        refs = [similarity_graph(FeatureTable(X[:, cols]), gamma, p)
+                for cols, gamma, p in specs]
+    for J, ref, (cols, gamma, p) in zip(graphs, refs, specs):
+        assert_same_graph_where_clear(J, ref, X[:, cols], gamma, p)
+
+
+def test_nested_gram_edge_cases_behave_as_one_product():
+    # small integers make every Gram entry exact, so the chunked, mirrored
+    # Gram gives the per-row oracle's graph bit for bit, in chunks of one
+    # column, for a set that adds no column too (one equal to the last); a
+    # one-row table has no edge and a zero-row table no vertex
+    X = np.array([[1., 2, 0], [0, 1, 1], [2, 0, 1], [1, 1, 1], [0, 2, 1]])
+    cols = np.arange(3)
+    specs = [(cols, 1.0, 2), (cols, 2.0, 3), ([0, 1], 1.0, 2)]
+    with mock.patch.object(embed, "_TOP_P_BLOCK", 1):
+        graphs = embed._similarity_graphs(X, specs)
+    for J, (c, gamma, p) in zip(graphs, specs):
+        assert J.edges == similarity_graph_by_loop(FeatureTable(X[:, c]),
+                                                   gamma, p)
+    one = similarity_graph(FeatureTable([[1.0, 2.0]]), 1.0, 3)
+    assert (one.n, one.edges) == (1, [])
+    with pytest.raises(ValueError, match="^zero-norm feature row 0$"):
+        similarity_graph(FeatureTable([[0.0, 0.0]]), 1.0, 3)
+    none = embed._similarity_graphs(np.zeros((0, 4)),
+                                    [(np.arange(4), 1.0, 2), ([1], 1.0, 2)])
+    assert [(J.n, J.edges) for J in none] == [(0, []), (0, [])]
 
 
 def test_nested_gram_refuses_sets_that_are_not_nested():
@@ -374,10 +485,10 @@ def test_saturation_before_the_first_rung_is_an_error():
         spectral_embed(J, 1)
 
 
-def test_nested_similarity_graphs_hold_about_two_gram_sized_arrays():
-    # the running Gram and one new block are the only n x n arrays alive at
-    # once (2.4 n^2 doubles measured at n = 1,000, d = 128); one more n x n
-    # array would pass 3 n^2
+def test_nested_similarity_graphs_hold_one_gram_sized_array():
+    # the running Gram, updated in place, is the only n x n array, beside
+    # chunks and row blocks of 2^16 entries (1.48 n^2 doubles measured at
+    # n = 1,000, d = 128); a second n x n array would pass 2 n^2
     n = 1000
     X = np.random.default_rng(0).standard_normal((n, 128))
     specs = [(np.arange(k), 2.0, 12) for k in (32, 64, 128)]
@@ -387,7 +498,7 @@ def test_nested_similarity_graphs_hold_about_two_gram_sized_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * n * n * 8
+    assert peak <= 1.55 * n * n * 8
 
 
 @st.composite

@@ -12,6 +12,8 @@ from nishigraph.embed import _similarity_graphs
 from nishigraph.pipeline import (DEFAULT_GRAPHS, _restrict_features,
                                  confusion_to_csv, metrics_table)
 
+from util import rank_features_by_rest_mean
+
 
 def small_features(seed=5):
     return synthetic_features(3, 40, 64, separation=8.0, seed=seed)
@@ -211,6 +213,23 @@ def test_nested_gram_graphs_match_per_set_graphs_on_benchmark_data():
         ref = similarity_graph(FeatureTable(ft.X[:, cols]), gamma, p)
         assert np.array_equal(J.i, ref.i) and np.array_equal(J.j, ref.j)
         assert np.allclose(J.couplings, ref.couplings, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("seed", range(101, 106))
+def test_class_sum_ranking_restricts_the_benchmark_columns_as_the_oracle(seed):
+    # the first dataset of each benchmark stage: every graph's column set
+    # from the class-sum ranking is the one the per-class copy of the other
+    # rows gives
+    for ft in (synthetic_features(10, 100, 1280, 20.0, seed=1000 * seed),
+               synthetic_features(10, 50, 1280, 6.0, seed=1000 * seed)):
+        train_idx, _ = stratified_split(ft.labels, 0.25, seed=0)
+        train_ft = FeatureTable(ft.X[train_idx], ft.labels[train_idx])
+        got = pipeline._rank_features(train_ft)
+        want = rank_features_by_rest_mean(train_ft)
+        for gcfg in DEFAULT_GRAPHS:
+            assert np.array_equal(
+                _restrict_features(ft, got, gcfg["s_frac"]),
+                _restrict_features(ft, want, gcfg["s_frac"]))
 
 
 def test_restriction_refuses_more_columns_than_the_table_has():

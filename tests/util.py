@@ -197,6 +197,18 @@ def similarity_graph_by_loop(ft, gamma, p):
     return [(i, j, float(W[i, j])) for i, j in sorted(keep)]
 
 
+def rank_features_by_rest_mean(ft):
+    """_rank_features from a copy of each class's other rows: per class,
+    every feature index by decreasing absolute difference between the class
+    mean and the mean of the other rows, ties low."""
+    out = {}
+    for c in ft.classes():
+        mask = ft.labels == c
+        gap = np.abs(ft.X[mask].mean(axis=0) - ft.X[~mask].mean(axis=0))
+        out[c] = np.lexsort((np.arange(ft.n_features), -gap))
+    return out
+
+
 def spectral_embed_by_pairs(J, r, cfg=None):
     """spectral_embed's coordinates and beta_N_used from one full n-vector
     per component eigenpair: the connected graph solved whole, every pair
