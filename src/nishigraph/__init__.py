@@ -6,26 +6,22 @@ classifier ensembles.
 from .sparse import (SparseSym, Spectrum, eig_dense, lambda_min,
                      rank_and_kernel, read_matrix_market, write_matrix_market)
 from .qc import (Cycle, LiftSearchResult, METProtograph, TannerGraph, ace,
-                 bipartite_adjacency, block_cycle_consistent, enumerate_cycles,
-                 girth, lift, optimize_lift, parse_exponent_text,
-                 read_exponent_file, write_exponent_file)
-from .permanent import (bethe_permanent, dmin_upper_bound, naive_permanent,
-                        permanent, rect_permanent)
+                 bipartite_adjacency, enumerate_cycles, girth, lift,
+                 optimize_lift, parse_exponent_text, read_exponent_file)
+from .permanent import (bethe_permanent, dmin_upper_bound, permanent,
+                        rect_permanent)
 from .trapping import (InvariantReport, TrappingSet, betti, continuous_genus,
-                       dirac_spectrum, kasparov_k, negative_modes,
-                       spanning_forest_incidence, spectral_radius,
-                       invariant_panel, variable_adjacency)
+                       kasparov_k, negative_modes, spanning_forest_incidence,
+                       spectral_radius, invariant_panel)
 from .zeta import (SimpleGraph, bass_identity_residual,
-                   bass_loose_form_residual, det_crossing_check,
-                   non_backtracking, poles, zeta_reciprocal)
-from .rbim import (CouplingGraph, SpinConfig, exact_thermo, hamiltonian,
-                   label_couplings, sample_nishimori_pm)
+                   bass_loose_form_residual, det_crossing_check, poles,
+                   zeta_reciprocal)
+from .rbim import CouplingGraph, sample_nishimori_pm
 from .estimator import (EstimatorConfig, EstimatorTrace, UnweightedSystem,
-                        WeightedSystem, bethe_hessian_unweighted,
-                        bethe_hessian_weighted, bisection_baseline,
-                        estimate_beta_N)
-from .embed import (Embedding, FeatureTable, binarize, select_indices,
-                    similarity_graph, spectral_embed, synthetic_features)
+                        WeightedSystem, bethe_hessian_weighted,
+                        bisection_baseline, estimate_beta_N)
+from .embed import (Embedding, FeatureTable, select_indices, similarity_graph,
+                    spectral_embed, synthetic_features)
 from .classify import (EnsembleConfig, LinearModel, PairwiseArbiter, accuracy,
                        arbiter_train, confusion_matrix, ensemble_decide,
                        per_class_metrics, predict, predict_labels,
@@ -38,24 +34,19 @@ __all__ = [
     "SparseSym", "Spectrum", "eig_dense", "lambda_min", "rank_and_kernel",
     "read_matrix_market", "write_matrix_market",
     "Cycle", "LiftSearchResult", "METProtograph", "TannerGraph", "ace",
-    "bipartite_adjacency", "block_cycle_consistent", "enumerate_cycles",
-    "girth", "lift", "optimize_lift", "parse_exponent_text",
-    "read_exponent_file", "write_exponent_file",
-    "bethe_permanent", "dmin_upper_bound", "naive_permanent", "permanent",
-    "rect_permanent",
+    "bipartite_adjacency", "enumerate_cycles", "girth", "lift",
+    "optimize_lift", "parse_exponent_text", "read_exponent_file",
+    "bethe_permanent", "dmin_upper_bound", "permanent", "rect_permanent",
     "InvariantReport", "TrappingSet", "betti", "continuous_genus",
-    "dirac_spectrum", "kasparov_k", "negative_modes",
-    "spanning_forest_incidence", "spectral_radius", "invariant_panel",
-    "variable_adjacency",
+    "kasparov_k", "negative_modes", "spanning_forest_incidence",
+    "spectral_radius", "invariant_panel",
     "SimpleGraph", "bass_identity_residual", "bass_loose_form_residual",
-    "det_crossing_check", "non_backtracking", "poles", "zeta_reciprocal",
-    "CouplingGraph", "SpinConfig", "exact_thermo", "hamiltonian",
-    "label_couplings", "sample_nishimori_pm",
+    "det_crossing_check", "poles", "zeta_reciprocal",
+    "CouplingGraph", "sample_nishimori_pm",
     "EstimatorConfig", "EstimatorTrace", "UnweightedSystem", "WeightedSystem",
-    "bethe_hessian_unweighted", "bethe_hessian_weighted",
-    "bisection_baseline", "estimate_beta_N",
-    "Embedding", "FeatureTable", "binarize", "select_indices",
-    "similarity_graph", "spectral_embed", "synthetic_features",
+    "bethe_hessian_weighted", "bisection_baseline", "estimate_beta_N",
+    "Embedding", "FeatureTable", "select_indices", "similarity_graph",
+    "spectral_embed", "synthetic_features",
     "EnsembleConfig", "LinearModel", "PairwiseArbiter", "accuracy",
     "arbiter_train", "confusion_matrix", "ensemble_decide",
     "per_class_metrics", "predict", "predict_labels", "train_linear",

@@ -28,21 +28,28 @@ _TOP_P_BLOCK = 1 << 16
 
 
 class FeatureTable:
-    """Rectangular sample-by-feature block with optional integer labels."""
+    """Rectangular sample-by-feature block with optional integer labels; a
+    label that is not an integer (1.0 is one, 0.5 and NaN are not) is a
+    ValueError naming its row."""
 
-    def __init__(self, X, labels=None, binarized=False):
+    def __init__(self, X, labels=None):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("feature table must be 2-D")
         if labels is not None:
-            labels = np.asarray(labels, dtype=int)
+            raw = np.asarray(labels)
+            if raw.dtype.kind == "f":
+                bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.trunc(raw)))
+                if bad.size:
+                    raise ValueError(f"row {int(bad[0])}: label "
+                                     f"{float(raw[bad[0]])!r} is not an integer")
+            labels = np.asarray(raw, dtype=int)
             if len(labels) != X.shape[0]:
                 raise ValueError("label count does not match row count")
             if labels.size and labels.min() < 0:
                 raise ValueError("labels must be nonnegative")
         self.X = X
         self.labels = labels
-        self.binarized = bool(binarized)
 
     @property
     def n_samples(self):
@@ -242,16 +249,12 @@ def _rank_features(ft):
 def select_indices(ft, s):
     """Per class, the s feature indices with the largest absolute difference
     between the class mean and the rest-of-data mean; ties break low."""
+    if s < 1:
+        raise ValueError(f"s must be at least 1, got {s}")
     if s > ft.n_features:
         raise ValueError("s exceeds the feature dimension")
     return {c: sorted(int(i) for i in order[:s])
             for c, order in _rank_features(ft).items()}
-
-
-def binarize(ft):
-    """Map entries to their sign, with sign(0) = +1; idempotent."""
-    Xb = np.where(ft.X >= 0, 1.0, -1.0)
-    return FeatureTable(Xb, ft.labels, binarized=True)
 
 
 def similarity_graph(ft, gamma, p):

@@ -130,11 +130,6 @@ def bethe_hessian_weighted(J, beta):
     return _bethe_hessian(J.n, J.i, J.j, np.tanh(beta * J.couplings))
 
 
-def bethe_hessian_unweighted(A, D, beta):
-    """(beta^2 - 1) I - beta A + D for a zero-diagonal adjacency A."""
-    return UnweightedSystem(A, D).matrix(beta)
-
-
 class UnweightedSystem:
     """Root-finding target lambda_min((beta^2-1)I - beta A + D); bracket,
     the ladder's starting window, runs from just above the trivial root

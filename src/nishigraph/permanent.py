@@ -61,25 +61,6 @@ def permanent(M):
     return sign * total
 
 
-def naive_permanent(M):
-    """Permutation-sum oracle; exponential, capped at m = 7."""
-    M = _to_rows(M)
-    m = len(M)
-    if any(len(row) != m for row in M):
-        raise ValueError("square matrix required")
-    if m > 7:
-        raise ValueError("naive oracle capped at m=7")
-    total = 0
-    for perm in itertools.permutations(range(m)):
-        prod = 1
-        for i, j in enumerate(perm):
-            prod *= M[i][j]
-            if prod == 0:
-                break
-        total += prod
-    return total
-
-
 def rect_permanent(M):
     """Permanent of a rectangular matrix: sum over injections of the short side.
 

@@ -157,14 +157,6 @@ def _base_edges(proto):
                     dtype=np.intp).reshape(-1, 3).T
 
 
-def block_cycle_consistent(shifts, L):
-    """True iff the alternating shift sum around a block cycle is 0 mod L."""
-    if len(shifts) % 2 != 0 or len(shifts) < 4:
-        raise ValueError("block cycle needs an even number (>= 4) of shifts")
-    alt = sum(a if idx % 2 == 0 else -a for idx, a in enumerate(shifts))
-    return alt % L == 0
-
-
 def girth(g):
     """Length of the shortest cycle, or math.inf if the graph is a forest.
 
@@ -481,11 +473,3 @@ def read_exponent_file(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-def write_exponent_file(proto, path):
-    lines = [f"L={proto.L}"]
-    for row in proto.cells:
-        lines.append(" ".join(",".join(str(k) for k in cell) if cell else "-1"
-                              for cell in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -1,7 +1,6 @@
-"""Random-bond Ising primitives: Hamiltonian, exact small-system thermodynamics,
-label-derived couplings, and a two-point coupling sampler with known inverse
-temperature satisfying the alignment condition between disorder and thermal
-averages.
+"""Random-bond Ising couplings: the array-backed coupling graph and a
+two-point coupling sampler with known inverse temperature satisfying the
+alignment condition between disorder and thermal averages.
 """
 
 import numpy as np
@@ -10,7 +9,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .sparse import _triples
 
-_ENUM_CAP = 20
 _P_FLOOR = 1e-6
 
 
@@ -79,57 +77,6 @@ class CouplingGraph:
         groups = np.split(by_label, np.cumsum(np.bincount(labels))[:-1])
         return sorted((g.tolist() for g in groups if g.size),
                       key=lambda g: g[0])
-
-
-class SpinConfig:
-    """Vector of +-1 spins."""
-
-    def __init__(self, s):
-        s = np.asarray(s, dtype=int)
-        if not np.isin(s, (-1, 1)).all():
-            raise ValueError("spins must be +-1")
-        self.s = s
-
-    def __len__(self):
-        return len(self.s)
-
-
-def hamiltonian(s, J):
-    """Energy -sum_{(ij)} J_ij s_i s_j."""
-    if len(s) != J.n:
-        raise ValueError(f"spin length {len(s)} != coupling dimension {J.n}")
-    sv = s.s
-    return float(-sum(Jij * sv[i] * sv[j] for i, j, Jij in J.edges))
-
-
-def exact_thermo(J, beta):
-    """(logZ, magnetizations) by exhaustive enumeration over all 2^n configurations."""
-    n = J.n
-    if n > _ENUM_CAP:
-        raise ValueError(f"exact enumeration capped at n={_ENUM_CAP}")
-    if n == 0:
-        return 0.0, np.zeros(0)
-    count = 1 << n
-    # spins[k, i] = +-1 for bit i of configuration k
-    ks = np.arange(count, dtype=np.int64)
-    spins = np.where((ks[:, None] >> np.arange(n)) & 1 == 1, 1, -1).astype(np.int8)
-    energy_scaled = np.zeros(count)
-    for i, j, Jij in J.edges:
-        energy_scaled += Jij * (spins[:, i] * spins[:, j]).astype(float)
-    log_w = beta * energy_scaled  # -beta * H
-    top = log_w.max()
-    logZ = float(top + np.log(np.sum(np.exp(log_w - top))))
-    w = np.exp(log_w - logZ)
-    mags = (w[:, None] * spins).sum(axis=0)
-    return logZ, mags
-
-
-def label_couplings(labels, edges):
-    """+1 coupling for same-label endpoints, -1 otherwise."""
-    labels = np.asarray(labels)
-    n = len(labels)
-    return CouplingGraph(
-        n, [(i, j, 1.0 if labels[i] == labels[j] else -1.0) for i, j in edges])
 
 
 def sample_nishimori_pm(n, edges, p_flip, seed=0):

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .estimator import _bethe_hessian
-from .sparse import SparseSym, Spectrum, _kernel_dim, _read_text
+from .sparse import _kernel_dim, _read_text
 
 _NEG_TOL = -1e-8
 
@@ -110,15 +110,6 @@ class InvariantReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def variable_adjacency(ts):
-    """(A_vn, D_vn, L): zero-diagonal H^T H, its degree matrix, and D - A."""
-    A = ts.A_vn
-    d = A.sum(axis=1)
-    nz = np.flatnonzero(d)
-    D = SparseSym(ts.a, np.column_stack((nz, nz, d[nz])))
-    return SparseSym.from_dense(A), D, SparseSym.from_dense(np.diag(d) - A)
-
-
 def spectral_radius(ts):
     """(rho, r_crit): largest eigenvalue magnitude of A_vn and its square root."""
     ev = np.linalg.eigvalsh(ts.A_vn)
@@ -174,16 +165,6 @@ def continuous_genus(ts):
     pos = ev[ev > 1e-12]
     neg = ev[ev < -1e-12]
     return float((np.sqrt(pos).sum() - np.sqrt(-neg).sum()) / (2 * np.sqrt(ts.a)))
-
-
-def dirac_spectrum(ts):
-    """Spectrum of [[0, A_vn], [A_vn^T, 0]]; symmetric about zero.
-
-    A_vn is symmetric, so the eigenvalues are +-|lambda| for each eigenvalue
-    lambda of A_vn; the tolerance is eig_dense's, 1e-9 max(1, max |lambda|).
-    """
-    ev = np.abs(np.linalg.eigvalsh(ts.A_vn))
-    return Spectrum(np.concatenate((-ev, ev)), 1e-9 * max(1.0, ev.max()))
 
 
 def kasparov_k(S, T):

@@ -13,7 +13,6 @@ import numpy as np
 from .estimator import _bethe_hessian, _checked_square
 from .rbim import CouplingGraph, _frozen, _refuse
 
-_EDGE_CAP = 500
 _DET_CAP = 200
 
 # det_crossing_check's beta grid and its pole-matching radius in u
@@ -89,28 +88,6 @@ class SimpleGraph(CouplingGraph):
                 out.append(complex(p))
         out.sort(key=lambda z: (abs(z), z.real, z.imag))
         return _frozen(np.array(out, dtype=complex))
-
-
-class DirectedEdgeSpace:
-    """Ordered edge copies plus the non-backtracking matrix over them."""
-
-    def __init__(self, directed_edges, B):
-        self.directed_edges = directed_edges
-        self.B = B
-
-
-def non_backtracking(g):
-    """Directed-edge non-backtracking operator of a simple graph.
-
-    B is the graph's cached read-only matrix; directed_edges is a fresh list
-    of (tail, head, copy) tuples.
-    """
-    if g.is_multigraph():
-        raise ValueError("multigraphs not supported by the public operator")
-    if g.n_edges() > _EDGE_CAP:
-        raise ValueError(f"edge count capped at {_EDGE_CAP}")
-    des, B = g._non_backtracking
-    return DirectedEdgeSpace(list(map(tuple, des.tolist())), B)
 
 
 def zeta_reciprocal(g, u):

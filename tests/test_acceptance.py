@@ -20,17 +20,16 @@ from importlib import resources
 import numpy as np
 
 from nishigraph import (CouplingGraph, EstimatorConfig, SimpleGraph,
-                        SpinConfig, TrappingSet, WeightedSystem,
-                        bass_identity_residual, bethe_hessian_weighted,
-                        bethe_permanent, bisection_baseline, dmin_upper_bound,
-                        estimate_beta_N, exact_thermo, hamiltonian,
-                        invariant_panel, naive_permanent, non_backtracking,
-                        permanent, run_pipeline, sample_nishimori_pm,
-                        synthetic_features, variable_adjacency,
+                        TrappingSet, WeightedSystem, bass_identity_residual,
+                        bethe_hessian_weighted, bethe_permanent,
+                        bisection_baseline, dmin_upper_bound, estimate_beta_N,
+                        invariant_panel, permanent, run_pipeline,
+                        sample_nishimori_pm, synthetic_features,
                         zeta_reciprocal)
 from nishigraph.pipeline import confusion_to_csv, metrics_table
 
-from util import (cycle_edges, random_connected, random_regular,
+from util import (SpinConfig, cycle_edges, exact_thermo, hamiltonian,
+                  naive_permanent, random_connected, random_regular,
                   unweighted_system)
 
 
@@ -55,11 +54,11 @@ def _nonbacktracking_count(ts, r):
     H(u) has crossed by u = tanh(r), so it is an independent count of the
     Bethe-Hessian's negative modes.
     """
-    A, _, _ = variable_adjacency(ts)
-    g = SimpleGraph.from_sparse(A)
+    i, j = np.nonzero(np.triu(ts.A_vn))
+    g = SimpleGraph(ts.a, zip(i.tolist(), j.tolist()))
     if g.n_edges() == 0:
         return 0
-    ev = np.linalg.eigvals(non_backtracking(g).B)
+    ev = np.linalg.eigvals(g._non_backtracking[1])
     real = ev.real[np.abs(ev.imag) < 1e-6]
     return int(np.sum(real >= 1.0 / math.tanh(r) - 1e-9))
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 import nishigraph.embed as embed
 import nishigraph.estimator as estimator
 from nishigraph import (CouplingGraph, Embedding, EstimatorConfig,
-                        FeatureTable, binarize, select_indices,
-                        similarity_graph, spectral_embed, synthetic_features)
+                        FeatureTable, select_indices, similarity_graph,
+                        spectral_embed, synthetic_features)
 
 from util import (rank_features_by_rest_mean, similarity_graph_by_loop,
                   spectral_embed_by_pairs)
@@ -28,9 +28,18 @@ def test_feature_table_validation():
         FeatureTable(np.zeros((3, 2)), labels=[0, 1])
     with pytest.raises(ValueError):
         FeatureTable(np.zeros((2, 2)), labels=[-1, 0])
+    for labels, row, value in [([0.5, 1.7, 2.2], 0, "0.5"),
+                               ([0.0, 1.0, 2.2], 2, "2.2"),
+                               ([1.0, np.nan, 2.0], 1, "nan"),
+                               ([1.0, 2.0, np.inf], 2, "inf")]:
+        with pytest.raises(ValueError, match=f"^row {row}: label {value} is "
+                           "not an integer$"):
+            FeatureTable(np.zeros((3, 2)), labels=labels)
     ft = FeatureTable(np.zeros((4, 3)), labels=[1, 0, 1, 2])
     assert (ft.n_samples, ft.n_features) == (4, 3)
     assert ft.classes() == [0, 1, 2]
+    labels = FeatureTable(np.zeros((3, 2)), [1.0, 0.0, 2.0]).labels
+    assert labels.dtype.kind == "i" and labels.tolist() == [1, 0, 2]
     with pytest.raises(ValueError):
         FeatureTable(np.zeros((2, 2))).classes()
 
@@ -89,26 +98,6 @@ def test_synthetic_features_layout():
     assert np.array_equal(again.X, ft.X)
 
 
-def test_binarize_signs():
-    ft = FeatureTable(np.array([[0.5, -0.2], [0.0, -3.0]]))
-    fb = binarize(ft)
-    assert fb.binarized
-    assert fb.X.tolist() == [[1.0, -1.0], [1.0, -1.0]]
-
-
-def test_binarize_is_idempotent_and_keeps_labels():
-    X = np.array([[0.0, -0.0, 2.5], [-1e-300, 1e-300, -4.0]])
-    ft = FeatureTable(X, labels=[1, 0])
-    fb = binarize(ft)
-    assert fb.X.tolist() == [[1.0, 1.0, 1.0], [-1.0, 1.0, -1.0]]
-    assert fb.binarized and not ft.binarized
-    assert fb.labels.tolist() == [1, 0]
-    again = binarize(fb)
-    assert np.array_equal(again.X, fb.X) and again.binarized
-    assert again.labels.tolist() == [1, 0]
-    assert binarize(FeatureTable(X)).labels is None
-
-
 def test_select_indices_finds_discriminative_columns():
     rng = np.random.default_rng(2)
     X = 0.01 * rng.standard_normal((40, 10))
@@ -122,6 +111,9 @@ def test_select_indices_finds_discriminative_columns():
     assert set(sel[1]) == {3, 7}
     with pytest.raises(ValueError):
         select_indices(ft, 11)
+    for s in (0, -1):
+        with pytest.raises(ValueError, match=f"^s must be at least 1, got {s}$"):
+            select_indices(ft, s)
     with pytest.raises(ValueError):
         select_indices(FeatureTable(X), 2)
     # columns 1, 4 and 6 separate the classes equally well, the rest not at
@@ -232,7 +224,7 @@ def top_p_cases(draw):
     X = rng.standard_normal((n, dim))
     kind = draw(st.sampled_from(["gaussian", "binarized", "repeated"]))
     if kind == "binarized":
-        X = binarize(FeatureTable(X)).X
+        X = np.where(X >= 0, 1.0, -1.0)
     elif kind == "repeated":
         X = X[rng.integers(0, min(draw(st.integers(1, 4)), n), n)]
     gamma = draw(st.sampled_from([0.3, 1.0, 2.0, 3.7, 15.0]))

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
                         UnweightedSystem, WeightedSystem,
-                        bethe_hessian_unweighted,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
 from nishigraph import estimator, qc
@@ -47,22 +46,20 @@ def test_config_validation():
 def test_unweighted_matrix_formula():
     sysm = k4_system()
     beta = 1.7
-    H = bethe_hessian_unweighted(sysm.A, sysm.D, beta)
+    H = UnweightedSystem(sysm.A, sysm.D).matrix(beta)
     A = sysm.A.to_dense()
     expected = (beta ** 2 - 1) * np.eye(4) - beta * A + np.diag(A.sum(axis=1))
     assert np.allclose(H.to_dense(), expected, atol=1e-12)
     # a stored zero on A's diagonal is no entry; a nonzero one, or an
-    # off-diagonal entry of D, is refused by the system and the function
+    # off-diagonal entry of D, is refused by the system
     zero = SparseSym(4, sysm.A.entries + [(0, 0, 0.0)])
-    assert bethe_hessian_unweighted(zero, sysm.D, beta) == H
+    assert UnweightedSystem(zero, sysm.D).matrix(beta) == H
     bad_A = SparseSym(4, sysm.A.entries + [(0, 0, 1.0)])
     bad_D = SparseSym(4, sysm.D.entries + [(0, 1, 1.0)])
     for A, D, message in ((bad_A, sysm.D, "adjacency must have zero diagonal"),
                           (sysm.A, bad_D, "degree matrix must be diagonal")):
         with pytest.raises(ValueError, match=message):
             UnweightedSystem(A, D)
-        with pytest.raises(ValueError, match=message):
-            bethe_hessian_unweighted(A, D, beta)
 
 
 def test_weighted_matrix_formula_single_edge():

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from nishigraph import (bethe_permanent, dmin_upper_bound, naive_permanent,
-                        permanent, rect_permanent)
+from nishigraph import (bethe_permanent, dmin_upper_bound, permanent,
+                        rect_permanent)
+
+from util import naive_permanent
 
 
 def test_small_closed_forms():

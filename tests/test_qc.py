@@ -11,9 +11,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nishigraph import (METProtograph, TannerGraph, ace, bipartite_adjacency,
-                        block_cycle_consistent, enumerate_cycles, girth, lift,
-                        optimize_lift, parse_exponent_text, qc,
-                        read_exponent_file, write_exponent_file)
+                        enumerate_cycles, girth, lift, optimize_lift,
+                        parse_exponent_text, qc, read_exponent_file)
 
 from util import bipartite_adjacency_by_loop, girth_by_full_bfs, lifted_score
 
@@ -119,15 +118,6 @@ def test_read_exponent_file_names_the_file_and_line(tmp_path):
     assert str(err.value) == f"{path}: line 3: 1 cells, expected 2"
 
 
-def test_exponent_file_round_trip(tmp_path):
-    p = parse_exponent_text("L=41\n1,2,7 9 -1\n-1 19 32\n")
-    path = tmp_path / "code.exp"
-    write_exponent_file(p, str(path))
-    back = read_exponent_file(str(path))
-    assert back.L == p.L
-    assert back.cells == p.cells
-
-
 def test_lift_edge_rule_single_circulant():
     # a single shift-k cell couples check i to variable (i + k) mod L
     p = METProtograph([[[3]]], L=5)
@@ -151,16 +141,6 @@ def test_lift_rejects_unset_shifts():
     p = METProtograph([[[None]]], L=3, allow_unset=True)
     with pytest.raises(ValueError):
         lift(p)
-
-
-def test_block_cycle_consistency_rule():
-    # length-4 block cycle through shifts a, b, c, d closes iff a-b+c-d = 0 mod L
-    assert block_cycle_consistent([0, 0, 0, 0], L=7)
-    assert block_cycle_consistent([1, 3, 5, 3], L=7)
-    assert not block_cycle_consistent([1, 3, 5, 4], L=7)
-    assert block_cycle_consistent([1, 3, 5, 10], L=7)  # alternating sum -7
-    with pytest.raises(ValueError):
-        block_cycle_consistent([1, 2, 3], L=7)
 
 
 def test_girth_four_cycle_and_forest():

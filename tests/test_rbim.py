@@ -1,4 +1,4 @@
-"""Coupling graphs, exact enumeration thermodynamics, and disorder sampling."""
+"""Coupling graphs, the exact-enumeration oracles, and disorder sampling."""
 
 import math
 import os
@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 
 import nishigraph
-from nishigraph import (CouplingGraph, SparseSym, SpinConfig, exact_thermo,
-                        hamiltonian, label_couplings, sample_nishimori_pm)
+from nishigraph import CouplingGraph, SparseSym, sample_nishimori_pm
 
-from util import random_regular
+from util import SpinConfig, exact_thermo, hamiltonian, random_regular
 
 
 def test_coupling_graph_validation():
@@ -98,13 +97,6 @@ def test_energy_is_invariant_under_global_spin_flip():
     assert worst == 0.0
 
 
-def test_label_couplings_signs():
-    J = label_couplings([0, 0, 1], [(0, 1), (1, 2)])
-    weights = {(i, j): w for i, j, w in J.edges}
-    assert weights[(0, 1)] == 1.0
-    assert weights[(1, 2)] == -1.0
-
-
 def test_sample_matched_temperature_formula():
     edges = random_regular(20, 3, 4)
     for p in (0.05, 0.1, 0.3):
@@ -136,7 +128,7 @@ def test_sample_rejects_degenerate_flip_rates():
 
 
 def test_import_leaves_scipy_special_and_optimize_unloaded():
-    # exact_thermo writes its log-sum-exp out and zeta refines crossings
+    # no package module uses scipy.special, and zeta refines crossings
     # itself, so no import of the package pays for loading either module
     src = os.path.dirname(os.path.dirname(nishigraph.__file__))
     code = (f"import sys; sys.path.insert(0, {src!r}); import nishigraph; "

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used there, and
-every private name one package module takes from another is listed."""
+"""Source hygiene: every name a package module imports is used there, every
+private name one package module takes from another is listed, and so is
+every exported name no package module uses."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,20 @@ PRIVATE_IMPORTS = {
     "zeta <- estimator._checked_square",
     "zeta <- rbim._frozen",
     "zeta <- rbim._refuse",
+}
+
+# each name in nishigraph.__all__ that no package module other than
+# __init__ references, with the use that keeps it; a new entry is public
+# surface the package itself does not need, so it is named here first
+UNCALLED_EXPORTS = {
+    "bethe_permanent": "the permanent bounds planned for the lift search",
+    "dmin_upper_bound": "the permanent bounds planned for the lift search",
+    "lambda_min": "BENCHMARK.json's per-layer sparse.lambda_min spans",
+    "optimize_lift": "the code-path benchmark workload's lift search",
+    "rank_and_kernel": "the component-count oracle in tests/util.py",
+    "sample_nishimori_pm": "signed couplings with a known beta_N, for the "
+                           "study of which root the search returns",
+    "select_indices": "the pipelines benchmark workload's feature slices",
 }
 
 
@@ -80,3 +95,28 @@ def test_a_new_private_import_is_caught(tmp_path):
                      "q._girth_by_walks(None)\n")
     assert private_imports(path, tree) == {"user <- estimator._ends",
                                            "user <- qc._girth_by_walks"}
+
+
+def uncalled_exports(exported, trees):
+    """The names in exported that no tree references, as a variable or as
+    an attribute."""
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return set(exported) - used - {"__version__"}
+
+
+def test_exported_names_no_module_uses_are_listed():
+    trees = [tree for _, tree in _modules()]
+    assert uncalled_exports(nishigraph.__all__, trees) == set(UNCALLED_EXPORTS)
+
+
+def test_a_new_uncalled_export_is_caught():
+    tree = ast.parse("from . import qc\nfrom .sparse import girth\n"
+                     "def lift(g):\n    return girth(g) + qc.ace(g)\n")
+    assert uncalled_exports(["ace", "girth", "lift", "poles", "__version__"],
+                            [tree]) == {"lift", "poles"}

@@ -11,12 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nishigraph import (METProtograph, TrappingSet, betti, continuous_genus,
-                        dirac_spectrum, invariant_panel, kasparov_k, lift,
-                        negative_modes, spanning_forest_incidence,
-                        spectral_radius, variable_adjacency)
+                        invariant_panel, kasparov_k, lift, negative_modes,
+                        spanning_forest_incidence, spectral_radius)
 
-from util import (betti_by_components, dirac_spectrum_by_block,
-                  kasparov_k_by_sparse, trapping_matrix_by_loop)
+from util import (betti_by_components, kasparov_k_by_sparse,
+                  trapping_matrix_by_loop)
 
 
 def load(name):
@@ -125,16 +124,13 @@ def test_variable_graph_is_read_only_and_has_zero_diagonal():
 
 
 def test_variable_adjacency_has_zero_diagonal():
-    A, D, L = variable_adjacency(load("ts_4_2.txt"))
-    dense = A.to_dense()
+    dense = load("ts_4_2.txt").A_vn
     assert np.allclose(np.diag(dense), 0.0)
     # shared-check counts between consecutive variables form a path
     expected = np.zeros((4, 4))
     for i in range(3):
         expected[i, i + 1] = expected[i + 1, i] = 1.0
     assert np.allclose(dense, expected)
-    assert np.allclose(D.diagonal(), dense.sum(axis=1))
-    assert np.allclose(L.to_dense(), np.diag(dense.sum(axis=1)) - dense)
 
 
 def test_spectral_radius_path_graph_closed_form():
@@ -170,12 +166,6 @@ def test_continuous_genus_frozen_values():
         1.5285974440432075, abs=1e-9)
     assert continuous_genus(load("ts_9_2.txt")) == pytest.approx(
         3.068686190184337, abs=1e-9)
-
-
-def test_dirac_spectrum_is_symmetric_about_zero():
-    spec = dirac_spectrum(load("ts_4_6.txt"))
-    ev = np.array(spec.eigenvalues)
-    assert np.allclose(np.sort(ev), np.sort(-ev), atol=1e-8)
 
 
 def test_kasparov_pair_frozen_values():
@@ -236,12 +226,3 @@ def test_panel_matches_component_and_sparse_oracles(H):
         "genus": continuous_genus(ts), "k0": k0, "k1": k1, "kervaire": k1,
         "betti0": b[0], "betti1_mod2": b[1], "cycle_rank": b[2]}
 
-
-@given(incidence_matrices())
-def test_dirac_spectrum_matches_the_block_operator(H):
-    ts = TrappingSet(H)
-    spec, block = dirac_spectrum(ts), dirac_spectrum_by_block(ts)
-    scale = max(1.0, np.abs(block.eigenvalues).max())
-    assert spec.tolerance == pytest.approx(block.tolerance, rel=1e-12)
-    assert np.allclose(spec.eigenvalues, block.eigenvalues, rtol=0,
-                       atol=1e-12 * scale)

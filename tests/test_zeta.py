@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import nishigraph
 from nishigraph import (CouplingGraph, SimpleGraph, SparseSym, TrappingSet,
                         bass_identity_residual, bass_loose_form_residual,
-                        det_crossing_check, enumerate_cycles, lift,
-                        non_backtracking, poles, read_exponent_file,
-                        zeta_reciprocal)
+                        det_crossing_check, enumerate_cycles, lift, poles,
+                        read_exponent_file, zeta_reciprocal)
 from nishigraph.estimator import _bethe_hessian
 from nishigraph.zeta import _BETA_GRID, _two_core
 
@@ -60,8 +59,7 @@ def test_from_sparse_support_and_multiplicities():
 
 def test_non_backtracking_matrix_on_square_cycle():
     g = SimpleGraph(4, cycle_edges(4))
-    des = non_backtracking(g)
-    B = des.B
+    B = g._non_backtracking[1]
     assert B.shape == (8, 8)
     # on a cycle each directed edge has exactly one non-backtracking successor
     assert np.allclose(B.sum(axis=1), 1.0)
@@ -87,16 +85,7 @@ def test_cached_non_backtracking_matches_loop_oracle(g):
     assert poles(g) == first and poles(g) is not first
     for a in (cached_des, cached_B, g._pole_array, g.i, g.j, g._copy):
         assert not a.flags.writeable
-    if not g.is_multigraph():
-        space = non_backtracking(g)
-        assert space.directed_edges == des
-        assert non_backtracking(g).B is space.B
-
-
-def test_non_backtracking_rejects_multigraph():
-    g = SimpleGraph(2, [(0, 1, 2)])
-    with pytest.raises(ValueError):
-        non_backtracking(g)
+    assert g._non_backtracking[1] is cached_B
 
 
 def test_zeta_reciprocal_square_cycle_closed_form():

@@ -1,6 +1,8 @@
-"""Shared test helpers: pinned random-graph generators, system builders and
-reference implementations of scored quantities."""
+"""Shared test helpers: pinned random-graph generators, system builders,
+reference implementations of scored quantities, and the brute-force
+permanent and Ising-enumeration oracles."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,11 +11,12 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from nishigraph import (CouplingGraph, LinearModel, SparseSym,
-                        UnweightedSystem, ace, eig_dense, enumerate_cycles,
-                        lift, rank_and_kernel)
+                        UnweightedSystem, ace, enumerate_cycles, lift,
+                        rank_and_kernel)
 from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
 from nishigraph.embed import Embedding, _component_eigs
 from nishigraph.estimator import _bethe_hessian
+from nishigraph.permanent import _to_rows
 from nishigraph.zeta import poles
 
 
@@ -297,16 +300,6 @@ def kasparov_k_by_sparse(S, T):
     return kernel, rank % 2
 
 
-def dirac_spectrum_by_block(ts):
-    """dirac_spectrum(ts) from eig_dense on the 2a x 2a block operator
-    [[0, A_vn], [A_vn^T, 0]] as a SparseSym."""
-    A = ts.A_vn
-    D = np.zeros((2 * ts.a,) * 2)
-    D[:ts.a, ts.a:] = A
-    D[ts.a:, :ts.a] = A.T
-    return eig_dense(SparseSym.from_dense(D))
-
-
 def trapping_matrix_by_loop(g, var_indices):
     """TrappingSet.from_tanner(g, var_indices).H by one pass over g.edges:
     rows are the checks touching the subset, columns the sorted subset."""
@@ -415,3 +408,68 @@ def arbiter_scores_by_row(arbiter, X, a, b):
         W1, b1, w2, b2 = model
         scores.append(float(np.tanh(x @ W1 + b1) @ w2 + b2))
     return scores
+
+
+def naive_permanent(M):
+    """Permutation-sum oracle; exponential, capped at m = 7."""
+    M = _to_rows(M)
+    m = len(M)
+    if any(len(row) != m for row in M):
+        raise ValueError("square matrix required")
+    if m > 7:
+        raise ValueError("naive oracle capped at m=7")
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        prod = 1
+        for i, j in enumerate(perm):
+            prod *= M[i][j]
+            if prod == 0:
+                break
+        total += prod
+    return total
+
+
+_ENUM_CAP = 20
+
+
+class SpinConfig:
+    """Vector of +-1 spins."""
+
+    def __init__(self, s):
+        s = np.asarray(s, dtype=int)
+        if not np.isin(s, (-1, 1)).all():
+            raise ValueError("spins must be +-1")
+        self.s = s
+
+    def __len__(self):
+        return len(self.s)
+
+
+def hamiltonian(s, J):
+    """Energy -sum_{(ij)} J_ij s_i s_j."""
+    if len(s) != J.n:
+        raise ValueError(f"spin length {len(s)} != coupling dimension {J.n}")
+    sv = s.s
+    return float(-sum(Jij * sv[i] * sv[j] for i, j, Jij in J.edges))
+
+
+def exact_thermo(J, beta):
+    """(logZ, magnetizations) by exhaustive enumeration over all 2^n configurations."""
+    n = J.n
+    if n > _ENUM_CAP:
+        raise ValueError(f"exact enumeration capped at n={_ENUM_CAP}")
+    if n == 0:
+        return 0.0, np.zeros(0)
+    count = 1 << n
+    # spins[k, i] = +-1 for bit i of configuration k
+    ks = np.arange(count, dtype=np.int64)
+    spins = np.where((ks[:, None] >> np.arange(n)) & 1 == 1, 1, -1).astype(np.int8)
+    energy_scaled = np.zeros(count)
+    for i, j, Jij in J.edges:
+        energy_scaled += Jij * (spins[:, i] * spins[:, j]).astype(float)
+    log_w = beta * energy_scaled  # -beta * H
+    top = log_w.max()
+    logZ = float(top + np.log(np.sum(np.exp(log_w - top))))
+    w = np.exp(log_w - logZ)
+    mags = (w[:, None] * spins).sum(axis=0)
+    return logZ, mags
