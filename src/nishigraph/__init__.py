@@ -8,8 +8,7 @@ from .sparse import (SparseSym, Spectrum, eig_dense, lambda_min,
 from .qc import (Cycle, LiftSearchResult, METProtograph, TannerGraph, ace,
                  bipartite_adjacency, enumerate_cycles, girth, lift,
                  optimize_lift, parse_exponent_text, read_exponent_file)
-from .permanent import (bethe_permanent, dmin_upper_bound, permanent,
-                        rect_permanent)
+from .permanent import bethe_permanent, dmin_upper_bound, permanent
 from .trapping import (InvariantReport, TrappingSet, betti, continuous_genus,
                        kasparov_k, negative_modes, spanning_forest_incidence,
                        spectral_radius, invariant_panel)
@@ -36,7 +35,7 @@ __all__ = [
     "Cycle", "LiftSearchResult", "METProtograph", "TannerGraph", "ace",
     "bipartite_adjacency", "enumerate_cycles", "girth", "lift",
     "optimize_lift", "parse_exponent_text", "read_exponent_file",
-    "bethe_permanent", "dmin_upper_bound", "permanent", "rect_permanent",
+    "bethe_permanent", "dmin_upper_bound", "permanent",
     "InvariantReport", "TrappingSet", "betti", "continuous_genus",
     "kasparov_k", "negative_modes", "spanning_forest_incidence",
     "spectral_radius", "invariant_panel",

@@ -29,8 +29,8 @@ _TOP_P_BLOCK = 1 << 16
 
 class FeatureTable:
     """Rectangular sample-by-feature block with optional integer labels; a
-    label that is not an integer (1.0 is one, 0.5 and NaN are not) is a
-    ValueError naming its row."""
+    label that is not an integer in [0, 2**63) (1.0 is one, 0.5 and NaN are
+    not) is a ValueError naming its row."""
 
     def __init__(self, X, labels=None):
         X = np.asarray(X, dtype=float)
@@ -38,16 +38,15 @@ class FeatureTable:
             raise ValueError("feature table must be 2-D")
         if labels is not None:
             raw = np.asarray(labels)
-            if raw.dtype.kind == "f":
-                bad = np.flatnonzero(~np.isfinite(raw) | (raw != np.trunc(raw)))
-                if bad.size:
-                    raise ValueError(f"row {int(bad[0])}: label "
-                                     f"{float(raw[bad[0]])!r} is not an integer")
+            for k, x in enumerate(raw.tolist()):  # `_label`'s rule, row named
+                if isinstance(x, float) and not x.is_integer():
+                    raise ValueError(f"row {k}: label {x!r} is not an integer")
+                if not 0 <= x < 2 ** 63:
+                    raise ValueError(f"row {k}: label {int(x)} is not in "
+                                     "[0, 2**63)")
             labels = np.asarray(raw, dtype=int)
             if len(labels) != X.shape[0]:
                 raise ValueError("label count does not match row count")
-            if labels.size and labels.min() < 0:
-                raise ValueError("labels must be nonnegative")
         self.X = X
         self.labels = labels
 

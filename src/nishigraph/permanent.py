@@ -1,9 +1,10 @@
 """Exact and approximate matrix permanents, plus the code-distance bound.
 
 The exact path is Ryser's inclusion-exclusion formula with Gray-code column
-updates (exact integer arithmetic).  The approximate path minimizes the Bethe
-free energy by damped message passing; its exponential is a lower-side
-estimate of the permanent for nonnegative matrices.
+updates, for every m x n shape (exact integer arithmetic).  The approximate
+path minimizes the Bethe free energy by damped message passing; its
+exponential is a lower-side estimate of the permanent for nonnegative
+matrices.  All three functions check their input by one rule, `_to_rows`.
 """
 
 import itertools
@@ -19,101 +20,95 @@ _BETHE_DAMPING = 0.5
 
 
 def _to_rows(M):
-    """Nested-list copy; integral inputs become exact ints, others stay float."""
-    rows = [[float(x) for x in row] for row in M]
+    """Nested-list copy of a 2-D matrix whose entries are finite and >= 0;
+    integral inputs become exact ints, others stay float.  A scalar or 1-D
+    input, a row of another length than row 0 and a bad entry are each a
+    ValueError, the last two naming the first such row or (row, col)."""
+    try:
+        rows = [list(row) for row in M]
+    except TypeError:
+        raise ValueError("a permanent needs a 2-D matrix") from None
+    n = len(rows[0]) if rows else 0
+    for r, row in enumerate(rows):
+        if len(row) != n:
+            raise ValueError(f"row {r} has {len(row)} entries, row 0 has {n}")
+        for c, v in enumerate(row):
+            try:
+                x = float(v)
+            except (TypeError, OverflowError):
+                x = math.nan
+            if not 0 <= x < math.inf:
+                raise ValueError(f"entry ({r},{c}) = {v} is not finite and >= 0")
+            row[c] = x
     if all(x.is_integer() for row in rows for x in row):
         return [[int(x) for x in row] for row in rows]
     return rows
 
 
 def permanent(M):
-    """Exact permanent of a square nonnegative matrix (Ryser with Gray-code
-    updates; integer inputs are computed in exact integer arithmetic)."""
+    """Exact permanent of an m x n nonnegative matrix: the sum over the
+    injections of its shorter side into its longer one of the products of
+    the entries they pick (1 for an empty side).
+
+    Ryser's formula with Gray-code column updates, after transposing so that
+    m <= n: a column subset X of size s <= m adds (-1)^(m-s) C(n-s, m-s)
+    prod_i sum_{j in X} a_ij, a larger one nothing.  Integer inputs are
+    computed in exact integer arithmetic.
+    """
     M = _to_rows(M)
-    m = len(M)
+    m, n = len(M), len(M[0]) if M else 0
+    if m > n:
+        M, m, n = [list(col) for col in zip(*M)], n, m
     if m == 0:
         return 1
-    if any(len(row) != m for row in M):
-        raise ValueError("permanent requires a square matrix")
-    if m > _RYSER_CAP:
-        raise ValueError(f"permanent capped at m={_RYSER_CAP}")
-    if any(x < 0 for row in M for x in row):
-        raise ValueError("negative entries not supported")
-    # Ryser with Gray-code subset walk: maintain per-row sums over the subset.
+    if n > _RYSER_CAP:
+        raise ValueError(f"permanent capped at {_RYSER_CAP} rows or columns")
+    # (-1)^s C(n-s, m-s) by subset size s; the (-1)^m goes on at the end
+    coef = [(-1) ** s * math.comb(n - s, m - s) for s in range(m + 1)]
+    # Gray-code subset walk: maintain per-row sums over the subset.
     sums = [0] * m
     total = 0
-    prev_gray = 0
-    sign = 1 if m % 2 == 0 else -1
-    for k in range(1, 1 << m):
-        gray = k ^ (k >> 1)
-        changed = gray ^ prev_gray
-        col = changed.bit_length() - 1
-        add = 1 if gray & changed else -1
+    size = 0
+    for k in range(1, 1 << n):
+        # Gray code k ^ (k >> 1) differs from step k-1's in k's lowest set bit
+        col = (k & -k).bit_length() - 1
+        add = 1 if (k ^ (k >> 1)) >> col & 1 else -1
+        size += add
         for i in range(m):
             sums[i] += add * M[i][col]
+        if size > m:
+            continue
         prod = 1
         for s in sums:
             prod *= s
             if prod == 0:
                 break
-        total += (-1) ** (bin(gray).count("1")) * prod
-        prev_gray = gray
-    return sign * total
-
-
-def rect_permanent(M):
-    """Permanent of a rectangular matrix: sum over injections of the short side.
-
-    Agrees with the square permanent when the matrix is square, and with
-    perm(M^T) always.
-    """
-    M = _to_rows(M)
-    rows = len(M)
-    cols = len(M[0]) if rows else 0
-    if rows < cols:
-        M = [list(col) for col in zip(*M)]
-        rows, cols = cols, rows
-    if cols == 0:
-        return 1
-    if rows > 12:
-        raise ValueError("rectangular permanent capped at 12 rows")
-    total = 0
-    for assign in itertools.permutations(range(rows), cols):
-        prod = 1
-        for j, i in enumerate(assign):
-            prod *= M[i][j]
-            if prod == 0:
-                break
-        total += prod
-    return total
+        total += coef[size] * prod
+    return (-1) ** m * total
 
 
 def dmin_upper_bound(weight_matrix, v):
-    """Minimum-distance upper bound from permanents of column-deleted minors.
+    """Minimum-distance upper bound from permanents of column-deleted minors
+    (Smarandache and Vontobel, IEEE Trans. IT, 2012).
 
     For every (v+1)-subset S of columns, sums perm of the minor with column i
     removed over i in S; returns the minimum over subsets.  Minors keep all
-    rows, so they are rectangular whenever the row count differs from v.
+    rows, and each v-column minor's permanent is computed once.
     """
     W = _to_rows(weight_matrix)
-    m = len(W)
-    n = len(W[0]) if m else 0
+    n = len(W[0]) if W else 0
     if v + 1 > n:
         raise ValueError(f"subset size {v + 1} exceeds column count {n}")
     if v < 1:
         raise ValueError("v must be >= 1")
+    perm = {keep: permanent([[row[j] for j in keep] for row in W])
+            for keep in itertools.combinations(range(n), v)}
     best = None
     for S in itertools.combinations(range(n), v + 1):
         total = 0
-        for i in S:
-            keep = [j for j in S if j != i]
-            minor = [[W[r][j] for j in keep] for r in range(m)]
-            if m == v:
-                total += permanent(minor)
-            else:
-                total += rect_permanent(minor)
-        if best is None or total < best:
-            best = total
+        for k in range(v + 1):
+            total += perm[S[:k] + S[k + 1:]]
+        best = total if best is None else min(best, total)
     return best
 
 
@@ -124,14 +119,12 @@ def bethe_permanent(M):
     and column retains at least one positive entry; rows or columns with a
     single positive entry pin the corresponding marginal to 1.
     """
-    M = np.asarray(M, dtype=float)
+    M = np.array(_to_rows(M), dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("square matrix required")
     m = M.shape[0]
     if m > _BETHE_CAP:
         raise ValueError(f"bethe permanent capped at m={_BETHE_CAP}")
-    if np.any(M < 0):
-        raise ValueError("entries must be nonnegative")
     if np.any((M > 0).sum(axis=0) == 0) or np.any((M > 0).sum(axis=1) == 0):
         raise ValueError("a zero row or column forces permanent 0")
     if m == 1:

@@ -146,7 +146,7 @@ def negative_modes(ts, r=1.0):
     matrix B of that support graph, with multiplicity. On a forest
     det(I - uB) = 1, so the count is 0 at every r.
     """
-    if r <= 0:
+    if not r > 0:
         raise ValueError("r must be positive")
     i, j = np.nonzero(np.triu(ts.A_vn))
     t = np.full(len(i), np.tanh(r))

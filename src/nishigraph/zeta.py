@@ -92,6 +92,8 @@ class SimpleGraph(CouplingGraph):
 
 def zeta_reciprocal(g, u):
     """det(I - uB): reciprocal of the cycle-product zeta function."""
+    if not np.isfinite(u):
+        raise ValueError(f"u = {u} is not finite")
     if g.n_edges() > _DET_CAP:
         raise ValueError(f"determinant path capped at {_DET_CAP} edges")
     B = g._non_backtracking[1]
@@ -101,12 +103,11 @@ def zeta_reciprocal(g, u):
 def _bass_sides(g, u):
     """(det(I - uB), H(u), (1-u^2)^(|E|-|V|)), with H(u) the uniform-coupling
     Bethe-Hessian after the substitution u = tanh(beta J)."""
-    if not np.isfinite(u):
-        raise ValueError(f"u = {u} is not finite")
     if abs(abs(u) - 1.0) < 1e-12:
         raise ValueError("u = +-1 is outside the identity's domain")
+    lhs = zeta_reciprocal(g, u)  # refuses a u that is not finite
     H = _bethe_hessian(g.n, g.i, g.j, np.full(len(g.i), float(u)), dense=True)
-    return zeta_reciprocal(g, u), H, (1 - u * u) ** (g.n_edges() - g.n)
+    return lhs, H, (1 - u * u) ** (g.n_edges() - g.n)
 
 
 def bass_identity_residual(g, u):

@@ -26,8 +26,16 @@ def test_feature_table_validation():
         FeatureTable(np.zeros(3))
     with pytest.raises(ValueError):
         FeatureTable(np.zeros((3, 2)), labels=[0, 1])
-    with pytest.raises(ValueError):
-        FeatureTable(np.zeros((2, 2)), labels=[-1, 0])
+    # the CSV reader's label rule: an integer in [0, 2**63), row named
+    for labels, row, value in [([-1, 0], 0, "-1"),
+                               ([0, 1e30], 1, "1000000000000000019884624838656"),
+                               ([2 ** 63, 0], 0, "9223372036854775808"),
+                               ([1, np.uint64(2 ** 63)], 1, "9223372036854775808"),
+                               ([2 ** 64 + 1, 0], 0, "18446744073709551617")]:
+        with pytest.raises(ValueError, match=f"^row {row}: label {value} is "
+                           r"not in \[0, 2\*\*63\)$"):
+            FeatureTable(np.zeros((2, 2)), labels=labels)
+    assert FeatureTable(np.zeros((1, 2)), [2 ** 63 - 1]).labels[0] == 2 ** 63 - 1
     for labels, row, value in [([0.5, 1.7, 2.2], 0, "0.5"),
                                ([0.0, 1.0, 2.2], 2, "2.2"),
                                ([1.0, np.nan, 2.0], 1, "nan"),

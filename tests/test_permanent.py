@@ -1,14 +1,16 @@
-"""Exact, rectangular, and message-passing permanents plus the distance bound."""
+"""Exact (any shape) and message-passing permanents plus the distance bound."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from nishigraph import (bethe_permanent, dmin_upper_bound, permanent,
-                        rect_permanent)
+from nishigraph import bethe_permanent, dmin_upper_bound, permanent
 
-from util import naive_permanent
+from util import dmin_bound_by_oracle, naive_permanent
 
 
 def test_small_closed_forms():
@@ -49,7 +51,7 @@ def test_gray_code_matches_permutation_oracle_on_floats():
 
 def test_permanent_validation():
     with pytest.raises(ValueError):
-        permanent([[1, 2]])
+        permanent([[1, 2], [3]])
     with pytest.raises(ValueError):
         permanent([[-1]])
     with pytest.raises(ValueError):
@@ -58,15 +60,46 @@ def test_permanent_validation():
         naive_permanent(np.ones((8, 8)))
 
 
-def test_rect_permanent_counts_injections():
+def test_permanent_counts_injections_on_rectangles():
     # all-ones m x n counts injections: n! / (n-m)!
-    assert rect_permanent([[1, 1, 1], [1, 1, 1]]) == 6
-    assert rect_permanent([[1], [1], [1]]) == 3  # transposed orientation
+    assert permanent([[1, 1, 1], [1, 1, 1]]) == 6
+    assert permanent([[1], [1], [1]]) == 3  # transposed orientation
+    assert permanent([[1, 2]]) == 3
+    # 13 rows are within the cap of 20 on the longer side
+    val = permanent(np.ones((13, 2)))
+    assert val == 13 * 12 and isinstance(val, int)
     rng = np.random.default_rng(11)
     M = rng.integers(0, 4, size=(4, 4))
-    assert rect_permanent(M) == permanent(M)
-    with pytest.raises(ValueError):
-        rect_permanent(np.ones((13, 2)))
+    assert permanent(M) == naive_permanent(M)
+
+
+@given(st.data())
+def test_permanent_equals_injection_oracle_on_every_shape(data):
+    m, n = data.draw(st.integers(0, 7)), data.draw(st.integers(0, 7))
+    exact = data.draw(st.booleans())
+    entries = st.integers(0, 4) if exact else st.floats(0.1, 1.0)
+    M = np.array(data.draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                    min_size=m, max_size=m)),
+                 dtype=int if exact else float).reshape(m, n)
+    want = naive_permanent(M)
+    if m == 0 or n == 0:
+        assert want == 1
+    for A in (M, M.T):
+        if exact:
+            assert permanent(A) == want
+        else:
+            assert permanent(A) == pytest.approx(want, rel=1e-12)
+
+
+def test_distance_bound_equals_its_definition_for_every_row_count():
+    rng = np.random.default_rng(5)
+    # rows fewer than, equal to and more than v
+    for m, v, n in [(1, 3, 5), (2, 3, 6), (3, 3, 5), (4, 4, 6), (5, 2, 4),
+                    (4, 1, 3)]:
+        for _ in range(4):
+            W = rng.integers(0, 4, size=(m, n))
+            got = dmin_upper_bound(W, v)
+            assert got == dmin_bound_by_oracle(W, v) and isinstance(got, int)
 
 
 def test_distance_bound_all_ones_weight():
@@ -75,6 +108,27 @@ def test_distance_bound_all_ones_weight():
         dmin_upper_bound([[1, 1], [1, 1]], v=2)
     with pytest.raises(ValueError):
         dmin_upper_bound([[1, 1, 1]], v=0)
+
+
+@pytest.mark.parametrize("fn, over_cap, cap", [
+    (permanent, np.ones((2, 21)), "permanent capped at 20 rows or columns"),
+    (lambda M: dmin_upper_bound(M, v=1), np.ones((21, 2)),
+     "permanent capped at 20 rows or columns"),
+    (bethe_permanent, np.ones((13, 13)), "bethe permanent capped at m=12")],
+    ids=["permanent", "dmin_upper_bound", "bethe_permanent"])
+def test_every_permanent_refuses_bad_input_by_one_rule(fn, over_cap, cap):
+    for M, message in [
+            ([[1, 1], [1]], "row 1 has 1 entries, row 0 has 2"),
+            ([1, 1], "a permanent needs a 2-D matrix"),
+            (np.array([[1, 1], [np.nan, 1]]), "entry (1,0) = nan is not "
+             "finite and >= 0"),
+            ([[1, math.inf], [1, 1]], "entry (0,1) = inf"),
+            ([[1, 1], [1, -math.inf]], "entry (1,1) = -inf"),
+            ([[1, 1], [-2, 1]], "entry (1,0) = -2"),
+            ([[10 ** 400, 1], [1, 1]], "entry (0,0) = 1000"),
+            (over_cap, cap)]:
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            fn(M)
 
 
 def test_bethe_all_ones_value():

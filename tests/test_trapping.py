@@ -159,6 +159,12 @@ def test_negative_modes_at_unit_ratio():
     assert negative_modes(load("ts_9_2.txt")) == 1
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
+def test_negative_modes_refuses_r_that_is_not_positive(r):
+    with pytest.raises(ValueError, match="^r must be positive$"):
+        negative_modes(load("ts_9_2.txt"), r)
+
+
 def test_continuous_genus_frozen_values():
     assert continuous_genus(load("ts_4_2.txt")) == pytest.approx(
         1.006834873031462, abs=1e-9)

@@ -130,6 +130,17 @@ def test_bass_identity_rejects_unit_circle():
         bass_identity_residual(g, 1.0)
 
 
+@pytest.mark.parametrize("u", [np.nan, np.inf, -np.inf])
+def test_zeta_reciprocal_and_residuals_refuse_u_that_is_not_finite(u):
+    # one check, in zeta_reciprocal, serves the direct call and both
+    # residuals
+    g = complete_graph(4)
+    for fn in (zeta_reciprocal, bass_identity_residual,
+               bass_loose_form_residual):
+        with pytest.raises(ValueError, match=f"^u = {u} is not finite$"):
+            fn(g, u)
+
+
 def test_loose_form_differs_where_cycle_rank_is_positive():
     # dropping the rank exponent from the edge-count factor breaks the
     # identity whenever |E| != |V|; the strict residual stays at zero

@@ -411,22 +411,33 @@ def arbiter_scores_by_row(arbiter, X, a, b):
 
 
 def naive_permanent(M):
-    """Permutation-sum oracle; exponential, capped at m = 7."""
+    """Injection-sum oracle for an m x n matrix: over the injections of the
+    shorter side into the longer one, the sum of the products of the entries
+    they pick; exponential, capped at 7 rows or columns."""
     M = _to_rows(M)
-    m = len(M)
-    if any(len(row) != m for row in M):
-        raise ValueError("square matrix required")
-    if m > 7:
-        raise ValueError("naive oracle capped at m=7")
+    m, n = len(M), len(M[0]) if M else 0
+    if max(m, n) > 7:
+        raise ValueError("naive oracle capped at 7 rows or columns")
+    if m > n:
+        M, m, n = [list(col) for col in zip(*M)], n, m
     total = 0
-    for perm in itertools.permutations(range(m)):
+    for cols in itertools.permutations(range(n), m):
         prod = 1
-        for i, j in enumerate(perm):
+        for i, j in enumerate(cols):
             prod *= M[i][j]
             if prod == 0:
                 break
         total += prod
     return total
+
+
+def dmin_bound_by_oracle(W, v):
+    """The distance bound from its definition: over every (v+1)-subset S of
+    W's columns, the sum over i in S of the injection-sum permanent of W's
+    columns S minus i; the minimum over subsets."""
+    W = np.asarray(W)
+    return min(sum(naive_permanent(W[:, [j for j in S if j != i]]) for i in S)
+               for S in itertools.combinations(range(W.shape[1]), v + 1))
 
 
 _ENUM_CAP = 20
