@@ -84,44 +84,55 @@ def _checked_square(i, j, t):
     if sat.size:
         e = sat[0] % len(i)
         raise ValueError(f"coupling saturated on edge ({i[e]},{j[e]}): "
-                         f"tanh^2 = {t2.flat[sat[0]]!r}")
+                         f"tanh^2 = {float(t2.flat[sat[0]])!r}")
     return t2
 
 
-def _bethe_hessian(n, i, j, t, dense=False):
-    """Weighted Bethe-Hessian on n vertices from edge endpoint arrays i, j
-    (i != j; parallel edges repeated) and per-edge t = tanh(beta J):
+def _bethe_hessian(n, i, j, t):
+    """Weighted Bethe-Hessian, a SparseSym on n vertices, from distinct
+    edges (i, j), i != j, and per-edge t = tanh(beta J):
 
         H_kk = 1 + sum_{e at k} t_e^2 / (1 - t_e^2)
-        H_ij = -sum_{e = ij} t_e / (1 - t_e^2)
+        H_ij = -t_e / (1 - t_e^2)
 
-    Returns an ndarray when dense, else a SparseSym (which needs distinct
-    edges).  A dense t may carry leading axes: t of shape (k, |E|) gives k
-    stacked (n, n) matrices, each bit-identical to the one its row alone
-    gives.  Raises ValueError when some t_e^2 is within 1e-12 of 1.
+    Raises ValueError when some t_e^2 is within 1e-12 of 1.
     """
     t2 = _checked_square(i, j, t)
     q = 1 - t2
     c = t2 / q
-    off = -t / q
-    # stacked matrix r is rows r*n .. r*n + n - 1 of one (k*n, n) array
-    k = math.prod(t.shape[:-1])
-    at = n * np.arange(k)[:, None]
-    c = c.ravel()
-    diag = (1 + np.bincount((at + i).ravel(), c, k * n)
-            + np.bincount((at + j).ravel(), c, k * n))
-    if dense:
-        # both triangles in one scatter: (i, j) and (j, i) sum alike
-        key = np.concatenate(((at + i) * n + j, (at + j) * n + i), axis=1)
-        off = off.reshape(k, -1)
-        H = np.bincount(key.ravel(), np.concatenate((off, off), axis=1).ravel(),
-                        k * n * n).reshape(k, n, n)
-        H.reshape(k, n * n)[:, ::n + 1] = diag.reshape(k, n)
-        return H.reshape(t.shape[:-1] + (n, n))
+    diag = 1 + np.bincount(i, c, n) + np.bincount(j, c, n)
     ar = np.arange(n)
     return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
                                          np.concatenate((j, ar)),
-                                         np.concatenate((off, diag)))))
+                                         np.concatenate((-t / q, diag)))))
+
+
+def _uniform_bethe_hessian(A):
+    """The map t -> I + t^2/(1-t^2) D - t/(1-t^2) A, the Bethe-Hessian with
+    one coupling t = tanh(beta J) on every edge copy, for a graph's dense
+    symmetric multiplicity adjacency A (zero diagonal) and D = diag(A 1).
+
+    t is a float or a 1-D array; k values give k stacked (n, n) matrices,
+    each bit-identical to the one its value alone gives.  A t with t^2 = 1
+    is the caller's to refuse (_checked_square names the edge).
+    """
+    A = np.asarray(A, dtype=float)
+    n = len(A)
+    d = A.sum(axis=1)
+
+    def hessian(t):
+        t2 = t * t
+        q = 1 - t2
+        c = t2 / q
+        if np.ndim(t):
+            H = A * (-t / q)[:, None, None]
+            H.reshape(len(t), n * n)[:, ::n + 1] = 1 + c[:, None] * d
+        else:
+            H = A * (-t / q)
+            H.flat[::n + 1] = 1 + c * d
+        return H
+
+    return hessian
 
 
 def bethe_hessian_weighted(J, beta):

@@ -9,6 +9,7 @@ matrices.  All three functions check their input by one rule, `_to_rows`.
 
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -97,6 +98,10 @@ def dmin_upper_bound(weight_matrix, v):
     """
     W = _to_rows(weight_matrix)
     n = len(W[0]) if W else 0
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"v = {v} is not an integer") from None
     if v + 1 > n:
         raise ValueError(f"subset size {v + 1} exceeds column count {n}")
     if v < 1:

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .estimator import _bethe_hessian
+from .estimator import _checked_square, _uniform_bethe_hessian
 from .sparse import _kernel_dim, _read_text
 
 _NEG_TOL = -1e-8
@@ -144,13 +144,17 @@ def negative_modes(ts, r=1.0):
     By the Bass identity det(I - uB) = (1-u^2)^|E| det H(u), the count equals
     the number of real eigenvalues >= 1/tanh(r) of the non-backtracking
     matrix B of that support graph, with multiplicity. On a forest
-    det(I - uB) = 1, so the count is 0 at every r.
+    det(I - uB) = 1, so the count is 0 at every r.  An r with tanh^2(r)
+    within 1e-12 of 1 is refused, naming the support graph's first edge.
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    i, j = np.nonzero(np.triu(ts.A_vn))
-    t = np.full(len(i), np.tanh(r))
-    ev = np.linalg.eigvalsh(_bethe_hessian(ts.a, i, j, t, dense=True))
+    support = ts.A_vn != 0
+    t = np.tanh(r)
+    i, j = np.nonzero(np.triu(support))
+    if len(i):
+        _checked_square(i[:1], j[:1], t)
+    ev = np.linalg.eigvalsh(_uniform_bethe_hessian(support)(t))
     return int(np.sum(ev < _NEG_TOL))
 
 

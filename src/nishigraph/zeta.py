@@ -10,7 +10,7 @@ import functools
 
 import numpy as np
 
-from .estimator import _bethe_hessian, _checked_square
+from .estimator import _checked_square, _uniform_bethe_hessian
 from .rbim import CouplingGraph, _frozen, _refuse
 
 _DET_CAP = 200
@@ -26,8 +26,9 @@ class SimpleGraph(CouplingGraph):
     edges holds (i, j) pairs or (i, j, multiplicity) triples; repeated pairs
     add up.  Each edge copy is one entry of the CouplingGraph arrays i < j,
     with a unit coupling and a copy number in the read-only array _copy.  A
-    SimpleGraph is treated as immutable: its non-backtracking matrix and
-    poles are cached properties, built on first use.
+    SimpleGraph is treated as immutable: its non-backtracking matrix, poles
+    and uniform-coupling Bethe-Hessian are cached properties, built on first
+    use.
     """
 
     def __init__(self, n, edges):
@@ -89,6 +90,17 @@ class SimpleGraph(CouplingGraph):
         out.sort(key=lambda z: (abs(z), z.real, z.imag))
         return _frozen(np.array(out, dtype=complex))
 
+    @functools.cached_property
+    def _hessian(self):
+        """t -> the Bethe-Hessian with coupling t on every edge copy."""
+        return _uniform_bethe_hessian(_adjacency(self.n, self.i, self.j))
+
+
+def _adjacency(n, i, j):
+    """Dense multiplicity adjacency of the edge copies (i, j), i != j."""
+    A = np.bincount(i * n + j, minlength=n * n).reshape(n, n)
+    return A + A.T
+
 
 def zeta_reciprocal(g, u):
     """det(I - uB): reciprocal of the cycle-product zeta function."""
@@ -106,7 +118,7 @@ def _bass_sides(g, u):
     if abs(abs(u) - 1.0) < 1e-12:
         raise ValueError("u = +-1 is outside the identity's domain")
     lhs = zeta_reciprocal(g, u)  # refuses a u that is not finite
-    H = _bethe_hessian(g.n, g.i, g.j, np.full(len(g.i), float(u)), dense=True)
+    H = g._hessian(float(u))
     return lhs, H, (1 - u * u) ** (g.n_edges() - g.n)
 
 
@@ -206,7 +218,7 @@ def det_crossing_check(g, J0=1.0):
     or a graph whose determinant never changes sign on the grid yields a
     structured no-crossing result rather than an error.  A grid point where
     tanh^2(beta J0) is within 1e-12 of 1 is refused before peeling, with the
-    ValueError _bethe_hessian raises for the whole graph, naming g's first
+    ValueError _checked_square raises for the whole graph, naming g's first
     edge: the factor 1/(1 - t^2) of every dropped edge needs 1 - t^2 != 0.
     A non-finite J0 is refused first.
     """
@@ -219,19 +231,16 @@ def det_crossing_check(g, J0=1.0):
     if not n:
         return {"crossings": [], "no_crossing": True}
 
-    def slogdet(t):
-        t = np.repeat(t[:, None], len(i), axis=1)
-        return np.linalg.slogdet(_bethe_hessian(n, i, j, t, dense=True))
-
-    signs, logdets = slogdet(tanh)
+    hessian = _uniform_bethe_hessian(_adjacency(n, i, j))
+    signs, logdets = np.linalg.slogdet(hessian(tanh))
     pole_list = poles(g)
     crossings = []
     for k in np.flatnonzero((signs[:-1] != 0) & (signs[:-1] * signs[1:] <= 0)):
         ref = logdets[k]
 
         def f(beta):
-            sign, logdet = slogdet(np.tanh(np.array([beta]) * J0))
-            return float(sign[0] * np.exp(logdet[0] - ref))
+            sign, logdet = np.linalg.slogdet(hessian(np.tanh(beta * J0)))
+            return float(sign * np.exp(logdet - ref))
 
         beta_star, solves = _refine_crossing(
             f, float(_BETA_GRID[k]), float(_BETA_GRID[k + 1]), float(signs[k]),

@@ -2,6 +2,7 @@
 
 import importlib.resources
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
 from nishigraph import estimator, qc
-from nishigraph.estimator import _bethe_hessian
+from nishigraph.estimator import (_bethe_hessian, _checked_square,
+                                  _uniform_bethe_hessian)
 from nishigraph.sparse import bottom_pair
 
 from util import (cycle_edges, dense_bethe_hessian_by_transpose, random_regular,
@@ -91,52 +93,91 @@ def test_weighted_matrix_matches_edge_loop():
     assert WeightedSystem(J).matrix(beta) == H
 
 
-def test_stacked_dense_matrices_equal_one_at_a_time():
-    # parallel edges and vertices on both sides of an edge, per-row t:
-    # each matrix of the stack is the one its row alone assembles, bit for bit
-    rng = np.random.default_rng(5)
+def multiplicity_adjacency(n, i, j):
+    A = np.zeros((n, n))
+    np.add.at(A, (i, j), 1.0)
+    return A + A.T
+
+
+def test_uniform_stack_rows_are_bit_equal_to_scalar_calls():
+    # parallel edges and vertices on both sides of an edge: each matrix of
+    # the stack is the one its t alone gives, bit for bit
     i = np.array([0, 0, 1, 2, 2, 3, 1])
     j = np.array([1, 1, 2, 3, 4, 4, 4])
-    t = rng.uniform(-0.9, 0.9, (6, len(i)))
-    H = _bethe_hessian(5, i, j, t, dense=True)
+    hessian = _uniform_bethe_hessian(multiplicity_adjacency(5, i, j))
+    t = np.random.default_rng(5).uniform(-0.9, 0.9, 6)
+    H = hessian(t)
     assert H.shape == (6, 5, 5)
-    for row, Hr in zip(t, H):
-        assert np.array_equal(Hr, _bethe_hessian(5, i, j, row, dense=True))
+    for tr, Hr in zip(t, H):
+        assert Hr.tobytes() == hessian(tr).tobytes()
+        assert Hr.tobytes() == hessian(float(tr)).tobytes()
+
+
+def test_saturation_refusal_names_the_first_entry_in_c_order():
+    i = np.array([0, 0, 1, 2, 2, 3, 1])
+    j = np.array([1, 1, 2, 3, 4, 4, 4])
+    t = np.random.default_rng(5).uniform(-0.9, 0.9, (6, len(i)))
+    assert np.array_equal(_checked_square(i, j, t), t * t)
     t[3, 2] = 1.0
-    with pytest.raises(ValueError, match=r"edge \(1,2\)"):
-        _bethe_hessian(5, i, j, t, dense=True)
+    t[4, 0] = -1.0
+    with pytest.raises(ValueError, match=re.escape(
+            "coupling saturated on edge (1,2): tanh^2 = 1.0") + "$"):
+        _checked_square(i, j, t)
 
 
 @st.composite
-def upper_multigraph_couplings(draw, leads=((), (3,), (2, 2))):
-    """(n, i, j, t): repeated edges i < j and t of one of the shapes leads
-    stacked on the edge axis."""
+def upper_multigraphs(draw, unique=False):
+    """(n, i, j): edges i < j, repeated unless unique."""
     n = draw(st.integers(2, 7))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    ij = np.array(draw(st.lists(st.sampled_from(pairs), max_size=14)),
+    ij = np.array(draw(st.lists(st.sampled_from(pairs), max_size=14,
+                                unique=unique)),
                   dtype=np.intp).reshape(-1, 2)
-    lead = draw(st.sampled_from(leads))
-    size = math.prod(lead) * len(ij)
-    t = draw(st.lists(st.floats(-0.95, 0.95), min_size=size, max_size=size))
-    return n, ij[:, 0], ij[:, 1], np.array(t).reshape(lead + (len(ij),))
+    return n, ij[:, 0], ij[:, 1]
 
 
-@given(upper_multigraph_couplings())
-def test_dense_assembly_matches_transpose_add_oracle(case):
+@st.composite
+def upper_multigraph_couplings(draw, unique=False):
+    """(n, i, j, t): an upper_multigraphs graph and one t per edge."""
+    n, i, j = draw(upper_multigraphs(unique))
+    t = draw(st.lists(st.floats(-0.95, 0.95), min_size=len(i),
+                      max_size=len(i)))
+    return n, i, j, np.array(t)
+
+
+@given(upper_multigraph_couplings(unique=True))
+def test_sparse_assembly_matches_transpose_add_oracle(case):
     n, i, j, t = case
-    H = _bethe_hessian(n, i, j, t, dense=True)
-    assert H.shape == t.shape[:-1] + (n, n)
+    H = _bethe_hessian(n, i, j, t).to_dense()
     assert np.array_equal(H, dense_bethe_hessian_by_transpose(n, i, j, t))
 
 
-@given(upper_multigraph_couplings(leads=[()]))
+@given(upper_multigraphs(),
+       st.one_of(st.floats(-0.95, 0.95),
+                 st.lists(st.floats(-0.95, 0.95), min_size=1, max_size=4)))
+def test_uniform_assembly_matches_transpose_add_oracle(graph, t):
+    # one t on every edge copy: D and the multiplicities scale t^2/(1-t^2)
+    # and t/(1-t^2) once, where the oracle adds one term per copy, so the
+    # two agree to within 4 ulp of max|H| (3 measured), not bit for bit
+    n, i, j = graph
+    t = np.array(t) if isinstance(t, list) else t
+    H = _uniform_bethe_hessian(multiplicity_adjacency(n, i, j))(t)
+    ref = dense_bethe_hessian_by_transpose(
+        n, i, j, np.repeat(np.reshape(t, (-1, 1)), len(i), axis=1))
+    assert H.shape == np.shape(t) + (n, n)
+    ref = ref.reshape(H.shape)
+    scale = np.abs(ref).max(axis=(-2, -1), keepdims=True)
+    assert np.all(np.abs(H - ref) <= 4 * np.spacing(scale))
+
+
+@given(upper_multigraph_couplings())
 def test_weighted_bass_identity_on_multigraphs(case):
     # det(I - B_t) = prod_e (1 - t_e^2) det H(t), B[e -> f] = t_f; measured
     # residuals stay below 1e-14 relative
     n, i, j, t = case
     lhs = np.linalg.det(np.eye(2 * len(i)) - weighted_non_backtracking(i, j, t))
-    rhs = np.prod(1 - t * t) * np.linalg.det(_bethe_hessian(n, i, j, t,
-                                                            dense=True))
+    rhs = np.prod(1 - t * t) * np.linalg.det(
+        dense_bethe_hessian_by_transpose(n, i, j, t))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 

@@ -110,6 +110,17 @@ def test_distance_bound_all_ones_weight():
         dmin_upper_bound([[1, 1, 1]], v=0)
 
 
+@pytest.mark.parametrize("v, shown", [(1.5, "1.5"), (math.nan, "nan"),
+                                      (2.0, "2.0"), ("2", "2"),
+                                      (np.float64(1.5), "1.5")])
+def test_distance_bound_refuses_a_v_that_is_not_an_integer(v, shown):
+    with pytest.raises(ValueError, match=f"^v = {re.escape(shown)} is not an "
+                                         "integer$"):
+        dmin_upper_bound([[1, 1, 1], [1, 1, 1]], v)
+    # numpy integers stay accepted
+    assert dmin_upper_bound([[1, 1, 1], [1, 1, 1]], np.int64(2)) == 6
+
+
 @pytest.mark.parametrize("fn, over_cap, cap", [
     (permanent, np.ones((2, 21)), "permanent capped at 20 rows or columns"),
     (lambda M: dmin_upper_bound(M, v=1), np.ones((21, 2)),

@@ -19,11 +19,12 @@ PRIVATE_IMPORTS = {
     "pipeline <- embed._similarity_graphs",
     "qc <- sparse._read_text",
     "rbim <- sparse._triples",
-    "trapping <- estimator._bethe_hessian",
+    "trapping <- estimator._checked_square",
+    "trapping <- estimator._uniform_bethe_hessian",
     "trapping <- sparse._kernel_dim",
     "trapping <- sparse._read_text",
-    "zeta <- estimator._bethe_hessian",
     "zeta <- estimator._checked_square",
+    "zeta <- estimator._uniform_bethe_hessian",
     "zeta <- rbim._frozen",
     "zeta <- rbim._refuse",
 }

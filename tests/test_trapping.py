@@ -165,6 +165,15 @@ def test_negative_modes_refuses_r_that_is_not_positive(r):
         negative_modes(load("ts_9_2.txt"), r)
 
 
+@pytest.mark.parametrize("r", [20.0, math.inf])
+def test_negative_modes_refuses_a_saturated_coupling(r):
+    # tanh(20) and tanh(inf) round to 1: the refusal names the support
+    # graph's first edge and the square as a plain float
+    with pytest.raises(ValueError, match=re.escape(
+            "coupling saturated on edge (0,1): tanh^2 = 1.0") + "$"):
+        negative_modes(load("ts_9_2.txt"), r)
+
+
 def test_continuous_genus_frozen_values():
     assert continuous_genus(load("ts_4_2.txt")) == pytest.approx(
         1.006834873031462, abs=1e-9)

@@ -16,11 +16,11 @@ from nishigraph import (CouplingGraph, SimpleGraph, SparseSym, TrappingSet,
                         bass_identity_residual, bass_loose_form_residual,
                         det_crossing_check, enumerate_cycles, lift, poles,
                         read_exponent_file, zeta_reciprocal)
-from nishigraph.estimator import _bethe_hessian
 from nishigraph.zeta import _BETA_GRID, _two_core
 
-from util import (cycle_edges, det_crossings_by_loop,
-                  directed_edge_matrix_by_loop, random_regular)
+from util import (cycle_edges, dense_bethe_hessian_by_transpose,
+                  det_crossings_by_loop, directed_edge_matrix_by_loop,
+                  random_regular)
 
 
 def complete_graph(n):
@@ -194,7 +194,7 @@ def test_det_crossing_check_on_a_large_regular_graph():
 def det_sign(g, beta):
     i, j = g.i, g.j
     t = np.full(len(i), np.tanh(beta))
-    return np.linalg.slogdet(_bethe_hessian(g.n, i, j, t, dense=True))[0]
+    return np.linalg.slogdet(dense_bethe_hessian_by_transpose(g.n, i, j, t))[0]
 
 
 def assert_matches_oracle(g, crossings, oracle):
@@ -285,9 +285,11 @@ def test_det_crossing_check_on_an_empty_core(g):
 def test_det_crossing_check_refuses_saturation_in_the_graphs_own_labels(
         g, edge):
     # at J0 = 10 the grid's last points reach tanh^2 = 1; the refusal names
-    # g's first edge in g's labels, whether or not peeling keeps it
+    # g's first edge in g's labels, whether or not peeling keeps it, and the
+    # first saturated square as a plain float
     with pytest.raises(ValueError, match=re.escape(
-            f"coupling saturated on edge ({edge[0]},{edge[1]}): tanh^2 = ")):
+            f"coupling saturated on edge ({edge[0]},{edge[1]}): tanh^2 = ")
+            + r"0\.9999999999\d*$"):
         det_crossing_check(g, J0=10.0)
 
 

@@ -15,7 +15,6 @@ from nishigraph import (CouplingGraph, LinearModel, SparseSym,
                         rank_and_kernel)
 from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
 from nishigraph.embed import Embedding, _component_eigs
-from nishigraph.estimator import _bethe_hessian
 from nishigraph.permanent import _to_rows
 from nishigraph.zeta import poles
 
@@ -140,7 +139,8 @@ def det_crossings_by_loop(g, J0=1.0):
 
     def det(beta):
         t = np.full(len(i), np.tanh(beta * J0))
-        return float(np.linalg.det(_bethe_hessian(g.n, i, j, t, dense=True)))
+        H = dense_bethe_hessian_by_transpose(g.n, i, j, t)
+        return float(np.linalg.det(H))
 
     dets = [det(b) for b in beta_grid]
     pole_list = poles(g)
@@ -252,8 +252,10 @@ def spectral_embed_by_pairs(J, r, cfg=None):
 
 
 def dense_bethe_hessian_by_transpose(n, i, j, t):
-    """_bethe_hessian(n, i, j, t, dense=True) from one upper-triangle
-    scatter of the off-diagonal terms, then H += H^T, then the diagonal."""
+    """The weighted Bethe-Hessian as a dense array, from edges (i, j),
+    i < j, parallel edges repeated, and per-edge t of shape (..., |E|), one
+    stacked (n, n) matrix per leading index: one upper-triangle scatter of
+    the off-diagonal terms, then H += H^T, then the diagonal."""
     t2 = t * t
     q = 1 - t2
     k = math.prod(t.shape[:-1])
