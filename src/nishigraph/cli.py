@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -45,20 +46,13 @@ def _emit(obj):
 def _json_default(x):
     if isinstance(x, complex):
         return [x.real, x.imag]
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
+    if isinstance(x, (np.generic, np.ndarray)):
         return x.tolist()
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
 def _degree_hist(degrees):
-    hist = {}
-    for d in degrees:
-        hist[int(d)] = hist.get(int(d), 0) + 1
-    return {str(k): v for k, v in sorted(hist.items())}
+    return {str(k): v for k, v in sorted(Counter(map(int, degrees)).items())}
 
 
 def _girth(proto):
@@ -431,14 +425,19 @@ def build_parser(config_defaults=None):
                                if k in _GLOBAL_KEYS})
         # A subparser parses into a fresh namespace, so defaults set on the
         # main parser never reach subcommand options; push the remaining
-        # overrides onto each subparser that owns a matching option.
+        # overrides onto each subparser that owns a matching option.  One
+        # config serves every subcommand: only a key none takes is refused.
         rest = {k: v for k, v in config_defaults.items()
                 if k not in _GLOBAL_KEYS}
+        stray = set(rest)
         for sp in sub.choices.values():
-            dests = {a.dest for a in sp._actions}
+            dests = {a.dest for a in sp._actions} - {"help"}
             picked = {k: v for k, v in rest.items() if k in dests}
+            stray -= dests
             if picked:
                 sp.set_defaults(**picked)
+        if stray:
+            raise ValueError(f"no option takes the key {min(stray)!r}")
     return parser
 
 
@@ -446,9 +445,14 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         if args.config:
-            with open(args.config) as fh:
-                overrides = json.load(fh)
-            args = build_parser(overrides).parse_args(argv)
+            text = _read_text(args.config)
+            try:
+                overrides = json.loads(text)
+                if not isinstance(overrides, dict):
+                    raise ValueError("not a JSON object")
+                args = build_parser(overrides).parse_args(argv)
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: {exc}") from None
         return args.fn(args)
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

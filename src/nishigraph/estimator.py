@@ -123,13 +123,9 @@ def _uniform_bethe_hessian(A):
     def hessian(t):
         t2 = t * t
         q = 1 - t2
-        c = t2 / q
-        if np.ndim(t):
-            H = A * (-t / q)[:, None, None]
-            H.reshape(len(t), n * n)[:, ::n + 1] = 1 + c[:, None] * d
-        else:
-            H = A * (-t / q)
-            H.flat[::n + 1] = 1 + c * d
+        H = np.multiply.outer(-t / q, A)
+        H.reshape(H.shape[:-2] + (n * n,))[..., ::n + 1] = (
+            1 + np.multiply.outer(t2 / q, d))
         return H
 
     return hessian

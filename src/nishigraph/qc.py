@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .sparse import SparseSym, _read_text
+from .sparse import SparseSym, _edges, _frozen, _read_text, _refuse
 
 
 class METProtograph:
@@ -68,22 +68,15 @@ class TannerGraph:
     def __init__(self, n_checks, n_vars, edges, family_tag="generic"):
         if family_tag not in ("spherical", "toroidal", "generic"):
             raise ValueError(f"unknown family tag {family_tag!r}")
-        e = np.array(edges, dtype=np.intp).reshape(len(edges), 2)
-        c, v = e.T
-        bad = np.flatnonzero((c < 0) | (c >= n_checks) | (v < 0) | (v >= n_vars))
-        if bad.size:
-            raise ValueError(f"edge ({c[bad[0]]},{v[bad[0]]}) out of range")
-        order = np.lexsort((v, c))
-        e = e[order]
-        # lexsort is stable: a repeated pair's later occurrences follow its first
-        again = order[1:][(np.diff(e, axis=0) == 0).all(axis=1)]
-        if again.size:
-            k = again.min()
-            raise ValueError(f"duplicate edge ({c[k]},{v[k]})")
+        c, v = _edges(edges, 2, n_checks, n_vars)
+        key = c * n_vars + v
+        order = np.argsort(key)
+        e = np.column_stack((c, v))[order]
+        _refuse(*e.T, np.r_[False, np.diff(key[order]) == 0],
+                "duplicate edge ({},{})")
+        self._edge_array = _frozen(e)
         self.n_checks = int(n_checks)
         self.n_vars = int(n_vars)
-        e.flags.writeable = False
-        self._edge_array = e
         self.family_tag = family_tag
 
     @property

@@ -7,21 +7,9 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .sparse import _triples
+from .sparse import _edges, _frozen, _refuse
 
 _P_FLOOR = 1e-6
-
-
-def _frozen(a):
-    a.flags.writeable = False
-    return a
-
-
-def _refuse(i, j, bad, message):
-    """ValueError naming the first edge (i[k], j[k]) where bad holds."""
-    if bad.any():
-        k = bad.argmax()
-        raise ValueError(message.format(i[k], j[k]))
 
 
 class CouplingGraph:
@@ -29,13 +17,13 @@ class CouplingGraph:
 
     edges is an iterable of (i, j, J_ij) triples, or a (k, 3) array of them;
     each is stored as i < j in the read-only int arrays i and j, with its
-    coupling in couplings, sorted stably by (i, j).  Self-couplings,
-    out-of-range and duplicate pairs, and zero or non-finite couplings are
-    rejected.
+    coupling in couplings, sorted stably by (i, j).  Ids that are not
+    integers in [0, n), self-couplings, duplicate pairs, and zero or
+    non-finite couplings are rejected.
     """
 
     def __init__(self, n, edges):
-        key = self._store(n, *_triples(edges))
+        key = self._store(n, *_edges(edges, 3, n))
         _refuse(self.i, self.j, np.r_[False, np.diff(key) == 0],
                 "duplicate edge ({},{})")
         _refuse(self.i, self.j, ~np.isfinite(self.couplings)
@@ -43,12 +31,10 @@ class CouplingGraph:
                 "coupling on ({},{}) must be finite and nonzero")
 
     def _store(self, n, i, j, w):
-        """Set n and the edge arrays from i <= j, refusing the first
-        self-loop, then the first out-of-range edge; returns the sorted
-        keys i * n + j."""
+        """Set n and the edge arrays from ids i <= j that _edges parsed,
+        refusing the first self-loop; returns the sorted keys i * n + j."""
         self.n = int(n)
         _refuse(i, j, i == j, "self-loop ({},{}) not allowed")
-        _refuse(i, j, (i < 0) | (j >= self.n), "edge ({},{}) out of range")
         key = i * self.n + j
         order = np.argsort(key, kind="stable")
         self.i, self.j, self.couplings = (_frozen(a[order]) for a in (i, j, w))

@@ -21,17 +21,42 @@ _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
 
 
-def _triples(entries):
-    """(i, j, value) arrays, i <= j, from an iterable of (i, j, value)
-    triples or a (k, 3) array of them."""
-    a = np.asarray(entries if isinstance(entries, np.ndarray)
-                   else list(entries), dtype=float)
-    if a.size == 0:
-        a = a.reshape(0, 3)
-    if a.ndim != 2 or a.shape[1] != 3:
-        raise ValueError("entries must be (i, j, value) triples")
-    ij = np.sort(a[:, :2].astype(np.int64), axis=1)
-    return ij[:, 0], ij[:, 1], a[:, 2].copy()
+def _frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+def _refuse(i, j, bad, message):
+    """ValueError naming the first edge (i[k], j[k]) where bad holds."""
+    if bad.any():
+        k = bad.argmax()
+        raise ValueError(message.format(i[k], j[k]))
+
+
+def _edges(edges, width, n, m=None):
+    """(i, j) int64 ids, and for width 3 float values, from an iterable of
+    (i, j) pairs or (i, j, value) triples, or a (k, width) array of them.
+    With m None the graph is undirected on n vertices and each pair comes
+    back as i <= j, else it is bipartite on n x m and pairs come back as
+    given.  The first edge whose ids are not integers in range is a
+    ValueError naming it as given."""
+    a = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    a = a.astype(float) if a.dtype == object else a  # ints beyond int64
+    a = a.reshape(0, width) if a.size == 0 else a
+    if a.ndim != 2 or a.shape[1] != width or a.dtype.kind not in "iuf":
+        raise ValueError(f"edges must be {width}-tuples or a (k, {width}) array")
+    i, j = a[:, 0], a[:, 1]
+    # NaN stays NaN through np.minimum and np.maximum
+    lo, hi = (np.minimum(i, j), np.maximum(i, j)) if m is None else (i, j)
+    ok = (lo >= 0) & (hi < (n if m is None else m))
+    if m is not None:
+        ok &= (hi >= 0) & (lo < n)
+    if a.dtype.kind == "f":
+        ok &= (np.floor(lo) == lo) & (np.floor(hi) == hi)
+    span = f"[0,{n})" if m is None else f"[0,{n}) x [0,{m})"
+    _refuse(i, j, ~ok, "edge ({},{}): ids must be integers in " + span)
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
+    return (lo, hi) if width == 2 else (lo, hi, a[:, 2].astype(float))
 
 
 class SparseSym:
@@ -39,17 +64,14 @@ class SparseSym:
 
     entries is an iterable of (i, j, value) triples, or a (k, 3) array of
     them; each pair is stored as i <= j in the int arrays rows and cols,
-    with its value in vals, in insertion order.  Out-of-range pairs and
-    duplicates ((i, j) twice, or both (i, j) and (j, i)) are rejected.
+    with its value in vals, in insertion order.  Ids not integers in [0, n)
+    and duplicates ((i, j) twice, or both (i, j) and (j, i)) are rejected.
     """
 
     def __init__(self, n, entries):
         if n < 0:
             raise ValueError("negative dimension")
-        rows, cols, vals = _triples(entries)
-        if len(rows) and (rows.min() < 0 or cols.max() >= n):
-            k = np.flatnonzero((rows < 0) | (cols >= n))[0]
-            raise ValueError(f"entry ({rows[k]},{cols[k]}) out of range for n={n}")
+        rows, cols, vals = _edges(entries, 3, n)
         key = np.sort(rows * n + cols)
         dup = key[1:][key[1:] == key[:-1]]
         if dup.size:

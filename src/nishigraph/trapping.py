@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .estimator import _checked_square, _uniform_bethe_hessian
-from .sparse import _kernel_dim, _read_text
+from .sparse import _frozen, _kernel_dim, _read_text
 
 _NEG_TOL = -1e-8
 
@@ -32,8 +32,7 @@ class TrappingSet:
         self.b = int(np.sum(H.sum(axis=1) % 2 == 1))
         A = (H.T @ H).astype(float)
         np.fill_diagonal(A, 0.0)
-        A.flags.writeable = False
-        self.A_vn = A
+        self.A_vn = _frozen(A)
 
     @classmethod
     def from_text(cls, text, source="<text>"):

@@ -11,7 +11,8 @@ import functools
 import numpy as np
 
 from .estimator import _checked_square, _uniform_bethe_hessian
-from .rbim import CouplingGraph, _frozen, _refuse
+from .rbim import CouplingGraph
+from .sparse import _edges, _frozen, _refuse
 
 _DET_CAP = 200
 
@@ -32,13 +33,12 @@ class SimpleGraph(CouplingGraph):
     """
 
     def __init__(self, n, edges):
-        e = np.array([(x[0], x[1], x[2] if len(x) > 2 else 1) for x in edges],
-                     dtype=np.intp).reshape(-1, 3)
-        i, j, m = e.T
-        _refuse(i, j, m < 1, "edge ({},{}) multiplicity must be >= 1")
+        i, j, m = _edges([x if len(x) > 2 else (*x, 1) for x in edges], 3, n)
+        _refuse(i, j, ~((m >= 1) & (m < 2 ** 31) & (np.floor(m) == m)),
+                "edge ({},{}) multiplicity must be an integer in [1,2**31)")
+        m = m.astype(np.int64)
         # one entry per edge copy; a copy's number is its offset in its run
-        key = self._store(n, np.minimum(i, j).repeat(m),
-                          np.maximum(i, j).repeat(m), np.ones(m.sum()))
+        key = self._store(n, i.repeat(m), j.repeat(m), np.ones(m.sum()))
         self._copy = _frozen(np.arange(len(key)) - key.searchsorted(key))
 
     @classmethod

@@ -74,6 +74,17 @@ def test_ts_table_golden_comparison_is_advisory_clean(tmp_path, capsys):
     assert len(table) == 4
 
 
+def test_ts_table_golden_marks_a_set_absent_from_the_panel(tmp_path, capsys):
+    path = tmp_path / "ts_1_1.txt"
+    path.write_text("1\n")
+    rc, out, _ = run_cli(capsys, "ts-table", str(path), "--golden", "--out",
+                         str(tmp_path))
+    assert rc == 0
+    [row] = json.loads(out)
+    assert row["label"] == "TS(1,1)"
+    assert row["golden"] == [{"cell": "*", "status": "no-reference"}]
+
+
 def test_ts_table_reports_per_file_errors(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a matrix\n")
@@ -284,12 +295,19 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
       "--threshold", "nan"], "margin threshold must be >= 0"),
     (["beta", "EMPTY", "--weighted"], "empty matrix has no eigenvalues"),
     (["cycles", data_path("h2.exp"), "--max-len", "-2"],
-     "max_len must be >= 0, got -2")])
+     "max_len must be >= 0, got -2"),
+    *((["--config", name, "cycles", data_path("h2.exp")], f"DIR/{name}: {m}")
+      for name, m in (("LIST", "not a JSON object"),
+                      ("STRING", "not a JSON object"),
+                      ("BAD", "Expecting property name enclosed in double "
+                              "quotes: line 1 column 2 (char 1)"),
+                      ("STRAY", "no option takes the key 'gama'")))])
 def test_refused_value_or_flag_is_a_clean_error(tmp_path, capsys, argv,
                                                 message):
     # a NaN evaluation point, J0 or margin threshold, --weighted on an
     # exponent file, which has no couplings to weigh, a weighted diagonal
-    # entry, a 0 x 0 coupling matrix and a negative cycle length each stop
+    # entry, a 0 x 0 coupling matrix, a negative cycle length, and a config
+    # that is not a JSON object or holds a key no option takes, each stop
     # the command with one line, before any output
     k4 = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
     files = {"K4P": SparseSym(5, k4 + [(3, 4, 1.0)]),
@@ -297,8 +315,14 @@ def test_refused_value_or_flag_is_a_clean_error(tmp_path, capsys, argv,
              "EMPTY": SparseSym(0, [])}
     for name, A in files.items():
         write_matrix_market(A, str(tmp_path / f"{name}.mtx"))
-    argv = [str(tmp_path / f"{a}.mtx") if a in files else a for a in argv]
+    configs = {"LIST": "[1, 2]", "STRING": '"x"', "BAD": "{gamma: 1}",
+               "STRAY": '{"gamma": 1.0, "gama": 1}'}
+    for name, text in configs.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / f"{a}.mtx") if a in files
+            else str(tmp_path / a) if a in configs else a for a in argv]
     rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    message = message.replace("DIR", str(tmp_path))
     assert (rc, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
@@ -675,6 +699,11 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
                          "--out", str(tmp_path))
     assert rc == 0
     assert json.loads(out)["r"] == 4
+    # one config serves every subcommand: cycles' max_len is no stray key
+    cfg.write_text('{"r": 4, "p": 5, "max_len": 6}')
+    rc, out, _ = run_cli(capsys, "embed", str(feat), "--config", str(cfg),
+                         "--out", str(tmp_path))
+    assert rc == 0
 
 
 def test_missing_input_file_is_a_clean_error(capsys):

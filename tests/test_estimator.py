@@ -100,17 +100,20 @@ def multiplicity_adjacency(n, i, j):
 
 
 def test_uniform_stack_rows_are_bit_equal_to_scalar_calls():
-    # parallel edges and vertices on both sides of an edge: each matrix of
-    # the stack is the one its t alone gives, bit for bit
-    i = np.array([0, 0, 1, 2, 2, 3, 1])
-    j = np.array([1, 1, 2, 3, 4, 4, 4])
-    hessian = _uniform_bethe_hessian(multiplicity_adjacency(5, i, j))
-    t = np.random.default_rng(5).uniform(-0.9, 0.9, 6)
-    H = hessian(t)
-    assert H.shape == (6, 5, 5)
-    for tr, Hr in zip(t, H):
-        assert Hr.tobytes() == hessian(tr).tobytes()
-        assert Hr.tobytes() == hessian(float(tr)).tobytes()
+    # parallel edges and vertices on both sides of an edge, and the empty
+    # graph: each matrix of the stack is the one its t alone gives, bit for
+    # bit
+    for n, i, j in ((5, [0, 0, 1, 2, 2, 3, 1], [1, 1, 2, 3, 4, 4, 4]),
+                    (0, [], [])):
+        hessian = _uniform_bethe_hessian(multiplicity_adjacency(
+            n, np.array(i, dtype=int), np.array(j, dtype=int)))
+        t = np.random.default_rng(5).uniform(-0.9, 0.9, 6)
+        H = hessian(t)
+        assert H.shape == (6, n, n)
+        for tr, Hr in zip(t, H):
+            assert hessian(float(tr)).shape == (n, n)
+            assert Hr.tobytes() == hessian(tr).tobytes()
+            assert Hr.tobytes() == hessian(float(tr)).tobytes()
 
 
 def test_saturation_refusal_names_the_first_entry_in_c_order():

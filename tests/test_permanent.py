@@ -178,3 +178,6 @@ def test_bethe_validation():
         bethe_permanent(np.ones((13, 13)))
     with pytest.raises(ValueError):
         bethe_permanent([[1.0, 2.0]])
+    for M in ([[0.0, 0.0], [1.0, 2.0]], [[0.0, 1.0], [0.0, 2.0]]):
+        with pytest.raises(ValueError, match="zero row or column"):
+            bethe_permanent(M)

@@ -34,6 +34,11 @@ def test_protograph_validation():
         METProtograph([[[], []]], L=3)         # all-zero protograph
     with pytest.raises(ValueError):
         METProtograph([[[None]]], L=3)         # unset without allow_unset
+    with pytest.raises(ValueError, match="circulant size must be >= 1"):
+        METProtograph([[[0]]], L=0)
+    for cells in ([], [[]]):
+        with pytest.raises(ValueError, match="empty protograph"):
+            METProtograph(cells, L=3)
     p = METProtograph([[[0, 2], []]], L=3)
     assert p.weight_matrix().tolist() == [[2, 0]]
     assert not p.has_unset()
@@ -210,6 +215,21 @@ def test_enumerate_cycles_validation():
     with pytest.raises(ValueError, match="max_len must be >= 0, got -2"):
         enumerate_cycles(g, -2)
     assert enumerate_cycles(g, 0) == enumerate_cycles(g, 2) == []
+    for vertices in ([0, 4, 2], [0, 4]):
+        with pytest.raises(ValueError, match="even and >= 4"):
+            qc.Cycle(vertices)
+    with pytest.raises(ValueError, match="repeated vertex"):
+        qc.Cycle([0, 4, 0, 6])
+
+
+def test_tanner_graph_validation():
+    with pytest.raises(ValueError, match="unknown family tag 'flat'"):
+        TannerGraph(1, 2, [(0, 0)], family_tag="flat")
+    # the sorted-key rule names the smallest repeated pair
+    with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
+        TannerGraph(2, 3, [(1, 2), (0, 1), (1, 2), (0, 1)])
+    with pytest.raises(ValueError, match="edges must be 2-tuples"):
+        TannerGraph(2, 3, [(0, 1, 1)])
 
 
 def test_ace_rejects_foreign_cycle():

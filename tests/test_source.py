@@ -17,16 +17,23 @@ PRIVATE_IMPORTS = {
     "embed <- sparse._read_text",
     "pipeline <- embed._rank_features",
     "pipeline <- embed._similarity_graphs",
+    "qc <- sparse._edges",
+    "qc <- sparse._frozen",
     "qc <- sparse._read_text",
-    "rbim <- sparse._triples",
+    "qc <- sparse._refuse",
+    "rbim <- sparse._edges",
+    "rbim <- sparse._frozen",
+    "rbim <- sparse._refuse",
     "trapping <- estimator._checked_square",
     "trapping <- estimator._uniform_bethe_hessian",
+    "trapping <- sparse._frozen",
     "trapping <- sparse._kernel_dim",
     "trapping <- sparse._read_text",
     "zeta <- estimator._checked_square",
     "zeta <- estimator._uniform_bethe_hessian",
-    "zeta <- rbim._frozen",
-    "zeta <- rbim._refuse",
+    "zeta <- sparse._edges",
+    "zeta <- sparse._frozen",
+    "zeta <- sparse._refuse",
 }
 
 # each name in nishigraph.__all__ that no package module other than

@@ -3,6 +3,7 @@
 import logging
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import nishigraph.sparse as sparse
-from nishigraph import (CouplingGraph, FeatureTable, SparseSym, Spectrum,
-                        bethe_hessian_weighted, eig_dense, lambda_min,
-                        rank_and_kernel, read_matrix_market,
-                        similarity_graph, synthetic_features,
-                        write_matrix_market)
+from nishigraph import (CouplingGraph, FeatureTable, SimpleGraph, SparseSym,
+                        Spectrum, TannerGraph, bethe_hessian_weighted,
+                        eig_dense, lambda_min, rank_and_kernel,
+                        read_matrix_market, similarity_graph,
+                        synthetic_features, write_matrix_market)
 
 from util import (cycle_edges, random_connected, random_regular,
                   unweighted_system)
@@ -29,6 +30,62 @@ def test_constructor_normalizes_triangle_and_rejects_duplicates():
         SparseSym(2, [(0, 3, 1.0)])
     with pytest.raises(ValueError):
         SparseSym(-1, [])
+
+
+# each graph type on 3 vertices (a TannerGraph: 3 checks, 3 variables) from
+# (i, j) pairs; the weighted ones carry a value of 2 on every pair
+GRAPH_TYPES = {
+    "SparseSym": lambda edges: SparseSym(3, [(*e, 2.0) for e in edges]),
+    "CouplingGraph": lambda edges: CouplingGraph(3, [(*e, 2.0) for e in edges]),
+    "SimpleGraph": lambda edges: SimpleGraph(3, edges),
+    "TannerGraph": lambda edges: TannerGraph(3, 3, edges),
+}
+
+
+@pytest.mark.parametrize("make", GRAPH_TYPES.values(), ids=GRAPH_TYPES)
+@pytest.mark.parametrize("bad", [0.5, math.nan, math.inf, -math.inf, -1, 3,
+                                 2 ** 70])
+def test_every_graph_type_refuses_an_id_that_is_not_an_integer_in_range(
+        make, bad):
+    # one parser names the first bad edge as given, before any cast: no id
+    # is truncated, and no NaN or huge id sets off a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for edges, named in (([(0, 1), (bad, 2)], [bad, 2]),
+                             ([(0, 1), (2, bad)], [2, bad])):
+            with pytest.raises(ValueError) as err:
+                make(edges)
+            shown = re.fullmatch(r"edge \((.+),(.+)\): ids must be integers "
+                                 r"in \[0,3\)( x \[0,3\))?", str(err.value))
+            assert shown, str(err.value)
+            assert [float(x) for x in shown.groups()[:2]] == pytest.approx(
+                named, nan_ok=True)
+
+
+@pytest.mark.parametrize("make", GRAPH_TYPES.values(), ids=GRAPH_TYPES)
+def test_integral_float_ids_are_stored_as_the_ints_are(make):
+    want = vars(make([(0, 1), (2, 1)]))
+    for edges in ([(0.0, 1.0), (2.0, 1)], np.array([(0.0, 1.0), (2.0, 1.0)])):
+        got = vars(make(edges))
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            if isinstance(value, np.ndarray):
+                assert got[name].dtype == value.dtype
+                assert np.array_equal(got[name], value)
+            else:
+                assert got[name] == value
+
+
+@pytest.mark.parametrize("m", [1.5, 0, math.nan, math.inf, -1, 2 ** 31])
+def test_simple_graph_refuses_a_multiplicity_that_is_not_a_count(m):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(
+                "edge (1,2) multiplicity must be an integer in [1,2**31)")):
+            SimpleGraph(3, [(0, 1, 2), (2, 1, m)])
+    # an integral float is the count it equals
+    assert SimpleGraph(3, [(0, 1, 2.0)]).edges == SimpleGraph(
+        3, [(0, 1, 2)]).edges
 
 
 def test_from_dense_requires_symmetry():
@@ -240,6 +297,10 @@ def test_lambda_min_input_validation():
         lambda_min(S, tol=0.0)
     with pytest.raises(ValueError):
         lambda_min(SparseSym(0, []))
+    with pytest.raises(ValueError, match="dense path capped at n=2000"):
+        eig_dense(SparseSym(2001, []))
+    empty = eig_dense(SparseSym(0, []))
+    assert (len(empty), empty.tolerance) == (0, 0.0)
 
 
 def test_eig_dense_complete_graph_spectrum():

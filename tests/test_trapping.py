@@ -31,6 +31,16 @@ def test_from_text_and_label():
     assert load("ts_9_2.txt").label() == "TS(9,2)"
 
 
+def test_trapping_set_validation():
+    for H in ([1, 0, 1], [[[1]]], np.zeros((0, 3))):
+        with pytest.raises(ValueError, match="nonempty 2-D incidence"):
+            TrappingSet(H)
+    with pytest.raises(ValueError, match="entries must be 0/1"):
+        TrappingSet([[1, 2], [0, 1]])
+    with pytest.raises(ValueError, match=re.escape("row counts differ: 2 vs 3")):
+        kasparov_k(np.ones((2, 2)), np.ones((3, 1)))
+
+
 def test_from_text_reads_both_formats_alike():
     packed = TrappingSet.from_text("# packed\n10\n\n11\n")
     spaced = TrappingSet.from_text("1 0\n1 1\n")

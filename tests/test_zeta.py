@@ -124,6 +124,14 @@ def test_bass_identity_residual_small():
     assert bass_identity_residual(SimpleGraph(0, []), 0.3) == 0.0
 
 
+def test_determinant_paths_refuse_graphs_over_the_cap():
+    g = SimpleGraph(2, [(0, 1, 201)])
+    with pytest.raises(ValueError, match="determinant path capped at 200"):
+        zeta_reciprocal(g, 0.1)
+    with pytest.raises(ValueError, match="pole computation capped at 200"):
+        poles(g)
+
+
 def test_bass_identity_rejects_unit_circle():
     g = complete_graph(4)
     with pytest.raises(ValueError):
