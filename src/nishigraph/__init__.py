@@ -3,8 +3,8 @@ spectral estimation, zeta-function diagnostics, and spectral-embedding
 classifier ensembles.
 """
 
-from .sparse import (SparseSym, Spectrum, eig_dense, lambda_min,
-                     rank_and_kernel, read_matrix_market, write_matrix_market)
+from .sparse import (SparseSym, eig_dense, lambda_min, rank_and_kernel,
+                     read_matrix_market, write_matrix_market)
 from .qc import (Cycle, LiftSearchResult, METProtograph, TannerGraph, ace,
                  bipartite_adjacency, enumerate_cycles, girth, lift,
                  optimize_lift, parse_exponent_text, read_exponent_file)
@@ -30,7 +30,7 @@ from .pipeline import run_pipeline, stratified_split
 __version__ = "0.1.0"
 
 __all__ = [
-    "SparseSym", "Spectrum", "eig_dense", "lambda_min", "rank_and_kernel",
+    "SparseSym", "eig_dense", "lambda_min", "rank_and_kernel",
     "read_matrix_market", "write_matrix_market",
     "Cycle", "LiftSearchResult", "METProtograph", "TannerGraph", "ace",
     "bipartite_adjacency", "enumerate_cycles", "girth", "lift",

@@ -110,9 +110,6 @@ class PairwiseArbiter:
     def __init__(self, models):
         self.models = models  # {(a, b) with a < b: (W1, b1, w2, b2)}
 
-    def pairs(self):
-        return sorted(self.models)
-
     def decide(self, X, a, b):
         """Winner between classes a[i] and b[i] for each embedding row X[i];
         a row whose pair was never trained falls back to its a[i]."""

@@ -6,6 +6,7 @@ command is deterministic given its inputs and --seed.
 """
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -59,7 +60,7 @@ def _girth(proto):
     """The lift's girth, None for a forest, from the protograph walk DP
     (closing lengths up to the 12-cycle cap, min_girth 8 + 4, then a BFS
     on the lift)."""
-    gir = qc._score_lift(proto, 8)[1]
+    gir = qc._score_lift(proto, 8)[0]
     return None if math.isinf(gir) else gir
 
 
@@ -73,7 +74,7 @@ def cmd_lift(args):
         "n_checks": g.n_checks,
         "n_vars": g.n_vars,
         "n_edges": len(g.edges),
-        "family": g.family_tag,
+        "family": proto.family,
         "girth": _girth(proto),
         "check_degree_hist": _degree_hist(g.check_degrees()),
         "var_degree_hist": _degree_hist(g.var_degrees()),
@@ -141,10 +142,11 @@ def cmd_ts_table(args):
     _emit(results)
     if args.out:
         fields = ["file", "label"] + list(trapping.InvariantReport.FIELDS)
-        with open(_out_path(args, "ts_table.csv"), "w") as fh:
-            fh.write(",".join(fields) + "\n")
-            for row in results:
-                fh.write(",".join(str(row.get(f, "")) for f in fields) + "\n")
+        with open(_out_path(args, "ts_table.csv"), "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(fields)
+            out.writerows([str(row.get(f, "")) for f in fields]
+                          for row in results)
     return 1 if (had_error or golden_fail) else 0
 
 

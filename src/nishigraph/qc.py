@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .sparse import SparseSym, _edges, _frozen, _read_text, _refuse
+from .sparse import SparseSym, _edges, _frozen, _read_text, _refuse, _size
 
 
 class METProtograph:
@@ -23,8 +23,7 @@ class METProtograph:
     """
 
     def __init__(self, cells, L, allow_unset=False):
-        if L < 1:
-            raise ValueError("circulant size must be >= 1")
+        L = _size(L, "circulant size", 1)
         if not cells or not cells[0]:
             raise ValueError("empty protograph")
         width = len(cells[0])
@@ -51,7 +50,12 @@ class METProtograph:
         self.cells = [[list(cell) for cell in row] for row in cells]
         self.m_b = len(cells)
         self.n_b = width
-        self.L = int(L)
+        self.L = L
+
+    @property
+    def family(self):
+        """"spherical" for one block row, "toroidal" for two, else "generic"."""
+        return {1: "spherical", 2: "toroidal"}.get(self.m_b, "generic")
 
     def weight_matrix(self):
         """Integer matrix of per-cell shift counts (the protograph weights)."""
@@ -65,9 +69,8 @@ class TannerGraph:
     """Bipartite check/variable graph; its distinct (check, var) edges are
     stored once, as the sorted, read-only (|E|, 2) int array _edge_array."""
 
-    def __init__(self, n_checks, n_vars, edges, family_tag="generic"):
-        if family_tag not in ("spherical", "toroidal", "generic"):
-            raise ValueError(f"unknown family tag {family_tag!r}")
+    def __init__(self, n_checks, n_vars, edges):
+        n_checks, n_vars = _size(n_checks, "n_checks"), _size(n_vars, "n_vars")
         c, v = _edges(edges, 2, n_checks, n_vars)
         key = c * n_vars + v
         order = np.argsort(key)
@@ -75,9 +78,7 @@ class TannerGraph:
         _refuse(*e.T, np.r_[False, np.diff(key[order]) == 0],
                 "duplicate edge ({},{})")
         self._edge_array = _frozen(e)
-        self.n_checks = int(n_checks)
-        self.n_vars = int(n_vars)
-        self.family_tag = family_tag
+        self.n_checks, self.n_vars = n_checks, n_vars
 
     @property
     def edges(self):
@@ -139,8 +140,7 @@ def lift(proto):
     i = np.arange(L)
     edges = np.column_stack(((r[:, None] * L + i).ravel(),
                              (c[:, None] * L + (i + k[:, None]) % L).ravel()))
-    tag = {1: "spherical", 2: "toroidal"}.get(proto.m_b, "generic")
-    return TannerGraph(proto.m_b * L, proto.n_b * L, edges, family_tag=tag)
+    return TannerGraph(proto.m_b * L, proto.n_b * L, edges)
 
 
 def _base_edges(proto):
@@ -314,7 +314,7 @@ def _closed_walks(proto, max_len, ace_len):
 
 def _score_lift(proto, min_girth):
     """(girth, -#girth cycles, min ACE over cycles shorter than min_girth + 4)
-    of the lift, with girth and min ACE beside it, from the protograph.
+    of the lift, from the protograph.
 
     A length-l cycle of the lift is a closed tailless block walk with shift
     sum 0 mod L (Fossorier 2004).  Each closed block walk lifts to L closed
@@ -329,11 +329,9 @@ def _score_lift(proto, min_girth):
     ace_len = max((n for n in range(4, scan + 1, 2) if n < min_girth + 4), default=0)
     counts, min_ace_found = _closed_walks(proto, scan, ace_len)
     if not counts:
-        gir = girth(lift(proto))
-        return (gir, 0, math.inf), gir, math.inf
+        return girth(lift(proto)), 0, math.inf
     gir = min(counts)
-    n_short = proto.L * counts[gir] // (2 * gir)
-    return (gir, -n_short, min_ace_found), gir, min_ace_found
+    return gir, -(proto.L * counts[gir] // (2 * gir)), min_ace_found
 
 
 def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
@@ -365,15 +363,16 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
             return None
         return METProtograph(cells, L)
 
-    def meets(gir, mace):
+    def meets(score):
+        gir, _, mace = score
         return gir >= min_girth and (math.isinf(mace) or mace >= min_ace)
 
     if not free:
         proto = METProtograph(proto_pattern.cells, L)
-        _, gir, mace = _score_lift(proto, min_girth)
-        return LiftSearchResult(proto, gir, mace, meets(gir, mace), 0)
+        score = _score_lift(proto, min_girth)
+        return LiftSearchResult(proto, score[0], score[2], meets(score), 0)
 
-    best = None  # (score, proto, gir, mace, restart_index)
+    best = None  # (score, proto, restart_index)
     for restart in range(restarts):
         for _ in range(200):
             assign = [int(rng.integers(0, L)) for _ in free]
@@ -382,25 +381,25 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
                 break
         else:
             raise RuntimeError("could not draw a valid shift assignment")
-        score, gir, mace = _score_lift(proto, min_girth)
+        score = _score_lift(proto, min_girth)
         for _ in range(steps):
-            if meets(gir, mace):
+            if meets(score):
                 break
             pos = int(rng.integers(0, len(free)))
             old = assign[pos]
             assign[pos] = int(rng.integers(0, L))
             cand = build(assign)
             scored = None if cand is None else _score_lift(cand, min_girth)
-            if scored is not None and scored[0] > score:
-                (score, gir, mace), proto = scored, cand
+            if scored is not None and scored > score:
+                score, proto = scored, cand
             else:
                 assign[pos] = old
-        if best is None or score > best[0] or meets(gir, mace):
-            best = (score, proto, gir, mace, restart)
-        if meets(gir, mace):
+        if best is None or score > best[0] or meets(score):
+            best = (score, proto, restart)
+        if meets(score):
             break
-    _, proto, gir, mace, restart = best
-    return LiftSearchResult(proto, gir, mace, meets(gir, mace), restart + 1)
+    score, proto, restart = best
+    return LiftSearchResult(proto, score[0], score[2], meets(score), restart + 1)
 
 
 def parse_exponent_text(text):

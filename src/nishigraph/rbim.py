@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .sparse import _edges, _frozen, _refuse
+from .sparse import _edges, _frozen, _refuse, _size
 
 _P_FLOOR = 1e-6
 
@@ -17,23 +17,26 @@ class CouplingGraph:
 
     edges is an iterable of (i, j, J_ij) triples, or a (k, 3) array of them;
     each is stored as i < j in the read-only int arrays i and j, with its
-    coupling in couplings, sorted stably by (i, j).  Ids that are not
-    integers in [0, n), self-couplings, duplicate pairs, and zero or
-    non-finite couplings are rejected.
+    coupling in couplings, sorted stably by (i, j).  A size n that is not
+    an integer >= 0, ids that are not integers in [0, n), self-couplings,
+    duplicate pairs, and zero or non-finite couplings are rejected.
     """
 
     def __init__(self, n, edges):
-        key = self._store(n, *_edges(edges, 3, n))
+        key = self._store(n, edges, 3)
         _refuse(self.i, self.j, np.r_[False, np.diff(key) == 0],
                 "duplicate edge ({},{})")
         _refuse(self.i, self.j, ~np.isfinite(self.couplings)
                 | (self.couplings == 0),
                 "coupling on ({},{}) must be finite and nonzero")
 
-    def _store(self, n, i, j, w):
-        """Set n and the edge arrays from ids i <= j that _edges parsed,
-        refusing the first self-loop; returns the sorted keys i * n + j."""
-        self.n = int(n)
+    def _store(self, n, edges, width):
+        """Set n and the edge arrays from the edges _edges parses, (i, j, J)
+        for width 3 and (i, j) with unit couplings for width 2, refusing
+        the first self-loop; returns the sorted keys i * n + j."""
+        self.n = _size(n, "n")
+        i, j, *w = _edges(edges, width, self.n)
+        w = w[0] if w else np.ones(len(i))
         _refuse(i, j, i == j, "self-loop ({},{}) not allowed")
         key = i * self.n + j
         order = np.argsort(key, kind="stable")

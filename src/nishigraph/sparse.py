@@ -33,6 +33,16 @@ def _refuse(i, j, bad, message):
         raise ValueError(message.format(i[k], j[k]))
 
 
+def _size(n, name, least=0):
+    """n as a Python int, if it is an integer >= least (an integral float or
+    a numpy integer included); otherwise a ValueError naming it."""
+    integral = isinstance(n, (int, np.integer)) or (
+        isinstance(n, (float, np.floating)) and float(n).is_integer())
+    if not (integral and n >= least):
+        raise ValueError(f"{name} must be >= {least} and an integer, got {n!r}")
+    return int(n)
+
+
 def _edges(edges, width, n, m=None):
     """(i, j) int64 ids, and for width 3 float values, from an iterable of
     (i, j) pairs or (i, j, value) triples, or a (k, width) array of them.
@@ -64,13 +74,13 @@ class SparseSym:
 
     entries is an iterable of (i, j, value) triples, or a (k, 3) array of
     them; each pair is stored as i <= j in the int arrays rows and cols,
-    with its value in vals, in insertion order.  Ids not integers in [0, n)
-    and duplicates ((i, j) twice, or both (i, j) and (j, i)) are rejected.
+    with its value in vals, in insertion order.  A size n that is not an
+    integer >= 0, ids not integers in [0, n) and duplicates ((i, j) twice,
+    or both (i, j) and (j, i)) are rejected.
     """
 
     def __init__(self, n, entries):
-        if n < 0:
-            raise ValueError("negative dimension")
+        n = _size(n, "n")
         rows, cols, vals = _edges(entries, 3, n)
         key = np.sort(rows * n + cols)
         dup = key[1:][key[1:] == key[:-1]]
@@ -94,15 +104,6 @@ class SparseSym:
             raise ValueError("matrix is not symmetric")
         i, j = np.nonzero(np.triu(np.abs(M) > 0))
         return cls(M.shape[0], np.column_stack((i, j, M[i, j])))
-
-    @classmethod
-    def identity(cls, n):
-        ar = np.arange(n)
-        return cls(n, np.column_stack((ar, ar, np.ones(n))))
-
-    @classmethod
-    def zeros(cls, n):
-        return cls(n, [])
 
     def to_dense(self):
         M = np.zeros((self.n, self.n))
@@ -129,24 +130,6 @@ class SparseSym:
 
     def __repr__(self):
         return f"SparseSym(n={self.n}, nnz={len(self.vals)})"
-
-
-class Spectrum:
-    """Full sorted eigenvalue list with the absolute resolution it was computed at."""
-
-    def __init__(self, eigenvalues, tolerance):
-        ev = sorted(float(x) for x in eigenvalues)
-        self.eigenvalues = ev
-        self.tolerance = float(tolerance)
-
-    def __len__(self):
-        return len(self.eigenvalues)
-
-    def min(self):
-        return self.eigenvalues[0]
-
-    def max(self):
-        return self.eigenvalues[-1]
 
 
 def _solves_dense(M, k):
@@ -214,14 +197,10 @@ def bottom_eigenpairs(M, k, tol):
 
 
 def eig_dense(M):
-    """Full spectrum by dense symmetric eigendecomposition (oracle path)."""
+    """Ascending full spectrum by dense eigendecomposition (oracle path)."""
     if M.n > _DENSE_CAP:
         raise ValueError(f"dense path capped at n={_DENSE_CAP}")
-    if M.n == 0:
-        return Spectrum([], 0.0)
-    ev = np.linalg.eigvalsh(M.to_dense())
-    scale = max(1.0, float(np.max(np.abs(ev))))
-    return Spectrum(ev, 1e-9 * scale)
+    return np.linalg.eigvalsh(M.to_dense())
 
 
 def rank_and_kernel(M, tol=None):
@@ -231,7 +210,7 @@ def rank_and_kernel(M, tol=None):
     """
     if tol is not None and tol <= 0:
         raise ValueError("tol must be positive")
-    kernel = _kernel_dim(np.array(eig_dense(M).eigenvalues), tol)
+    kernel = _kernel_dim(eig_dense(M), tol)
     return (M.n - kernel, kernel)
 
 

@@ -7,7 +7,6 @@ it once; every invariant reads it from there.
 """
 
 import io
-import json
 
 import numpy as np
 
@@ -18,11 +17,11 @@ _NEG_TOL = -1e-8
 
 
 class TrappingSet:
-    """Binary check/variable incidence; a = variable count, b = odd-degree
-    checks, A_vn = the read-only variable-node adjacency."""
+    """A read-only copy H of a binary check/variable incidence; a = variable
+    count, b = odd-degree checks, A_vn = the read-only variable-node graph."""
 
     def __init__(self, H):
-        H = np.asarray(H, dtype=int)
+        H = _frozen(np.array(H, dtype=int))
         if H.ndim != 2 or H.size == 0:
             raise ValueError("nonempty 2-D incidence matrix required")
         if not ((H == 0) | (H == 1)).all():
@@ -104,9 +103,6 @@ class InvariantReport:
 
     def to_dict(self):
         return {f: getattr(self, f) for f in self.FIELDS}
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def spectral_radius(ts):

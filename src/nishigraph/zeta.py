@@ -12,7 +12,7 @@ import numpy as np
 
 from .estimator import _checked_square, _uniform_bethe_hessian
 from .rbim import CouplingGraph
-from .sparse import _edges, _frozen, _refuse
+from .sparse import _frozen
 
 _DET_CAP = 200
 
@@ -24,38 +24,27 @@ _POLE_TOL = 1e-4
 class SimpleGraph(CouplingGraph):
     """Undirected graph with integer edge multiplicities.
 
-    edges holds (i, j) pairs or (i, j, multiplicity) triples; repeated pairs
-    add up.  Each edge copy is one entry of the CouplingGraph arrays i < j,
-    with a unit coupling and a copy number in the read-only array _copy.  A
-    SimpleGraph is treated as immutable: its non-backtracking matrix, poles
-    and uniform-coupling Bethe-Hessian are cached properties, built on first
-    use.
+    edges holds (i, j) pairs, or is a (k, 2) array of them; a repeated pair
+    is one more parallel copy.  Each edge copy is one entry of the
+    CouplingGraph arrays i < j, with a unit coupling and a copy number in
+    the read-only array _copy.  A SimpleGraph is treated as immutable: its
+    non-backtracking matrix, poles and uniform-coupling Bethe-Hessian are
+    cached properties, built on first use.
     """
 
     def __init__(self, n, edges):
-        i, j, m = _edges([x if len(x) > 2 else (*x, 1) for x in edges], 3, n)
-        _refuse(i, j, ~((m >= 1) & (m < 2 ** 31) & (np.floor(m) == m)),
-                "edge ({},{}) multiplicity must be an integer in [1,2**31)")
-        m = m.astype(np.int64)
-        # one entry per edge copy; a copy's number is its offset in its run
-        key = self._store(n, i.repeat(m), j.repeat(m), np.ones(m.sum()))
+        # a copy's number is its offset in its run of equal keys
+        key = self._store(n, edges, 2)
         self._copy = _frozen(np.arange(len(key)) - key.searchsorted(key))
 
     @classmethod
     def from_sparse(cls, M):
         """The off-diagonal nonzero support of a SparseSym, one copy per edge."""
         off = (M.rows != M.cols) & (M.vals != 0)
-        return cls(M.n, zip(M.rows[off].tolist(), M.cols[off].tolist()))
+        return cls(M.n, np.column_stack((M.rows[off], M.cols[off])))
 
     def n_edges(self):
         return len(self.i)
-
-    def is_multigraph(self):
-        return bool(self._copy.any())
-
-    def degrees(self):
-        return np.bincount(np.concatenate((self.i, self.j)),
-                           minlength=self.n).tolist()
 
     @functools.cached_property
     def _non_backtracking(self):

@@ -125,7 +125,7 @@ def test_arbiter_separates_a_confusable_pair():
     X = np.vstack([Xa, Xb])
     y = np.repeat([0, 1], 40)
     arb = arbiter_train(X, y, [(0, 1)], seed=0)
-    assert arb.pairs() == [(0, 1)]
+    assert sorted(arb.models) == [(0, 1)]
     a, b = np.zeros(80, dtype=int), np.ones(80, dtype=int)
     correct = int((arb.decide(X, a, b) == y).sum())
     assert correct >= 72  # 90 percent on the training pair

@@ -1,5 +1,6 @@
 """Command-line interface: every subcommand end to end on small inputs."""
 
+import csv
 import json
 import math
 import os
@@ -72,6 +73,11 @@ def test_ts_table_golden_comparison_is_advisory_clean(tmp_path, capsys):
     table = (tmp_path / "ts_table.csv").read_text().splitlines()
     assert table[0].startswith("file,label,rho,")
     assert len(table) == 4
+    # every label holds a comma, so the CSV quotes it and still parses
+    with open(tmp_path / "ts_table.csv", newline="") as fh:
+        parsed = list(csv.reader(fh))
+    assert [len(row) for row in parsed] == [len(parsed[0])] * 4
+    assert parsed[1][:2] == [files[0], "TS(4,2)"]
 
 
 def test_ts_table_golden_marks_a_set_absent_from_the_panel(tmp_path, capsys):

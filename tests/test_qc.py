@@ -36,6 +36,11 @@ def test_protograph_validation():
         METProtograph([[[None]]], L=3)         # unset without allow_unset
     with pytest.raises(ValueError, match="circulant size must be >= 1"):
         METProtograph([[[0]]], L=0)
+    # a circulant size that is not an integer is refused, not truncated
+    with pytest.raises(ValueError, match=re.escape(
+            "circulant size must be >= 1 and an integer, got 2.5")):
+        METProtograph([[[2], [0]]], L=2.5)
+    assert type(METProtograph([[[2]]], L=3.0).L) is int
     for cells in ([], [[]]):
         with pytest.raises(ValueError, match="empty protograph"):
             METProtograph(cells, L=3)
@@ -129,14 +134,15 @@ def test_lift_edge_rule_single_circulant():
     g = lift(p)
     assert g.n_checks == 5 and g.n_vars == 5
     assert g.edges == sorted((i, (i + 3) % 5) for i in range(5))
-    assert g.family_tag == "spherical"
+    assert p.family == "spherical"
 
 
 def test_lift_of_two_blockrow_code():
-    g = lift(parse_exponent_text(H1_TEXT))
+    proto = parse_exponent_text(H1_TEXT)
+    g = lift(proto)
     assert (g.n_checks, g.n_vars) == (14, 21)
     assert len(g.edges) == 42
-    assert g.family_tag == "toroidal"
+    assert proto.family == "toroidal"
     assert g.check_degrees() == [3] * 14
     assert g.var_degrees() == [2] * 21
     assert girth(g) == 12
@@ -223,8 +229,10 @@ def test_enumerate_cycles_validation():
 
 
 def test_tanner_graph_validation():
-    with pytest.raises(ValueError, match="unknown family tag 'flat'"):
-        TannerGraph(1, 2, [(0, 0)], family_tag="flat")
+    # each size is refused by name, before the edges are checked
+    with pytest.raises(ValueError, match=re.escape(
+            "n_vars must be >= 0 and an integer, got 2.5")):
+        TannerGraph(2, 2.5, [(1, 2)])
     # the sorted-key rule names the smallest repeated pair
     with pytest.raises(ValueError, match=re.escape("duplicate edge (0,1)")):
         TannerGraph(2, 3, [(1, 2), (0, 1), (1, 2), (0, 1)])
@@ -312,7 +320,7 @@ def test_protograph_score_edge_cases(cells, L, min_girth, expected):
     got = qc._score_lift(proto, min_girth)
     assert got == lifted_score(proto, min_girth)
     if expected is not None:
-        assert got[0] == expected
+        assert got == expected
 
 
 @pytest.mark.parametrize("cells, L", [
@@ -360,9 +368,9 @@ def test_lift_search_keeps_only_improving_candidates(monkeypatch):
     r = optimize_lift(pat, 12, 6, 4, 0, restarts=1, steps=20)
     kept = scores[:1]
     for s in scores[1:]:
-        if s[0] > kept[-1][0]:
+        if s > kept[-1]:
             kept.append(s)
-    assert [s[0] for s in kept] == [(4, -12, 2), (6, -84, 3), (6, -60, 3)]
+    assert kept == [(4, -12, 2), (6, -84, 3), (6, -60, 3)]
     assert score(r.proto, 6) == kept[-1]
     assert (r.girth, r.min_ace, r.satisfied) == (6, 3, False)
 

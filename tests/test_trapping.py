@@ -133,6 +133,19 @@ def test_variable_graph_is_read_only_and_has_zero_diagonal():
         ts.A_vn[0, 1] = 0.0
 
 
+def test_trapping_set_owns_a_read_only_copy_of_its_incidence():
+    # an edit to the caller's array after construction changes nothing:
+    # H, the label and A_vn stay those of the set as built
+    H = np.array([[1, 1, 0], [0, 1, 1]])
+    ts = TrappingSet(H)
+    H[0, 2] = 1
+    assert ts.H.tolist() == [[1, 1, 0], [0, 1, 1]]
+    assert ts.label() == "TS(3,0)" == TrappingSet(ts.H).label()
+    assert betti(ts) == betti(TrappingSet([[1, 1, 0], [0, 1, 1]]))
+    with pytest.raises(ValueError, match="read-only"):
+        ts.H[0, 2] = 1
+
+
 def test_variable_adjacency_has_zero_diagonal():
     dense = load("ts_4_2.txt").A_vn
     assert np.allclose(np.diag(dense), 0.0)
@@ -212,7 +225,7 @@ def test_invariant_panel_full_report():
     assert d["genus"] == pytest.approx(1.006834873031462, abs=1e-9)
     assert (d["k0"], d["k1"], d["kervaire"]) == (4, 0, 0)
     assert (d["betti0"], d["betti1_mod2"], d["cycle_rank"]) == (1, 0, 0)
-    assert "rho" in rep.to_json()
+    assert "rho" in rep.to_dict()
 
 
 def test_invariant_panel_second_report():

@@ -70,19 +70,19 @@ def cycle_edges(L):
 
 def lifted_score(proto, min_girth):
     """Lift-search score (girth, -#girth cycles, min ACE over cycles shorter
-    than min_girth + 4), with girth and min ACE, from the lifted graph: BFS
-    girth, DFS cycle census to min(min_girth + 4, 12) and per-cycle ACE."""
+    than min_girth + 4) from the lifted graph: BFS girth, DFS cycle census
+    to min(min_girth + 4, 12) and per-cycle ACE."""
     g = lift(proto)
     gir = girth_by_full_bfs(g)
     if math.isinf(gir):
-        return (math.inf, 0, math.inf), gir, math.inf
+        return math.inf, 0, math.inf
     scan = min(int(min_girth) + 4, 12)
     scan -= scan % 2
     cycles = enumerate_cycles(g, scan) if scan >= 4 else []
     n_short = sum(1 for c in cycles if c.length == gir)
     aces = [ace(c, g) for c in cycles if c.length < min_girth + 4]
     min_ace_found = min(aces) if aces else math.inf
-    return (gir, -n_short, min_ace_found), gir, min_ace_found
+    return gir, -n_short, min_ace_found
 
 
 def girth_by_full_bfs(g):
