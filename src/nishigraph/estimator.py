@@ -88,23 +88,14 @@ def _checked_square(i, j, t):
     return t2
 
 
-def _bethe_hessian(n, i, j, t):
-    """Weighted Bethe-Hessian, a SparseSym on n vertices, from distinct
-    edges (i, j), i != j, and per-edge t = tanh(beta J):
-
-        H_kk = 1 + sum_{e at k} t_e^2 / (1 - t_e^2)
-        H_ij = -t_e / (1 - t_e^2)
-
-    Raises ValueError when some t_e^2 is within 1e-12 of 1.
-    """
-    t2 = _checked_square(i, j, t)
-    q = 1 - t2
-    c = t2 / q
-    diag = 1 + np.bincount(i, c, n) + np.bincount(j, c, n)
+def _bethe_hessian(n, i, j, off, diag):
+    """A Bethe-Hessian as a SparseSym on n vertices: off on the distinct
+    edges (i, j), i != j, in the given order, then diag on the diagonal;
+    bethe_hessian_weighted and UnweightedSystem.matrix pass their own."""
     ar = np.arange(n)
     return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
                                          np.concatenate((j, ar)),
-                                         np.concatenate((-t / q, diag)))))
+                                         np.concatenate((off, diag)))))
 
 
 def _uniform_bethe_hessian(A):
@@ -132,9 +123,14 @@ def _uniform_bethe_hessian(A):
 
 
 def bethe_hessian_weighted(J, beta):
-    """Coupled Bethe-Hessian: diagonal 1 + sum_k tanh^2(bJ)/(1-tanh^2(bJ)),
-    off-diagonal -tanh(bJ)/(1-tanh^2(bJ)) on each edge."""
-    return _bethe_hessian(J.n, J.i, J.j, np.tanh(beta * J.couplings))
+    """Coupled Bethe-Hessian, t = tanh(beta J_e) on each edge e: H_kk =
+    1 + sum_{e at k} t_e^2/(1 - t_e^2) and H_ij = -t_e/(1 - t_e^2); a
+    ValueError when some t_e^2 is within 1e-12 of 1."""
+    t = np.tanh(beta * J.couplings)
+    t2 = _checked_square(J.i, J.j, t)
+    c = t2 / (1 - t2)
+    diag = 1 + np.bincount(J.i, c, J.n) + np.bincount(J.j, c, J.n)
+    return _bethe_hessian(J.n, J.i, J.j, -t / (1 - t2), diag)
 
 
 class UnweightedSystem:
@@ -157,10 +153,8 @@ class UnweightedSystem:
         self.bracket = (1 + 1e-6, 2 * math.sqrt(self._d.max(initial=1.0)))
 
     def matrix(self, beta):
-        ar = np.arange(self.n)
-        return SparseSym(self.n, np.column_stack((
-            np.concatenate((self._i, ar)), np.concatenate((self._j, ar)),
-            np.concatenate((-beta * self._a, self._d + beta * beta - 1)))))
+        return _bethe_hessian(self.n, self._i, self._j, -beta * self._a,
+                              self._d + beta * beta - 1)
 
     def slope(self, beta, v):
         """v^T H'(beta) v = 2 beta - v^T A v for a unit vector v."""
@@ -335,16 +329,22 @@ def _ladder(ev):
     while lambda_min(hi) has the sign of lambda_min(lo), lo moves to hi and
     hi grows by _BRACKET_FACTOR, at most _BRACKET_EXPANSIONS times (the
     unweighted root, d - 1 on a d-regular graph, can pass 2 sqrt(d_max)).
-    None when that runs out or a later rung saturates a coupling; the first
-    rung's ValueError propagates."""
+    A WeightedSystem with all couplings positive and lambda_min(lo) < 0
+    climbs down instead, hi to lo and lo / _BRACKET_FACTOR, as H(0) = I puts
+    its root in (0, lo).  None when a climb runs out or a later rung
+    saturates a coupling; the first rung's ValueError propagates."""
     lo, hi = ev.system.bracket
     negative = ev(lo) < 0
+    down = negative and isinstance(ev.system, WeightedSystem) and bool(
+        np.all(ev.system.J.couplings > 0))
+    step = 1 / _BRACKET_FACTOR if down else _BRACKET_FACTOR
+    near, far = (lo, lo * step) if down else (lo, hi)
     for _ in range(_BRACKET_EXPANSIONS):
         try:
-            l_hi = ev(hi)
+            l_far = ev(far)
         except ValueError:
             return None
-        if (l_hi < 0) != negative:
-            return lo, hi
-        lo, hi = hi, hi * _BRACKET_FACTOR
+        if (l_far < 0) != negative:
+            return (far, near) if down else (near, far)
+        near, far = far, far * step
     return None

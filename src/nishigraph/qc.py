@@ -18,8 +18,9 @@ from .sparse import SparseSym, _edges, _frozen, _read_text, _refuse, _size
 class METProtograph:
     """Block description of a QC-LDPC code: per-cell shift lists plus circulant size.
 
-    cells[r][c] is a list of shifts in [0, L); None entries mark shifts left
-    free for the lift optimizer (only when allow_unset=True).
+    cells[r][c] is a list of shifts in [0, L), each an integer (an integral
+    float or a numpy integer is stored as a Python int); None entries mark
+    shifts left free for the lift optimizer (only when allow_unset=True).
     """
 
     def __init__(self, cells, L, allow_unset=False):
@@ -27,27 +28,26 @@ class METProtograph:
         if not cells or not cells[0]:
             raise ValueError("empty protograph")
         width = len(cells[0])
-        nonempty = 0
+        self.cells = [[[] for _ in row] for row in cells]
         for r, row in enumerate(cells):
             if len(row) != width:
                 raise ValueError("ragged protograph rows")
             for c, cell in enumerate(row):
-                seen = set()
                 for k in cell:
                     if k is None:
                         if not allow_unset:
                             raise ValueError(f"unset shift in cell ({r},{c})")
-                        continue
-                    if not (0 <= k < L):
-                        raise ValueError(f"shift {k} out of range [0,{L}) in cell ({r},{c})")
-                    if k in seen:
-                        raise ValueError(
-                            f"repeated shift {k} in cell ({r},{c}) would create parallel edges")
-                    seen.add(k)
-                nonempty += bool(cell)
-        if nonempty == 0:
+                    else:
+                        k = _size(k, f"shift in cell ({r},{c})")
+                        if k >= L:
+                            raise ValueError(f"shift {k} out of range [0,{L}) "
+                                             f"in cell ({r},{c})")
+                        if k in self.cells[r][c]:
+                            raise ValueError(f"repeated shift {k} in cell ({r},{c}) "
+                                             "would create parallel edges")
+                    self.cells[r][c].append(k)
+        if not any(cell for row in cells for cell in row):
             raise ValueError("protograph has no nonzero cell")
-        self.cells = [[list(cell) for cell in row] for row in cells]
         self.m_b = len(cells)
         self.n_b = width
         self.L = L

@@ -10,7 +10,7 @@ import io
 
 import numpy as np
 
-from .estimator import _checked_square, _uniform_bethe_hessian
+from .estimator import _uniform_bethe_hessian
 from .sparse import _frozen, _kernel_dim, _read_text
 
 _NEG_TOL = -1e-8
@@ -130,27 +130,20 @@ def betti(ts):
     return betti0, ts.a - forest - betti0, int(cycle_rank)
 
 
-def negative_modes(ts, r=1.0):
-    """Count of negative eigenvalues of the uniform-coupling Bethe-Hessian at beta=r.
+def negative_modes(ts):
+    """Count of negative eigenvalues of the uniform-coupling Bethe-Hessian at beta=1.
 
     Couplings are +1 on every edge of the variable-node graph (multiplicities
     ignored); eigenvalues below -1e-8 count as negative.
 
     By the Bass identity det(I - uB) = (1-u^2)^|E| det H(u), the count equals
-    the number of real eigenvalues >= 1/tanh(r) of the non-backtracking
+    the number of real eigenvalues >= 1/tanh(1) of the non-backtracking
     matrix B of that support graph, with multiplicity. On a forest
-    det(I - uB) = 1, so the count is 0 at every r.  An r with tanh^2(r)
-    within 1e-12 of 1 is refused, naming the support graph's first edge.
+    det(I - uB) = 1, so the count is 0.  tanh^2(1) = 0.58 is far from
+    saturation.
     """
-    if not r > 0:
-        raise ValueError("r must be positive")
-    support = ts.A_vn != 0
-    t = np.tanh(r)
-    i, j = np.nonzero(np.triu(support))
-    if len(i):
-        _checked_square(i[:1], j[:1], t)
-    ev = np.linalg.eigvalsh(_uniform_bethe_hessian(support)(t))
-    return int(np.sum(ev < _NEG_TOL))
+    H = _uniform_bethe_hessian(ts.A_vn != 0)(np.tanh(1.0))
+    return int(np.sum(np.linalg.eigvalsh(H) < _NEG_TOL))
 
 
 def continuous_genus(ts):
@@ -217,7 +210,7 @@ def invariant_panel(ts):
     forced by the equal-row-count requirement.
     """
     rho, r_crit = spectral_radius(ts)
-    neg = negative_modes(ts, 1.0)
+    neg = negative_modes(ts)
     genus = continuous_genus(ts)
     k0, k1 = kasparov_k(ts.H.T, spanning_forest_incidence(ts))
     betti0, betti1_formula, cycle_rank = betti(ts)

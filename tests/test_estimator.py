@@ -15,8 +15,7 @@ from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
                         bethe_hessian_weighted, bisection_baseline,
                         estimate_beta_N, lambda_min)
 from nishigraph import estimator, qc
-from nishigraph.estimator import (_bethe_hessian, _checked_square,
-                                  _uniform_bethe_hessian)
+from nishigraph.estimator import _checked_square, _uniform_bethe_hessian
 from nishigraph.sparse import bottom_pair
 
 from util import (cycle_edges, dense_bethe_hessian_by_transpose, random_regular,
@@ -45,23 +44,80 @@ def test_config_validation():
         EstimatorConfig(beta_upper=3.0)
 
 
-def test_unweighted_matrix_formula():
-    sysm = k4_system()
-    beta = 1.7
-    H = UnweightedSystem(sysm.A, sysm.D).matrix(beta)
-    A = sysm.A.to_dense()
-    expected = (beta ** 2 - 1) * np.eye(4) - beta * A + np.diag(A.sum(axis=1))
-    assert np.allclose(H.to_dense(), expected, atol=1e-12)
+@st.composite
+def signed_adjacencies(draw):
+    """(A, D): signed nonzero weights on distinct edges i < j, in drawn
+    order, and D = sum |a| on each row, as the CLI reads an .mtx file
+    without --weighted."""
+    n = draw(st.integers(2, 8))
+    pairs = draw(st.lists(st.sampled_from(
+        [(i, j) for i in range(n) for j in range(i + 1, n)]), unique=True))
+    w = draw(st.lists(st.floats(0.05, 3.0).flatmap(
+        lambda x: st.sampled_from([x, -x])), min_size=len(pairs),
+        max_size=len(pairs)))
+    d = np.zeros(n)
+    for (i, j), a in zip(pairs, w):
+        d[i] += abs(a)
+        d[j] += abs(a)
+    return (SparseSym(n, [(i, j, a) for (i, j), a in zip(pairs, w)]),
+            SparseSym(n, [(k, k, d[k]) for k in range(n) if d[k]]))
+
+
+@given(signed_adjacencies(), st.floats(0.1, 10.0))
+def test_unweighted_matrix_formula(graph, beta):
+    # bit for bit the dense diag(d + beta^2 - 1) - beta A
+    A, D = graph
+    H = UnweightedSystem(A, D).matrix(beta).to_dense()
+    expected = np.diag(D.diagonal() + beta * beta - 1) - beta * A.to_dense()
+    assert np.array_equal(H, expected)
+
+
+def test_unweighted_system_refuses_a_diagonal_in_A_or_off_diagonal_D():
     # a stored zero on A's diagonal is no entry; a nonzero one, or an
     # off-diagonal entry of D, is refused by the system
+    sysm = k4_system()
+    H = sysm.matrix(1.7)
     zero = SparseSym(4, sysm.A.entries + [(0, 0, 0.0)])
-    assert UnweightedSystem(zero, sysm.D).matrix(beta) == H
+    assert UnweightedSystem(zero, sysm.D).matrix(1.7) == H
     bad_A = SparseSym(4, sysm.A.entries + [(0, 0, 1.0)])
     bad_D = SparseSym(4, sysm.D.entries + [(0, 1, 1.0)])
     for A, D, message in ((bad_A, sysm.D, "adjacency must have zero diagonal"),
                           (sysm.A, bad_D, "degree matrix must be diagonal")):
         with pytest.raises(ValueError, match=message):
             UnweightedSystem(A, D)
+
+
+def lifted(name):
+    """(A, D) of the lift of the bundled exponent file name."""
+    return qc.bipartite_adjacency(qc.lift(qc.read_exponent_file(str(
+        importlib.resources.files("nishigraph").joinpath("data", name)))))
+
+
+def test_unweighted_form_is_the_unit_coupling_form_at_t_one_over_beta():
+    # with t = 1/beta, t^2/(1 - t^2) = 1/(beta^2 - 1) and t/(1 - t^2) =
+    # beta/(beta^2 - 1), so (beta^2 - 1)I - beta A + D is beta^2 - 1 times
+    # the unit-coupling H(t); tanh(atanh(1/beta)) rounds, so the two agree
+    # entrywise within 4 ulp of max|H| (2 measured, on h3)
+    for name in ("h1.exp", "h2.exp", "h3.exp"):
+        A, D = lifted(name)
+        J = CouplingGraph.from_sparse(A)
+        for beta in (1.3, 2.0, 3.0, 7.5):
+            Hu = UnweightedSystem(A, D).matrix(beta).to_csr()
+            Hw = bethe_hessian_weighted(J, math.atanh(1 / beta)).to_csr()
+            gap = abs(Hu - (beta * beta - 1) * Hw).max()
+            assert gap <= 4 * np.spacing(abs(Hu).max())
+
+
+def test_unweighted_root_is_coth_of_the_unit_coupling_root():
+    # the same variable change maps the roots: beta_u = 1/tanh(beta_w),
+    # within 1e-6 at eps 1e-6 (9e-8 measured, on h2)
+    cfg = EstimatorConfig(eps=1e-6)
+    for name in ("h1.exp", "h2.exp", "h3.exp"):
+        A, D = lifted(name)
+        u = estimate_beta_N(UnweightedSystem(A, D), cfg)
+        w = estimate_beta_N(WeightedSystem(CouplingGraph.from_sparse(A)), cfg)
+        assert u.converged and w.converged
+        assert abs(u.beta_N - 1 / math.tanh(w.beta_N)) <= 1e-6
 
 
 def test_weighted_matrix_formula_single_edge():
@@ -148,11 +204,15 @@ def upper_multigraph_couplings(draw, unique=False):
     return n, i, j, np.array(t)
 
 
-@given(upper_multigraph_couplings(unique=True))
-def test_sparse_assembly_matches_transpose_add_oracle(case):
-    n, i, j, t = case
-    H = _bethe_hessian(n, i, j, t).to_dense()
-    assert np.array_equal(H, dense_bethe_hessian_by_transpose(n, i, j, t))
+@given(upper_multigraph_couplings(unique=True), st.floats(0.1, 2.0))
+def test_sparse_assembly_matches_transpose_add_oracle(case, beta):
+    # the weighted expressions laid out by _bethe_hessian, bit for bit, with
+    # the oracle reading the couplings in the graph's order
+    n, i, j, w = case
+    J = CouplingGraph(n, np.column_stack((i, j, w))[w != 0])
+    H = bethe_hessian_weighted(J, beta).to_dense()
+    assert np.array_equal(H, dense_bethe_hessian_by_transpose(
+        n, J.i, J.j, np.tanh(beta * J.couplings)))
 
 
 @given(upper_multigraphs(),
@@ -274,9 +334,7 @@ def test_h2_root_solves_take_lanczos_and_match_dense_evr(monkeypatch,
     # the 328-row h2 lift is past the k = 1 dense edge (204 rows): every
     # solve of both finders is a Lanczos solve, and its eigenvalue is
     # LAPACK evr's
-    A, D = qc.bipartite_adjacency(qc.lift(qc.read_exponent_file(str(
-        importlib.resources.files("nishigraph").joinpath("data", "h2.exp")))))
-    system = estimator.UnweightedSystem(A, D)
+    system = UnweightedSystem(*lifted("h2.exp"))
 
     def checked(M, tol):
         lam, v = bottom_pair(M, tol)
@@ -465,6 +523,28 @@ def test_the_ladder_climbs_to_the_unweighted_root_above_its_window():
     assert 2 * math.sqrt(7) <= lo < 6 < hi
     assert lambda_min(sysm.matrix(hi)) > 0
     assert tr.converged and abs(tr.beta_N - 6) <= 1e-6
+
+
+def test_a_positive_coupling_root_below_the_window_is_found_below_it():
+    # K_n with unit couplings has lambda_min = 1 - (n - 1)t/(1 + t), so its
+    # root atanh(1/(n - 2)) lies below the window's 0.05 from n = 23: both
+    # finders climb down from 0.05 (H(0) = I) and bracket it there
+    for n in range(23, 61):
+        J = unit_coupling_graph(n, [(i, j) for i in range(n)
+                                    for j in range(i + 1, n)])
+        root = math.atanh(1 / (n - 2))
+        for tr in (estimate_beta_N(WeightedSystem(J), EstimatorConfig(eps=1e-6)),
+                   bisection_baseline(WeightedSystem(J), None, None, 1e-6)):
+            assert tr.converged and ["ladder_minimum"] not in tr.flags
+            assert abs(tr.beta_N - root) <= 1e-6
+            lo, hi = tr.bracket
+            assert lo < root < hi <= 0.05 and hi / lo == pytest.approx(1.6)
+    # one negative coupling keeps the upward climb
+    edges = [(i, j, 1.0) for i in range(30) for j in range(i + 1, 30)]
+    edges[0] = (0, 1, -1.0)
+    tr = estimate_beta_N(WeightedSystem(CouplingGraph(30, edges)),
+                         EstimatorConfig(eps=1e-6))
+    assert tr.bracket[0] > 1.0
 
 
 def test_both_finders_report_a_ladder_without_a_sign_change():

@@ -41,6 +41,21 @@ def test_protograph_validation():
             "circulant size must be >= 1 and an integer, got 2.5")):
         METProtograph([[[2], [0]]], L=2.5)
     assert type(METProtograph([[[2]]], L=3.0).L) is int
+
+
+@pytest.mark.parametrize("shift", [1.5, -1, math.nan, math.inf, "1"])
+def test_a_shift_that_is_not_an_integer_in_range_is_refused(shift):
+    # refused, not truncated: 1.5 would lift as shift 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"shift in cell (1,0) must be >= 0 and an integer, got {shift!r}")):
+        METProtograph([[[0], [1]], [[shift, 2], [0]]], L=3)
+
+
+def test_an_integral_shift_is_stored_as_an_int():
+    p = METProtograph([[[2.0, np.int64(0)], [1]]], L=3)
+    assert p.cells == [[[2, 0], [1]]]
+    assert [type(k) for k in p.cells[0][0]] == [int, int]
+    assert lift(p).edges == lift(METProtograph([[[2, 0], [1]]], L=3)).edges
     for cells in ([], [[]]):
         with pytest.raises(ValueError, match="empty protograph"):
             METProtograph(cells, L=3)

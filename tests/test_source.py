@@ -27,7 +27,6 @@ PRIVATE_IMPORTS = {
     "rbim <- sparse._frozen",
     "rbim <- sparse._refuse",
     "rbim <- sparse._size",
-    "trapping <- estimator._checked_square",
     "trapping <- estimator._uniform_bethe_hessian",
     "trapping <- sparse._frozen",
     "trapping <- sparse._kernel_dim",
@@ -43,7 +42,8 @@ PRIVATE_IMPORTS = {
 UNCALLED_EXPORTS = {
     "bethe_permanent": "the permanent bounds planned for the lift search",
     "dmin_upper_bound": "the permanent bounds planned for the lift search",
-    "lambda_min": "BENCHMARK.json's per-layer sparse.lambda_min spans",
+    "lambda_min": "the tests' bottom-eigenvalue checks and the README's "
+                  "library API",
     "optimize_lift": "the code-path benchmark workload's lift search",
     "rank_and_kernel": "the component-count oracle in tests/util.py",
     "sample_nishimori_pm": "signed couplings with a known beta_N, for the "

@@ -182,21 +182,6 @@ def test_negative_modes_at_unit_ratio():
     assert negative_modes(load("ts_9_2.txt")) == 1
 
 
-@pytest.mark.parametrize("r", [0.0, -1.0, math.nan])
-def test_negative_modes_refuses_r_that_is_not_positive(r):
-    with pytest.raises(ValueError, match="^r must be positive$"):
-        negative_modes(load("ts_9_2.txt"), r)
-
-
-@pytest.mark.parametrize("r", [20.0, math.inf])
-def test_negative_modes_refuses_a_saturated_coupling(r):
-    # tanh(20) and tanh(inf) round to 1: the refusal names the support
-    # graph's first edge and the square as a plain float
-    with pytest.raises(ValueError, match=re.escape(
-            "coupling saturated on edge (0,1): tanh^2 = 1.0") + "$"):
-        negative_modes(load("ts_9_2.txt"), r)
-
-
 def test_continuous_genus_frozen_values():
     assert continuous_genus(load("ts_4_2.txt")) == pytest.approx(
         1.006834873031462, abs=1e-9)
@@ -260,7 +245,7 @@ def test_panel_matches_component_and_sparse_oracles(H):
     assert k1 == 0
     rho, r_crit = spectral_radius(ts)
     assert invariant_panel(ts).to_dict() == {
-        "rho": rho, "r_crit": r_crit, "neg_modes_r1": negative_modes(ts, 1.0),
+        "rho": rho, "r_crit": r_crit, "neg_modes_r1": negative_modes(ts),
         "genus": continuous_genus(ts), "k0": k0, "k1": k1, "kervaire": k1,
         "betti0": b[0], "betti1_mod2": b[1], "cycle_rank": b[2]}
 
