@@ -182,7 +182,10 @@ def enumerate_cycles(g, max_len):
 
     Depth-first search from each anchor vertex, restricted to vertices with
     larger index so every cycle is discovered from its minimum vertex; of
-    its two directions, the one kept has the smaller second vertex.
+    its two directions, the one kept has the smaller second vertex.  A path
+    of k vertices extends to w only if k + dist[w] <= max_len, dist[w] being
+    w's BFS distance to the anchor over the same vertices (max_len + 1 past
+    depth max_len // 2): no path closing the cycle from w is shorter.
     """
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
@@ -198,7 +201,8 @@ def enumerate_cycles(g, max_len):
         for w in adj[u]:
             if w == start and len(path) >= 4 and path[1] < path[-1]:
                 found.append(Cycle(list(path)))
-            elif w > start and w not in on_path and len(path) < max_len:
+            elif (w > start and w not in on_path
+                  and len(path) + dist[w] <= max_len):
                 path.append(w)
                 on_path.add(w)
                 dfs(start, path, on_path)
@@ -206,6 +210,17 @@ def enumerate_cycles(g, max_len):
                 path.pop()
 
     for start in range(g.n_vertices()):
+        dist = [max_len + 1] * len(adj)
+        dist[start] = 0
+        frontier = [start]
+        for d in range(1, max_len // 2 + 1):
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w > start and dist[w] > d:
+                        dist[w] = d
+                        reached.append(w)
+            frontier = reached
         dfs(start, [start], {start})
     return sorted(found, key=lambda c: (c.length, c.vertices))
 

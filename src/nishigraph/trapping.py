@@ -3,9 +3,10 @@
 The variable-node graph is the column-interaction graph of the incidence
 matrix: adjacency A_vn = H^T H with its diagonal zeroed, so off-diagonal entry
 (i, j) counts the checks shared by variables i and j.  Each TrappingSet builds
-it once; every invariant reads it from there.
+it, and its BFS spanning forest, once; every invariant reads them from there.
 """
 
+import functools
 import io
 
 import numpy as np
@@ -89,6 +90,31 @@ class TrappingSet:
 
     def label(self):
         return f"TS({self.a},{self.b})"
+
+    @functools.cached_property
+    def _forest(self):
+        """spanning_forest_incidence(self), read-only, built on first use."""
+        Ad = self.A_vn != 0
+        n = self.a
+        visited = [False] * n
+        forest_edges = []
+        for root in range(n):
+            if visited[root]:
+                continue
+            visited[root] = True
+            queue = [root]
+            while queue:
+                u = queue.pop(0)
+                for w in range(n):
+                    if Ad[u, w] and not visited[w]:
+                        visited[w] = True
+                        forest_edges.append((min(u, w), max(u, w)))
+                        queue.append(w)
+        inc = np.zeros((n, len(forest_edges)), dtype=int)
+        for e, (u, w) in enumerate(sorted(forest_edges)):
+            inc[u, e] = 1
+            inc[w, e] = 1
+        return _frozen(inc)
 
 
 class InvariantReport:
@@ -179,27 +205,7 @@ def kasparov_k(S, T):
 
 def spanning_forest_incidence(ts):
     """Vertex-by-edge 0/1 incidence of a BFS spanning forest of the variable graph."""
-    Ad = ts.A_vn != 0
-    n = ts.a
-    visited = [False] * n
-    forest_edges = []
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for w in range(n):
-                if Ad[u, w] and not visited[w]:
-                    visited[w] = True
-                    forest_edges.append((min(u, w), max(u, w)))
-                    queue.append(w)
-    inc = np.zeros((n, len(forest_edges)), dtype=int)
-    for e, (u, w) in enumerate(sorted(forest_edges)):
-        inc[u, e] = 1
-        inc[w, e] = 1
-    return inc
+    return ts._forest
 
 
 def invariant_panel(ts):

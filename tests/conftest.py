@@ -1,3 +1,4 @@
+import importlib
 import os
 import sys
 
@@ -12,6 +13,20 @@ sys.path.insert(0, os.path.dirname(__file__))
 # a slow moment on a shared host cannot fail them.
 settings.register_profile("nishigraph", derandomize=True, deadline=None)
 settings.load_profile("nishigraph")
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                         "perfbench")
+
+
+@pytest.fixture(scope="module")
+def perfbench():
+    """The benchmark's (workloads, tracer) modules, imported from perfbench/."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        yield (importlib.import_module("workloads"),
+               importlib.import_module("tracer"))
+    finally:
+        sys.path.remove(PERFBENCH)
 
 
 @pytest.fixture

@@ -1,24 +1,7 @@
 """The benchmark's contract with the library: every workload of perfbench/
 runs one pass under its tracer, with no failed op and no failed check."""
 
-import importlib
-import os
-import sys
-
 import pytest
-
-PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
-                         "perfbench")
-
-
-@pytest.fixture(scope="module")
-def perfbench():
-    sys.path.insert(0, PERFBENCH)
-    try:
-        yield (importlib.import_module("workloads"),
-               importlib.import_module("tracer"))
-    finally:
-        sys.path.remove(PERFBENCH)
 
 
 @pytest.mark.parametrize("name", ["pipelines", "code-path"])

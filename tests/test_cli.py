@@ -59,6 +59,22 @@ def test_cycles_on_short_girth_code(tmp_path, capsys):
     assert info["ace_by_length"] == {"4": {"0": 2}}
 
 
+def test_cycles_census_of_h2_is_pinned(capsys):
+    # the census as the unbounded DFS gave it, counts and ACE per length
+    rc, out, _ = run_cli(capsys, "cycles", data_path("h2.exp"),
+                         "--max-len", "10")
+    assert rc == 0
+    info = json.loads(out)
+    assert info["girth"] == 4
+    assert info["count_by_length"] == {"4": 41, "6": 164, "8": 656,
+                                       "10": 4387}
+    assert info["ace_by_length"] == {
+        "4": {"3": 41},
+        "6": {"3": 41, "6": 82, "9": 41},
+        "8": {"3": 41, "6": 123, "9": 246, "12": 246},
+        "10": {"6": 205, "9": 984, "12": 2132, "15": 1066}}
+
+
 def test_ts_table_golden_comparison_is_advisory_clean(tmp_path, capsys):
     files = [data_path(n) for n in ("ts_4_2.txt", "ts_4_6.txt", "ts_9_2.txt")]
     rc, out, _ = run_cli(capsys, "ts-table", *files, "--golden", "--out",

@@ -14,7 +14,8 @@ from nishigraph import (METProtograph, TannerGraph, ace, bipartite_adjacency,
                         enumerate_cycles, girth, lift, optimize_lift,
                         parse_exponent_text, qc, read_exponent_file)
 
-from util import bipartite_adjacency_by_loop, girth_by_full_bfs, lifted_score
+from util import (bipartite_adjacency_by_loop, cycles_by_full_dfs,
+                  girth_by_full_bfs, lifted_score)
 
 H1_TEXT = "L=7\n1 2 4\n6 5 3\n"
 
@@ -203,6 +204,28 @@ def test_bounded_girth_matches_the_full_bfs(case):
     assert girth(g) == girth_by_full_bfs(g)
     if forest:
         assert math.isinf(girth(g))
+
+
+@given(tanner_graphs())
+def test_bounded_census_matches_the_full_dfs(case):
+    # the distance bound drops only paths that cannot close: the same
+    # cycles, each with the same vertex order, at every length
+    g, forest = case
+    for max_len in range(0, 13, 2):
+        want = [c.vertices for c in cycles_by_full_dfs(g, max_len)]
+        assert [c.vertices for c in enumerate_cycles(g, max_len)] == want
+        if forest:
+            assert want == []
+
+
+@pytest.mark.parametrize("seed", [0, 101])
+def test_h2_census_matches_the_full_dfs(perfbench, seed):
+    # h2 as bundled and relabelled as in the code-path benchmark's seed 101
+    g = lift(perfbench[0].relabelled_h2(seed))
+    for max_len, count in ((6, 205), (8, 861), (10, 5248)):
+        got = [c.vertices for c in enumerate_cycles(g, max_len)]
+        assert len(got) == count
+        assert got == [c.vertices for c in cycles_by_full_dfs(g, max_len)]
 
 
 def test_all_zero_shift_lift_is_disjoint_base_copies():

@@ -133,6 +133,17 @@ def test_variable_graph_is_read_only_and_has_zero_diagonal():
         ts.A_vn[0, 1] = 0.0
 
 
+def test_spanning_forest_is_built_once_per_set_and_read_only():
+    # the panel's betti and kasparov_k read the one cached forest
+    ts = load("ts_9_2.txt")
+    forest = spanning_forest_incidence(ts)
+    invariant_panel(ts)
+    assert spanning_forest_incidence(ts) is forest
+    assert not forest.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        forest[0, 0] = 1
+
+
 def test_trapping_set_owns_a_read_only_copy_of_its_incidence():
     # an edit to the caller's array after construction changes nothing:
     # H, the label and A_vn stay those of the set as built

@@ -10,9 +10,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from nishigraph import (CouplingGraph, LinearModel, SparseSym,
-                        UnweightedSystem, ace, enumerate_cycles, lift,
-                        rank_and_kernel)
+from nishigraph import (CouplingGraph, Cycle, LinearModel, SparseSym,
+                        UnweightedSystem, ace, lift, rank_and_kernel)
 from nishigraph.classify import _EPOCHS, _LR, _WEIGHT_DECAY, _softmax
 from nishigraph.embed import Embedding, _component_eigs
 from nishigraph.permanent import _to_rows
@@ -78,11 +77,36 @@ def lifted_score(proto, min_girth):
         return math.inf, 0, math.inf
     scan = min(int(min_girth) + 4, 12)
     scan -= scan % 2
-    cycles = enumerate_cycles(g, scan) if scan >= 4 else []
+    cycles = cycles_by_full_dfs(g, scan) if scan >= 4 else []
     n_short = sum(1 for c in cycles if c.length == gir)
     aces = [ace(c, g) for c in cycles if c.length < min_girth + 4]
     min_ace_found = min(aces) if aces else math.inf
     return gir, -n_short, min_ace_found
+
+
+def cycles_by_full_dfs(g, max_len):
+    """qc.enumerate_cycles without its distance bound: every path of up to
+    max_len vertices above its anchor is extended, whether or not it can
+    still close, and each cycle is kept in the direction whose second
+    vertex is the smaller."""
+    adj = g.adjacency_lists()
+    found = []
+
+    def dfs(start, path, on_path):
+        u = path[-1]
+        for w in adj[u]:
+            if w == start and len(path) >= 4 and path[1] < path[-1]:
+                found.append(Cycle(list(path)))
+            elif w > start and w not in on_path and len(path) < max_len:
+                path.append(w)
+                on_path.add(w)
+                dfs(start, path, on_path)
+                on_path.discard(w)
+                path.pop()
+
+    for start in range(g.n_vertices()):
+        dfs(start, [start], {start})
+    return sorted(found, key=lambda c: (c.length, c.vertices))
 
 
 def girth_by_full_bfs(g):
