@@ -48,48 +48,73 @@ class LinearModel:
         return cls(W, np.array(obj["b"], dtype=float), obj["classes"])
 
 
-def _check_finite(X):
-    """ValueError naming the first row of X that holds a NaN or an infinity."""
+def _check_finite(X, where=""):
+    """ValueError naming the first row of X that holds a NaN or an infinity,
+    after the prefix where."""
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        raise ValueError(f"row {int(bad.argmax())} holds a non-finite value")
+        raise ValueError(f"{where}row {int(bad.argmax())} holds a non-finite "
+                         "value")
 
 
 def train_linear(X, y, seed=0):
-    """Softmax regression by full-batch gradient descent; deterministic per seed.
+    """Softmax regression by full-batch gradient descent; deterministic per
+    seed.  X is one (n, d) array, for which one LinearModel is returned, or
+    a list of (n, d_k) arrays that share the labels y, for which a list of
+    models is returned, the k-th seeded seed + k.  Every set is checked
+    before any descent runs, and the list form's refusals name the set.
 
     The loop runs class-major: logits, posteriors and gradients are (K, n)
     arrays, so the softmax reductions run across contiguous rows of length n
     instead of along n rows of length K, which numpy does several times
-    slower."""
-    X = np.asarray(X, dtype=float)
+    slower.  b is W's last column, against a column of ones in X, so an
+    epoch is one matrix product for the logits and one for the gradients of
+    W and b together; sets of one width descend as one stack of them."""
     y = np.asarray(y, dtype=int)
-    if len(y) != len(X):
-        raise ValueError(f"{len(y)} labels for {len(X)} rows")
-    _check_finite(X)
+    one = not isinstance(X, (list, tuple))
+    sets = [np.asarray(x, dtype=float) for x in ([X] if one else X)]
+    for k, x in enumerate(sets):
+        where = "" if one else f"set {k}: "
+        if len(y) != len(x):
+            raise ValueError(f"{where}{len(y)} labels for {len(x)} rows")
+        _check_finite(x, where)
     classes, yk = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("at least 2 classes required")
-    n, d = X.shape
-    K = len(classes)
-    rng = np.random.default_rng(seed)
-    Wt = 0.01 * rng.standard_normal((d, K)).T.copy()
-    bt = np.zeros((K, 1))
-    Xt = X.T.copy()
+    n, K = len(y), len(classes)
     Y = np.zeros((K, n))
     Y[yk, np.arange(n)] = 1.0
-    G = np.empty((K, n))  # logits, then posteriors, then the loss gradient
-    for _ in range(_EPOCHS):
-        np.matmul(Wt, Xt, out=G)
-        G += bt
-        G -= G.max(axis=0)
-        np.exp(G, out=G)
-        G /= G.sum(axis=0)
-        G -= Y
-        G /= n
-        Wt -= _LR * (G @ X + _WEIGHT_DECAY * Wt)
-        bt -= _LR * G.sum(axis=1, keepdims=True)
-    return LinearModel(Wt.T.copy(), bt.ravel(), classes.tolist())
+    models = [None] * len(sets)
+    for d in {x.shape[1] for x in sets}:
+        stack = [k for k, x in enumerate(sets) if x.shape[1] == d]
+        Wa = np.zeros((len(stack), K, d + 1))  # W and, in the last column, b
+        Xa = np.ones((len(stack), n, d + 1))
+        for i, k in enumerate(stack):
+            W0 = np.random.default_rng(seed + k).standard_normal((d, K))
+            Wa[i, :, :d] = 0.01 * W0.T
+            Xa[i, :, :d] = sets[k]
+        # the logits' product took twice as long on a transposed view of Xa
+        Xat = Xa.transpose(0, 2, 1).copy()
+        decay = np.append(np.full(d, 1 - _LR * _WEIGHT_DECAY), 1.0)
+        G = np.empty((len(stack), K, n))  # logits, posteriors, then P - Y
+        top = np.empty((len(stack), 1, n))
+        grad = np.empty_like(Wa)
+        for _ in range(_EPOCHS):
+            np.matmul(Wa, Xat, out=G)
+            np.max(G, axis=1, out=top, keepdims=True)
+            G -= top
+            np.exp(G, out=G)
+            np.sum(G, axis=1, out=top, keepdims=True)
+            G /= top
+            G -= Y
+            np.matmul(G, Xa, out=grad)
+            grad *= _LR / n
+            Wa *= decay
+            Wa -= grad
+        for i, k in enumerate(stack):
+            models[k] = LinearModel(Wa[i, :, :d].T.copy(), Wa[i, :, d].copy(),
+                                    classes.tolist())
+    return models[0] if one else models
 
 
 def predict(model, X):

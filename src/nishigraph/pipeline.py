@@ -84,17 +84,17 @@ def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
 
 def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, cfg,
                       use_arbiter):
-    """(metrics, models): a linear model per embedding (seed + k for the
-    k-th), with an arbiter for the three class pairs most confused in
-    training when use_arbiter (none, with a WARNING, when no training pair
-    is confused or arbiter_train raises, naming the error), and the test
-    metrics of the ensemble under the EnsembleConfig cfg.  Posterior column
-    k is models[0].classes[k]; a class absent from the training rows has
-    none."""
+    """(metrics, models): a linear model per embedding, all trained by one
+    train_linear call on the list of their training rows, with an arbiter
+    for the three class pairs most confused in training when use_arbiter
+    (none, with a WARNING, when no training pair is confused or
+    arbiter_train raises, naming the error), and the test metrics of the
+    ensemble under the EnsembleConfig cfg.  Posterior column k is
+    models[0].classes[k]; a class absent from the training rows has none."""
     y = np.asarray(labels)
     classes = sorted(set(int(c) for c in y))
-    models = [train_linear(X[train_idx], y[train_idx], seed=seed + k)
-              for k, X in enumerate(coords)]
+    models = train_linear([X[train_idx] for X in coords], y[train_idx],
+                          seed=seed)
     posteriors = np.stack([predict(m, X) for m, X in zip(models, coords)])
     seen = np.array(models[0].classes)
     votes = seen[posteriors.argmax(axis=2)]

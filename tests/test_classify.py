@@ -4,9 +4,10 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nishigraph import classify
 from nishigraph import (EnsembleConfig, LinearModel, PairwiseArbiter, accuracy,
                         arbiter_train, confusion_matrix, ensemble_decide,
                         per_class_metrics, predict, predict_labels,
@@ -72,7 +73,16 @@ def training_tables(draw):
     return X, labels[rng.permutation(yk)], draw(st.integers(0, 1000))
 
 
+def pipeline_shaped_table():
+    """The benchmark pipeline's training rows in shape: n = 750 rows of
+    d = 32 coordinates, K = 10 classes of 75 rows each."""
+    rng = np.random.default_rng(750)
+    X = rng.standard_normal((750, 32)) / np.sqrt(32)
+    return X, 3 * rng.permutation(np.repeat(np.arange(10), 75)) + 1, 11
+
+
 @given(training_tables())
+@example(pipeline_shaped_table())
 def test_train_linear_matches_row_major_oracle(case):
     # same descent in the other layout: sums run in another order, so the
     # weights agree to rounding and the labels wherever the top two
@@ -88,6 +98,37 @@ def test_train_linear_matches_row_major_oracle(case):
     clear = top_two[:, 1] - top_two[:, 0] > 1e-9
     assert np.array_equal(predict_labels(model, X)[clear],
                           predict_labels(ref, X)[clear])
+
+
+@given(training_tables(), st.lists(st.integers(0, 1), max_size=3),
+       st.integers(0, 2 ** 32 - 1))
+def test_train_linear_on_a_list_is_one_call_per_set(case, wider, data):
+    # the table and 0-3 more sets of its width or one column wider: sets of
+    # one width descend as one stack, each width as its own
+    X, y, seed = case
+    rng = np.random.default_rng(data)
+    sets = [X] + [rng.standard_normal((len(X), X.shape[1] + w)) for w in wider]
+    models = train_linear(sets, y, seed=seed)
+    assert len(models) == len(sets)
+    for k, (Xk, model) in enumerate(zip(sets, models)):
+        ref = train_linear(Xk, y, seed=seed + k)
+        assert model.classes == ref.classes
+        assert np.array_equal(model.W, ref.W)
+        assert np.array_equal(model.b, ref.b)
+
+
+def test_list_refusals_name_the_set_before_any_descent(monkeypatch):
+    # with no epoch count, a descent run before the refusal would raise a
+    # TypeError instead; the bad set's width is not the first set's
+    X, y = blobs()
+    sets = [X, np.hstack([X, X[:, :1]]), np.hstack([X, X])]
+    sets[2][17, 0] = np.nan
+    monkeypatch.setattr(classify, "_EPOCHS", None)
+    with pytest.raises(ValueError,
+                       match="^set 2: row 17 holds a non-finite value$"):
+        train_linear(sets, y)
+    with pytest.raises(ValueError, match="^set 1: 90 labels for 87 rows$"):
+        train_linear([X, sets[1][3:], X], y)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

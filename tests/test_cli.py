@@ -711,6 +711,30 @@ def test_ensemble_command_reproduces_the_pipeline(tmp_path, capsys, mode):
                                           "ensemble_accuracy", "mode")}
 
 
+def test_ensemble_command_takes_embeddings_of_three_widths(tmp_path, capsys):
+    # 3, 4 and 5 columns train as three stacks of one; each model is the
+    # one-set train_linear call seeded seed + k
+    rng = np.random.default_rng(2)
+    y = np.repeat([0, 1, 2], 20)
+    centers = np.eye(3, 5)
+    coords = [rng.standard_normal((60, w)) + 1.2 * centers[y, :w]
+              for w in (3, 4, 5)]
+    paths = [str(tmp_path / f"emb{k}.csv") for k in range(3)]
+    for X, path in zip(coords, paths):
+        Embedding(X, 1.0).to_csv(path)
+    labels = tmp_path / "labels.txt"
+    labels.write_text("".join(f"{c}\n" for c in y))
+    rc, out, _ = run_cli(capsys, "ensemble", *paths, "--labels", str(labels),
+                         "--seed", "4")
+    assert rc == 0
+    train_idx, test_idx = stratified_split(y, 0.25, 4)
+    expected = [accuracy(y[test_idx], predict_labels(
+        train_linear(X[train_idx], y[train_idx], seed=4 + k), X[test_idx]))
+        for k, X in enumerate(coords)]
+    assert json.loads(out)["per_graph_accuracy"] == expected
+    assert min(expected) < 1
+
+
 def test_config_file_overrides_defaults(tmp_path, capsys):
     ft = synthetic_features(2, 12, 16, separation=8.0, seed=1)
     feat = tmp_path / "f.csv"
