@@ -75,6 +75,8 @@ def train_linear(X, y, seed=0):
     sets = [np.asarray(x, dtype=float) for x in ([X] if one else X)]
     for k, x in enumerate(sets):
         where = "" if one else f"set {k}: "
+        if x.ndim != 2:
+            raise ValueError(f"{where}X must be 2-D, got shape {x.shape}")
         if len(y) != len(x):
             raise ValueError(f"{where}{len(y)} labels for {len(x)} rows")
         _check_finite(x, where)
@@ -118,8 +120,12 @@ def train_linear(X, y, seed=0):
 
 
 def predict(model, X):
-    """Class posterior rows (sum to 1) for each input row."""
+    """Class posterior rows (sum to 1) for each input row; a 1-D X is one
+    row.  ValueError unless the rows are model.W.shape[0] wide."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != len(model.W):
+        raise ValueError(f"X of shape {X.shape} for a model of input width "
+                         f"{len(model.W)}")
     _check_finite(X)
     return _softmax(X @ model.W + model.b)
 

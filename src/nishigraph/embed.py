@@ -361,22 +361,13 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
     if len(comps) > 1:
         log.info("graph has %d components; embedding each separately",
                  len(comps))
-    # each vertex's component, and its index within it
-    label, local = np.empty((2, J.n), dtype=np.intp)
-    for c, comp in enumerate(comps):
-        label[comp] = c
-        local[comp] = np.arange(len(comp))
-    edge_label = label[J.i]
     vals, pairs, betas = [], [], []
-    for c, comp in enumerate(comps):
+    for comp in comps:
         if len(comp) == 1:  # an isolated vertex: H = [1]
             vals_c, vecs_c = np.ones(1), np.ones((1, 1))
         else:
-            on = edge_label == c
-            sub = CouplingGraph(len(comp), np.column_stack(
-                (local[J.i[on]], local[J.j[on]], J.couplings[on])))
-            beta_c, vals_c, vecs_c = _component_eigs(sub, min(r, len(comp)),
-                                                     cfg)
+            beta_c, vals_c, vecs_c = _component_eigs(
+                J.subgraph(comp), min(r, len(comp)), cfg)
             betas.append(beta_c)
         vals.append(vals_c)
         pairs += [(comp, vec) for vec in vecs_c.T]

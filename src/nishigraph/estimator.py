@@ -16,6 +16,7 @@ counts are directly comparable (the h2 root: 22).
 """
 
 import math
+import weakref
 
 import numpy as np
 
@@ -88,14 +89,31 @@ def _checked_square(i, j, t):
     return t2
 
 
-def _bethe_hessian(n, i, j, off, diag):
-    """A Bethe-Hessian as a SparseSym on n vertices: off on the distinct
-    edges (i, j), i != j, in the given order, then diag on the diagonal;
-    bethe_hessian_weighted and UnweightedSystem.matrix pass their own."""
+def _bethe_hessian(n, i, j):
+    """A Bethe-Hessian's pattern as a SparseSym on n vertices, valued 0: the
+    distinct edges (i, j), i != j, in the given order, then the diagonal.
+    Its with_values(np.concatenate((off, diag))) is the matrix with off on
+    the edges and diag on the diagonal; bethe_hessian_weighted and
+    UnweightedSystem.matrix pass their own."""
     ar = np.arange(n)
     return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
                                          np.concatenate((j, ar)),
-                                         np.concatenate((off, diag)))))
+                                         np.zeros(len(i) + n))))
+
+
+# each CouplingGraph's Bethe-Hessian pattern, (J.i, J.j, pattern), dropped
+# with the graph
+_PATTERNS = weakref.WeakKeyDictionary()
+
+
+def _weighted_pattern(J):
+    """_bethe_hessian's pattern for J's edges, checked on J's first call and
+    kept while J holds the same (read-only) i and j arrays."""
+    kept = _PATTERNS.get(J)
+    if kept is None or kept[0] is not J.i or kept[1] is not J.j:
+        kept = J.i, J.j, _bethe_hessian(J.n, J.i, J.j)
+        _PATTERNS[J] = kept
+    return kept[2]
 
 
 def _uniform_bethe_hessian(A):
@@ -125,12 +143,14 @@ def _uniform_bethe_hessian(A):
 def bethe_hessian_weighted(J, beta):
     """Coupled Bethe-Hessian, t = tanh(beta J_e) on each edge e: H_kk =
     1 + sum_{e at k} t_e^2/(1 - t_e^2) and H_ij = -t_e/(1 - t_e^2); a
-    ValueError when some t_e^2 is within 1e-12 of 1."""
+    ValueError when some t_e^2 is within 1e-12 of 1.  Its pattern is
+    checked on the first call for J only (_weighted_pattern)."""
     t = np.tanh(beta * J.couplings)
     t2 = _checked_square(J.i, J.j, t)
     c = t2 / (1 - t2)
     diag = 1 + np.bincount(J.i, c, J.n) + np.bincount(J.j, c, J.n)
-    return _bethe_hessian(J.n, J.i, J.j, -t / (1 - t2), diag)
+    return _weighted_pattern(J).with_values(np.concatenate((-t / (1 - t2),
+                                                            diag)))
 
 
 class UnweightedSystem:
@@ -138,7 +158,9 @@ class UnweightedSystem:
     the ladder's starting window, runs from just above the trivial root
     beta = 1 to twice the square root of the largest degree.  A zero
     diagonal of A and a diagonal D are checked once, and A's nonzero
-    off-diagonal (i, j, a), kept in stored order, serve matrix and slope."""
+    off-diagonal (i, j, a), kept in stored order, serve matrix and slope;
+    the Bethe-Hessian's pattern is checked once too, and matrix(beta) only
+    gives it values."""
 
     def __init__(self, A, D):
         on = A.rows == A.cols
@@ -150,11 +172,12 @@ class UnweightedSystem:
         self.A, self.D, self.n = A, D, A.n
         self._i, self._j, self._a = A.rows[off], A.cols[off], A.vals[off]
         self._d = D.diagonal()
+        self._pattern = _bethe_hessian(self.n, self._i, self._j)
         self.bracket = (1 + 1e-6, 2 * math.sqrt(self._d.max(initial=1.0)))
 
     def matrix(self, beta):
-        return _bethe_hessian(self.n, self._i, self._j, -beta * self._a,
-                              self._d + beta * beta - 1)
+        return self._pattern.with_values(np.concatenate(
+            (-beta * self._a, self._d + beta * beta - 1)))
 
     def slope(self, beta, v):
         """v^T H'(beta) v = 2 beta - v^T A v for a unit vector v."""

@@ -56,6 +56,28 @@ class CouplingGraph:
         nz = M.vals != 0
         return cls(M.n, np.column_stack((M.rows[nz], M.cols[nz], M.vals[nz])))
 
+    def subgraph(self, vertices):
+        """The subgraph induced on vertices, ascending distinct ids, with
+        vertices[k] relabelled k.  The relabelling is monotone, so this
+        graph's checked, sorted arrays restricted to the subgraph's edges
+        stay sorted, and they are not checked again."""
+        v = np.asarray(vertices)
+        v = v if v.size else v.astype(np.int64)  # [] reads as floats
+        if v.ndim != 1 or (v.size and (v.dtype.kind not in "iu" or v[0] < 0
+                                       or v[-1] >= self.n
+                                       or np.any(np.diff(v) <= 0))):
+            raise ValueError(f"vertices must be ascending distinct ids in "
+                             f"[0,{self.n})")
+        local = np.full(self.n, -1)
+        local[v] = np.arange(len(v))
+        i, j = local[self.i], local[self.j]
+        on = (i >= 0) & (j >= 0)
+        sub = CouplingGraph.__new__(CouplingGraph)
+        sub.n = len(v)
+        sub.i, sub.j, sub.couplings = (_frozen(a[on])
+                                       for a in (i, j, self.couplings))
+        return sub
+
     def components(self):
         """Vertex lists of the connected components, each ascending, ordered
         by their smallest vertex; isolated vertices are singletons."""

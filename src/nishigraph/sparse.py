@@ -3,22 +3,26 @@
 Only the upper triangle is stored; symmetry is by construction.  Every
 bottom-of-spectrum solve goes through bottom_pair (lambda_min is its
 eigenvalue) or bottom_eigenpairs, which share one dense-or-Lanczos rule
-(_solves_dense); eig_dense is the full-spectrum oracle the Lanczos branch is
-tested against.
+(_solves_dense) and one refusal of a non-finite entry; eig_dense is the
+full-spectrum oracle the Lanczos branch is tested against.
 """
 
+import copy
 import io
 import logging
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import dsyevr, dsyevr_lwork
 
 log = logging.getLogger(__name__)
 
 _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
+# dsyevr's (lwork, liwork) for the lowest pair of an n-row matrix, per n
+_EVR_WORK = {}
 
 
 def _frozen(a):
@@ -73,10 +77,11 @@ class SparseSym:
     """Symmetric real matrix stored as upper-triangle COO arrays.
 
     entries is an iterable of (i, j, value) triples, or a (k, 3) array of
-    them; each pair is stored as i <= j in the int arrays rows and cols,
-    with its value in vals, in insertion order.  A size n that is not an
-    integer >= 0, ids not integers in [0, n) and duplicates ((i, j) twice,
-    or both (i, j) and (j, i)) are rejected.
+    them; each pair is stored as i <= j in the read-only int arrays rows
+    and cols, with its value in vals, in insertion order.  A size n that is
+    not an integer >= 0, ids not integers in [0, n) and duplicates ((i, j)
+    twice, or both (i, j) and (j, i)) are rejected.  with_values gives
+    other values on the same pattern, which it does not check again.
     """
 
     def __init__(self, n, entries):
@@ -87,7 +92,21 @@ class SparseSym:
         if dup.size:
             raise ValueError(f"duplicate entry ({dup[0] // n},{dup[0] % n})")
         self.n = n
-        self.rows, self.cols, self.vals = rows, cols, vals
+        self.rows, self.cols, self.vals = _frozen(rows), _frozen(cols), vals
+        # to_csr's (indptr, indices, take), made once per pattern and shared
+        # by every with_values copy
+        self._csr_index = []
+
+    def with_values(self, vals):
+        """This matrix with vals, one per stored entry in the same order, as
+        its values; the pattern and its CSR index are shared, not copied."""
+        vals = np.asarray(vals, dtype=float)
+        if vals.shape != self.vals.shape:
+            raise ValueError(f"values of shape {vals.shape} for "
+                             f"{len(self.vals)} stored entries")
+        M = copy.copy(self)
+        M.vals = vals
+        return M
 
     @property
     def entries(self):
@@ -112,11 +131,23 @@ class SparseSym:
         return M
 
     def to_csr(self):
-        off = self.rows != self.cols
-        rows = np.concatenate((self.rows, self.cols[off]))
-        cols = np.concatenate((self.cols, self.rows[off]))
-        vals = np.concatenate((self.vals, self.vals[off]))
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+        """The full symmetric matrix in CSR form.  Its index arrays are
+        those of the COO -> CSR conversion of both triangles, made on the
+        first call for the pattern and read-only; each call gathers the
+        values into them."""
+        if not self._csr_index:
+            off = self.rows != self.cols
+            rows = np.concatenate((self.rows, self.cols[off]))
+            cols = np.concatenate((self.cols, self.rows[off]))
+            # each CSR slot's entry, by converting the entries' positions
+            take = np.concatenate((np.arange(len(self.vals)),
+                                   np.flatnonzero(off)))
+            A = sp.csr_matrix((take, (rows, cols)), shape=(self.n, self.n))
+            self._csr_index.append(tuple(_frozen(a) for a in
+                                         (A.indptr, A.indices, A.data)))
+        indptr, indices, take = self._csr_index[0]
+        return sp.csr_matrix((self.vals[take], indices, indptr),
+                             shape=(self.n, self.n))
 
     def diagonal(self):
         d = np.zeros(self.n)
@@ -144,23 +175,37 @@ def lambda_min(M, tol=1e-10):
     return bottom_pair(M, tol)[0]
 
 
+def _refuse_non_finite(M):
+    """ValueError naming M's first stored entry that is NaN or infinite."""
+    _refuse(M.rows, M.cols, ~np.isfinite(M.vals),
+            "entry ({},{}) is not finite")
+
+
 def bottom_pair(M, tol):
     """(lambda, v): the smallest eigenvalue of a SparseSym, within +-tol, and
     a unit eigenvector v for it.
 
     The k = 1 case of bottom_eigenpairs' rule; its dense branch computes the
-    one pair (LAPACK evr).
+    one pair by LAPACK's dsyevr, called as scipy.linalg.eigh(...,
+    subset_by_index=[0, 0], driver="evr") calls it, with the workspace
+    sizes queried once per n.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if M.n == 0:
         raise ValueError("empty matrix has no eigenvalues")
-    if _solves_dense(M, 1):
-        vals, vecs = sla.eigh(M.to_dense(), subset_by_index=[0, 0],
-                              driver="evr")
-    else:
+    if not _solves_dense(M, 1):
         vals, vecs = bottom_eigenpairs(M, 1, tol)
-    return float(vals[0]), vecs[:, 0]
+        return float(vals[0]), vecs[:, 0]
+    _refuse_non_finite(M)
+    if M.n not in _EVR_WORK:
+        _EVR_WORK[M.n] = [int(x) for x in dsyevr_lwork(M.n, lower=1)[:2]]
+    lwork, liwork = _EVR_WORK[M.n]
+    w, z, _, _, info = dsyevr(M.to_dense(), compute_v=1, range="I", lower=1,
+                              il=1, iu=1, lwork=lwork, liwork=liwork)
+    if info:
+        raise LinAlgError(f"dsyevr failed with info {info}")
+    return float(w[0]), z[:, 0]
 
 
 def bottom_eigenpairs(M, k, tol):
@@ -173,8 +218,10 @@ def bottom_eigenpairs(M, k, tol):
     maps to zero (a d-regular graph's Bethe-Hessian at beta = d - 1): that
     solve restarts, logged, from a fixed seeded positive vector.  ARPACK's
     tol is relative to each Ritz value, which the largest absolute row sum
-    bounds, so it is passed tol over that sum (at least 1).
+    bounds, so it is passed tol over that sum (at least 1).  A NaN or an
+    infinite entry is a ValueError naming it, before either solve.
     """
+    _refuse_non_finite(M)
     if _solves_dense(M, k):
         vals, vecs = np.linalg.eigh(M.to_dense())
         return vals[:k], vecs[:, :k]
@@ -185,8 +232,11 @@ def bottom_eigenpairs(M, k, tol):
         log.info("%d-row matrix maps the all-ones start to zero; Lanczos "
                  "restarts from a seeded positive vector", M.n)
         v0 = np.random.default_rng(0).uniform(0.5, 1.5, M.n)
+    # ARPACK gets the CSR product itself: the same kernel and bits as
+    # eigsh(A), without its wrapper's round trip through an (n, 1) array
+    op = spla.LinearOperator(A.shape, matvec=lambda x: A @ x, dtype=A.dtype)
     try:
-        vals, vecs = spla.eigsh(A, k=k, which="SA", v0=v0, tol=tol / scale,
+        vals, vecs = spla.eigsh(op, k=k, which="SA", v0=v0, tol=tol / scale,
                                 maxiter=_ARPACK_MAXITER)
     except spla.ArpackNoConvergence as exc:
         raise RuntimeError(

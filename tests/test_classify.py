@@ -148,6 +148,32 @@ def test_train_linear_names_both_sizes():
         train_linear(X, y[1:])
 
 
+def test_a_set_that_is_not_2_d_is_refused_by_its_shape(monkeypatch):
+    X, y = blobs()
+    monkeypatch.setattr(classify, "_EPOCHS", None)
+    with pytest.raises(ValueError, match=r"^X must be 2-D, got shape \(90,\)$"):
+        train_linear(X[:, 0], y)
+    with pytest.raises(ValueError,
+                       match=r"^set 1: X must be 2-D, got shape \(90,\)$"):
+        train_linear([X, X[:, 0]], y)
+    with pytest.raises(ValueError,
+                       match=r"^set 0: X must be 2-D, got shape \(90, 2, 1\)$"):
+        train_linear([X[:, :, None]], y)
+
+
+def test_predict_refuses_a_width_other_than_the_models():
+    model = train_linear(*blobs())
+    for X, shape in ((np.zeros((4, 3)), r"\(4, 3\)"),
+                     (np.zeros(5), r"\(1, 5\)"),
+                     (np.zeros((2, 2, 2)), r"\(2, 2, 2\)")):
+        with pytest.raises(ValueError, match=f"^X of shape {shape} for a "
+                                             "model of input width 2$"):
+            predict(model, X)
+    # a 1-D X of the model's width is one row
+    row = np.array([4.0, 0.1])
+    assert np.array_equal(predict(model, row), predict(model, row[None]))
+
+
 def test_linear_model_json_round_trip():
     X, y = blobs()
     model = train_linear(X, y, seed=0)

@@ -17,8 +17,9 @@ from nishigraph import (CouplingGraph, Embedding, EstimatorConfig,
                         FeatureTable, select_indices, similarity_graph,
                         spectral_embed, synthetic_features)
 
-from util import (rank_features_by_rest_mean, similarity_graph_by_loop,
-                  spectral_embed_by_pairs)
+from util import (assert_same_graph, rank_features_by_rest_mean,
+                  similarity_graph_by_loop, spectral_embed_by_pairs,
+                  subgraph_by_constructor)
 
 
 def test_feature_table_validation():
@@ -386,6 +387,25 @@ def test_spectral_embed_solves_each_temperature_once(monkeypatch):
     ft = synthetic_features(3, 15, 30, separation=8.0, seed=6)
     spectral_embed(similarity_graph(ft, gamma=2.0, p=6), 4)
     assert solved and len(set(solved)) == len(solved)
+
+
+def test_each_component_is_the_constructors_subgraph(monkeypatch):
+    # built from the parent's checked arrays, array for array the graph
+    # CouplingGraph's constructor builds from the relabelled edges
+    seen, eigs = [], embed._component_eigs
+
+    def recorded(J, k, cfg):
+        seen.append(J)
+        return eigs(J, k, cfg)
+
+    monkeypatch.setattr(embed, "_component_eigs", recorded)
+    ft = synthetic_features(3, 15, 30, separation=8.0, seed=6)
+    J = similarity_graph(ft, gamma=2.0, p=6)
+    spectral_embed(J, 4)
+    comps = [c for c in J.components() if len(c) > 1]
+    assert len(comps) == len(seen) == 3
+    for sub, comp in zip(seen, comps):
+        assert_same_graph(sub, subgraph_by_constructor(J, comp))
 
 
 def test_component_roots_take_at_most_six_solves(monkeypatch):

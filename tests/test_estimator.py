@@ -11,14 +11,16 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from nishigraph import (CouplingGraph, EstimatorConfig, SparseSym,
-                        UnweightedSystem, WeightedSystem,
-                        bethe_hessian_weighted, bisection_baseline,
-                        estimate_beta_N, lambda_min)
+                        TannerGraph, UnweightedSystem, WeightedSystem,
+                        bethe_hessian_weighted, bipartite_adjacency,
+                        bisection_baseline, estimate_beta_N, lambda_min)
 from nishigraph import estimator, qc
 from nishigraph.estimator import _checked_square, _uniform_bethe_hessian
 from nishigraph.sparse import bottom_pair
 
-from util import (cycle_edges, dense_bethe_hessian_by_transpose, random_regular,
+from util import (assert_same_sparse, bethe_hessian_by_column_stack,
+                  coupling_graphs, cycle_edges,
+                  dense_bethe_hessian_by_transpose, random_regular,
                   unit_coupling_graph, unweighted_system,
                   weighted_non_backtracking)
 
@@ -213,6 +215,96 @@ def test_sparse_assembly_matches_transpose_add_oracle(case, beta):
     H = bethe_hessian_weighted(J, beta).to_dense()
     assert np.array_equal(H, dense_bethe_hessian_by_transpose(
         n, J.i, J.j, np.tanh(beta * J.couplings)))
+
+
+def weighted_by_column_stack(J, beta):
+    """bethe_hessian_weighted's expressions, laid out as a new SparseSym."""
+    t = np.tanh(beta * J.couplings)
+    t2 = t * t
+    c = t2 / (1 - t2)
+    diag = 1 + np.bincount(J.i, c, J.n) + np.bincount(J.j, c, J.n)
+    return bethe_hessian_by_column_stack(J.n, J.i, J.j, -t / (1 - t2), diag)
+
+
+def unweighted_by_column_stack(A, D, beta):
+    """UnweightedSystem's -beta a and d + beta^2 - 1 on A's nonzero
+    off-diagonal entries, laid out as a new SparseSym."""
+    off = (A.rows != A.cols) & (A.vals != 0)
+    return bethe_hessian_by_column_stack(A.n, A.rows[off], A.cols[off],
+                                         -beta * A.vals[off],
+                                         D.diagonal() + beta * beta - 1)
+
+
+@given(coupling_graphs(), st.lists(st.floats(0.05, 2.0), min_size=1,
+                                   max_size=3))
+def test_weighted_matrices_reuse_one_pattern_bit_for_bit(J, betas):
+    system = WeightedSystem(J)
+    pattern = system.matrix(betas[0])
+    for beta in betas:
+        ref = weighted_by_column_stack(J, beta)
+        for H in (bethe_hessian_weighted(J, beta), system.matrix(beta)):
+            assert_same_sparse(H, ref)
+            assert H.rows is pattern.rows and H.cols is pattern.cols
+
+
+@st.composite
+def tanner_graphs(draw):
+    """A TannerGraph of 1-6 checks and 1-10 variables, distinct edges."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 10))
+    return TannerGraph(m, n, draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1)),
+        unique=True)))
+
+
+@given(tanner_graphs(), st.lists(st.floats(1.0, 5.0), min_size=1, max_size=3))
+def test_unweighted_matrices_reuse_one_pattern_bit_for_bit(g, betas):
+    A, D = bipartite_adjacency(g)
+    system = UnweightedSystem(A, D)
+    for beta in betas:
+        assert_same_sparse(system.matrix(beta),
+                           unweighted_by_column_stack(A, D, beta))
+
+
+def test_lifted_code_matrices_reuse_one_pattern_bit_for_bit():
+    for name in ("h1.exp", "h2.exp", "h3.exp"):
+        A, D = lifted(name)
+        system = UnweightedSystem(A, D)
+        for beta in (1.000001, 1.4142, 2.9411574077896683, 14.0):
+            assert_same_sparse(system.matrix(beta),
+                               unweighted_by_column_stack(A, D, beta))
+
+
+def test_each_pattern_is_checked_once_for_every_beta(monkeypatch):
+    checked = []
+    init = SparseSym.__init__
+
+    def counted(self, n, entries):
+        checked.append(n)
+        init(self, n, entries)
+
+    J = unit_coupling_graph(6, cycle_edges(6) + [(0, 3)])
+    A, D = lifted("h1.exp")
+    monkeypatch.setattr(SparseSym, "__init__", counted)
+    for system in (WeightedSystem(J), UnweightedSystem(A, D)):
+        estimate_beta_N(system, EstimatorConfig())
+        bisection_baseline(system, None, None, 1e-6)
+    bethe_hessian_weighted(J, 0.3)
+    assert sorted(checked) == [6, A.n]
+    # a graph that takes new edge arrays gets a pattern checked for them
+    K = CouplingGraph(6, [(0, 5, 1.0), (1, 2, -0.5)])
+    J.i, J.j, J.couplings = K.i, K.j, K.couplings
+    assert_same_sparse(bethe_hessian_weighted(J, 0.3),
+                       weighted_by_column_stack(K, 0.3))
+    assert checked[2:] == [6, 6]
+
+
+def test_a_nan_temperature_is_refused_at_the_solve_naming_the_first_edge():
+    # no coupling saturates at beta = nan, so the matrix is built; every
+    # stored entry is NaN, and the solve names the first
+    J = CouplingGraph(5, [(1, 2, 1.0), (0, 3, -0.5), (3, 4, 2.0)])
+    H = bethe_hessian_weighted(J, math.nan)
+    with pytest.raises(ValueError, match=r"^entry \(0,3\) is not finite$"):
+        bottom_pair(H, 1e-10)
 
 
 @given(upper_multigraphs(),

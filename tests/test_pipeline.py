@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+import nishigraph.estimator as estimator
 import nishigraph.pipeline as pipeline
+import nishigraph.sparse as sparse
 from nishigraph import (EnsembleConfig, FeatureTable, PairwiseArbiter,
-                        accuracy, ensemble_decide, predict, predict_labels,
-                        run_pipeline, select_indices, similarity_graph,
-                        stratified_split, synthetic_features)
+                        SparseSym, WeightedSystem, accuracy, ensemble_decide,
+                        predict, predict_labels, run_pipeline, select_indices,
+                        similarity_graph, stratified_split,
+                        synthetic_features)
 from nishigraph.embed import _similarity_graphs
 from nishigraph.pipeline import (DEFAULT_GRAPHS, _restrict_features,
                                  confusion_to_csv, metrics_table)
@@ -260,3 +263,36 @@ def test_report_artifacts(tmp_path):
     assert rows[0] == "class,precision,recall,f1,support"
     assert len(rows) == 5
     assert rows[-1].startswith("accuracy,")
+
+
+def test_a_pipeline_checks_each_pattern_once_and_sizes_each_workspace_once(
+        monkeypatch):
+    # work counts: one pattern check per system built, however many solves
+    # it makes, and one dsyevr workspace query per matrix size solved
+    counts = dict.fromkeys(("checks", "systems", "solves", "dense", "queries"),
+                           0)
+    sizes = set()
+
+    def counting(key, fn, record=None):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            if record:
+                record(*args)
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(SparseSym, "__init__",
+                        counting("checks", SparseSym.__init__))
+    monkeypatch.setattr(WeightedSystem, "__init__",
+                        counting("systems", WeightedSystem.__init__))
+    monkeypatch.setattr(estimator, "bottom_pair",
+                        counting("solves", estimator.bottom_pair))
+    monkeypatch.setattr(sparse, "_EVR_WORK", {})
+    monkeypatch.setattr(sparse, "dsyevr_lwork",
+                        counting("queries", sparse.dsyevr_lwork))
+    monkeypatch.setattr(sparse, "dsyevr", counting(
+        "dense", sparse.dsyevr, lambda a, **_: sizes.add(len(a))))
+    run_pipeline(synthetic_features(3, 40, 32, 2.0, seed=0))
+    assert counts["checks"] == counts["systems"] == 3
+    assert counts["solves"] >= 4 * counts["systems"]
+    assert 1 <= counts["queries"] <= len(sizes) < counts["dense"]

@@ -7,11 +7,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import nishigraph
 from nishigraph import CouplingGraph, SparseSym, sample_nishimori_pm
 
-from util import SpinConfig, exact_thermo, hamiltonian, random_regular
+from util import (SpinConfig, assert_same_graph, coupling_graphs, exact_thermo,
+                  hamiltonian, random_regular, subgraph_by_constructor)
 
 
 def test_coupling_graph_validation():
@@ -42,6 +45,24 @@ def test_components_order_and_membership():
     assert J.components() == [[0, 4, 6], [1, 2, 5, 7], [3]]
     assert CouplingGraph(3, []).components() == [[0], [1], [2]]
     assert CouplingGraph(0, []).components() == []
+
+
+@given(coupling_graphs(), st.data())
+def test_subgraph_is_the_constructors_graph_of_its_edges(J, data):
+    # each component, and any ascending vertex list
+    drawn = sorted(data.draw(st.sets(st.integers(0, J.n - 1))))
+    for vertices in J.components() + [drawn]:
+        assert_same_graph(J.subgraph(vertices),
+                          subgraph_by_constructor(J, vertices))
+
+
+def test_subgraph_refuses_vertices_that_are_not_ascending_ids_in_range():
+    J = CouplingGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    for vertices in ([1, 0], [0, 0], [-1, 2], [0, 4], [0.0, 1.0], [[0, 1]]):
+        with pytest.raises(ValueError, match=r"^vertices must be ascending "
+                                             r"distinct ids in \[0,4\)$"):
+            J.subgraph(vertices)
+    assert J.subgraph([]).n == 0 and J.subgraph([1, 2]).edges == []
 
 
 def test_spin_config_validation():

@@ -7,7 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+import scipy.linalg as sla
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nishigraph.sparse as sparse
@@ -307,6 +308,84 @@ def test_lambda_min_input_validation():
     with pytest.raises(ValueError, match="dense path capped at n=2000"):
         eig_dense(SparseSym(2001, []))
     assert len(eig_dense(SparseSym(0, []))) == 0
+
+
+def _symmetric(n, seed, kind):
+    """An n-row SparseSym: a dense standard-normal matrix, a sparse
+    Bethe-Hessian-like one (signed off-diagonal, dominant diagonal), or a
+    diagonal of small integers, whose bottom eigenvalue repeats."""
+    rng = np.random.default_rng(seed)
+    if kind == "diagonal":
+        return SparseSym(n, [(k, k, float(x))
+                             for k, x in enumerate(rng.integers(0, 3, n))])
+    A = rng.standard_normal((n, n))
+    if kind == "sparse":
+        A *= rng.random((n, n)) < 4 / n
+        A = np.triu(A, 1)
+        A += A.T + np.diag(np.abs(A).sum(axis=1) * rng.uniform(0.5, 1.5, n))
+    return SparseSym.from_dense(A + A.T if kind == "dense" else A)
+
+
+@given(st.integers(1, 204), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["dense", "sparse", "diagonal"]))
+@example(1, 0, "dense")
+@example(204, 0, "sparse")
+@example(204, 1, "diagonal")
+def test_dense_bottom_pair_is_scipys_evr_bit_for_bit(n, seed, kind):
+    M = _symmetric(n, seed, kind)
+    lam, v = sparse.bottom_pair(M, 1e-10)
+    vals, vecs = sla.eigh(M.to_dense(), subset_by_index=[0, 0], driver="evr")
+    assert np.float64(lam).tobytes() == vals[:1].tobytes()
+    assert v.shape == (n,) and v.tobytes() == vecs[:, 0].tobytes()
+
+
+def test_evr_workspace_is_queried_once_per_size(monkeypatch):
+    queried = []
+    query = sparse.dsyevr_lwork
+
+    def counted(n, lower):
+        queried.append(n)
+        return query(n, lower=lower)
+
+    monkeypatch.setattr(sparse, "_EVR_WORK", {})
+    monkeypatch.setattr(sparse, "dsyevr_lwork", counted)
+    for n in (3, 30, 3, 30, 204, 3):
+        lambda_min(_symmetric(n, n, "dense"))
+    assert queried == [3, 30, 204]
+
+
+@pytest.mark.parametrize("n", [50, 400])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_entry_is_refused_before_any_solve(n, bad, capfd,
+                                                       eigsh_calls):
+    # the first stored bad entry is named, on the dense (n = 50) and the
+    # Lanczos (n = 400) branches alike, and neither LAPACK nor ARPACK runs
+    M = SparseSym(n, [(k, k, 1.0) for k in range(n)]
+                  + [(3, 4, bad), (0, 1, bad)])
+    for solve in (lambda: sparse.bottom_pair(M, 1e-10),
+                  lambda: sparse.bottom_eigenpairs(M, 2, 1e-10),
+                  lambda: sparse.bottom_eigenpairs(M, 1, 1e-10)):
+        with pytest.raises(ValueError, match=r"^entry \(3,4\) is not finite$"):
+            solve()
+    assert eigsh_calls == []
+    assert capfd.readouterr().err == ""
+
+
+def test_with_values_shares_the_pattern_and_its_csr_index():
+    M = SparseSym(4, [(2, 1, 5.0), (0, 0, 1.0), (1, 3, -2.0)])
+    N = M.with_values([7.0, -1.0, 0.5])
+    assert N.entries == [(1, 2, 7.0), (0, 0, -1.0), (1, 3, 0.5)]
+    assert M.entries == [(1, 2, 5.0), (0, 0, 1.0), (1, 3, -2.0)]
+    assert N.rows is M.rows and N.cols is M.cols
+    assert not (M.rows.flags.writeable or M.cols.flags.writeable)
+    A, B = M.to_csr(), N.to_csr()
+    for a in ("indices", "indptr"):
+        X, Y = getattr(A, a), getattr(B, a)
+        assert np.shares_memory(X, Y) and not X.flags.writeable
+    assert np.array_equal(B.toarray(), N.to_dense())
+    for vals in ([1.0, 2.0], np.ones((3, 1))):
+        with pytest.raises(ValueError, match="stored entries$"):
+            M.with_values(vals)
 
 
 def test_eig_dense_complete_graph_spectrum():

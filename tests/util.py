@@ -8,6 +8,7 @@ from collections import Counter
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from nishigraph import (CouplingGraph, Cycle, LinearModel, SparseSym,
@@ -292,6 +293,66 @@ def dense_bethe_hessian_by_transpose(n, i, j, t):
     H += H.transpose(0, 2, 1)
     H.reshape(k, n * n)[:, ::n + 1] = diag.reshape(k, n)
     return H.reshape(t.shape[:-1] + (n, n))
+
+
+@st.composite
+def coupling_graphs(draw):
+    """A CouplingGraph on 2 to 30 vertices with at most n distinct edges,
+    so it often has several components; its couplings lie in [0.05, 2],
+    all positive or of either sign."""
+    n = draw(st.integers(2, 30))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = draw(st.lists(pair.filter(lambda p: p[0] != p[1]).map(sorted)
+                          .map(tuple), min_size=1, max_size=n, unique=True))
+    signs = [1.0, -1.0] if draw(st.booleans()) else [1.0]
+    w = draw(st.lists(st.tuples(st.floats(0.05, 2.0), st.sampled_from(signs)),
+                      min_size=len(pairs), max_size=len(pairs)))
+    return CouplingGraph(n, [(i, j, x * s) for (i, j), (x, s) in zip(pairs, w)])
+
+
+def subgraph_by_constructor(J, vertices):
+    """J's subgraph induced on the ascending list vertices, vertices[k]
+    relabelled k, built and checked by CouplingGraph's constructor."""
+    local = np.full(J.n, -1)
+    local[vertices] = np.arange(len(vertices))
+    on = (local[J.i] >= 0) & (local[J.j] >= 0)
+    return CouplingGraph(len(vertices), np.column_stack(
+        (local[J.i[on]], local[J.j[on]], J.couplings[on])))
+
+
+def assert_same_graph(G, H):
+    """G and H hold the same n and the same read-only i, j and couplings
+    arrays, bit for bit and dtype for dtype."""
+    assert type(G) is type(H) and G.n == H.n
+    for a in ("i", "j", "couplings"):
+        x, y = getattr(G, a), getattr(H, a)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert not x.flags.writeable
+
+
+def bethe_hessian_by_column_stack(n, i, j, off, diag):
+    """A Bethe-Hessian built as a new SparseSym, every entry checked: off
+    on the edges (i, j) in the given order, then diag on the diagonal."""
+    ar = np.arange(n)
+    return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
+                                         np.concatenate((j, ar)),
+                                         np.concatenate((off, diag)))))
+
+
+def assert_same_sparse(H, ref):
+    """H and ref hold the same n, rows, cols and vals and give the same
+    dense and CSR arrays, bit for bit and dtype for dtype; H's to_csr is
+    read twice, as its index is made on the first call."""
+    assert H.n == ref.n
+    pairs = [(getattr(H, a), getattr(ref, a)) for a in ("rows", "cols", "vals")]
+    pairs.append((H.to_dense(), ref.to_dense()))
+    for A in (H.to_csr(), H.to_csr()):
+        B = ref.to_csr()
+        pairs += [(getattr(A, a), getattr(B, a))
+                  for a in ("data", "indices", "indptr")]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
 
 
 def betti_by_components(ts, tol=1e-8):
