@@ -332,7 +332,7 @@ def cmd_pipeline(args):
 # Flags owned by the main parser; config overrides for these must not be
 # pushed down to the subparsers, where they would shadow values parsed
 # before the subcommand.
-_GLOBAL_KEYS = {"seed", "config", "out", "golden"}
+_GLOBAL_KEYS = frozenset({"seed", "config", "out", "golden"})
 
 
 def build_parser(config_defaults=None):

@@ -16,7 +16,6 @@ counts are directly comparable (the h2 root: 22).
 """
 
 import math
-import weakref
 
 import numpy as np
 
@@ -93,27 +92,13 @@ def _bethe_hessian(n, i, j):
     """A Bethe-Hessian's pattern as a SparseSym on n vertices, valued 0: the
     distinct edges (i, j), i != j, in the given order, then the diagonal.
     Its with_values(np.concatenate((off, diag))) is the matrix with off on
-    the edges and diag on the diagonal; bethe_hessian_weighted and
-    UnweightedSystem.matrix pass their own."""
+    the edges and diag on the diagonal.  WeightedSystem and UnweightedSystem
+    each build, and so check, theirs once, and each matrix(beta) passes its
+    own values."""
     ar = np.arange(n)
     return SparseSym(n, np.column_stack((np.concatenate((i, ar)),
                                          np.concatenate((j, ar)),
                                          np.zeros(len(i) + n))))
-
-
-# each CouplingGraph's Bethe-Hessian pattern, (J.i, J.j, pattern), dropped
-# with the graph
-_PATTERNS = weakref.WeakKeyDictionary()
-
-
-def _weighted_pattern(J):
-    """_bethe_hessian's pattern for J's edges, checked on J's first call and
-    kept while J holds the same (read-only) i and j arrays."""
-    kept = _PATTERNS.get(J)
-    if kept is None or kept[0] is not J.i or kept[1] is not J.j:
-        kept = J.i, J.j, _bethe_hessian(J.n, J.i, J.j)
-        _PATTERNS[J] = kept
-    return kept[2]
 
 
 def _uniform_bethe_hessian(A):
@@ -138,19 +123,6 @@ def _uniform_bethe_hessian(A):
         return H
 
     return hessian
-
-
-def bethe_hessian_weighted(J, beta):
-    """Coupled Bethe-Hessian, t = tanh(beta J_e) on each edge e: H_kk =
-    1 + sum_{e at k} t_e^2/(1 - t_e^2) and H_ij = -t_e/(1 - t_e^2); a
-    ValueError when some t_e^2 is within 1e-12 of 1.  Its pattern is
-    checked on the first call for J only (_weighted_pattern)."""
-    t = np.tanh(beta * J.couplings)
-    t2 = _checked_square(J.i, J.j, t)
-    c = t2 / (1 - t2)
-    diag = 1 + np.bincount(J.i, c, J.n) + np.bincount(J.j, c, J.n)
-    return _weighted_pattern(J).with_values(np.concatenate((-t / (1 - t2),
-                                                            diag)))
 
 
 class UnweightedSystem:
@@ -186,24 +158,43 @@ class UnweightedSystem:
 
 class WeightedSystem:
     """Root-finding target lambda_min of the coupled Bethe-Hessian; bracket,
-    the ladder's starting window, is _BRACKET."""
+    the ladder's starting window, is _BRACKET.  J's read-only i, j and
+    couplings arrays, as they are when the system is built, serve matrix
+    and slope; the Bethe-Hessian's pattern is checked once, and
+    matrix(beta) only gives it values."""
 
     def __init__(self, J):
-        self.J = J
         self.n = J.n
+        self._i, self._j, self._couplings = J.i, J.j, J.couplings
+        self._pattern = _bethe_hessian(self.n, self._i, self._j)
         self.bracket = _BRACKET
 
     def matrix(self, beta):
-        return bethe_hessian_weighted(self.J, beta)
+        """Coupled Bethe-Hessian, t = tanh(beta J_e) on each edge e: H_kk =
+        1 + sum_{e at k} t_e^2/(1 - t_e^2) and H_ij = -t_e/(1 - t_e^2); a
+        ValueError when some t_e^2 is within 1e-12 of 1."""
+        t = np.tanh(beta * self._couplings)
+        t2 = _checked_square(self._i, self._j, t)
+        c = t2 / (1 - t2)
+        diag = (1 + np.bincount(self._i, c, self.n)
+                + np.bincount(self._j, c, self.n))
+        return self._pattern.with_values(np.concatenate((-t / (1 - t2),
+                                                         diag)))
 
     def slope(self, beta, v):
         """v^T H'(beta) v: with t = tanh(beta J), H' has diagonal
         sum 2tJ/(1-t^2) and off-diagonal -J(1+t^2)/(1-t^2) on each edge."""
-        J = self.J
-        t = np.tanh(beta * J.couplings)
-        vi, vj = v[J.i], v[J.j]
-        return float(np.sum(2 * J.couplings / (1 - t * t)
+        J = self._couplings
+        t = np.tanh(beta * J)
+        vi, vj = v[self._i], v[self._j]
+        return float(np.sum(2 * J / (1 - t * t)
                             * (t * (vi * vi + vj * vj) - (1 + t * t) * vi * vj)))
+
+
+def bethe_hessian_weighted(J, beta):
+    """The coupled Bethe-Hessian of J at beta, WeightedSystem(J).matrix(beta),
+    its pattern checked on every call."""
+    return WeightedSystem(J).matrix(beta)
 
 
 class _CountedEvaluator:
@@ -359,7 +350,7 @@ def _ladder(ev):
     lo, hi = ev.system.bracket
     negative = ev(lo) < 0
     down = negative and isinstance(ev.system, WeightedSystem) and bool(
-        np.all(ev.system.J.couplings > 0))
+        np.all(ev.system._couplings > 0))
     step = 1 / _BRACKET_FACTOR if down else _BRACKET_FACTOR
     near, far = (lo, lo * step) if down else (lo, hi)
     for _ in range(_BRACKET_EXPANSIONS):

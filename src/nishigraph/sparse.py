@@ -21,8 +21,6 @@ log = logging.getLogger(__name__)
 
 _DENSE_CAP = 2000
 _ARPACK_MAXITER = 50000
-# dsyevr's (lwork, liwork) for the lowest pair of an n-row matrix, per n
-_EVR_WORK = {}
 
 
 def _frozen(a):
@@ -187,22 +185,23 @@ def bottom_pair(M, tol):
 
     The k = 1 case of bottom_eigenpairs' rule; its dense branch computes the
     one pair by LAPACK's dsyevr, called as scipy.linalg.eigh(...,
-    subset_by_index=[0, 0], driver="evr") calls it, with the workspace
-    sizes queried once per n.
+    subset_by_index=[0, 0], driver="evr") calls it, but on the dense
+    matrix's transpose, the same symmetric matrix in Fortran order, which
+    dsyevr overwrites instead of copying.  A tol that is not positive and
+    finite is a ValueError.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     if M.n == 0:
         raise ValueError("empty matrix has no eigenvalues")
     if not _solves_dense(M, 1):
         vals, vecs = bottom_eigenpairs(M, 1, tol)
         return float(vals[0]), vecs[:, 0]
     _refuse_non_finite(M)
-    if M.n not in _EVR_WORK:
-        _EVR_WORK[M.n] = [int(x) for x in dsyevr_lwork(M.n, lower=1)[:2]]
-    lwork, liwork = _EVR_WORK[M.n]
-    w, z, _, _, info = dsyevr(M.to_dense(), compute_v=1, range="I", lower=1,
-                              il=1, iu=1, lwork=lwork, liwork=liwork)
+    lwork, liwork = (int(x) for x in dsyevr_lwork(M.n, lower=1)[:2])
+    w, z, _, _, info = dsyevr(M.to_dense().T, compute_v=1, range="I",
+                              lower=1, il=1, iu=1, lwork=lwork, liwork=liwork,
+                              overwrite_a=1)
     if info:
         raise LinAlgError(f"dsyevr failed with info {info}")
     return float(w[0]), z[:, 0]
@@ -256,10 +255,11 @@ def eig_dense(M):
 def rank_and_kernel(M, tol=None):
     """(rank, kernel_dim) from the eigenvalue magnitudes; rank + kernel = n.
 
-    tol=None uses 1e-8 times the largest eigenvalue magnitude (scale-free).
+    tol=None uses 1e-8 times the largest eigenvalue magnitude (scale-free);
+    any other tol must be positive and finite.
     """
-    if tol is not None and tol <= 0:
-        raise ValueError("tol must be positive")
+    if tol is not None and not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
     kernel = _kernel_dim(eig_dense(M), tol)
     return (M.n - kernel, kernel)
 

@@ -238,13 +238,17 @@ def unweighted_by_column_stack(A, D, beta):
 @given(coupling_graphs(), st.lists(st.floats(0.05, 2.0), min_size=1,
                                    max_size=3))
 def test_weighted_matrices_reuse_one_pattern_bit_for_bit(J, betas):
+    # the system's matrices share one pattern; bethe_hessian_weighted builds
+    # a system per call, so its matrix is equal but has its own arrays
     system = WeightedSystem(J)
     pattern = system.matrix(betas[0])
     for beta in betas:
         ref = weighted_by_column_stack(J, beta)
-        for H in (bethe_hessian_weighted(J, beta), system.matrix(beta)):
-            assert_same_sparse(H, ref)
-            assert H.rows is pattern.rows and H.cols is pattern.cols
+        H, once = system.matrix(beta), bethe_hessian_weighted(J, beta)
+        assert_same_sparse(H, ref)
+        assert_same_sparse(once, ref)
+        assert H.rows is pattern.rows and H.cols is pattern.cols
+        assert once.rows is not pattern.rows
 
 
 @st.composite
@@ -285,17 +289,23 @@ def test_each_pattern_is_checked_once_for_every_beta(monkeypatch):
     J = unit_coupling_graph(6, cycle_edges(6) + [(0, 3)])
     A, D = lifted("h1.exp")
     monkeypatch.setattr(SparseSym, "__init__", counted)
-    for system in (WeightedSystem(J), UnweightedSystem(A, D)):
+    weighted = WeightedSystem(J)
+    for system in (weighted, UnweightedSystem(A, D)):
         estimate_beta_N(system, EstimatorConfig())
         bisection_baseline(system, None, None, 1e-6)
-    bethe_hessian_weighted(J, 0.3)
     assert sorted(checked) == [6, A.n]
-    # a graph that takes new edge arrays gets a pattern checked for them
+    # bethe_hessian_weighted checks one pattern per call
+    before = bethe_hessian_weighted(J, 0.3)
+    bethe_hessian_weighted(J, 0.3)
+    assert checked[2:] == [6, 6]
+    # a system keeps the arrays J held when it was built: after J takes new
+    # ones it returns the matrix it returned before, while
+    # bethe_hessian_weighted, a new system, reads the new ones
     K = CouplingGraph(6, [(0, 5, 1.0), (1, 2, -0.5)])
     J.i, J.j, J.couplings = K.i, K.j, K.couplings
+    assert_same_sparse(weighted.matrix(0.3), before)
     assert_same_sparse(bethe_hessian_weighted(J, 0.3),
                        weighted_by_column_stack(K, 0.3))
-    assert checked[2:] == [6, 6]
 
 
 def test_a_nan_temperature_is_refused_at_the_solve_naming_the_first_edge():

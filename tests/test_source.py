@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module imports is used there, every
 private name one package module takes from another is listed, and so are
 every exported name and every public method of an exported class that no
-package module uses."""
+package module uses; no package module binds a mutable container at module
+level."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,8 @@ PRIVATE_IMPORTS = {
 # __init__ references, with the use that keeps it; a new entry is public
 # surface the package itself does not need, so it is named here first
 UNCALLED_EXPORTS = {
+    "bethe_hessian_weighted": "the benchmark's root check and the tests' "
+                              "one-beta matrices",
     "bethe_permanent": "the permanent bounds planned for the lift search",
     "dmin_upper_bound": "the permanent bounds planned for the lift search",
     "lambda_min": "the tests' bottom-eigenvalue checks and the README's "
@@ -115,6 +118,56 @@ def test_a_new_private_import_is_caught(tmp_path):
                      "q._girth_by_walks(None)\n")
     assert private_imports(path, tree) == {"user <- estimator._ends",
                                            "user <- qc._girth_by_walks"}
+
+
+# calls that make a mutable container, by plain or dotted name
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict", "WeakKeyDictionary"}
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                    ast.SetComp)
+
+
+def mutable_globals(path, tree):
+    """"module.name" for each name a top-level statement binds to a mutable
+    container: a dict, list or set display or comprehension, or a call in
+    MUTABLE_CALLS.  Such a name is state shared by every caller in the
+    process; it belongs to an object the caller makes."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets = [node.target]
+        else:
+            continue
+        value = node.value
+        if isinstance(value, ast.Call):
+            func = value.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None)
+            mutable = name in MUTABLE_CALLS
+        else:
+            mutable = isinstance(value, MUTABLE_DISPLAYS)
+        if mutable:
+            found |= {f"{path.stem}.{n.id}" for target in targets
+                      for n in ast.walk(target) if isinstance(n, ast.Name)}
+    return found
+
+
+def test_no_module_binds_a_mutable_container_at_module_level():
+    assert set().union(*(mutable_globals(p, t) for p, t in _modules())) == set()
+
+
+def test_a_new_mutable_global_is_caught(tmp_path):
+    tree = ast.parse("import weakref\nfrom collections import defaultdict\n"
+                     "_SEEN = {}\n_ORDER: list = [1]\n"
+                     "_KEYS = {k for k in 'ab'}\n"
+                     "_TABLE = weakref.WeakKeyDictionary()\n"
+                     "_COUNTS = defaultdict(int)\n_WORK = dict(n=1)\n"
+                     "_FIXED = frozenset({'a'})\n_PAIR = (1, 2)\n_N = 3\n"
+                     "def f():\n    cache = {}\n    return cache\n")
+    assert mutable_globals(tmp_path / "user.py", tree) == {
+        "user._SEEN", "user._ORDER", "user._KEYS", "user._TABLE",
+        "user._COUNTS", "user._WORK"}
 
 
 def uncalled_exports(exported, trees):

@@ -299,10 +299,16 @@ def test_lanczos_restarts_when_the_all_ones_start_maps_to_zero(eigsh_calls,
         "from a seeded positive vector"]
 
 
-def test_lambda_min_input_validation():
-    S = SparseSym(3, [(i, i, 1.0) for i in range(3)])
-    with pytest.raises(ValueError):
-        lambda_min(S, tol=0.0)
+def test_lambda_min_input_validation(eigsh_calls):
+    # a tol that is not positive and finite is refused on the dense (n = 50)
+    # and the Lanczos (n = 400) branches before either solves
+    for n in (50, 400):
+        S = SparseSym(n, [(i, i, 1.0) for i in range(n)])
+        for tol in (0.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError,
+                               match="^tol must be positive and finite$"):
+                lambda_min(S, tol=tol)
+    assert eigsh_calls == []
     with pytest.raises(ValueError):
         lambda_min(SparseSym(0, []))
     with pytest.raises(ValueError, match="dense path capped at n=2000"):
@@ -337,21 +343,6 @@ def test_dense_bottom_pair_is_scipys_evr_bit_for_bit(n, seed, kind):
     vals, vecs = sla.eigh(M.to_dense(), subset_by_index=[0, 0], driver="evr")
     assert np.float64(lam).tobytes() == vals[:1].tobytes()
     assert v.shape == (n,) and v.tobytes() == vecs[:, 0].tobytes()
-
-
-def test_evr_workspace_is_queried_once_per_size(monkeypatch):
-    queried = []
-    query = sparse.dsyevr_lwork
-
-    def counted(n, lower):
-        queried.append(n)
-        return query(n, lower=lower)
-
-    monkeypatch.setattr(sparse, "_EVR_WORK", {})
-    monkeypatch.setattr(sparse, "dsyevr_lwork", counted)
-    for n in (3, 30, 3, 30, 204, 3):
-        lambda_min(_symmetric(n, n, "dense"))
-    assert queried == [3, 30, 204]
 
 
 @pytest.mark.parametrize("n", [50, 400])
@@ -417,8 +408,10 @@ def test_rank_and_kernel_counts_laplacian_components():
     assert rank_and_kernel(two) == (4, 2)
     eye = SparseSym(3, [(i, i, 1.0) for i in range(3)])
     assert rank_and_kernel(eye) == (3, 0)
-    with pytest.raises(ValueError):
-        rank_and_kernel(SparseSym(2, [(0, 0, 1.0), (1, 1, 1.0)]), tol=-1.0)
+    for tol in (-1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError,
+                           match="^tol must be positive and finite$"):
+            rank_and_kernel(SparseSym(2, [(0, 0, 1.0), (1, 1, 1.0)]), tol=tol)
 
 
 def test_matrix_market_round_trip(tmp_path):
