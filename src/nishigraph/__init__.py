@@ -21,10 +21,9 @@ from .estimator import (EstimatorConfig, EstimatorTrace, UnweightedSystem,
                         bisection_baseline, estimate_beta_N)
 from .embed import (Embedding, FeatureTable, select_indices, similarity_graph,
                     spectral_embed, synthetic_features)
-from .classify import (EnsembleConfig, LinearModel, PairwiseArbiter, accuracy,
-                       arbiter_train, confusion_matrix, ensemble_decide,
-                       per_class_metrics, predict, predict_labels,
-                       train_linear)
+from .classify import (EnsembleConfig, LinearModel, accuracy,
+                       confusion_matrix, ensemble_decide, per_class_metrics,
+                       predict, predict_labels, train_linear)
 from .pipeline import run_pipeline, stratified_split
 
 __version__ = "0.1.0"
@@ -46,9 +45,9 @@ __all__ = [
     "bethe_hessian_weighted", "bisection_baseline", "estimate_beta_N",
     "Embedding", "FeatureTable", "select_indices", "similarity_graph",
     "spectral_embed", "synthetic_features",
-    "EnsembleConfig", "LinearModel", "PairwiseArbiter", "accuracy",
-    "arbiter_train", "confusion_matrix", "ensemble_decide",
-    "per_class_metrics", "predict", "predict_labels", "train_linear",
+    "EnsembleConfig", "LinearModel", "accuracy", "confusion_matrix",
+    "ensemble_decide", "per_class_metrics", "predict", "predict_labels",
+    "train_linear",
     "run_pipeline", "stratified_split",
     "__version__",
 ]

@@ -1,5 +1,5 @@
-"""Linear softmax classification on embeddings, a pairwise MLP arbiter, and
-the three-graph ensemble decision rule with margin-threshold fallback.
+"""Linear softmax classification on embeddings and the three-graph ensemble
+decision rule: majority vote with a soft-vote fallback, or soft vote alone.
 
 Training is fixed-epoch full-batch gradient descent so results are exactly
 reproducible from the seed.
@@ -13,8 +13,6 @@ import numpy as np
 _EPOCHS = 300
 _LR = 0.5
 _WEIGHT_DECAY = 1e-4
-_ARBITER_EPOCHS = 400
-_ARBITER_LR = 0.3
 
 
 def _softmax(Z):
@@ -135,111 +133,30 @@ def predict_labels(model, X):
     return np.array(model.classes)[predict(model, X).argmax(axis=1)]
 
 
-class PairwiseArbiter:
-    """One small MLP per confusable class pair (single hidden layer, width 2r)."""
-
-    def __init__(self, models):
-        self.models = models  # {(a, b) with a < b: (W1, b1, w2, b2)}
-
-    def decide(self, X, a, b):
-        """Winner between classes a[i] and b[i] for each embedding row X[i];
-        a row whose pair was never trained falls back to its a[i]."""
-        X = np.asarray(X, dtype=float)
-        a, b = np.asarray(a), np.asarray(b)
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        won = a.copy()
-        for (p, q), (W1, b1, w2, b2) in self.models.items():
-            rows = (lo == p) & (hi == q)
-            score = np.tanh(X[rows] @ W1 + b1) @ w2 + b2
-            # positive score votes for the larger class label of the pair
-            won[rows] = np.where(score > 0, q, p)
-        return won
-
-
-def arbiter_train(X, y, pairs, seed=0):
-    """Train one binary MLP per pair; errors name the pair when data is short."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=int)
-    d = X.shape[1]
-    hidden = 2 * d
-    models = {}
-    rng = np.random.default_rng(seed)
-    for a, b in pairs:
-        a, b = int(min(a, b)), int(max(a, b))
-        mask = (y == a) | (y == b)
-        if (y == a).sum() < 10 or (y == b).sum() < 10:
-            raise ValueError(f"pair ({a},{b}) needs >= 10 samples per class")
-        Xp = X[mask]
-        tp = np.where(y[mask] == b, 1.0, -1.0)
-        W1 = rng.standard_normal((d, hidden)) / np.sqrt(d)
-        b1 = np.zeros(hidden)
-        w2 = rng.standard_normal(hidden) / np.sqrt(hidden)
-        b2 = 0.0
-        n = len(tp)
-        for _ in range(_ARBITER_EPOCHS):
-            H = np.tanh(Xp @ W1 + b1)
-            s = H @ w2 + b2
-            # logistic loss on the +-1 target
-            grad_s = -tp / (1 + np.exp(tp * s)) / n
-            gw2 = H.T @ grad_s
-            gb2 = grad_s.sum()
-            gH = np.outer(grad_s, w2) * (1 - H * H)
-            W1 -= _ARBITER_LR * (Xp.T @ gH)
-            b1 -= _ARBITER_LR * gH.sum(axis=0)
-            w2 -= _ARBITER_LR * gw2
-            b2 -= _ARBITER_LR * gb2
-        models[(a, b)] = (W1, b1, w2, b2)
-    return PairwiseArbiter(models)
-
-
 class EnsembleConfig:
-    def __init__(self, mode="majority", margin_threshold=0.0):
+    def __init__(self, mode="majority"):
         if mode not in ("majority", "soft"):
             raise ValueError("mode must be 'majority' or 'soft'")
-        if not margin_threshold >= 0:
-            raise ValueError("margin threshold must be >= 0")
         self.mode = mode
-        self.margin_threshold = float(margin_threshold)
 
 
-def ensemble_decide(P, cfg, arbiter=None):
+def ensemble_decide(P, cfg):
     """One posterior column per row from P, the three voters' (n, K)
     posteriors stacked to shape (3, n, K).
 
-    Majority mode: a label chosen by at least two voters wins, the deciding
-    posterior being the mean over the agreeing voters; a three-way split goes
-    to the arbiter when available and to soft voting otherwise.  Soft mode
-    averages the three posteriors.  In both modes, a top-two margin below the
-    threshold hands the final word to the arbiter when one is given.
-    arbiter(rows, a, b) is called once, on the rows that need it, with each
-    row's top two columns of the deciding posterior, and returns a column
-    per row.
+    Majority mode: a column chosen by at least two voters wins, and a
+    three-way split goes to the argmax of the mean posterior.  Soft mode
+    takes that argmax on every row.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 3 or len(P) != 3:
         raise ValueError(f"posteriors of shape (3, n, K) expected, got shape "
                          f"{P.shape}")
-    D = P.mean(axis=0)
-    chosen = D.argmax(axis=1)
-    split = np.zeros(len(D), dtype=bool)
+    chosen = P.mean(axis=0).argmax(axis=1)
     if cfg.mode == "majority":
-        votes = P.argmax(axis=2)
-        v0, v1, v2 = votes
-        label = np.where((v0 == v1) | (v0 == v2), v0, v1)
-        agree = votes == label
-        count = agree.sum(axis=0)
-        split = count < 2
-        # the masked sum adds exact zeros, so it is bit-equal to the mean over
-        # the agreeing voters alone
-        D = np.where(split[:, None], D, np.where(agree[..., None], P, 0.0)
-                     .sum(axis=0) / count[:, None])
-        chosen = np.where(split, chosen, label)
-    if arbiter is not None:
-        top = np.argsort(-D, axis=1, kind="stable")[:, :2]
-        pair = np.take_along_axis(D, top, axis=1)
-        margin = pair[:, 0] - pair[:, 1]
-        rows = np.flatnonzero(split | (margin < cfg.margin_threshold))
-        chosen[rows] = arbiter(rows, top[rows, 0], top[rows, 1])
+        v0, v1, v2 = P.argmax(axis=2)
+        chosen = np.where((v0 == v1) | (v0 == v2), v0,
+                          np.where(v1 == v2, v1, chosen))
     return chosen
 
 

@@ -276,9 +276,6 @@ def cmd_classify(args):
 
 
 def cmd_ensemble(args):
-    if args.threshold:
-        raise ValueError("--threshold needs an arbiter, which ensemble does "
-                         "not train")
     cfg = EnsembleConfig(args.mode)
     coords = [Embedding.from_csv(p).coords for p in args.embeddings]
     if len({len(c) for c in coords}) > 1:
@@ -287,16 +284,14 @@ def cmd_ensemble(args):
     labels = _read_labels(args.labels, len(coords[0]))
     train_idx, test_idx = stratified_split(labels, args.test_fraction, args.seed)
     metrics, _ = evaluate_ensemble(coords, labels, train_idx, test_idx,
-                                   args.seed, cfg, False)
+                                   args.seed, cfg)
     _emit({k: metrics[k] for k in ("per_graph_accuracy", "ensemble_accuracy",
                                    "mode")})
     return 0
 
 
 def cmd_pipeline(args):
-    if args.threshold and not args.arbiter:
-        raise ValueError("--threshold needs --arbiter")
-    cfg = EnsembleConfig(args.mode, args.threshold)
+    cfg = EnsembleConfig(args.mode)
     if args.synthetic:
         try:
             k, per_class, dim, separation = args.synthetic.split(",")
@@ -317,8 +312,7 @@ def cmd_pipeline(args):
         raise ValueError("--features or --synthetic required")
     result, embeddings, _ = run_pipeline(
         ft, r=args.r, test_fraction=args.test_fraction, seed=args.seed,
-        mode=cfg.mode, margin_threshold=cfg.margin_threshold,
-        use_arbiter=args.arbiter)
+        mode=cfg.mode)
     confusion_to_csv(result["confusion"], result["classes"],
                      _out_path(args, "confusion.csv"))
     with open(_out_path(args, "metrics_table.csv"), "w") as fh:
@@ -407,7 +401,6 @@ def build_parser(config_defaults=None):
     p.add_argument("embeddings", nargs=3)
     p.add_argument("--labels", required=True)
     p.add_argument("--mode", choices=("majority", "soft"), default="majority")
-    p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.set_defaults(fn=cmd_ensemble)
 
@@ -417,8 +410,6 @@ def build_parser(config_defaults=None):
     p.add_argument("--synthetic", help="K,per_class,dim,separation")
     p.add_argument("-r", type=int, default=32)
     p.add_argument("--mode", choices=("majority", "soft"), default="majority")
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--arbiter", action="store_true")
     p.add_argument("--test-fraction", type=float, default=0.25)
     p.set_defaults(fn=cmd_pipeline)
 

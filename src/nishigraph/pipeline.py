@@ -5,17 +5,13 @@ Graph diversity comes from per-graph kernel parameters and discriminative
 feature-index subsets selected on the training split only.
 """
 
-import logging
-
 import numpy as np
 
-from .classify import (EnsembleConfig, accuracy, arbiter_train,
-                       confusion_matrix, ensemble_decide, per_class_metrics,
-                       predict, train_linear)
+from .classify import (EnsembleConfig, accuracy, confusion_matrix,
+                       ensemble_decide, per_class_metrics, predict,
+                       train_linear)
 from .embed import (FeatureTable, _rank_features, _similarity_graphs,
                     spectral_embed)
-
-log = logging.getLogger(__name__)
 
 DEFAULT_GRAPHS = (
     {"gamma": 2.0, "p": 12, "s_frac": 1.0},
@@ -54,15 +50,14 @@ def _restrict_features(ft, ranking, s_frac):
     return np.unique(np.concatenate([order[:s] for order in ranking.values()]))
 
 
-def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
-                 margin_threshold=0.0, use_arbiter=False):
+def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority"):
     """Full embed/classify/ensemble run on a labeled feature table, one
     embedding per graph of DEFAULT_GRAPHS.
 
     Returns (result, embeddings, models): evaluate_ensemble's metrics with
     each embedding's beta_N added, the embeddings, and the fitted models.
     """
-    cfg = EnsembleConfig(mode, margin_threshold)
+    cfg = EnsembleConfig(mode)
     if ft.labels is None:
         raise ValueError("labeled features required")
     train_idx, test_idx = stratified_split(ft.labels, test_fraction, seed)
@@ -77,59 +72,32 @@ def run_pipeline(ft, r=32, test_fraction=0.25, seed=0, mode="majority",
                   for g_id, J in enumerate(graphs)]
     result, models = evaluate_ensemble(
         [e.coords for e in embeddings], ft.labels, train_idx, test_idx, seed,
-        cfg, use_arbiter)
+        cfg)
     result["beta_N"] = [float(e.beta_N_used) for e in embeddings]
     return result, embeddings, models
 
 
-def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, cfg,
-                      use_arbiter):
+def evaluate_ensemble(coords, labels, train_idx, test_idx, seed, cfg):
     """(metrics, models): a linear model per embedding, all trained by one
-    train_linear call on the list of their training rows, with an arbiter
-    for the three class pairs most confused in training when use_arbiter
-    (none, with a WARNING, when no training pair is confused or
-    arbiter_train raises, naming the error), and the test metrics of the
-    ensemble under the EnsembleConfig cfg.  Posterior column k is
-    models[0].classes[k]; a class absent from the training rows has none."""
+    train_linear call on the list of their training rows, and the test
+    metrics of the ensemble under the EnsembleConfig cfg.  Posterior column
+    k is models[0].classes[k]; a class absent from the training rows has
+    none."""
     y = np.asarray(labels)
     classes = sorted(set(int(c) for c in y))
     models = train_linear([X[train_idx] for X in coords], y[train_idx],
                           seed=seed)
-    posteriors = np.stack([predict(m, X) for m, X in zip(models, coords)])
+    posteriors = np.stack([predict(m, X[test_idx])
+                           for m, X in zip(models, coords)])
     seen = np.array(models[0].classes)
     votes = seen[posteriors.argmax(axis=2)]
-    arbitrate = None
-    if use_arbiter:
-        conf = confusion_matrix(np.tile(y[train_idx], len(coords)),
-                                votes[:, train_idx].ravel(), seen)
-        np.fill_diagonal(conf, 0)
-        flat = sorted(((conf[a, b] + conf[b, a], seen[a], seen[b])
-                       for a in range(len(seen)) for b in range(a + 1, len(seen))),
-                      reverse=True)
-        pairs = [(a, b) for cnt, a, b in flat[:3] if cnt > 0]
-        if not pairs:
-            log.warning("arbiter not trained: no class pair is confused in "
-                        "training")
-        else:
-            concat = np.hstack(coords)
-            try:
-                arbiter = arbiter_train(concat[train_idx], y[train_idx], pairs,
-                                        seed=seed)
-            except ValueError as exc:
-                log.warning("arbiter dropped: %s", exc)
-            else:
-                def arbitrate(rows, a, b):
-                    won = arbiter.decide(concat[test_idx][rows], seen[a],
-                                         seen[b])
-                    return np.searchsorted(seen, won)
-
-    y_ens = seen[ensemble_decide(posteriors[:, test_idx], cfg, arbitrate)]
+    y_ens = seen[ensemble_decide(posteriors, cfg)]
     y_true = y[test_idx]
     metrics = {
         "classes": classes,
         "n_train": int(len(train_idx)),
         "n_test": int(len(test_idx)),
-        "per_graph_accuracy": [accuracy(y_true, v[test_idx]) for v in votes],
+        "per_graph_accuracy": [accuracy(y_true, v) for v in votes],
         "ensemble_accuracy": accuracy(y_true, y_ens),
         "per_class": per_class_metrics(y_true, y_ens, classes),
         "confusion": confusion_matrix(y_true, y_ens, classes).tolist(),

@@ -173,6 +173,12 @@ def lambda_min(M, tol=1e-10):
     return bottom_pair(M, tol)[0]
 
 
+def _check_tol(tol):
+    """ValueError unless tol is positive and finite."""
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+
+
 def _refuse_non_finite(M):
     """ValueError naming M's first stored entry that is NaN or infinite."""
     _refuse(M.rows, M.cols, ~np.isfinite(M.vals),
@@ -190,8 +196,7 @@ def bottom_pair(M, tol):
     dsyevr overwrites instead of copying.  A tol that is not positive and
     finite is a ValueError.
     """
-    if not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     if M.n == 0:
         raise ValueError("empty matrix has no eigenvalues")
     if not _solves_dense(M, 1):
@@ -217,9 +222,11 @@ def bottom_eigenpairs(M, k, tol):
     maps to zero (a d-regular graph's Bethe-Hessian at beta = d - 1): that
     solve restarts, logged, from a fixed seeded positive vector.  ARPACK's
     tol is relative to each Ritz value, which the largest absolute row sum
-    bounds, so it is passed tol over that sum (at least 1).  A NaN or an
-    infinite entry is a ValueError naming it, before either solve.
+    bounds, so it is passed tol over that sum (at least 1).  A tol that is
+    not positive and finite, or a NaN or an infinite entry, which is named,
+    is a ValueError before either solve.
     """
+    _check_tol(tol)
     _refuse_non_finite(M)
     if _solves_dense(M, k):
         vals, vecs = np.linalg.eigh(M.to_dense())
@@ -258,8 +265,8 @@ def rank_and_kernel(M, tol=None):
     tol=None uses 1e-8 times the largest eigenvalue magnitude (scale-free);
     any other tol must be positive and finite.
     """
-    if tol is not None and not 0 < tol < np.inf:
-        raise ValueError("tol must be positive and finite")
+    if tol is not None:
+        _check_tol(tol)
     kernel = _kernel_dim(eig_dense(M), tol)
     return (M.n - kernel, kernel)
 

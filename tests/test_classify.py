@@ -1,6 +1,4 @@
-"""Linear softmax models, the pairwise arbiter, and the ensemble decision."""
-
-import itertools
+"""Linear softmax models and the ensemble decision."""
 
 import numpy as np
 import pytest
@@ -8,13 +6,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from nishigraph import classify
-from nishigraph import (EnsembleConfig, LinearModel, PairwiseArbiter, accuracy,
-                        arbiter_train, confusion_matrix, ensemble_decide,
-                        per_class_metrics, predict, predict_labels,
-                        train_linear)
+from nishigraph import (EnsembleConfig, LinearModel, accuracy,
+                        confusion_matrix, ensemble_decide, per_class_metrics,
+                        predict, predict_labels, train_linear)
 
-from util import (arbiter_scores_by_row, ensemble_decide_by_row,
-                  train_linear_row_major)
+from util import ensemble_decide_by_row, train_linear_row_major
 
 
 def blobs(seed=0, per=30, spread=0.3):
@@ -185,36 +181,9 @@ def test_linear_model_json_round_trip():
         LinearModel.from_json('{"kind": "other"}')
 
 
-def test_arbiter_separates_a_confusable_pair():
-    rng = np.random.default_rng(1)
-    Xa = rng.standard_normal((40, 3)) + np.array([1.5, 0, 0])
-    Xb = rng.standard_normal((40, 3)) - np.array([1.5, 0, 0])
-    X = np.vstack([Xa, Xb])
-    y = np.repeat([0, 1], 40)
-    arb = arbiter_train(X, y, [(0, 1)], seed=0)
-    assert sorted(arb.models) == [(0, 1)]
-    a, b = np.zeros(80, dtype=int), np.ones(80, dtype=int)
-    correct = int((arb.decide(X, a, b) == y).sum())
-    assert correct >= 72  # 90 percent on the training pair
-
-
-def test_arbiter_needs_enough_samples_per_class():
-    X = np.zeros((12, 2))
-    y = np.array([0] * 9 + [1] * 3)
-    with pytest.raises(ValueError):
-        arbiter_train(X, y, [(0, 1)])
-
-
-def test_arbiter_falls_back_without_a_trained_pair():
-    arb = PairwiseArbiter({})
-    assert arb.decide(np.zeros((1, 2)), [4], [9]) == 4
-
-
 def test_ensemble_config_validation():
     with pytest.raises(ValueError):
         EnsembleConfig(mode="mean")
-    with pytest.raises(ValueError):
-        EnsembleConfig(margin_threshold=-0.1)
 
 
 def test_majority_vote_beats_a_dissenter():
@@ -226,34 +195,6 @@ def test_three_way_split_without_arbiter_soft_averages():
     P = [[[0.9, 0.05, 0.05]], [[0.1, 0.6, 0.3]], [[0.2, 0.2, 0.6]]]
     # votes 0, 1, 2; the mean posterior peaks at class 0
     assert ensemble_decide(P, EnsembleConfig()) == 0
-
-
-def test_three_way_split_with_arbiter_hands_over_top_two():
-    P = [[[0.9, 0.05, 0.05]], [[0.1, 0.6, 0.3]], [[0.2, 0.2, 0.6]]]
-    seen = []
-
-    def arb(rows, a, b):
-        seen.extend(zip(a.tolist(), b.tolist()))
-        return b
-
-    out = ensemble_decide(P, EnsembleConfig(), arb)
-    # mean posterior is [0.4, 0.283, 0.317]: top two are classes 0 and 2
-    assert seen == [(0, 2)]
-    assert out == 2
-
-
-def test_margin_threshold_triggers_arbiter():
-    P = [[[0.51, 0.49]], [[0.52, 0.48]], [[0.49, 0.51]]]
-    calls = []
-
-    def arb(rows, a, b):
-        calls.extend(zip(a.tolist(), b.tolist()))
-        return a
-
-    assert ensemble_decide(P, EnsembleConfig(margin_threshold=0.2), arb) == 0
-    assert calls == [(0, 1)]
-    # without an arbiter the majority decision stands
-    assert ensemble_decide(P, EnsembleConfig(margin_threshold=0.2)) == 0
 
 
 def test_soft_mode_averages_posteriors():
@@ -280,53 +221,11 @@ def stacked_posteriors(draw):
 
 @given(stacked_posteriors())
 def test_ensemble_decide_matches_the_one_row_rule(P):
-    # the arbiter picks a or b by row and pair, so a wrong (row, a, b)
-    # argument shows in the decisions as well as in the recorded calls
-    def pick(k, a, b):
-        return np.where((k + a + 2 * b) % 3, a, b)
-
-    for mode, threshold, with_arbiter in itertools.product(
-            ["majority", "soft"], [0.0, 0.2, 0.5, 1.0], [False, True]):
-        cfg = EnsembleConfig(mode, threshold)
-        calls, row_calls = [], []
-
-        def arbiter(rows, a, b):
-            calls.append(list(zip(rows.tolist(), a.tolist(), b.tolist())))
-            return pick(rows, a, b)
-
-        def by_row(k):
-            def arb(a, b):
-                row_calls.append((k, a, b))
-                return pick(k, a, b)
-            return ensemble_decide_by_row(P[:, k], cfg,
-                                          arb if with_arbiter else None)
-
-        out = ensemble_decide(P, cfg, arbiter if with_arbiter else None)
-        assert out.tolist() == [by_row(k) for k in range(P.shape[1])]
-        assert calls == ([row_calls] if with_arbiter else [])
-
-
-def test_batched_arbiter_matches_the_per_row_score():
-    # trained pairs (0,1) and (1,3); (0,2) and (2,3) were never trained and
-    # fall back to their first class, whichever order the pair comes in
-    rng = np.random.default_rng(4)
-    d, hidden = 4, 8
-    arb = PairwiseArbiter({
-        pair: (rng.standard_normal((d, hidden)), rng.standard_normal(hidden),
-               rng.standard_normal(hidden), float(rng.standard_normal()))
-        for pair in [(0, 1), (1, 3)]})
-    pairs = np.array([(0, 1), (1, 0), (1, 3), (3, 1), (0, 2), (2, 0), (3, 2)])
-    pick = rng.integers(len(pairs), size=400)
-    a, b = pairs[pick].T
-    X = rng.standard_normal((400, d))
-    won = arb.decide(X, a, b)
-    scores = arbiter_scores_by_row(arb, X, a, b)
-    assert sum(s is None for s in scores) > 100
-    for w, s, p, q in zip(won.tolist(), scores, a.tolist(), b.tolist()):
-        if s is None:
-            assert w == p
-        elif abs(s) > 1e-9:
-            assert w == (max(p, q) if s > 0 else min(p, q))
+    for mode in ("majority", "soft"):
+        cfg = EnsembleConfig(mode)
+        out = ensemble_decide(P, cfg)
+        assert out.tolist() == [ensemble_decide_by_row(P[:, k], cfg)
+                                for k in range(P.shape[1])]
 
 
 def test_metrics_hand_computed_case():

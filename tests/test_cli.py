@@ -27,7 +27,10 @@ def data_path(name):
 
 
 def run_cli(capsys, *argv):
-    rc = main(list(argv))
+    try:
+        rc = main(list(argv))
+    except SystemExit as exc:  # argparse's refusal of the command line
+        rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
 
@@ -313,8 +316,8 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
      "--weighted needs a .mtx file of couplings; an exponent file's lift "
      "has none"),
     (["beta", "K4D", "--weighted"], "self-loop (0,0) not allowed"),
-    (["pipeline", "--synthetic", "3,20,32,8", "-r", "5", "--arbiter",
-      "--threshold", "nan"], "margin threshold must be >= 0"),
+    (["pipeline", "--synthetic", "3,20,32,8", "-r", "5", "--arbiter"],
+     "unrecognized arguments: --arbiter"),
     (["beta", "EMPTY", "--weighted"], "empty matrix has no eigenvalues"),
     (["cycles", data_path("h2.exp"), "--max-len", "-2"],
      "max_len must be >= 0, got -2"),
@@ -323,14 +326,19 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
                       ("STRING", "not a JSON object"),
                       ("BAD", "Expecting property name enclosed in double "
                               "quotes: line 1 column 2 (char 1)"),
-                      ("STRAY", "no option takes the key 'gama'")))])
+                      ("STRAY", "no option takes the key 'gama'"),
+                      ("THRESHOLD", "no option takes the key 'threshold'"),
+                      ("ARBITER", "no option takes the key 'arbiter'"))),
+    (["ensemble", "E0.csv", "E1.csv", "E2.csv", "--labels", "L.txt",
+      "--threshold", "0.2"], "unrecognized arguments: --threshold 0.2")])
 def test_refused_value_or_flag_is_a_clean_error(tmp_path, capsys, argv,
                                                 message):
-    # a NaN evaluation point, J0 or margin threshold, --weighted on an
-    # exponent file, which has no couplings to weigh, a weighted diagonal
-    # entry, a 0 x 0 coupling matrix, a negative cycle length, and a config
-    # that is not a JSON object or holds a key no option takes, each stop
-    # the command with one line, before any output
+    # a NaN evaluation point or J0, --weighted on an exponent file, which
+    # has no couplings to weigh, a weighted diagonal entry, a 0 x 0 coupling
+    # matrix, a negative cycle length, and a config that is not a JSON
+    # object or holds a key no option takes, each stop the command with one
+    # line, before any output; a flag no option takes is argparse's to
+    # refuse, after its usage and with exit status 2
     k4 = [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)]
     files = {"K4P": SparseSym(5, k4 + [(3, 4, 1.0)]),
              "K4D": SparseSym(4, k4 + [(0, 0, 5.0)]),
@@ -338,14 +346,21 @@ def test_refused_value_or_flag_is_a_clean_error(tmp_path, capsys, argv,
     for name, A in files.items():
         write_matrix_market(A, str(tmp_path / f"{name}.mtx"))
     configs = {"LIST": "[1, 2]", "STRING": '"x"', "BAD": "{gamma: 1}",
-               "STRAY": '{"gamma": 1.0, "gama": 1}'}
+               "STRAY": '{"gamma": 1.0, "gama": 1}',
+               "THRESHOLD": '{"threshold": 0.2}',
+               "ARBITER": '{"arbiter": true}'}
     for name, text in configs.items():
         (tmp_path / name).write_text(text)
     argv = [str(tmp_path / f"{a}.mtx") if a in files
             else str(tmp_path / a) if a in configs else a for a in argv]
     rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
     message = message.replace("DIR", str(tmp_path))
-    assert (rc, out, err) == (1, "", f"error: {message}\n")
+    status = 1
+    if message.startswith("unrecognized arguments: "):
+        usage, _, err = err.rpartition("nishigraph: ")
+        assert usage.startswith("usage: nishigraph ")
+        status = 2
+    assert (rc, out, err) == (status, "", f"error: {message}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -371,37 +386,6 @@ def test_flag_that_would_be_ignored_is_a_clean_error(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: --") and err.count("\n") == 1
     assert not (tmp_path / "embedding.csv").exists()
-
-
-@pytest.mark.parametrize("argv", [
-    ["ensemble", "E0.csv", "E1.csv", "E2.csv", "--labels", "L.txt",
-     "--threshold", "0.2"],
-    ["pipeline", "--synthetic", "3,20,32,8.0", "--threshold", "0.2"]])
-def test_threshold_without_arbiter_is_a_clean_error(tmp_path, capsys, argv):
-    # the margin threshold hands low-margin rows to the arbiter; with none
-    # it would change nothing, so it is refused before any input is read
-    rc, out, err = run_cli(capsys, *argv, "--out", str(tmp_path))
-    assert rc == 1
-    assert out == ""
-    assert err.startswith("error: --threshold needs ")
-    assert err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_bad_threshold_is_refused_before_the_features_are_read(tmp_path,
-                                                                capsys):
-    rc, out, err = run_cli(capsys, "pipeline", "--features",
-                           str(tmp_path / "missing.csv"), "--arbiter",
-                           "--threshold", "nan", "--out", str(tmp_path))
-    assert (rc, out, err) == (1, "", "error: margin threshold must be >= 0\n")
-
-
-def test_threshold_with_arbiter_runs(tmp_path, capsys):
-    rc, out, _ = run_cli(capsys, "pipeline", "--synthetic", "3,20,32,8.0",
-                         "-r", "5", "--threshold", "0.2", "--arbiter",
-                         "--out", str(tmp_path))
-    assert rc == 0
-    assert json.loads(out)["ensemble_accuracy"] >= 0.9
 
 
 @pytest.mark.parametrize("command", ["classify", "ensemble"])

@@ -5,8 +5,8 @@ import pytest
 
 import nishigraph.estimator as estimator
 import nishigraph.pipeline as pipeline
-from nishigraph import (EnsembleConfig, FeatureTable, PairwiseArbiter,
-                        SparseSym, WeightedSystem, accuracy, ensemble_decide,
+from nishigraph import (EnsembleConfig, FeatureTable, SparseSym,
+                        WeightedSystem, accuracy, ensemble_decide,
                         predict, predict_labels, run_pipeline, select_indices,
                         similarity_graph, stratified_split,
                         synthetic_features)
@@ -64,72 +64,16 @@ def test_run_pipeline_is_deterministic():
     assert r1 == r2
 
 
-def test_run_pipeline_soft_mode_and_arbiter_flag():
+def test_run_pipeline_soft_mode():
     result, _, _ = run_pipeline(small_features(), r=5, test_fraction=0.25,
-                                seed=0, mode="soft", use_arbiter=True)
+                                seed=0, mode="soft")
     assert result["mode"] == "soft"
     assert result["ensemble_accuracy"] >= 0.9
 
 
-def test_dropped_arbiter_is_logged(caplog):
-    # 9 training rows per class: arbiter_train refuses every pair, and the
-    # run goes on without an arbiter, saying so at WARNING
-    ft = synthetic_features(3, 12, 32, 2.0, seed=1)
-    with caplog.at_level("WARNING", logger="nishigraph.pipeline"):
-        with_flag, _, _ = run_pipeline(ft, r=5, seed=1, use_arbiter=True)
-    warned = [r.getMessage() for r in caplog.records
-              if r.levelname == "WARNING" and r.name == "nishigraph.pipeline"]
-    assert warned == ["arbiter dropped: pair (0,1) needs >= 10 samples per "
-                      "class"]
-    assert with_flag == run_pipeline(ft, r=5, seed=1)[0]
-
-
-def test_arbiter_without_a_confused_pair_is_logged(caplog):
-    # well separated classes: no training pair is confused, so no arbiter is
-    # trained and the threshold changes nothing; the run says so at WARNING
-    ft = synthetic_features(3, 20, 32, 8.0, seed=0)
-    with caplog.at_level("WARNING", logger="nishigraph.pipeline"):
-        with_flag, _, _ = run_pipeline(ft, r=5, seed=0, margin_threshold=0.2,
-                                       use_arbiter=True)
-    warned = [r.getMessage() for r in caplog.records
-              if r.levelname == "WARNING" and r.name == "nishigraph.pipeline"]
-    assert warned == ["arbiter not trained: no class pair is confused in "
-                      "training"]
-    assert with_flag == run_pipeline(ft, r=5, seed=0)[0]
-
-
-def test_trained_arbiter_decides_low_margin_rows(monkeypatch):
-    # overlapping classes: the arbiter is trained once, on the confused
-    # pairs, and has the last word on every test row whose margin is below
-    # the threshold
-    trained, consulted = [], []
-    train, decide = pipeline.arbiter_train, PairwiseArbiter.decide
-
-    def recorded_train(X, y, pairs, seed=0):
-        trained.append(pairs)
-        return train(X, y, pairs, seed=seed)
-
-    def recorded_decide(self, X, a, b):
-        consulted.extend(x.tobytes() for x in X)
-        return decide(self, X, a, b)
-
-    monkeypatch.setattr(pipeline, "arbiter_train", recorded_train)
-    monkeypatch.setattr(PairwiseArbiter, "decide", recorded_decide)
-    ft = synthetic_features(3, 40, 32, 2.0, seed=0)
-    result, _, _ = run_pipeline(ft, r=5, seed=0, margin_threshold=0.3,
-                                use_arbiter=True)
-    assert len(trained) == 1 and len(trained[0]) == 3
-    assert result["n_test"] == 30
-    assert len(consulted) == len(set(consulted)) == 26
-
-
 @pytest.mark.parametrize("policy, message", [
     ({"mode": "mean"}, "mode must be 'majority' or 'soft'"),
-    ({"margin_threshold": float("nan"), "use_arbiter": True},
-     "margin threshold must be >= 0"),
-    ({"margin_threshold": -0.1, "use_arbiter": True},
-     "margin threshold must be >= 0"),
-], ids=["mode", "nan-threshold", "negative-threshold"])
+], ids=["mode"])
 def test_a_bad_ensemble_policy_is_refused_before_any_work(monkeypatch, caplog,
                                                           policy, message):
     def unreachable(*args, **kwargs):

@@ -301,13 +301,16 @@ def test_lanczos_restarts_when_the_all_ones_start_maps_to_zero(eigsh_calls,
 
 def test_lambda_min_input_validation(eigsh_calls):
     # a tol that is not positive and finite is refused on the dense (n = 50)
-    # and the Lanczos (n = 400) branches before either solves
+    # and the Lanczos (n = 400) branches before either solves, by lambda_min
+    # and by bottom_eigenpairs alike
     for n in (50, 400):
         S = SparseSym(n, [(i, i, 1.0) for i in range(n)])
         for tol in (0.0, math.nan, math.inf, -math.inf):
-            with pytest.raises(ValueError,
-                               match="^tol must be positive and finite$"):
-                lambda_min(S, tol=tol)
+            for solve in (lambda: lambda_min(S, tol=tol),
+                          lambda: sparse.bottom_eigenpairs(S, 2, tol)):
+                with pytest.raises(ValueError,
+                                   match="^tol must be positive and finite$"):
+                    solve()
     assert eigsh_calls == []
     with pytest.raises(ValueError):
         lambda_min(SparseSym(0, []))

@@ -447,54 +447,16 @@ def train_linear_row_major(X, y, seed=0):
     return LinearModel(W, b, classes)
 
 
-def ensemble_decide_by_row(posteriors, cfg, arbiter=None):
+def ensemble_decide_by_row(posteriors, cfg):
     """ensemble_decide on one row: three posterior vectors in, one column
-    out, with arbiter(a, b) asked for the winner between columns a and b."""
+    out."""
     P = [np.asarray(p, dtype=float) for p in posteriors]
-
-    def top_two(p):
-        order = np.argsort(-p, kind="stable")
-        return int(order[0]), int(order[1])
-
     votes = [int(np.argmax(p)) for p in P]
-    deciding = None
-    chosen = None
     if cfg.mode == "majority":
         for lab in set(votes):
             if votes.count(lab) >= 2:
-                agree = [p for p, v in zip(P, votes) if v == lab]
-                deciding = np.mean(agree, axis=0)
-                chosen = lab
-                break
-        if chosen is None:
-            if arbiter is not None:
-                avg = np.mean(P, axis=0)
-                a, b = top_two(avg)
-                return int(arbiter(a, b))
-            deciding = np.mean(P, axis=0)
-            chosen = int(np.argmax(deciding))
-    else:
-        deciding = np.mean(P, axis=0)
-        chosen = int(np.argmax(deciding))
-    first, second = top_two(deciding)
-    margin = deciding[first] - deciding[second]
-    if margin < cfg.margin_threshold and arbiter is not None:
-        return int(arbiter(first, second))
-    return int(chosen)
-
-
-def arbiter_scores_by_row(arbiter, X, a, b):
-    """PairwiseArbiter's score tanh(x @ W1 + b1) @ w2 + b2 of each row x of X
-    for its pair (a, b), and None where that pair was never trained."""
-    scores = []
-    for x, p, q in zip(X, a, b):
-        model = arbiter.models.get((min(p, q), max(p, q)))
-        if model is None:
-            scores.append(None)
-            continue
-        W1, b1, w2, b2 = model
-        scores.append(float(np.tanh(x @ W1 + b1) @ w2 + b2))
-    return scores
+                return lab
+    return int(np.argmax(np.mean(P, axis=0)))
 
 
 def naive_permanent(M):
