@@ -1,10 +1,10 @@
 """Feature ingestion, similarity-graph construction, and spectral embedding at
 the estimated critical inverse temperature.
 
-The similarity kernel is exp(-gamma * d^2) on squared cosine distance, with
-per-vertex top-p sparsification symmetrized by union.  Embeddings are the
-eigenvectors at the bottom of the coupled Bethe-Hessian spectrum assembled at
-the estimated root temperature.
+Each vertex keeps its top-p cosines, symmetrized by union, and only the
+kept edges are weighted by the kernel exp(-gamma * d^2), d = 1 - cosine.
+Embeddings are the eigenvectors at the bottom of the coupled Bethe-Hessian
+spectrum assembled at the estimated root temperature.
 """
 
 import csv
@@ -17,7 +17,7 @@ from scipy.linalg.blas import dsyrk
 
 from .estimator import EstimatorConfig, WeightedSystem, estimate_beta_N
 from .rbim import CouplingGraph
-from .sparse import _read_text, bottom_eigenpairs
+from .sparse import _read_text, _size, bottom_eigenpairs
 
 log = logging.getLogger(__name__)
 
@@ -29,13 +29,14 @@ _TOP_P_BLOCK = 1 << 16
 
 class FeatureTable:
     """Rectangular sample-by-feature block with optional integer labels; a
-    label that is not an integer in [0, 2**63) (1.0 is one, 0.5 and NaN are
-    not) is a ValueError naming its row."""
+    NaN or infinite feature, or a label that is not an integer in [0, 2**63)
+    (1.0 is one, 0.5 and NaN are not), is a ValueError naming its row."""
 
     def __init__(self, X, labels=None):
         X = np.asarray(X, dtype=float)
         if X.ndim != 2:
             raise ValueError("feature table must be 2-D")
+        X = _finite_rows(X, lambda k: f"row {k}")
         if labels is not None:
             raw = np.asarray(labels)
             for k, x in enumerate(raw.tolist()):  # `_label`'s rule, row named
@@ -74,7 +75,7 @@ class FeatureTable:
             X, labels = [r[:-1] for r in rows], [r[-1] for r in rows]
         else:
             X, labels = rows, None
-        return cls(_finite_rows(path, X, lambda k: f"line {records[k][0]}"),
+        return cls(_finite_rows(X, lambda k: f"{path}: line {records[k][0]}"),
                    labels)
 
     def to_csv(self, path):
@@ -115,7 +116,7 @@ class FeatureTable:
         if len(buf) != need:
             raise ValueError(f"{path}: expected {need} bytes, found {len(buf)}")
         X = np.frombuffer(buf, dtype="<f4").astype(float).reshape(rows, cols)
-        return cls(_finite_rows(path, X, lambda k: f"row {k + 1}"))
+        return cls(_finite_rows(X, lambda k: f"{path}: row {k + 1}"))
 
     def to_raw(self, path):
         with open(path, "wb") as fh:
@@ -158,9 +159,9 @@ class Embedding:
         if not r:
             raise ValueError(f"{path}: line 1: no coordinate column (e0, e1, "
                              "...) in the header")
-        coords = _finite_rows(path, [
+        coords = _finite_rows([
             _csv_fields(path, line, rec, [float] * r) for line, rec in records],
-            lambda k: f"line {records[k][0]}")
+            lambda k: f"{path}: line {records[k][0]}")
         line, first = records[0]
         beta, gid = 0.0, ""
         if len(first) > r and first[r]:
@@ -213,13 +214,13 @@ def _label(text):
     return label
 
 
-def _finite_rows(path, rows, where):
-    """rows as a float array; ValueError naming the file and where(k), the
-    place of the first row k that holds a NaN or an infinity."""
+def _finite_rows(rows, where):
+    """rows as a float array; ValueError naming where(k), the place of the
+    first row k that holds a NaN or an infinity."""
     X = np.asarray(rows, dtype=float)
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
-        raise ValueError(f"{path}: {where(int(bad.argmax()))}: non-finite value")
+        raise ValueError(f"{where(int(bad.argmax()))}: non-finite value")
     return X
 
 
@@ -270,11 +271,9 @@ def _similarity_graphs(X, specs):
     entries of columns at a time, and the triangle is then mirrored in row
     blocks, so G is the one n x n array.  ValueError unless each set holds
     the next smaller one."""
-    for _, gamma, p in specs:
-        if not 0 < gamma < np.inf:
-            raise ValueError("gamma must be positive and finite")
-        if p < 1:
-            raise ValueError("p must be >= 1")
+    if not all(0 < gamma < np.inf for _, gamma, _ in specs):
+        raise ValueError("gamma must be positive and finite")
+    specs = [(cols, gamma, _size(p, "p", 1)) for cols, gamma, p in specs]
     graphs = [None] * len(specs)
     n = len(X)
     G, done = np.zeros((n, n)), np.empty(0, dtype=np.intp)
@@ -301,8 +300,10 @@ def _similarity_graphs(X, specs):
 
 
 def _top_p_graph(G, gamma, p):
-    """The union top-p graph of the kernel exp(-gamma * d^2), d = 1 - cosine,
-    with the cosines G / (n n^T) of the Gram matrix G, n = sqrt(diag G)."""
+    """The union top-p graph of the cosines G / (n n^T) of the Gram matrix
+    G, n = sqrt(diag G), weighted by the kernel exp(-gamma * d^2) with
+    d = 1 - cosine.  The kernel falls as the cosine rises, so the choice is
+    made on the cosines and the kernel runs on the kept edges only."""
     nrm = np.sqrt(G.diagonal())
     bad = np.where(nrm == 0)[0]
     if bad.size:
@@ -311,26 +312,22 @@ def _top_p_graph(G, gamma, p):
     p = min(p, n - 1)
     if p < 1:
         return CouplingGraph(n, [])
-    # Row i keeps its p largest weights off the diagonal, ties broken by the
-    # lower column: every weight at or above the p-th largest, less the
-    # highest-column ties when more tie than fit.  Rows go in blocks of
-    # about _TOP_P_BLOCK entries, so the kernel is never held whole.
+    # Row i keeps its p largest cosines off the diagonal, unclipped, ties
+    # broken by the lower column: every cosine at or above the p-th largest,
+    # less the highest-column ties when more tie than fit.  Cosines an ulp
+    # apart do not tie, even where their weights round alike.  Rows go in
+    # blocks of about _TOP_P_BLOCK entries, so no n x n block is made.
     rows, cols = [], []
     step = max(1, _TOP_P_BLOCK // n)
     for start in range(0, n, step):
         C = G[start:start + step] / np.outer(nrm[start:start + step], nrm)
-        np.clip(C, -1.0, 1.0, out=C)
-        d = np.subtract(1.0, C, out=C)
-        W = -gamma * d
-        W *= d
-        np.exp(W, out=W)
-        b = np.arange(len(W))
-        W[b, start + b] = -np.inf
-        kth = np.partition(W, n - p, axis=1)[:, n - p, None]
-        keep = W >= kth
+        b = np.arange(len(C))
+        C[b, start + b] = -np.inf
+        kth = np.partition(C, n - p, axis=1)[:, n - p, None]
+        keep = C >= kth
         extra = np.count_nonzero(keep, axis=1) - p
         for row in np.flatnonzero(extra):
-            tied = np.flatnonzero(W[row] == kth[row])
+            tied = np.flatnonzero(C[row] == kth[row])
             keep[row, tied[-extra[row]:]] = False
         r, c = np.nonzero(keep)
         rows.append(start + r)
@@ -355,7 +352,8 @@ def spectral_embed(J, r, cfg=None, graph_id=""):
     column supports.  Columns are normalised, and each one's first entry
     above 1e-12 in magnitude made positive.
     """
-    if r < 1 or r >= J.n:
+    r = _size(r, "r", 1)
+    if r >= J.n:
         raise ValueError("need 1 <= r < n")
     comps = J.components()
     if len(comps) > 1:

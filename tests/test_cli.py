@@ -481,7 +481,10 @@ def test_pipeline_on_a_non_finite_raw_cell_is_a_clean_error(tmp_path,
     X = ft.X.copy()
     X[7, 3] = np.nan
     raw = tmp_path / "x.raw"
-    FeatureTable(X).to_raw(str(raw))
+    # written by hand, as FeatureTable itself refuses the cell
+    raw.write_bytes(X.astype("<f4").tobytes())
+    (tmp_path / "x.raw.json").write_text(json.dumps({"rows": len(X),
+                                                     "cols": X.shape[1]}))
     rc, out, err = run_cli(capsys, "pipeline", "--features", str(raw),
                            "--labels", str(labels), "-r", "5", "--out",
                            str(tmp_path))

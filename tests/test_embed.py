@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nishigraph.embed as embed
@@ -84,9 +84,15 @@ def test_feature_table_raw_round_trip(tmp_path):
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_feature_table_raw_refuses_a_non_finite_cell(tmp_path, value):
     X = np.ones((4, 3), dtype=np.float32)
-    X[2, 1] = value
+    X[2, 1] = X[3, 0] = value
+    # the table refuses the first bad row too, 0-based as the label
+    # refusals count (a NaN row would otherwise sit alone in the graph), so
+    # the file is written by hand
+    with pytest.raises(ValueError, match="^row 2: non-finite value$"):
+        FeatureTable(X)
     path = tmp_path / "f.bin"
-    FeatureTable(X).to_raw(str(path))
+    path.write_bytes(X.astype("<f4").tobytes())
+    (tmp_path / "f.bin.json").write_text('{"rows": 4, "cols": 3}')
     with pytest.raises(ValueError, match=f"^{path}: row 3: non-finite value$"):
         FeatureTable.from_raw(str(path))
 
@@ -216,8 +222,13 @@ def test_similarity_graph_kernel_and_sparsity():
     assert all(i != j for i, j, _ in J.edges)
     with pytest.raises(ValueError):
         similarity_graph(FeatureTable(X), gamma=0.0, p=2)
-    with pytest.raises(ValueError):
-        similarity_graph(FeatureTable(X), gamma=1.0, p=0)
+    # p is a count: an integral float counts, anything else is refused by
+    # the one size rule before the Gram is formed
+    for p in (0, 2.5, np.nan, "2"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"p must be >= 1 and an integer, got {p!r}")):
+            similarity_graph(FeatureTable(X), gamma=1.0, p=p)
+    assert similarity_graph(FeatureTable(X), 2.0, 2.0).edges == J.edges
     with pytest.raises(ValueError):
         similarity_graph(FeatureTable(np.zeros((2, 2))), gamma=1.0, p=1)
 
@@ -265,16 +276,30 @@ def assert_same_graph_where_clear(got, want, X, gamma, p):
         assert got[e] == pytest.approx(want[e], rel=1e-12, abs=0)
 
 
+# row 0's cosines to rows 1 and 2 are one ulp apart, row 2's the larger,
+# and both round to one weight: ranked on cosines row 0 keeps row 2, where
+# a rank on weights, ties to the lower column, kept row 1
+_ULP_APART = FeatureTable([[1.0, 0.0, 0.0], [1.0, 0.049, 0.039],
+                           [1.0, 0.048999991849, 0.039000010241]])
+
+
 @given(top_p_cases())
+@example((_ULP_APART, 2.0, 1, 9))
 def test_similarity_graph_matches_per_row_oracle(case):
     # on the one Gram X X^T, the same edges and bit-equal weights as one
-    # lexsort per row, whatever the row blocks (they need not divide n); the
-    # builder's own Gram, summed in column chunks of the same budget, gives
-    # them where the rows' p-th weights are clear
+    # lexsort per row on the cosines, whatever the row blocks (they need not
+    # divide n), and the same (i, j) arrays at another gamma; the builder's
+    # own Gram, summed in column chunks of the same budget, gives them where
+    # the rows' p-th weights are clear
     ft, gamma, p, block = case
     want = similarity_graph_by_loop(ft, gamma, p)
+    G = ft.X @ ft.X.T
     with mock.patch.object(embed, "_TOP_P_BLOCK", block):
-        assert embed._top_p_graph(ft.X @ ft.X.T, gamma, p).edges == want
+        got = embed._top_p_graph(G, gamma, p)
+        assert got.edges == want
+        other = embed._top_p_graph(G, 50.0, p)
+        assert (other.i.tobytes(), other.j.tobytes()) == (got.i.tobytes(),
+                                                          got.j.tobytes())
         J = similarity_graph(ft, gamma, p)
     assert_same_graph_where_clear(J, CouplingGraph(ft.n_samples, want), ft.X,
                                   gamma, p)
@@ -368,9 +393,13 @@ def test_spectral_embed_shapes_and_normalization():
         nz = np.where(np.abs(col) > 1e-12)[0]
         assert col[nz[0]] > 0
     with pytest.raises(ValueError):
-        spectral_embed(J, 0)
-    with pytest.raises(ValueError):
         spectral_embed(J, 45)
+    for r in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match=re.escape(
+                f"r must be >= 1 and an integer, got {r!r}")):
+            spectral_embed(J, r)
+    again = spectral_embed(J, 4.0, graph_id="g0")
+    assert again.coords.tobytes() == emb.coords.tobytes()
 
 
 def test_spectral_embed_solves_each_temperature_once(monkeypatch):

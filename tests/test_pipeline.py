@@ -1,5 +1,7 @@
 """End-to-end embed/classify/ensemble runs on synthetic features."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,19 +148,45 @@ def test_default_graph_column_sets_are_nested():
     assert len(sets[0]) < ft.n_features
 
 
+def pipeline_specs(ft):
+    """The (cols, gamma, p) of each graph run_pipeline builds on ft with its
+    default split (seed 0)."""
+    train_idx, _ = stratified_split(ft.labels, 0.25, seed=0)
+    ranking = pipeline._rank_features(
+        FeatureTable(ft.X[train_idx], ft.labels[train_idx]))
+    return [(_restrict_features(ft, ranking, g["s_frac"]), g["gamma"], g["p"])
+            for g in DEFAULT_GRAPHS]
+
+
 def test_nested_gram_graphs_match_per_set_graphs_on_benchmark_data():
     # the benchmark's separated dataset: each of run_pipeline's graphs has
     # the edges similarity_graph finds on the restricted table
     ft = synthetic_features(10, 100, 1280, 20.0, seed=101000)
-    train_idx, _ = stratified_split(ft.labels, 0.25, seed=0)
-    ranking = pipeline._rank_features(
-        FeatureTable(ft.X[train_idx], ft.labels[train_idx]))
-    specs = [(_restrict_features(ft, ranking, g["s_frac"]), g["gamma"], g["p"])
-             for g in DEFAULT_GRAPHS]
+    specs = pipeline_specs(ft)
     for J, (cols, gamma, p) in zip(_similarity_graphs(ft.X, specs), specs):
         ref = similarity_graph(FeatureTable(ft.X[:, cols]), gamma, p)
         assert np.array_equal(J.i, ref.i) and np.array_equal(J.j, ref.j)
         assert np.allclose(J.couplings, ref.couplings, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("shape, digests", [
+    ((10, 100, 1280, 20.0),
+     ["54b5f92f231aa1d2b15eda2de503f67dbda3d6b3d62484e917b507f08ae24e87",
+      "4c88bb67994bb5188a07f73d376006f1027ec004aa8706909df733187f6fbf89",
+      "160770c9abbbdfbe7bb7ebb7a928d47d2b53856389bca9b6eeefc8a7795071d7"]),
+    ((10, 50, 1280, 6.0),
+     ["e2b5f3fb9e4893e0856f1288ec672e125278a66e754f6adaac590060d3cf6269",
+      "3679d25e8c5d221fc389fc9192ad6ab36f4c9f96bccb976993638538fe35ec76",
+      "0014cf73af1ed8fbd816b1e3a8e7ca343cc49af65ccbf12b57acc27d02607051"])])
+def test_benchmark_graphs_keep_their_edges(shape, digests):
+    # the first dataset of each benchmark stage at seed 101: the (i, j)
+    # arrays of run_pipeline's three graphs, sha256 of i's bytes then j's,
+    # as the kernel-ranked selection gave them (equal at one and two BLAS
+    # threads)
+    ft = synthetic_features(*shape, seed=101000)
+    graphs = _similarity_graphs(ft.X, pipeline_specs(ft))
+    assert [hashlib.sha256(J.i.tobytes() + J.j.tobytes()).hexdigest()
+            for J in graphs] == digests
 
 
 @pytest.mark.parametrize("seed", range(101, 106))

@@ -17,6 +17,7 @@ PRIVATE_IMPORTS = {
     "cli <- qc._score_lift",
     "cli <- sparse._read_text",
     "embed <- sparse._read_text",
+    "embed <- sparse._size",
     "pipeline <- embed._rank_features",
     "pipeline <- embed._similarity_graphs",
     "qc <- sparse._edges",

@@ -200,20 +200,20 @@ def det_crossings_by_loop(g, J0=1.0):
 
 def similarity_graph_by_loop(ft, gamma, p):
     """similarity_graph's edge list from one lexsort per row: row i keeps
-    its min(p, n - 1) largest off-diagonal kernel weights, ties to the lower
-    column; the union of the rows' picks, each edge (i < j) with W[i, j]."""
+    its min(p, n - 1) largest off-diagonal cosines C (unclipped), ties to
+    the lower column; the union of the rows' picks, each edge (i < j) with
+    W[i, j], the kernel on C clipped to [-1, 1]."""
     X = ft.X
     G = X @ X.T
     nrm = np.sqrt(np.diag(G))
-    C = np.clip(G / np.outer(nrm, nrm), -1.0, 1.0)
-    d = 1.0 - C
+    C = G / np.outer(nrm, nrm)
+    d = 1.0 - np.clip(C, -1.0, 1.0)
     W = np.exp(-gamma * d * d)
-    np.fill_diagonal(W, 0.0)
     n = ft.n_samples
     keep = set()
     p_eff = min(p, n - 1)
     for i in range(n):
-        order = np.lexsort((np.arange(n), -W[i]))
+        order = np.lexsort((np.arange(n), -C[i]))
         picked = 0
         for j in order:
             if j == i:
