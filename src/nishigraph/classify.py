@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 
+from .sparse import _finite_rows
+
 # epochs, step sizes and weight decay of the fixed-epoch gradient descents
 _EPOCHS = 300
 _LR = 0.5
@@ -46,15 +48,6 @@ class LinearModel:
         return cls(W, np.array(obj["b"], dtype=float), obj["classes"])
 
 
-def _check_finite(X, where=""):
-    """ValueError naming the first row of X that holds a NaN or an infinity,
-    after the prefix where."""
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{where}row {int(bad.argmax())} holds a non-finite "
-                         "value")
-
-
 def train_linear(X, y, seed=0):
     """Softmax regression by full-batch gradient descent; deterministic per
     seed.  X is one (n, d) array, for which one LinearModel is returned, or
@@ -77,7 +70,7 @@ def train_linear(X, y, seed=0):
             raise ValueError(f"{where}X must be 2-D, got shape {x.shape}")
         if len(y) != len(x):
             raise ValueError(f"{where}{len(y)} labels for {len(x)} rows")
-        _check_finite(x, where)
+        _finite_rows(x, lambda r: f"{where}row {r}")
     classes, yk = np.unique(y, return_inverse=True)
     if len(classes) < 2:
         raise ValueError("at least 2 classes required")
@@ -124,7 +117,7 @@ def predict(model, X):
     if X.ndim != 2 or X.shape[1] != len(model.W):
         raise ValueError(f"X of shape {X.shape} for a model of input width "
                          f"{len(model.W)}")
-    _check_finite(X)
+    _finite_rows(X, lambda r: f"row {r}")
     return _softmax(X @ model.W + model.b)
 
 

@@ -414,24 +414,38 @@ def build_parser(config_defaults=None):
     p.set_defaults(fn=cmd_pipeline)
 
     if config_defaults:
-        parser.set_defaults(**{k: v for k, v in config_defaults.items()
-                               if k in _GLOBAL_KEYS})
-        # A subparser parses into a fresh namespace, so defaults set on the
-        # main parser never reach subcommand options; push the remaining
-        # overrides onto each subparser that owns a matching option.  One
-        # config serves every subcommand: only a key none takes is refused.
-        rest = {k: v for k, v in config_defaults.items()
-                if k not in _GLOBAL_KEYS}
-        stray = set(rest)
-        for sp in sub.choices.values():
-            dests = {a.dest for a in sp._actions} - {"help"}
-            picked = {k: v for k, v in rest.items() if k in dests}
-            stray -= dests
-            if picked:
-                sp.set_defaults(**picked)
+        # A subparser parses into a fresh namespace: a global key goes to
+        # the main parser, any other onto each subparser with its option.
+        # One config serves every subcommand; only a key none takes is refused.
+        keys = config_defaults.keys() - {"help"}
+        stray = set(keys)
+        for sp in (parser, *sub.choices.values()):
+            picked = {a.dest: _config_default(a, config_defaults[a.dest])
+                      for a in sp._actions if a.dest in keys
+                      and (a.dest in _GLOBAL_KEYS) == (sp is parser)}
+            stray -= picked.keys()
+            sp.set_defaults(**picked)
         if stray:
             raise ValueError(f"no option takes the key {min(stray)!r}")
     return parser
+
+
+def _config_default(action, value):
+    """value from a config file as action's default: a number or a string
+    as text for argparse to convert and check as command-line text, true or
+    false for a flag, a list of strings for a list-valued option; any other
+    value is a ValueError naming the key."""
+    if action.nargs == 0:
+        ok, kind = type(value) is bool, "true or false"
+    elif action.nargs is not None:
+        ok = type(value) is list and all(type(v) is str for v in value)
+        kind = "a list of strings"
+    else:
+        ok, kind = type(value) in (str, int, float), "a number or a string"
+    if not ok:
+        raise ValueError(f"the key {action.dest!r} takes {kind}, got "
+                         f"{json.dumps(value)}")
+    return value if action.nargs is not None else str(value)
 
 
 def main(argv=None):

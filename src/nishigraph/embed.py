@@ -17,7 +17,7 @@ from scipy.linalg.blas import dsyrk
 
 from .estimator import EstimatorConfig, WeightedSystem, estimate_beta_N
 from .rbim import CouplingGraph
-from .sparse import _read_text, _size, bottom_eigenpairs
+from .sparse import _finite_rows, _read_text, _size, bottom_eigenpairs
 
 log = logging.getLogger(__name__)
 
@@ -134,9 +134,7 @@ class Embedding:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim != 2 or coords.shape[1] < 1:
             raise ValueError("coords must be samples x r with r >= 1")
-        if not np.isfinite(coords).all():
-            raise ValueError("non-finite embedding coordinates")
-        self.coords = coords
+        self.coords = _finite_rows(coords, lambda k: f"row {k}")
         self.beta_N_used = float(beta_N_used)
         self.graph_id = str(graph_id)
 
@@ -214,16 +212,6 @@ def _label(text):
     return label
 
 
-def _finite_rows(rows, where):
-    """rows as a float array; ValueError naming where(k), the place of the
-    first row k that holds a NaN or an infinity."""
-    X = np.asarray(rows, dtype=float)
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{where(int(bad.argmax()))}: non-finite value")
-    return X
-
-
 def _rank_features(ft):
     """Per class, every feature index ordered by decreasing absolute
     difference between the class mean and the rest-of-data mean; ties break
@@ -249,8 +237,7 @@ def _rank_features(ft):
 def select_indices(ft, s):
     """Per class, the s feature indices with the largest absolute difference
     between the class mean and the rest-of-data mean; ties break low."""
-    if s < 1:
-        raise ValueError(f"s must be at least 1, got {s}")
+    s = _size(s, "s", 1)
     if s > ft.n_features:
         raise ValueError("s exceeds the feature dimension")
     return {c: sorted(int(i) for i in order[:s])
@@ -269,14 +256,16 @@ def _similarity_graphs(X, specs):
     G += X_b X_b^T, so every column enters one product.  The update writes
     one triangle of G in place (dsyrk), a chunk of about _TOP_P_BLOCK
     entries of columns at a time, and the triangle is then mirrored in row
-    blocks, so G is the one n x n array.  ValueError unless each set holds
-    the next smaller one."""
+    blocks, so G is the one n x n array.  Each row enters scaled by 2^-e,
+    e its largest |entry|'s exponent: exact, and G stays finite at any
+    scale.  ValueError unless each set holds the next smaller one."""
     if not all(0 < gamma < np.inf for _, gamma, _ in specs):
         raise ValueError("gamma must be positive and finite")
     specs = [(cols, gamma, _size(p, "p", 1)) for cols, gamma, p in specs]
     graphs = [None] * len(specs)
     n = len(X)
     G, done = np.zeros((n, n)), np.empty(0, dtype=np.intp)
+    e = np.frexp(np.maximum(X.max(1, initial=0), -X.min(1, initial=0)))[1]
     for g in sorted(range(len(specs)), key=lambda g: len(specs[g][0])):
         cols, gamma, p = specs[g]
         if not np.isin(done, cols).all():
@@ -286,8 +275,8 @@ def _similarity_graphs(X, specs):
             step = max(1, _TOP_P_BLOCK // n)
             # G.T is Fortran-ordered, so dsyrk updates G's lower triangle
             for start in range(0, len(new), step):
-                Xc = X.take(new[start:start + step], axis=1)
-                dsyrk(1.0, Xc.T, beta=1.0, c=G.T, trans=1, overwrite_c=1)
+                XcT = np.ldexp(X.take(new[start:start + step], axis=1).T, -e)
+                dsyrk(1.0, XcT, beta=1.0, c=G.T, trans=1, overwrite_c=1)
             for start in range(0, n, step):
                 stop = start + step
                 G[start:stop, stop:] = G[stop:, start:stop].T
@@ -397,10 +386,10 @@ def synthetic_features(n_classes, per_class, dim, separation, seed=0):
 
     Each class mean is a random unit direction scaled by `separation`; unit
     isotropic noise is added.  Returns a labeled FeatureTable; ValueError
-    for a count below 1 or a non-finite separation.
+    for a count that is not an integer >= 1 or a non-finite separation.
     """
-    if min(n_classes, per_class, dim) < 1:
-        raise ValueError("n_classes, per_class and dim must be >= 1")
+    n_classes, per_class, dim = (_size(k, name, 1) for k, name in (
+        (n_classes, "n_classes"), (per_class, "per_class"), (dim, "dim")))
     if not np.isfinite(separation):
         raise ValueError("separation must be finite")
     rng = np.random.default_rng(seed)

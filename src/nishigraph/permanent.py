@@ -9,9 +9,10 @@ matrices.  All three functions check their input by one rule, `_to_rows`.
 
 import itertools
 import math
-import operator
 
 import numpy as np
+
+from .sparse import _size
 
 _RYSER_CAP = 20
 _BETHE_CAP = 12
@@ -98,14 +99,9 @@ def dmin_upper_bound(weight_matrix, v):
     """
     W = _to_rows(weight_matrix)
     n = len(W[0]) if W else 0
-    try:
-        v = operator.index(v)
-    except TypeError:
-        raise ValueError(f"v = {v} is not an integer") from None
+    v = _size(v, "v", 1)
     if v + 1 > n:
         raise ValueError(f"subset size {v + 1} exceeds column count {n}")
-    if v < 1:
-        raise ValueError("v must be >= 1")
     perm = {keep: permanent([[row[j] for j in keep] for row in W])
             for keep in itertools.combinations(range(n), v)}
     best = None

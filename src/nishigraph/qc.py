@@ -187,8 +187,7 @@ def enumerate_cycles(g, max_len):
     w's BFS distance to the anchor over the same vertices (max_len + 1 past
     depth max_len // 2): no path closing the cycle from w is shorter.
     """
-    if max_len < 0:
-        raise ValueError(f"max_len must be >= 0, got {max_len}")
+    max_len = _size(max_len, "max_len")
     if max_len % 2 != 0:
         raise ValueError("max_len must be even")
     if max_len > 12:
@@ -357,12 +356,10 @@ def optimize_lift(proto_pattern, L, min_girth, min_ace, seed,
     (girth, -count of minimum-girth cycles, minimum ACE); deterministic per
     seed, first restart reaching the target wins.
     """
-    if L < 2:
-        raise ValueError("circulant size must be >= 2 for a lift search")
+    L = _size(L, "circulant size", 2)
     if proto_pattern.m_b > 8 or proto_pattern.n_b > 8 or L > 64:
         raise ValueError("lift search capped at 8x8 blocks and L <= 64")
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    restarts, steps = _size(restarts, "restarts", 1), _size(steps, "steps")
     rng = np.random.default_rng(seed)
     free = [(r, c, idx)
             for r, row in enumerate(proto_pattern.cells)

@@ -45,6 +45,16 @@ def _size(n, name, least=0):
     return int(n)
 
 
+def _finite_rows(rows, where):
+    """rows as a float array; ValueError naming where(k), the place of the
+    first row k that holds a NaN or an infinity."""
+    X = np.asarray(rows, dtype=float)
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{where(int(bad.argmax()))}: non-finite value")
+    return X
+
+
 def _edges(edges, width, n, m=None):
     """(i, j) int64 ids, and for width 3 float values, from an iterable of
     (i, j) pairs or (i, j, value) triples, or a (k, width) array of them.

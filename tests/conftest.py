@@ -20,11 +20,13 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(__file__)),
 
 @pytest.fixture(scope="module")
 def perfbench():
-    """The benchmark's (workloads, tracer) modules, imported from perfbench/."""
+    """The benchmark's (workloads, tracer, worker) modules, imported from
+    perfbench/."""
     sys.path.insert(0, PERFBENCH)
     try:
         yield (importlib.import_module("workloads"),
-               importlib.import_module("tracer"))
+               importlib.import_module("tracer"),
+               importlib.import_module("worker"))
     finally:
         sys.path.remove(PERFBENCH)
 

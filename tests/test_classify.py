@@ -121,7 +121,7 @@ def test_list_refusals_name_the_set_before_any_descent(monkeypatch):
     sets[2][17, 0] = np.nan
     monkeypatch.setattr(classify, "_EPOCHS", None)
     with pytest.raises(ValueError,
-                       match="^set 2: row 17 holds a non-finite value$"):
+                       match="^set 2: row 17: non-finite value$"):
         train_linear(sets, y)
     with pytest.raises(ValueError, match="^set 1: 90 labels for 87 rows$"):
         train_linear([X, sets[1][3:], X], y)
@@ -131,10 +131,10 @@ def test_list_refusals_name_the_set_before_any_descent(monkeypatch):
 def test_non_finite_row_is_named(bad):
     X, y = blobs()
     X[17, 1] = bad
-    with pytest.raises(ValueError, match="^row 17 holds a non-finite value$"):
+    with pytest.raises(ValueError, match="^row 17: non-finite value$"):
         train_linear(X, y)
     model = train_linear(*blobs())
-    with pytest.raises(ValueError, match="^row 17 holds a non-finite value$"):
+    with pytest.raises(ValueError, match="^row 17: non-finite value$"):
         predict(model, X)
 
 

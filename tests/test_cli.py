@@ -270,7 +270,6 @@ _EPS = "eps must be positive and finite"
 _WINDOW = "need 0 < beta_lower < beta_upper < inf"
 _GAMMA = "gamma must be positive and finite"
 _SPLIT = "test_fraction must be in (0, 1)"
-_COUNTS = "n_classes, per_class and dim must be >= 1"
 _SEPARATION = "separation must be finite"
 
 
@@ -291,8 +290,10 @@ _SEPARATION = "separation must be finite"
       "-0.5"], _SPLIT),
     (["pipeline", "--synthetic", "3,10,8,8.0", "-r", "5", "--test-fraction",
       "nan"], _SPLIT),
-    (["pipeline", "--synthetic", "0,20,32,8"], _COUNTS),
-    (["pipeline", "--synthetic", "3,0,32,8"], _COUNTS),
+    (["pipeline", "--synthetic", "0,20,32,8"],
+     "n_classes must be >= 1 and an integer, got 0"),
+    (["pipeline", "--synthetic", "3,0,32,8"],
+     "per_class must be >= 1 and an integer, got 0"),
     (["pipeline", "--synthetic", "3.7,20,32,8"],
      "--synthetic K,per_class,dim,separation"),
     (["pipeline", "--synthetic", "3,20,32,nan"], _SEPARATION),
@@ -320,7 +321,7 @@ def test_malformed_input_is_a_clean_error(tmp_path, capsys, argv, message):
      "unrecognized arguments: --arbiter"),
     (["beta", "EMPTY", "--weighted"], "empty matrix has no eigenvalues"),
     (["cycles", data_path("h2.exp"), "--max-len", "-2"],
-     "max_len must be >= 0, got -2"),
+     "max_len must be >= 0 and an integer, got -2"),
     *((["--config", name, "cycles", data_path("h2.exp")], f"DIR/{name}: {m}")
       for name, m in (("LIST", "not a JSON object"),
                       ("STRING", "not a JSON object"),
@@ -737,6 +738,57 @@ def test_config_file_overrides_defaults(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "embed", str(feat), "--config", str(cfg),
                          "--out", str(tmp_path))
     assert rc == 0
+
+
+@pytest.mark.parametrize("config, argv, status, message", [
+    ('{"max_len": 8.0}', ["cycles", data_path("h2.exp")], 2,
+     "argument --max-len: invalid int value: '8.0'"),
+    ('{"seed": 1.5}', ["pipeline", "--synthetic", "3,10,8,8.0"], 2,
+     "argument --seed: invalid int value: '1.5'"),
+    ('{"test_fraction": [1]}', ["pipeline", "--synthetic", "3,10,8,8.0"], 1,
+     "CFG: the key 'test_fraction' takes a number or a string, got [1]"),
+    ('{"r": true}', ["pipeline", "--synthetic", "3,10,8,8.0"], 1,
+     "CFG: the key 'r' takes a number or a string, got true"),
+    ('{"golden": 1}', ["cycles", data_path("h2.exp")], 1,
+     "CFG: the key 'golden' takes true or false, got 1"),
+    ('{"files": "ts_4_2.txt"}', ["ts-table"], 1,
+     'CFG: the key \'files\' takes a list of strings, got "ts_4_2.txt"')])
+def test_config_value_is_refused_as_command_line_text_is(tmp_path, capsys,
+                                                         config, argv, status,
+                                                         message):
+    # argparse converts only a string default, so a config value goes in as
+    # text: a value the option's type refuses gets the usage line and exit
+    # status 2, as on the command line, and a value of the wrong JSON kind
+    # is refused in one line naming the key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(config)
+    rc, out, err = run_cli(capsys, "--config", str(cfg), *argv, "--out",
+                           str(tmp_path / "out"))
+    if status == 2:
+        usage, _, err = err.rpartition(": error: ")
+        assert usage.startswith("usage: nishigraph")
+        err = "error: " + err
+    assert (rc, out, err) == (status, "",
+                              f"error: {message.replace('CFG', str(cfg))}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_values_of_other_json_kinds_act_as_their_text(tmp_path, capsys):
+    A = SparseSym(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
+    path = tmp_path / "k4.mtx"
+    write_matrix_market(A, str(path))
+    cfg = tmp_path / "cfg.json"
+    files = [data_path(n) for n in ("ts_4_2.txt", "ts_4_6.txt")]
+    for config, argv, flags in (
+            ({"u": 0.25}, ["zeta", str(path)], ["--u", "0.25"]),
+            ({"max_len": 6}, ["cycles", data_path("h2.exp")],
+             ["--max-len", "6"]),
+            ({"files": files, "golden": True}, ["ts-table"],
+             [*files, "--golden"])):
+        cfg.write_text(json.dumps(config))
+        expected = run_cli(capsys, *argv, *flags)
+        assert expected[0] == 0
+        assert run_cli(capsys, "--config", str(cfg), *argv) == expected
 
 
 def test_missing_input_file_is_a_clean_error(capsys):

@@ -127,7 +127,8 @@ def test_select_indices_finds_discriminative_columns():
     with pytest.raises(ValueError):
         select_indices(ft, 11)
     for s in (0, -1):
-        with pytest.raises(ValueError, match=f"^s must be at least 1, got {s}$"):
+        with pytest.raises(ValueError,
+                           match=f"^s must be >= 1 and an integer, got {s}$"):
             select_indices(ft, s)
     with pytest.raises(ValueError):
         select_indices(FeatureTable(X), 2)
@@ -371,6 +372,23 @@ def test_nested_gram_edge_cases_behave_as_one_product():
     none = embed._similarity_graphs(np.zeros((0, 4)),
                                     [(np.arange(4), 1.0, 2), ([1], 1.0, 2)])
     assert [(J.n, J.edges) for J in none] == [(0, []), (0, [])]
+
+
+def test_cosine_graph_does_not_depend_on_the_feature_scale():
+    # each row enters the Gram scaled by a power of two, so rows far from
+    # unit scale neither overflow (an inf Gram, NaN cosines, no edge) nor
+    # underflow (every norm 0); a power-of-two scale changes no bit
+    X = np.array([[1., 1], [1, 0], [0, 1], [2, 1]])
+    J = similarity_graph(FeatureTable(X), 2.0, 1)
+    assert J.edges == [(0, 2, J.couplings[0]), (0, 3, J.couplings[1]),
+                       (1, 3, J.couplings[2])]
+    for scale in (2.0 ** 600, 2.0 ** -600):
+        assert similarity_graph(FeatureTable(X * scale), 2.0, 1).edges == J.edges
+    for scale in (1e200, 1e-200):
+        S = similarity_graph(FeatureTable(X * scale), 2.0, 1)
+        assert (S.i.tolist(), S.j.tolist()) == (J.i.tolist(), J.j.tolist())
+        np.testing.assert_allclose(S.couplings, J.couplings, rtol=1e-15,
+                                   atol=0)
 
 
 def test_nested_gram_refuses_sets_that_are_not_nested():
@@ -711,3 +729,5 @@ def test_embedding_validation():
         Embedding(np.zeros(3), 0.1)
     with pytest.raises(ValueError):
         Embedding(np.full((2, 2), np.nan), 0.1)
+    with pytest.raises(ValueError, match="^row 1: non-finite value$"):
+        Embedding([[0.0, 1.0], [1.0, np.inf], [np.nan, 0.0]], 0.1)

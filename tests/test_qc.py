@@ -256,7 +256,8 @@ def test_enumerate_cycles_validation():
         enumerate_cycles(g, 5)
     with pytest.raises(ValueError):
         enumerate_cycles(g, 14)
-    with pytest.raises(ValueError, match="max_len must be >= 0, got -2"):
+    with pytest.raises(ValueError,
+                       match="max_len must be >= 0 and an integer, got -2"):
         enumerate_cycles(g, -2)
     assert enumerate_cycles(g, 0) == enumerate_cycles(g, 2) == []
     for vertices in ([0, 4, 2], [0, 4]):
@@ -421,7 +422,8 @@ def test_optimize_lift_validation():
     with pytest.raises(ValueError):
         optimize_lift(big, L=4, min_girth=4, min_ace=1, seed=0)
     for restarts in (0, -2):
-        with pytest.raises(ValueError, match=f"restarts must be >= 1, got {restarts}"):
+        with pytest.raises(ValueError, match="restarts must be >= 1 and an "
+                                             f"integer, got {restarts}"):
             optimize_lift(pat, L=4, min_girth=4, min_ace=1, seed=0, restarts=restarts)
 
 

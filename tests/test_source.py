@@ -16,8 +16,11 @@ PRIVATE_IMPORTS = {
     "cli <- embed._label",
     "cli <- qc._score_lift",
     "cli <- sparse._read_text",
+    "classify <- sparse._finite_rows",
+    "embed <- sparse._finite_rows",
     "embed <- sparse._read_text",
     "embed <- sparse._size",
+    "permanent <- sparse._size",
     "pipeline <- embed._rank_features",
     "pipeline <- embed._similarity_graphs",
     "qc <- sparse._edges",

@@ -12,10 +12,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import nishigraph.sparse as sparse
-from nishigraph import (CouplingGraph, FeatureTable, SimpleGraph, SparseSym,
-                        TannerGraph, bethe_hessian_weighted, eig_dense,
-                        lambda_min, rank_and_kernel, read_matrix_market,
-                        similarity_graph, synthetic_features,
+from nishigraph import (CouplingGraph, FeatureTable, METProtograph,
+                        SimpleGraph, SparseSym, TannerGraph,
+                        bethe_hessian_weighted, dmin_upper_bound, eig_dense,
+                        enumerate_cycles, lambda_min, lift, optimize_lift,
+                        rank_and_kernel, read_matrix_market, select_indices,
+                        similarity_graph, spectral_embed, synthetic_features,
                         write_matrix_market)
 
 from util import (cycle_edges, random_connected, random_regular,
@@ -541,3 +543,53 @@ def test_matrix_market_gives_a_matrix_or_names_the_line(tmp_path_factory,
         assert number and 1 <= int(number[1]) <= n_lines + 1, str(exc)
     else:
         assert isinstance(M, SparseSym)
+
+
+_BLOBS = synthetic_features(3, 10, 8, 5.0, seed=0)
+_FREE = METProtograph([[[None]] * 3 for _ in range(2)], 2, allow_unset=True)
+
+
+def _search(L=8, restarts=2, steps=5):
+    r = optimize_lift(_FREE, L, 6, 2, 0, restarts=restarts, steps=steps)
+    return r.proto.cells, r.girth, r.min_ace, r.satisfied, r.restarts_used
+
+
+# every count a public function takes: (its name in the refusal, its least
+# value, a valid value, the call with that count and a comparable result)
+PUBLIC_COUNTS = [
+    ("n", 0, 3, lambda n: SparseSym(n, [(0, 2, 1.0)]).entries),
+    ("n", 0, 3, lambda n: CouplingGraph(n, [(0, 2, 1.0)]).edges),
+    ("n", 0, 3, lambda n: SimpleGraph(n, [(0, 2)]).edges),
+    ("n_checks", 0, 2, lambda m: TannerGraph(m, 3, [(1, 2)]).edges),
+    ("n_vars", 0, 3, lambda n: TannerGraph(2, n, [(1, 2)]).edges),
+    ("circulant size", 1, 3,
+     lambda L: lift(METProtograph([[[0, 1]]], L)).edges),
+    ("p", 1, 3, lambda p: similarity_graph(_BLOBS, 2.0, p).edges),
+    ("r", 1, 2, lambda r: spectral_embed(
+        similarity_graph(_BLOBS, 2.0, 4), r).coords.tolist()),
+    ("s", 1, 3, lambda s: select_indices(_BLOBS, s)),
+    ("n_classes", 1, 3, lambda k: synthetic_features(k, 4, 5, 5.0).X.tolist()),
+    ("per_class", 1, 3, lambda k: synthetic_features(3, k, 5, 5.0).X.tolist()),
+    ("dim", 1, 3, lambda d: synthetic_features(3, 4, d, 5.0).X.tolist()),
+    ("max_len", 0, 6, lambda k: [c.vertices for c in enumerate_cycles(
+        lift(METProtograph([[[0, 1], [0, 2]]], 3)), k)]),
+    ("circulant size", 2, 8, lambda L: _search(L=L)),
+    ("restarts", 1, 2, lambda k: _search(restarts=k)),
+    ("steps", 0, 5, lambda k: _search(steps=k)),
+    ("v", 1, 2, lambda v: dmin_upper_bound([[1, 1, 1], [1, 1, 1]], v)),
+]
+
+
+@pytest.mark.parametrize("name, least, valid, call", PUBLIC_COUNTS)
+def test_every_public_count_follows_one_size_rule(name, least, valid, call):
+    # a count that is not an integer is refused by name, as every count is
+    # by sparse._size; an integral float counts as its integer
+    for bad in (2.5, math.nan, "3"):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= "
+                           f"{least} and an integer, got "
+                           f"{re.escape(repr(bad))}$"):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be >= "
+                       f"{least} and an integer, got {least - 1}$"):
+        call(least - 1)
+    assert call(float(valid)) == call(valid)
